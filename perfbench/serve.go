@@ -12,16 +12,23 @@ import (
 
 const (
 	// serveClients goroutines offer the serving load, each a caller
-	// that waits for every reply before sending its next request.
+	// that waits for every reply before sending its next request: the
+	// client count of the repository's rebuild-scheduling experiment
+	// (internal/bench/rebuildsched.go). The loop is closed because an
+	// open-loop, fixed-rate version could not be made steady on a small
+	// shared machine; its p99 therefore leaves out the queueing a
+	// fixed arrival rate would add.
 	serveClients = 16
 	// miniBatch is the key count of multi-key requests; they put shard
 	// scatter and stitch on the serving path.
 	miniBatch = 8
-	// Writes land in hotRanges key ranges of hotWidth each, spread over
-	// the key space and so over every shard. Uniform writes over the
-	// whole base would take minutes to push any subtree past its
-	// rebuild budget; concentrated ones keep rebuilds on the serving
-	// path within a run.
+	// Writes land in hotRanges key windows of hotWidth each, one in each
+	// of hotRanges equal segments of the key space, the layout
+	// dist.Clustered gives the paper's non-smooth batches (§9, ablation
+	// A3) with its default of 64 clusters. Uniform writes over the whole
+	// base would take minutes to push any subtree past its rebuild
+	// budget; clustered ones keep rebuilds on the serving path within a
+	// run.
 	hotRanges = 64
 	hotWidth  = 1 << 28
 )
@@ -42,10 +49,16 @@ const (
 type mix [numOpKinds]int
 
 var (
-	readMix = mix{opGetFast: 60, opGet: 20, opGetBatch: 10, opPut: 6, opDelete: 4}
-	// churnMix keeps inserts and deletes near balance, so the tree size
-	// stays put while subtrees keep running into their rebuild budget.
-	churnMix = mix{opGetFast: 10, opGet: 5, opGetBatch: 5, opPut: 45, opDelete: 35}
+	// readMix is the 90% read, 10% write mix of the read-scaling
+	// experiment's mixed replay (internal/bench/readscale.go): reads
+	// through the wait-free path, writes split evenly between Put and
+	// Delete. One read in nine is a GetBatch, so that shard scatter and
+	// stitch are on this path too.
+	readMix = mix{opGetFast: 80, opGetBatch: 10, opPut: 5, opDelete: 5}
+	// churnMix is the 10% Get, 45% Put, 45% Delete churn of the
+	// rebuild-scheduling experiment (internal/bench/rebuildsched.go),
+	// with half of the reads issued as a GetBatch for the same reason.
+	churnMix = mix{opGet: 5, opGetBatch: 5, opPut: 45, opDelete: 45}
 )
 
 // op is one scripted request and its expected result.
@@ -98,14 +111,23 @@ func (c *client) readTarget() (int64, uint64, bool) {
 	}
 }
 
+// writeTarget picks the key of a Put or Delete: a live own key or a
+// fresh one, half and half. In the repository's churn scripts every
+// write draws a uniform key at base density ½, so half of the Puts
+// overwrite and half of the Deletes miss; so do these, and inserts and
+// removals stay in balance.
+func (c *client) writeTarget() int64 {
+	if len(c.live) > 0 && c.rng.IntN(2) == 0 {
+		return c.live[c.rng.IntN(len(c.live))]
+	}
+	return c.freshKey()
+}
+
 func (c *client) next(m *mix) op {
 	p := c.rng.IntN(100)
 	kind := opKind(0)
 	for ; p >= m[kind]; kind++ {
 		p -= m[kind]
-	}
-	if kind == opDelete && len(c.live) == 0 {
-		kind = opPut
 	}
 	o := op{kind: kind}
 	switch kind {
@@ -119,11 +141,7 @@ func (c *client) next(m *mix) op {
 			o.keys[i], o.vals[i], o.found[i] = c.readTarget()
 		}
 	case opPut:
-		// One put in four overwrites a live key; the rest insert.
-		o.key = c.freshKey()
-		if len(c.live) > 0 && c.rng.IntN(4) == 0 {
-			o.key = c.live[c.rng.IntN(len(c.live))]
-		}
+		o.key = c.writeTarget()
 		c.ver++
 		o.val = value(o.key, c.ver)
 		_, had := c.vals[o.key]
@@ -133,13 +151,14 @@ func (c *client) next(m *mix) op {
 		}
 		c.vals[o.key], o.ok = o.val, !had
 	case opDelete:
-		i := c.rng.IntN(len(c.live))
-		o.key, o.ok = c.live[i], true
-		last := c.live[len(c.live)-1]
-		c.live[i], c.pos[last] = last, i
-		c.live = c.live[:len(c.live)-1]
-		delete(c.pos, o.key)
-		delete(c.vals, o.key)
+		o.key = c.writeTarget()
+		if _, o.ok = c.vals[o.key]; o.ok {
+			i, last := c.pos[o.key], c.live[len(c.live)-1]
+			c.live[i], c.pos[last] = last, i
+			c.live = c.live[:len(c.live)-1]
+			delete(c.pos, o.key)
+			delete(c.vals, o.key)
+		}
 	}
 	return o
 }
