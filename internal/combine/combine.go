@@ -20,8 +20,11 @@
 // order. Reads observe the pre-epoch state as modified by the writes
 // submitted before them in the same epoch; writes to the same key
 // resolve last-wins; mini-batch operations are atomic (their elements
-// occupy consecutive positions in the epoch order). Len and Snapshot
-// linearize at the end of their epoch.
+// occupy consecutive positions in the epoch order). Flush completes at
+// the end of its epoch, after every operation submitted before it.
+// Whole-structure reads are not served here: every epoch ends by
+// publishing an immutable version of the engine, and readers walk
+// those versions without entering the queue.
 package combine
 
 import (
@@ -51,34 +54,22 @@ type Engine[K cmp.Ordered, V any] interface {
 	GetBatchedInto(keys []K, vals []V, found []bool)
 	PutBatched(keys []K, vals []V) int
 	RemoveBatched(keys []K) int
-	Len() int
-	Keys() []K
-	Items() ([]K, []V)
-	RangeKV(lo, hi K) ([]K, []V)
-}
 
-// Publisher is the optional engine extension for multi-version reads
-// (core's MVCC layer): an engine that implements it has PublishVersion
-// called at the end of every epoch, after the epoch's writes and
-// before its clients are woken — so by the time any operation
-// completes, its effects are visible to version readers, which is what
-// keeps the wait-free fast path linearizable with combined operations.
-type Publisher interface {
+	// PublishVersion is called at the end of every epoch, after the
+	// epoch's writes and before its clients are woken, so by the time
+	// any operation completes its effects are visible to version
+	// readers. That ordering keeps the wait-free reads linearizable
+	// with combined operations.
 	PublishVersion()
-}
-
-// RebuildScheduled is the optional engine extension for amortized
-// rebuild scheduling (core's sched.go): an engine that implements it
-// has its epochs bracketed so one rebuild budget covers everything the
-// epoch's write traversals spend. BeginRebuildEpoch runs before the
-// epoch executes (and splices any finished background rebuild in, so
-// the epoch serves the repaired shape); EndRebuildEpoch runs after the
-// epoch publishes — the moment the live tree is frozen — draining
-// deferred debt synchronously or kicking the next background rebuild,
-// and reports the rebuild keys the epoch spent plus the debt still
-// outstanding, which the epoch trace records. Both are cheap no-ops on
-// an engine without a configured budget.
-type RebuildScheduled interface {
+	// BeginRebuildEpoch and EndRebuildEpoch bracket every epoch so one
+	// rebuild budget covers everything its write traversals spend.
+	// BeginRebuildEpoch runs before the epoch executes (and may splice
+	// a finished background rebuild in, so the epoch serves the
+	// repaired shape). EndRebuildEpoch runs after the epoch publishes,
+	// the moment the live tree is frozen: it drains deferred debt or
+	// kicks the next background rebuild, and reports the rebuild keys
+	// the epoch spent plus the debt still outstanding, which the epoch
+	// trace records.
 	BeginRebuildEpoch()
 	EndRebuildEpoch() (spentKeys, debtKeys int)
 }
@@ -190,10 +181,7 @@ const (
 	kindContains
 	kindPut
 	kindDelete
-	kindFence    // waits for all earlier ops; reports engine length
-	kindSnapshot // fence that additionally copies out all items
-	kindKeys     // fence that copies out the keys only
-	kindRange    // fence that copies out the items in [lo, hi]
+	kindFence // carries no keys; completes after all earlier ops
 )
 
 // op is one client submission: a mini-batch of keys (length 1 for
@@ -207,9 +195,6 @@ type op[K cmp.Ordered, V any] struct {
 
 	rvals  []V    // kindGet: value per input position
 	rfound []bool // get/contains: present; put: inserted; delete: removed
-	rlen   int    // fence/snapshot: engine length after the epoch
-	rkeys  []K    // snapshot/keys/range: copied-out keys
-	lo, hi K      // kindRange: the query interval, inclusive
 
 	enq  time.Time // for the combine-wait statistic
 	done chan struct{}
@@ -224,9 +209,7 @@ type op[K cmp.Ordered, V any] struct {
 // through epochs executed on a single Engine. Create one with New;
 // all exported methods are safe for concurrent use.
 type Combiner[K cmp.Ordered, V any] struct {
-	eng  Engine[K, V]     //pbist:guardedby combiner
-	pub  Publisher        //pbist:guardedby combiner — eng's Publisher side, nil if not implemented
-	rs   RebuildScheduled //pbist:guardedby combiner — eng's rebuild-scheduler side, nil if not implemented
+	eng  Engine[K, V] //pbist:guardedby combiner
 	pool *parallel.Pool
 	opts Options
 
@@ -313,11 +296,6 @@ func NewShared[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts
 		scr = NewScratch[K, V](opts.NoBufferReuse)
 	}
 	scr.Observe(opts.Metrics, "combine.scratch")
-	// An engine that publishes versions gets PublishVersion called at
-	// the end of every epoch; one with a rebuild scheduler gets its
-	// epochs bracketed. Both detected once here, not per epoch.
-	pub, _ := eng.(Publisher)
-	rs, _ := eng.(RebuildScheduled)
 	c := &Combiner[K, V]{
 		eng:      eng,
 		pool:     pool,
@@ -325,8 +303,6 @@ func NewShared[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts
 		wake:     make(chan struct{}, 1),
 		loopDone: make(chan struct{}),
 		scr:      scr,
-		pub:      pub,
-		rs:       rs,
 		probe:    newProbe(opts.Metrics, opts.TraceDepth, opts.ID),
 	}
 	c.opPool.New = func() any {
@@ -346,10 +322,9 @@ func (c *Combiner[K, V]) getOp(kind Kind) *op[K, V] {
 // putOp recycles an op. Results must have been copied out already;
 // references to caller slices are dropped so nothing is retained.
 func (c *Combiner[K, V]) putOp(o *op[K, V]) {
-	o.keys, o.vals, o.rvals, o.rfound, o.rkeys = nil, nil, nil, nil, nil
+	o.keys, o.vals, o.rvals, o.rfound = nil, nil, nil, nil
 	var zk K
 	var zv V
-	o.lo, o.hi = zk, zk
 	o.k1[0], o.v1[0], o.rv1[0], o.rf1[0] = zk, zv, zv, false
 	c.opPool.Put(o)
 }
@@ -640,19 +615,6 @@ func (c *Combiner[K, V]) DeleteBatch(keys []K) (removed int, err error) {
 	return removed, nil
 }
 
-// Len reports the number of keys stored, linearized at the end of the
-// epoch that serves it (after every operation submitted before Len).
-func (c *Combiner[K, V]) Len() (int, error) {
-	o := c.getOp(kindFence)
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return 0, err
-	}
-	n := o.rlen
-	c.putOp(o)
-	return n, nil
-}
-
 // Flush blocks until every operation submitted before it has
 // executed.
 func (c *Combiner[K, V]) Flush() error {
@@ -660,46 +622,4 @@ func (c *Combiner[K, V]) Flush() error {
 	err := c.submit(o)
 	c.putOp(o)
 	return err
-}
-
-// Snapshot returns all (key, value) pairs, keys ascending, linearized
-// at the end of the epoch that serves it.
-func (c *Combiner[K, V]) Snapshot() ([]K, []V, error) {
-	o := c.getOp(kindSnapshot)
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return nil, nil, err
-	}
-	ks, vs := o.rkeys, o.rvals
-	c.putOp(o)
-	return ks, vs, nil
-}
-
-// Keys returns all keys ascending, linearized at the end of the epoch
-// that serves it. Unlike Snapshot it never materializes the values.
-func (c *Combiner[K, V]) Keys() ([]K, error) {
-	o := c.getOp(kindKeys)
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return nil, err
-	}
-	ks := o.rkeys
-	c.putOp(o)
-	return ks, nil
-}
-
-// Range returns the (key, value) pairs with keys in [lo, hi], keys
-// ascending, linearized at the end of the epoch that serves it — an
-// atomic range snapshot that observes every operation submitted
-// before the call.
-func (c *Combiner[K, V]) Range(lo, hi K) ([]K, []V, error) {
-	o := c.getOp(kindRange)
-	o.lo, o.hi = lo, hi
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return nil, nil, err
-	}
-	ks, vs := o.rkeys, o.rvals
-	c.putOp(o)
-	return ks, vs, nil
 }

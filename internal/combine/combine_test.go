@@ -12,14 +12,16 @@ import (
 	"repro/internal/parallel"
 )
 
-// newCoreCombiner builds a Combiner over a real core engine.
-func newCoreCombiner(t *testing.T, opts Options) *Combiner[int64, uint64] {
+// newCoreCombiner builds a Combiner over a real core engine and
+// returns both. The test may read the engine only after a Flush, and
+// only while no other operation is in flight.
+func newCoreCombiner(t *testing.T, opts Options) (*Combiner[int64, uint64], *core.Tree[int64, uint64]) {
 	t.Helper()
 	pool := parallel.NewPool(4)
 	eng := core.New[int64, uint64](core.Config{}, pool)
 	c := New[int64, uint64](eng, pool, opts)
 	t.Cleanup(c.Close)
-	return c
+	return c, eng
 }
 
 // queued reports how many operations are waiting in c's queue.
@@ -88,40 +90,14 @@ func (e *gatedEngine) RemoveBatched(keys []int64) int {
 	return n
 }
 
-func (e *gatedEngine) Len() int { return len(e.m) }
-
-func (e *gatedEngine) Keys() []int64 {
-	ks := make([]int64, 0, len(e.m))
-	for k := range e.m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
-}
-
-func (e *gatedEngine) Items() ([]int64, []uint64) {
-	ks := e.Keys()
-	vs := make([]uint64, len(ks))
-	for i, k := range ks {
-		vs[i] = e.m[k]
-	}
-	return ks, vs
-}
-
-func (e *gatedEngine) RangeKV(lo, hi int64) ([]int64, []uint64) {
-	ks, vs := e.Items()
-	i, _ := slices.BinarySearch(ks, lo)
-	j, found := slices.BinarySearch(ks, hi)
-	if found {
-		j++
-	}
-	return ks[i:j], vs[i:j]
-}
+func (e *gatedEngine) PublishVersion()                    {}
+func (e *gatedEngine) BeginRebuildEpoch()                 {}
+func (e *gatedEngine) EndRebuildEpoch() (spent, debt int) { return 0, 0 }
 
 // TestSingleClientOracle drives one client through a long random
 // mixed sequence and checks every result against a builtin map.
 func TestSingleClientOracle(t *testing.T) {
-	c := newCoreCombiner(t, Options{})
+	c, eng := newCoreCombiner(t, Options{})
 	oracle := make(map[int64]uint64)
 	r := dist.NewRNG(0xc0ffee)
 	const keyspace = 512
@@ -169,11 +145,12 @@ func TestSingleClientOracle(t *testing.T) {
 			}
 		}
 	}
-	// Final full-state comparison through an atomic snapshot.
-	ks, vs, err := c.Snapshot()
-	if err != nil {
+	// Final full-state comparison against the engine, read after a
+	// Flush has drained every earlier operation.
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	ks, vs := eng.Items()
 	if len(ks) != len(oracle) {
 		t.Fatalf("snapshot has %d keys, oracle %d", len(ks), len(oracle))
 	}
@@ -188,7 +165,7 @@ func TestSingleClientOracle(t *testing.T) {
 // positional answers for unsorted duplicated input, last-wins for
 // duplicate keys in one PutBatch, and per-op counts.
 func TestMiniBatchSemantics(t *testing.T) {
-	c := newCoreCombiner(t, Options{})
+	c, eng := newCoreCombiner(t, Options{})
 	ins, err := c.PutBatch([]int64{5, 5, 7}, []uint64{1, 2, 3})
 	if err != nil || ins != 2 {
 		t.Fatalf("PutBatch inserted %d, %v; want 2 (5 counts once, last value wins)", ins, err)
@@ -210,13 +187,14 @@ func TestMiniBatchSemantics(t *testing.T) {
 	if err != nil || rm != 1 {
 		t.Fatalf("DeleteBatch removed %d, %v; want 1", rm, err)
 	}
-	n, err := c.Len()
-	if err != nil || n != 1 {
-		t.Fatalf("Len = %d, %v; want 1", n, err)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	ks, err := c.Keys()
-	if err != nil || !slices.Equal(ks, []int64{7}) {
-		t.Fatalf("Keys = %v, %v; want [7]", ks, err)
+	if n := eng.Len(); n != 1 {
+		t.Fatalf("Len = %d; want 1", n)
+	}
+	if ks := eng.Keys(); !slices.Equal(ks, []int64{7}) {
+		t.Fatalf("Keys = %v; want [7]", ks)
 	}
 }
 
@@ -347,7 +325,7 @@ func TestInEpochOrdering(t *testing.T) {
 // key exactly one observes an insert, and among N racing Deletes of
 // one present key exactly one observes a removal.
 func TestRacingWritersAgree(t *testing.T) {
-	c := newCoreCombiner(t, Options{})
+	c, _ := newCoreCombiner(t, Options{})
 	const n = 64
 	var wg sync.WaitGroup
 	ins := make(chan bool, n)
@@ -400,7 +378,7 @@ func TestRacingWritersAgree(t *testing.T) {
 // TestSizeTriggerFlush submits one mini-batch larger than MaxBatch
 // and expects a size-triggered epoch.
 func TestSizeTriggerFlush(t *testing.T) {
-	c := newCoreCombiner(t, Options{MaxBatch: 8})
+	c, _ := newCoreCombiner(t, Options{MaxBatch: 8})
 	keys := make([]int64, 32)
 	vals := make([]uint64, 32)
 	for i := range keys {
@@ -473,8 +451,8 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	if _, err := c.Contains(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close Contains error = %v, want ErrClosed", err)
 	}
-	if eng.Len() != 2 {
-		t.Fatalf("engine has %d keys after drain, want 2", eng.Len())
+	if len(eng.m) != 2 {
+		t.Fatalf("engine has %d keys after drain, want 2", len(eng.m))
 	}
 	c.Close() // idempotent
 }
@@ -483,7 +461,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 // every operation must either complete or report ErrClosed, and the
 // call to Close must return.
 func TestCloseRacesSubmitters(t *testing.T) {
-	c := newCoreCombiner(t, Options{})
+	c, _ := newCoreCombiner(t, Options{})
 	const clients = 32
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -517,10 +495,10 @@ func TestCloseRacesSubmitters(t *testing.T) {
 	}
 }
 
-// TestFenceLinearizesAfterEpoch verifies Len and Flush observe every
-// operation submitted before them.
+// TestFenceLinearizesAfterEpoch verifies Flush observes every
+// operation submitted before it.
 func TestFenceLinearizesAfterEpoch(t *testing.T) {
-	c := newCoreCombiner(t, Options{})
+	c, eng := newCoreCombiner(t, Options{})
 	const n = 100
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -531,8 +509,10 @@ func TestFenceLinearizesAfterEpoch(t *testing.T) {
 		}(int64(i))
 	}
 	wg.Wait()
-	got, err := c.Len()
-	if err != nil || got != n {
-		t.Fatalf("Len = %d, %v; want %d", got, err, n)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Len(); got != n {
+		t.Fatalf("Len = %d; want %d", got, n)
 	}
 }

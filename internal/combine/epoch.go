@@ -36,14 +36,13 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	// background rebuild splices in here, so this epoch already serves
 	// the repaired shape, and every rebuild the write traversals below
 	// spend shares one per-epoch cap (core's sched.go).
-	if c.rs != nil {
-		c.rs.BeginRebuildEpoch()
-	}
+	c.eng.BeginRebuildEpoch()
 
-	// Flatten the epoch into events. Fences carry no keys and resolve
-	// after the writes. The event list and every per-run array below
-	// are arena scratch: borrowed here, returned at the end of this
-	// epoch (before clients wake), recycled by the next epoch.
+	// Flatten the epoch into events. Fences carry no keys, so they
+	// complete with the rest of the epoch. The event list and every
+	// per-run array below are arena scratch: borrowed here, returned at
+	// the end of this epoch (before clients wake), recycled by the next
+	// epoch.
 	nev := 0
 	needVals := false
 	for _, o := range ops {
@@ -158,9 +157,7 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	// then always visible to the wait-free fast path, which is what
 	// makes fast reads linearizable with combined operations. Read-only
 	// epochs publish nothing new but still advance reclamation.
-	if c.pub != nil {
-		c.pub.PublishVersion()
-	}
+	c.eng.PublishVersion()
 	if pr != nil {
 		tWrite = time.Now()
 	}
@@ -169,29 +166,9 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	// version), so the scheduler can drain deferred debt synchronously
 	// or kick a background rebuild whose splice-by-pointer-identity
 	// check stays sound. The spent/debt figures feed the epoch trace.
-	var rbSpent, rbDebt int
-	if c.rs != nil {
-		rbSpent, rbDebt = c.rs.EndRebuildEpoch()
-	}
+	rbSpent, rbDebt := c.eng.EndRebuildEpoch()
 	if pr != nil {
 		tSched = time.Now()
-	}
-
-	// Fences linearize here, after every keyed operation of the epoch.
-	for _, o := range ops {
-		switch o.kind {
-		case kindFence:
-			o.rlen = c.eng.Len()
-		case kindSnapshot:
-			o.rlen = c.eng.Len()
-			o.rkeys, o.rvals = c.eng.Items()
-		case kindKeys:
-			o.rlen = c.eng.Len()
-			o.rkeys = c.eng.Keys()
-		case kindRange:
-			o.rlen = c.eng.Len()
-			o.rkeys, o.rvals = c.eng.RangeKV(o.lo, o.hi)
-		}
 	}
 
 	// Every scratch buffer goes back before the clients wake: nothing

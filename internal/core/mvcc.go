@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -129,16 +130,19 @@ type chunkHandle[K iindex.Numeric, V any] struct {
 
 // mvccState is the publication and reclamation state of one publishing
 // tree. pub, era, bands, and snapCutoff are shared with reader
-// goroutines (atomics); seq and ring are combiner-confined like the
-// tree itself.
+// goroutines (atomics); seq is combiner-confined like the tree itself.
+// ring is appended to by rebuilds, which run in parallel inside one
+// batched traversal, so appends hold ringMu; drainRetired runs between
+// traversals and needs no lock.
 type mvccState[K iindex.Numeric, V any] struct {
 	pub        atomic.Pointer[Version[K, V]]
 	era        atomic.Uint64
 	bands      [2]band
 	snapCutoff atomic.Uint64 // max Version.gen captured by a durable Snapshot
 
-	seq  uint64               // publish counter
-	ring []retiredChunk[K, V] // grace ring
+	seq    uint64 // publish counter
+	ringMu sync.Mutex
+	ring   []retiredChunk[K, V] // grace ring
 
 	published *obs.Counter // versions published
 	retired   *obs.Counter // chunks entering the grace ring
@@ -377,6 +381,24 @@ func (t *Tree[K, V]) VersionItems(v *Version[K, V]) ([]K, []V) {
 	return outK, outV
 }
 
+// VersionRange returns the live pairs of a pinned Version with keys in
+// [lo, hi], ascending, in freshly allocated arrays: the bounded
+// ascendNode walk of AppendRangeKV over v's root. The pin contract is
+// VersionItems'.
+func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
+	if v == nil || hi < lo {
+		return nil, nil
+	}
+	var ks []K
+	var vs []V
+	ascendNode(v.root, &lo, &hi, func(k K, val V) bool {
+		ks = append(ks, k)
+		vs = append(vs, val)
+		return true
+	})
+	return ks, vs
+}
+
 // owned returns a node the current generation may write to: v itself
 // when it was created in this generation, otherwise a copy (path
 // copying). Inner copies share the rep array and its interpolation
@@ -494,7 +516,9 @@ func (t *Tree[K, V]) retireSubtree(v *node[K, V]) {
 	if t.mv == nil || v == nil {
 		return
 	}
+	t.mv.ringMu.Lock()
 	t.collectRetired(v, t.mv.era.Load())
+	t.mv.ringMu.Unlock()
 }
 
 func (t *Tree[K, V]) collectRetired(v *node[K, V], era uint64) {

@@ -67,7 +67,8 @@ func TestPublishGating(t *testing.T) {
 // TestVersionImmutability: a version handle taken at the fence keeps
 // reading the state it was published with, across arbitrary later
 // churn — including the rebuilds and chunk retirements that churn
-// triggers.
+// triggers. Both handle kinds are checked: a durable SnapshotNow tree
+// and a pinned Version read through VersionItems/VersionRange.
 func TestVersionImmutability(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	pool := parallel.NewPool(4)
@@ -82,6 +83,9 @@ func TestVersionImmutability(t *testing.T) {
 	tr.PutBatched(keys, vals)
 	tr.PublishVersion()
 
+	pin := tr.PinReader()
+	defer pin.Release()
+	ver := tr.CurrentVersion()
 	snap := tr.SnapshotNow()
 	oracleK := slices.Clone(keys)
 
@@ -105,6 +109,23 @@ func TestVersionImmutability(t *testing.T) {
 		if gotV[i] != k*3 {
 			t.Fatalf("snapshot value drifted at key %d: got %d, want %d", k, gotV[i], k*3)
 		}
+	}
+
+	if vk, _ := tr.VersionItems(ver); !slices.Equal(vk, oracleK) {
+		t.Fatalf("pinned version keys drifted: got %d keys, want %d", len(vk), len(oracleK))
+	}
+	i, j := len(oracleK)/4, 3*len(oracleK)/4
+	rk, rv := tr.VersionRange(ver, oracleK[i], oracleK[j])
+	if !slices.Equal(rk, oracleK[i:j+1]) {
+		t.Fatalf("VersionRange keys: got %d keys, want %d", len(rk), j-i+1)
+	}
+	for x, k := range rk {
+		if rv[x] != k*3 {
+			t.Fatalf("VersionRange value at key %d: got %d, want %d", k, rv[x], k*3)
+		}
+	}
+	if rk, _ := tr.VersionRange(ver, oracleK[j], oracleK[i]); len(rk) != 0 {
+		t.Fatalf("VersionRange over an inverted interval returned %d keys", len(rk))
 	}
 }
 

@@ -441,7 +441,7 @@ func (t *Tree[K, V]) beginBatch() {
 }
 
 // BeginRebuildEpoch opens one combining epoch's rebuild budget. The
-// combiner calls it before executing the epoch (combine.RebuildScheduled);
+// combiner calls it before executing the epoch (combine.Engine);
 // every rebuild the epoch's write traversals perform — plus the
 // EndRebuildEpoch drain — then shares one RebuildBudgetPerEpoch cap.
 // In async mode a finished background rebuild is spliced here, before

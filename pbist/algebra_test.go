@@ -205,8 +205,8 @@ func TestSetAlgebraResultsAreLive(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshotAlgebra exercises the snapshot fences: a
-// SnapshotMap must observe every operation submitted before it and be
+// TestConcurrentSnapshotAlgebra exercises the snapshot Maps: a
+// Snapshot must observe every operation completed before it and be
 // fully detached from the live frontend, and UnionSnapshot must merge
 // two frontends under the requested policy.
 func TestConcurrentSnapshotAlgebra(t *testing.T) {
@@ -215,15 +215,15 @@ func TestConcurrentSnapshotAlgebra(t *testing.T) {
 	cb := NewConcurrentFromItems[int64, uint64](ConcurrentOptions{}, []int64{3, 4}, []uint64{31, 41})
 	defer cb.Close()
 
-	snap := ca.SnapshotMap()
+	snap := ca.Snapshot()
 	if k := snap.Keys(); !slices.Equal(k, []int64{1, 2, 3}) {
-		t.Fatalf("SnapshotMap keys = %v", k)
+		t.Fatalf("Snapshot keys = %v", k)
 	}
 	// Detachment: mutations on either side stay invisible to the other.
 	ca.Put(99, 990)
 	snap.Put(50, 500)
 	if snap.Contains(99) {
-		t.Fatal("snapshot observed a post-fence write")
+		t.Fatal("snapshot observed a later write")
 	}
 	if ca.Contains(50) {
 		t.Fatal("snapshot write leaked into the live frontend")

@@ -60,30 +60,31 @@ func (o ConcurrentOptions) combineOptions() combine.Options {
 // take effect in submission order — a Get observes every Put/Delete
 // submitted (anywhere) before it in the epoch, writes to the same key
 // resolve last-wins — and batch methods (GetBatch, PutBatch,
-// DeleteBatch, ContainsBatch) are atomic. Len, Items, and Stats
-// linearize at the boundary of the epoch that serves them.
+// DeleteBatch, ContainsBatch) are atomic. Stats reads the combiner's
+// counters without a fence.
 //
-// Alongside the combined operations, GetFast, ContainsFast, and
-// Snapshot serve wait-free reads against the immutable version the
-// combiner publishes after every epoch: no queue, no blocking, and
-// still linearizable with the combined writes (a completed operation
-// is always visible, because publication precedes client wakeup).
+// Every read that does not go through the queue — GetFast,
+// ContainsFast, Len, Keys, Items, Range, Ascend, and Snapshot — is
+// served from the immutable version the combiner publishes after every
+// epoch: no queue round trip, no blocking on writers, and still
+// linearizable with the combined writes (a completed operation is
+// always visible, because publication precedes client wakeup).
 //
 // Create one with NewConcurrent or NewConcurrentFromItems; call Close
 // when done to stop the combiner goroutine. Operations on a closed
 // Concurrent panic, except the version readers (GetFast, ContainsFast,
-// Snapshot), which keep serving the final published state.
+// Len, Keys, Items, Range, Ascend, Snapshot), which keep serving the
+// final published state.
 type Concurrent[K Key, V any] struct {
 	cb *combine.Combiner[K, V]
-	// eng is the engine tree itself, retained for the wait-free read
+	// eng is the engine tree itself, retained for the version read
 	// surface: the combiner publishes an immutable version of eng at
 	// the end of every epoch (before waking that epoch's clients), and
-	// GetFast, ContainsFast, and Snapshot read those versions without
-	// submitting to the combining queue.
+	// the version readers walk those versions without submitting to
+	// the combining queue.
 	eng *core.Tree[K, V]
-	// opts and pool are remembered so snapshot-derived Maps
-	// (SnapshotMap, UnionSnapshot) inherit the frontend's engine
-	// configuration and worker pool.
+	// opts and pool are remembered so snapshot Maps inherit the
+	// frontend's batch normalization and worker pool.
 	opts ConcurrentOptions
 	pool *parallel.Pool
 }
@@ -172,10 +173,10 @@ func (c *Concurrent[K, V]) ContainsFast(key K) bool {
 // Snapshot returns an independent point-in-time Map over the latest
 // published version in O(changed) time and space: the snapshot shares
 // every chunk of tree storage with the live structure instead of
-// flattening and rebuilding (compare SnapshotMap, which materializes).
-// Later mutations of the frontend copy shared nodes before writing, so
-// the snapshot is immutable-by-sharing; mutating the snapshot Map
-// copies in the other direction and never disturbs the frontend.
+// flattening and rebuilding. Later mutations of the frontend copy
+// shared nodes before writing, so the snapshot is immutable-by-sharing;
+// mutating the snapshot Map copies in the other direction and never
+// disturbs the frontend.
 //
 // The snapshot linearizes at its version's publish point: it contains
 // every operation that completed before the call and no operation
@@ -244,12 +245,10 @@ func (c *Concurrent[K, V]) DeleteBatch(keys []K) int {
 	return removed
 }
 
-// Len reports the number of keys stored, linearized after every
-// operation submitted before the call.
+// Len reports the number of keys in the latest published version: it
+// counts every operation that completed before the call.
 func (c *Concurrent[K, V]) Len() int {
-	n, err := c.cb.Len()
-	check(err)
-	return n
+	return c.eng.SnapshotLen()
 }
 
 // Flush blocks until every operation submitted before it has
@@ -259,83 +258,47 @@ func (c *Concurrent[K, V]) Flush() {
 	check(c.cb.Flush())
 }
 
-// Items returns every (key, value) pair, keys ascending and values
-// position-aligned, as one atomic snapshot.
+// Items returns every (key, value) pair of the latest published
+// version, keys ascending and values position-aligned: one atomic
+// snapshot that reflects every operation completed before the call.
 func (c *Concurrent[K, V]) Items() ([]K, []V) {
-	ks, vs, err := c.cb.Snapshot()
-	check(err)
-	return ks, vs
+	vers, release := collectCut([]*core.Tree[K, V]{c.eng}, nil)
+	defer release()
+	return c.eng.VersionItems(vers[0])
 }
 
-// Keys returns the keys in ascending order, as one atomic snapshot
-// (values are never materialized, unlike Items).
+// Keys returns the keys in ascending order, from the same atomic
+// snapshot as Items.
 func (c *Concurrent[K, V]) Keys() []K {
-	ks, err := c.cb.Keys()
-	check(err)
+	ks, _ := c.Items()
 	return ks
 }
 
 // Range returns the (key, value) pairs with keys in [lo, hi], keys
-// ascending, as one atomic range snapshot.
+// ascending, as one atomic range snapshot of the latest published
+// version.
 func (c *Concurrent[K, V]) Range(lo, hi K) ([]K, []V) {
-	ks, vs, err := c.cb.Range(lo, hi)
-	check(err)
-	return ks, vs
+	vers, release := collectCut([]*core.Tree[K, V]{c.eng}, nil)
+	defer release()
+	return c.eng.VersionRange(vers[0], lo, hi)
 }
 
 // Ascend returns an in-order iterator over the (key, value) pairs in
 // [lo, hi]. The sequence iterates one atomic Range snapshot taken at
 // the Ascend call; later mutations do not affect it.
 func (c *Concurrent[K, V]) Ascend(lo, hi K) iter.Seq2[K, V] {
-	ks, vs := c.Range(lo, hi)
-	return func(yield func(K, V) bool) {
-		for i, k := range ks {
-			if !yield(k, vs[i]) {
-				return
-			}
-		}
-	}
-}
-
-// SnapshotMap materializes one atomic snapshot of the frontend as an
-// independent Map: the snapshot linearizes after every operation
-// submitted before the call (the same fence as Items), and the
-// returned Map — which shares the frontend's engine configuration and
-// worker pool but none of its data — can then run whole-tree set
-// algebra, range queries, or further batches without touching the live
-// structure.
-func (c *Concurrent[K, V]) SnapshotMap() *Map[K, V] {
-	ks, vs := c.Items() // atomic fence; sorted duplicate-free
-	m := &Map[K, V]{}
-	m.pool = c.pool
-	m.assumeSorted = c.opts.AssumeSorted
-	m.t = core.NewFromSortedKV(c.opts.coreConfig(), c.pool, ks, vs)
-	return m
+	return pairs(c.Range(lo, hi))
 }
 
 // UnionSnapshot returns a Map holding the union of snapshots of c and
 // other, with policy picking the surviving value on common keys
 // (LeftWins keeps c's). Each snapshot is individually linearizable —
-// c's fence is taken first, then other's — but the pair is not
-// mutually atomic: operations landing between the two fences appear in
-// other's snapshot only. The result shares c's engine configuration
-// and pool and is detached from both frontends.
+// c's is taken first, then other's — but the pair is not mutually
+// atomic: operations completing between the two appear in other's
+// snapshot only. The result shares c's pool and is detached from both
+// frontends.
 func (c *Concurrent[K, V]) UnionSnapshot(other *Concurrent[K, V], policy MergePolicy) *Map[K, V] {
-	ak, av := c.Items()
-	bk, bv := other.Items()
-	p := c.pool
-	var mk []K
-	var mv []V
-	if policy == RightWins {
-		mk, mv = parallel.UnionKV(p, ak, av, bk, bv)
-	} else {
-		mk, mv = parallel.UnionKV(p, bk, bv, ak, av)
-	}
-	m := &Map[K, V]{}
-	m.pool = p
-	m.assumeSorted = c.opts.AssumeSorted
-	m.t = core.NewFromSortedKV(c.opts.coreConfig(), p, mk, mv)
-	return m
+	return c.Snapshot().Union(other.Snapshot(), policy)
 }
 
 // Close stops accepting operations, waits for every already submitted

@@ -25,7 +25,7 @@ func stressScale(t *testing.T) (clients, steps int) {
 // single result can be checked exactly against a per-client map
 // oracle, while the combiner still coalesces ops from all clients
 // into mixed read/write epochs. Finally the merged oracles must equal
-// an atomic snapshot of the structure.
+// an atomic snapshot of the structure and every Range/Ascend window.
 func TestConcurrentDifferentialStress(t *testing.T) {
 	clients, steps := stressScale(t)
 	const stride = 64
@@ -119,6 +119,47 @@ func TestConcurrentDifferentialStress(t *testing.T) {
 		if wv, ok := merged[k]; !ok || vs[i] != wv {
 			t.Fatalf("snapshot[%d] = %d→%d, oracle %d (present=%v)", i, k, vs[i], wv, ok)
 		}
+	}
+	// Windows: the whole span, ones crossing client stripes, a single
+	// key, an inverted interval, and one past every key.
+	span := int64(clients * stride)
+	windows := [][2]int64{{0, span}, {stride / 2, 3*stride + 5}, {span / 3, span / 2}, {7, 7}, {span / 2, span / 3}, {span, 2 * span}}
+	for _, w := range windows {
+		lo, hi := w[0], w[1]
+		var want []int64
+		for _, k := range ks {
+			if lo <= k && k <= hi {
+				want = append(want, k)
+			}
+		}
+		rk, rv := c.Range(lo, hi)
+		if !slices.Equal(rk, want) {
+			t.Fatalf("Range(%d, %d) has %d keys, oracle %d", lo, hi, len(rk), len(want))
+		}
+		for i, k := range rk {
+			if rv[i] != merged[k] {
+				t.Fatalf("Range(%d, %d)[%d] = %d→%d, oracle %d", lo, hi, i, k, rv[i], merged[k])
+			}
+		}
+		var ak []int64
+		for k, v := range c.Ascend(lo, hi) {
+			if v != merged[k] {
+				t.Fatalf("Ascend(%d, %d) yielded %d→%d, oracle %d", lo, hi, k, v, merged[k])
+			}
+			ak = append(ak, k)
+		}
+		if !slices.Equal(ak, want) {
+			t.Fatalf("Ascend(%d, %d) yielded %d keys, oracle %d", lo, hi, len(ak), len(want))
+		}
+	}
+	yielded := 0
+	for range c.Ascend(0, span) {
+		if yielded++; yielded == 3 {
+			break
+		}
+	}
+	if want := min(3, len(ks)); yielded != want {
+		t.Fatalf("Ascend stopped after %d pairs, want %d", yielded, want)
 	}
 
 	st := c.Stats()

@@ -208,11 +208,33 @@ func TestFastReadStressAcrossClose(t *testing.T) {
 		t.Fatal("Closed() false after Close")
 	}
 	// Version readers survive Close; the queue paths panic.
-	finalK, finalV := c.Snapshot().Items()
+	final := c.Snapshot()
+	finalK, finalV := final.Items()
 	for i, k := range finalK {
 		if v, ok := c.GetFast(k); !ok || v != finalV[i] {
 			t.Fatalf("post-Close GetFast(%d) = %d,%v, want %d", k, v, ok, finalV[i])
 		}
+	}
+	if n := c.Len(); n != len(finalK) {
+		t.Fatalf("post-Close Len = %d, want %d", n, len(finalK))
+	}
+	if k := c.Keys(); !slices.Equal(k, finalK) {
+		t.Fatal("post-Close Keys differ from the final snapshot")
+	}
+	if k, v := c.Items(); !slices.Equal(k, finalK) || !slices.Equal(v, finalV) {
+		t.Fatal("post-Close Items differ from the final snapshot")
+	}
+	wantK, wantV := final.Range(span/4, 3*span/4)
+	if k, v := c.Range(span/4, 3*span/4); !slices.Equal(k, wantK) || !slices.Equal(v, wantV) {
+		t.Fatal("post-Close Range differs from the final snapshot")
+	}
+	var ak []int64
+	var av []uint64
+	for k, v := range c.Ascend(span/4, 3*span/4) {
+		ak, av = append(ak, k), append(av, v)
+	}
+	if !slices.Equal(ak, wantK) || !slices.Equal(av, wantV) {
+		t.Fatal("post-Close Ascend differs from the final snapshot")
 	}
 	func() {
 		defer func() {
@@ -273,9 +295,10 @@ func TestShardedFastReads(t *testing.T) {
 // shard A and then — strictly after that Put returned — a key on
 // shard B with the same round number. Any whole-structure read
 // therefore observes round(B) <= round(A) in every state that ever
-// existed; the old per-shard fences could observe B's update without
-// A's (B fenced late, A fenced early), inventing a state that never
-// was. With the cut, Items and Len capture all shards at one instant.
+// existed; per-shard reads could observe B's update without A's (B
+// read late, A read early), inventing a state that never was. With the
+// cut, Items and Range capture all the shards they read at one
+// instant, so the readers alternate the two.
 func TestShardedCutConsistency(t *testing.T) {
 	// Range partitioning over [0, 1000) with 4 shards puts 10 and 990
 	// on the first and last shard deterministically.
@@ -304,8 +327,14 @@ func TestShardedCutConsistency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				ks, vs := s.Items()
+			for i := 0; !stop.Load(); i++ {
+				var ks []int64
+				var vs []uint64
+				if i%2 == 0 {
+					ks, vs = s.Items()
+				} else {
+					ks, vs = s.Range(keyA, keyB)
+				}
 				var va, vb uint64
 				for i, k := range ks {
 					switch k {

@@ -77,21 +77,23 @@
 // linearizable, but Stats and Trace gather per-shard snapshots with no
 // cross-shard fence — each shard's counters are read while the other
 // shards keep executing, so the result is consistent per shard only.
-// (Whole-structure data reads are stronger: Items, Keys, Len,
-// SnapshotMap, and Snapshot each take one atomic cut of all shards'
-// published versions, so they are mutually atomic.)
+// (Whole-structure data reads are stronger: Items, Keys, Len, Range,
+// Ascend, and Snapshot each take one atomic cut of the published
+// versions of the shards they read, so they are mutually atomic.)
 //
 // # Wait-free reads and snapshots (MVCC)
 //
 // The combining frontends additionally publish an immutable version
 // of the tree after every mutating epoch — one atomic pointer store,
-// sequenced before the epoch's callers are woken. GetFast,
-// ContainsFast, and Snapshot read that version without entering the
-// combining queue: they are wait-free (bounded steps, no locks, no
-// retries against writers) and linearizable against completed
-// operations — once a Put has returned, every later fast read
-// observes it; an operation still in flight may not be visible until
-// its epoch publishes. Snapshot is O(changed), not a clone: the
+// sequenced before the epoch's callers are woken. Every read outside
+// the combining queue is served from those versions: GetFast and
+// ContainsFast are wait-free (bounded steps, no locks, no retries
+// against writers); Len, Keys, Items, Range, Ascend, and Snapshot pin
+// the versions they walk and re-load them only until the cut is
+// stable. All are linearizable against completed operations — once a
+// Put has returned, every later version read observes it; an
+// operation still in flight may not be visible until its epoch
+// publishes. Concurrent.Snapshot is O(changed), not a clone: the
 // frozen Map shares unrebuilt chunk storage with the live tree, and
 // the engine's copy-on-rebuild generations guarantee the live tree
 // never mutates storage a published version can still reach.

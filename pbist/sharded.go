@@ -24,7 +24,7 @@ const (
 	PartitionDefault PartitionPolicy = iota
 	// PartitionRange assigns each shard a contiguous key interval.
 	// Shard order then refines key order, so Range, Ascend, Keys,
-	// Items, and SnapshotMap concatenate per-shard results instead of
+	// Items, and Snapshot concatenate per-shard results instead of
 	// merging. Balance is only as good as the boundaries; skewed
 	// inserts outside the fitted span pile onto the edge shards.
 	PartitionRange
@@ -88,11 +88,11 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 // are linearizable, and single-shard batches are atomic. A batch that
 // spans shards is atomic per shard but not across shards: another
 // client can observe one shard's half of the batch before the other
-// shard's half lands (the same caveat applies to Range). Len, Keys,
-// Items, Snapshot, and SnapshotMap are mutually atomic whole-structure
-// reads: each one captures the published versions of all N shard trees
-// at a single instant (see collectCut), so two of them taken
-// back-to-back can never disagree about which writes they reflect.
+// shard's half lands. Len, Keys, Items, Range, Ascend, and Snapshot
+// are mutually atomic whole-structure reads: each one captures the
+// published versions of the shard trees it reads at a single instant
+// (see collectCut), so two of them taken back-to-back can never
+// disagree about which writes they reflect.
 // Workloads that need cross-key atomicity for writes should still use
 // Concurrent; see the decision table in the README.
 //
@@ -103,7 +103,7 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 // Create one with NewSharded, NewShardedRange, or
 // NewShardedFromItems; call Close when done. Operations on a closed
 // Sharded panic, except the version readers (GetFast, ContainsFast,
-// Len, Keys, Items, Snapshot, SnapshotMap), which keep serving the
+// Len, Keys, Items, Range, Ascend, Snapshot), which keep serving the
 // final published state.
 type Sharded[K Key, V any] struct {
 	part shard.Partitioner[K]
@@ -534,25 +534,27 @@ func (s *Sharded[K, V]) DeleteBatch(keys []K) int {
 	return int(removed.Load())
 }
 
-// collectCut captures a mutually atomic cut across all shards: it pins
-// every shard tree as a reader, then loads each tree's published
-// version repeatedly until one full pass observes no change against
-// the previous pass. Shard combiners publish versions in sequence, so
-// a stable double-collect proves no shard published between the first
-// and last load of the final pass — the N version pointers coexisted
-// at one instant, which is exactly the cross-shard atomicity the old
-// per-shard fences could not give. The returned release must be called
-// once every walk over the versions' shared storage is done; until
-// then the pins keep retired chunk storage out of the recycler.
+// collectCut captures a mutually atomic cut across trees: it pins
+// every tree as a reader, then loads each tree's published version
+// repeatedly until one full pass observes no change against the
+// previous pass. Combiners publish versions in sequence, so a stable
+// double-collect proves no tree published between the first and last
+// load of the final pass — the version pointers coexisted at one
+// instant. For a single tree the first load already is such an
+// instant and the second pass only confirms it. The returned release
+// must be called once every walk over the versions' shared storage is
+// done; until then the pins keep retired chunk storage out of the
+// recycler.
 //
 // The retry loop terminates quickly in practice: a pass takes
-// nanoseconds per shard while a publish happens at most once per
+// nanoseconds per tree while a publish happens at most once per
 // combining epoch, so consecutive conflicting passes require a
-// sustained write storm on N distinct combiners, and each retry is
-// counted (shard.cut.retries) so a pathological workload is visible.
-func (s *Sharded[K, V]) collectCut() (vers []*core.Version[K, V], release func()) {
-	pins := make([]core.ReaderPin, len(s.trees))
-	for i, t := range s.trees {
+// sustained write storm on distinct combiners. With o set each retry
+// is counted (shard.cut.retries), so a pathological workload is
+// visible.
+func collectCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs) (vers []*core.Version[K, V], release func()) {
+	pins := make([]core.ReaderPin, len(trees))
+	for i, t := range trees {
 		pins[i] = t.PinReader()
 	}
 	release = func() {
@@ -560,13 +562,13 @@ func (s *Sharded[K, V]) collectCut() (vers []*core.Version[K, V], release func()
 			p.Release()
 		}
 	}
-	vers = make([]*core.Version[K, V], len(s.trees))
-	for i, t := range s.trees {
+	vers = make([]*core.Version[K, V], len(trees))
+	for i, t := range trees {
 		vers[i] = t.CurrentVersion()
 	}
 	for {
 		stable := true
-		for i, t := range s.trees {
+		for i, t := range trees {
 			if v := t.CurrentVersion(); v != vers[i] {
 				vers[i] = v
 				stable = false
@@ -575,8 +577,19 @@ func (s *Sharded[K, V]) collectCut() (vers []*core.Version[K, V], release func()
 		if stable {
 			return vers, release
 		}
-		if s.obs != nil {
-			s.obs.CutRetries.Add(1)
+		if o != nil {
+			o.CutRetries.Add(1)
+		}
+	}
+}
+
+// pairs iterates position-aligned key and value arrays in order.
+func pairs[K Key, V any](ks []K, vs []V) iter.Seq2[K, V] {
+	return func(yield func(K, V) bool) {
+		for i, k := range ks {
+			if !yield(k, vs[i]) {
+				return
+			}
 		}
 	}
 }
@@ -616,12 +629,11 @@ func (s *Sharded[K, V]) mergeShardKV(ks [][]K, vs [][]V) ([]K, []V) {
 }
 
 // Len reports the number of keys stored: the sum of the per-shard
-// version sizes over one atomic cut, so the count is consistent — it
-// never mixes one shard's state before a cross-shard batch with
-// another shard's state after it, as the old per-shard fences could.
-// Wait-free apart from cut retries; no combiner round trips.
+// version sizes over one atomic cut, so the count never mixes one
+// shard's state before a cross-shard batch with another shard's state
+// after it. Wait-free apart from cut retries; no combiner round trips.
 func (s *Sharded[K, V]) Len() int {
-	vers, release := s.collectCut()
+	vers, release := collectCut(s.trees, s.obs)
 	release() // sizes live in the version headers, not chunk storage
 	n := 0
 	for _, v := range vers {
@@ -648,24 +660,19 @@ func (s *Sharded[K, V]) Flush() {
 	ferr.check()
 }
 
-// cutItems captures one atomic cut and flattens every shard's version
-// concurrently while the reader pins hold the shared chunk storage
-// stable. The per-shard arrays come back in shard order, sorted and
-// duplicate-free, ready for mergeShardKV.
-func (s *Sharded[K, V]) cutItems() ([][]K, [][]V) {
-	vers, release := s.collectCut()
+// readCut captures one atomic cut of trees and answers read from each
+// tree's version while the reader pins hold the shared chunk storage
+// stable. The per-tree arrays come back in the order of trees, sorted
+// and duplicate-free, ready for mergeShardKV. Large flattens already
+// run in parallel on the pool inside each tree.
+func readCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs, read func(*core.Tree[K, V], *core.Version[K, V]) ([]K, []V)) ([][]K, [][]V) {
+	vers, release := collectCut(trees, o)
 	defer release()
-	ks := make([][]K, len(s.trees))
-	vs := make([][]V, len(s.trees))
-	var wg sync.WaitGroup
-	for i := range s.trees {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ks[i], vs[i] = s.trees[i].VersionItems(vers[i])
-		}(i)
+	ks := make([][]K, len(trees))
+	vs := make([][]V, len(trees))
+	for i, t := range trees {
+		ks[i], vs[i] = read(t, vers[i])
 	}
-	wg.Wait()
 	return ks, vs
 }
 
@@ -676,7 +683,7 @@ func (s *Sharded[K, V]) cutItems() ([][]K, [][]V) {
 // operation that completed before the call; operations still queued in
 // a combiner appear only once their epoch publishes.
 func (s *Sharded[K, V]) Items() ([]K, []V) {
-	return s.mergeShardKV(s.cutItems())
+	return s.mergeShardKV(readCut(s.trees, s.obs, (*core.Tree[K, V]).VersionItems))
 }
 
 // Keys returns the keys in ascending order, from the same mutually
@@ -687,76 +694,45 @@ func (s *Sharded[K, V]) Keys() []K {
 }
 
 // Range returns the (key, value) pairs with keys in [lo, hi], keys
-// ascending. Under range partitioning only the shards whose intervals
-// overlap [lo, hi] are queried and their answers concatenate; under
-// hashing every shard answers and the results merge. Each shard's
-// answer is an atomic range snapshot on that shard.
+// ascending, from one mutually atomic cut of the shards it reads, like
+// Items. Under range partitioning only the shards whose intervals
+// overlap [lo, hi] are read and their answers concatenate; under
+// hashing every shard answers and the results merge.
 func (s *Sharded[K, V]) Range(lo, hi K) ([]K, []V) {
 	if hi < lo {
 		return nil, nil
 	}
-	first, last := 0, len(s.cbs)-1
+	trees := s.trees
 	if s.part.Ordered() {
-		first, last = s.part.Shard(lo), s.part.Shard(hi)
+		trees = trees[s.part.Shard(lo) : s.part.Shard(hi)+1]
 	}
-	ks := make([][]K, last-first+1)
-	vs := make([][]V, last-first+1)
-	var wg sync.WaitGroup
-	var ferr firstError
-	for i := first; i <= last; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			k, v, err := s.cbs[i].Range(lo, hi)
-			if err != nil {
-				ferr.set(err)
-				return
-			}
-			ks[i-first], vs[i-first] = k, v
-		}(i)
-	}
-	wg.Wait()
-	ferr.check()
-	return s.mergeShardKV(ks, vs)
+	return s.mergeShardKV(readCut(trees, s.obs, func(t *core.Tree[K, V], v *core.Version[K, V]) ([]K, []V) {
+		return t.VersionRange(v, lo, hi)
+	}))
 }
 
 // Ascend returns an in-order iterator over the (key, value) pairs in
 // [lo, hi]. The sequence iterates one materialized cross-shard Range
 // snapshot: mutations after the Ascend call do not affect it.
 func (s *Sharded[K, V]) Ascend(lo, hi K) iter.Seq2[K, V] {
-	ks, vs := s.Range(lo, hi)
-	return func(yield func(K, V) bool) {
-		for i, k := range ks {
-			if !yield(k, vs[i]) {
-				return
-			}
-		}
-	}
+	return pairs(s.Range(lo, hi))
 }
 
-// SnapshotMap materializes a snapshot of the frontend as an
-// independent Map sharing the frontend's engine configuration and
-// worker pool but none of its data. The snapshot is one mutually
-// atomic cross-shard cut (the same instant-capture as Items), so it
-// contains either all or none of any batch's effects that had
-// completed before the call.
-func (s *Sharded[K, V]) SnapshotMap() *Map[K, V] {
+// Snapshot materializes a snapshot of the frontend as an independent
+// Map sharing the frontend's engine configuration and worker pool but
+// none of its data. The snapshot is one mutually atomic cross-shard
+// cut (the same instant-capture as Items), so it contains either all
+// or none of any batch's effects that had completed before the call.
+// Unlike Concurrent.Snapshot it cannot share chunk storage with the
+// live structure — the cut spans N independent trees whose contents
+// must be merged into one — so it costs Items plus one bulk load.
+func (s *Sharded[K, V]) Snapshot() *Map[K, V] {
 	ks, vs := s.Items()
 	m := &Map[K, V]{}
 	m.pool = s.pool
 	m.assumeSorted = s.opts.AssumeSorted
 	m.t = core.NewFromSortedKV(s.opts.coreConfig(), s.pool, ks, vs)
 	return m
-}
-
-// Snapshot is SnapshotMap under the name the Concurrent frontend uses,
-// so the two frontends expose the same snapshot surface. Unlike
-// Concurrent.Snapshot it cannot share chunk storage with the live
-// structure — the cut spans N independent trees whose contents must be
-// merged into one — so it materializes, at the same cost as Items plus
-// one bulk load.
-func (s *Sharded[K, V]) Snapshot() *Map[K, V] {
-	return s.SnapshotMap()
 }
 
 // Close stops every shard's combiner: it stops accepting operations,

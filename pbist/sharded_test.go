@@ -289,7 +289,7 @@ func TestShardedPointFilter(t *testing.T) {
 
 // TestShardedConstructorsAndStats covers the remaining surface:
 // constructor policy resolution (and panics), per-shard epoch stats,
-// SnapshotMap, DeleteBatch/ContainsBatch counts, Close semantics.
+// Snapshot, DeleteBatch/ContainsBatch counts, Close semantics.
 func TestShardedConstructorsAndStats(t *testing.T) {
 	// NewSharded + PartitionRange must panic (no bounds derivable).
 	func() {
@@ -352,14 +352,14 @@ func TestShardedConstructorsAndStats(t *testing.T) {
 		t.Fatalf("aggregate Epochs %d != per-shard sum %d", st.Epochs, sum)
 	}
 
-	m := s.SnapshotMap()
+	m := s.Snapshot()
 	if m.Len() != s.Len() {
-		t.Fatalf("SnapshotMap Len %d != Sharded Len %d", m.Len(), s.Len())
+		t.Fatalf("Snapshot Len %d != Sharded Len %d", m.Len(), s.Len())
 	}
 	mk, _ := m.Items()
 	sk, _ := s.Items()
 	if !slices.Equal(mk, sk) {
-		t.Fatal("SnapshotMap keys differ from Items")
+		t.Fatal("Snapshot keys differ from Items")
 	}
 
 	if n := s.DeleteBatch(sk); n != len(sk) {
