@@ -53,7 +53,7 @@ func main() {
 			st.MeanWait.Round(100*time.Nanosecond))
 	}
 
-	fmt.Printf("\nfinal: %d keys, %v\n", c.Len(), summarize(c.Stats()))
+	fmt.Printf("\nfinal: %d keys, %v\n", c.Len(), summarize(c.Stats().ConcurrentStats))
 }
 
 // wave runs one burst of clients issuing mixed point operations and

@@ -1,9 +1,9 @@
-// Sharded: a live comparison of the two concurrent frontends — one
-// combiner (pbist.Concurrent) versus a sharded super-tree
-// (pbist.Sharded) at 4 and 16 shards — under the workload sharding is
-// built for: many clients submitting small write-heavy batches. One
-// combiner serializes all epochs; N shards run N epochs at once, so
-// throughput climbs until the shared worker pool saturates.
+// Sharded: a live comparison of the concurrent frontend (pbist.Sharded)
+// at 1, 4, and 16 shards — one shard being pbist.NewConcurrent's
+// single combiner — under the workload sharding is built for: many
+// clients submitting small write-heavy batches. One combiner
+// serializes all epochs; N shards run N epochs at once, so throughput
+// climbs until the shared worker pool saturates.
 //
 //	go run ./examples/sharded
 package main
@@ -27,14 +27,6 @@ const (
 	preload   = 1 << 20
 )
 
-// frontend is the slice of the two APIs the workload needs.
-type frontend interface {
-	PutBatch(keys []int64, vals []uint64) int
-	GetBatch(keys []int64) ([]uint64, []bool)
-	Len() int
-	Close()
-}
-
 func main() {
 	fmt.Printf("clients=%d, %d mini-batches x %d keys each (75%% put / 25%% get), GOMAXPROCS=%d\n\n",
 		clients, batches, batchSize, runtime.GOMAXPROCS(0))
@@ -47,15 +39,15 @@ func main() {
 
 	configs := []struct {
 		name string
-		make func() frontend
+		make func() *pbist.Sharded[int64, uint64]
 	}{
-		{"Concurrent (1 combiner)", func() frontend {
+		{"1 shard (NewConcurrent)", func() *pbist.Sharded[int64, uint64] {
 			return pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{}, seedK, seedV)
 		}},
-		{"Sharded, 4 shards", func() frontend {
+		{"4 shards", func() *pbist.Sharded[int64, uint64] {
 			return pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 4}, seedK, seedV)
 		}},
-		{"Sharded, 16 shards", func() frontend {
+		{"16 shards", func() *pbist.Sharded[int64, uint64] {
 			return pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 16}, seedK, seedV)
 		}},
 	}
@@ -75,7 +67,7 @@ func main() {
 }
 
 // drive runs the client fleet against f and reports keys/s in millions.
-func drive(f frontend) float64 {
+func drive(f *pbist.Sharded[int64, uint64]) float64 {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for id := 0; id < clients; id++ {

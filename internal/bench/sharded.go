@@ -15,7 +15,7 @@ import (
 // combining evidence — how many epochs each configuration executed
 // and how evenly the keys spread over the shards.
 type ShardedRow struct {
-	Shards       int     // 0 = the Concurrent baseline row
+	Shards       int     // 0 = the Concurrent baseline row (one shard, private arenas)
 	Mops         float64 // million keys through PutBatch/GetBatch per second
 	Speedup      float64 // vs the Concurrent baseline
 	Epochs       int64   // total epochs across all combiners
@@ -137,33 +137,27 @@ func RunShardedWorkload(w Workload, clients int, shards []int, batchKeys, reps i
 		scripts[rep] = shardedScripts(w, rep, clients, batchKeys)
 	}
 
-	rows := make([]ShardedRow, 0, len(shards)+1)
-
-	// Baseline: one combiner.
-	{
-		c := pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{Options: opts}, base, baseVals)
-		var total time.Duration
-		for rep := 0; rep < reps; rep++ {
-			total += replayBatched(scripts[rep],
-				func(k []int64, v []uint64) { c.PutBatch(k, v) },
-				func(k []int64) { c.GetBatch(k) })
-		}
-		st := c.Stats()
-		c.Close()
-		row := ShardedRow{Shards: 0, Mops: batchedMkeys(scripts[0], total/time.Duration(reps)), Speedup: 1}
-		row.Epochs = st.Epochs
-		row.EpochKeys = st.MeanKeys
-		row.MinShardKeys, row.MaxShardKeys = st.Keys, st.Keys
-		row.MeanWaitUS = float64(st.MeanWait.Nanoseconds()) / 1e3
-		rows = append(rows, row)
+	// The Concurrent baseline (row Shards=0) and every shard count run
+	// through one loop; only the constructor differs.
+	type config struct {
+		shards int
+		build  func() *pbist.Sharded[int64, uint64]
 	}
-	baseMops := rows[0].Mops
-
+	configs := []config{{0, func() *pbist.Sharded[int64, uint64] {
+		return pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{Options: opts}, base, baseVals)
+	}}}
 	for _, ns := range shards {
-		s := pbist.NewShardedFromItems(pbist.ShardedOptions{
-			ConcurrentOptions: pbist.ConcurrentOptions{Options: opts},
-			Shards:            ns,
-		}, base, baseVals)
+		configs = append(configs, config{ns, func() *pbist.Sharded[int64, uint64] {
+			return pbist.NewShardedFromItems(pbist.ShardedOptions{
+				ConcurrentOptions: pbist.ConcurrentOptions{Options: opts},
+				Shards:            ns,
+			}, base, baseVals)
+		}})
+	}
+
+	rows := make([]ShardedRow, 0, len(configs))
+	for _, cf := range configs {
+		s := cf.build()
 		var total time.Duration
 		for rep := 0; rep < reps; rep++ {
 			total += replayBatched(scripts[rep],
@@ -172,33 +166,25 @@ func RunShardedWorkload(w Workload, clients int, shards []int, batchKeys, reps i
 		}
 		st := s.Stats()
 		s.Close()
-		row := ShardedRow{Shards: ns, Mops: batchedMkeys(scripts[0], total/time.Duration(reps))}
-		if baseMops > 0 {
-			row.Speedup = row.Mops / baseMops
+		row := ShardedRow{
+			Shards:       cf.shards,
+			Mops:         batchedMkeys(scripts[0], total/time.Duration(reps)),
+			Epochs:       st.Epochs,
+			EpochKeys:    st.MeanKeys,
+			MinShardKeys: st.PerShard[0].Keys,
+			FilterShorts: st.FilterShortCircuits,
+			MeanWaitUS:   float64(st.MeanWait.Nanoseconds()) / 1e3,
 		}
-		row.Epochs = st.Epochs
-		if st.Epochs > 0 {
-			row.EpochKeys = float64(st.Keys) / float64(st.Epochs)
-		}
-		row.FilterShorts = st.FilterShortCircuits
-		// Ops-weighted mean combine wait across the shard group.
-		var waitNS float64
 		for _, ps := range st.PerShard {
-			waitNS += float64(ps.MeanWait.Nanoseconds()) * float64(ps.Ops)
-		}
-		if st.Ops > 0 {
-			row.MeanWaitUS = waitNS / float64(st.Ops) / 1e3
-		}
-		row.MinShardKeys = st.PerShard[0].Keys
-		for _, ps := range st.PerShard {
-			if ps.Keys < row.MinShardKeys {
-				row.MinShardKeys = ps.Keys
-			}
-			if ps.Keys > row.MaxShardKeys {
-				row.MaxShardKeys = ps.Keys
-			}
+			row.MinShardKeys = min(row.MinShardKeys, ps.Keys)
+			row.MaxShardKeys = max(row.MaxShardKeys, ps.Keys)
 		}
 		rows = append(rows, row)
+	}
+	for i := range rows {
+		if rows[0].Mops > 0 {
+			rows[i].Speedup = rows[i].Mops / rows[0].Mops
+		}
 	}
 	return rows
 }

@@ -275,21 +275,18 @@ type Stats struct {
 	MeanWait time.Duration
 }
 
-// New starts a Combiner serving eng with a private scratch arena.
-// pool bounds the parallelism of epoch execution (batched traversals
-// and result routing); a nil pool means sequential. The caller must
-// not touch eng afterwards except through the Combiner, and should
-// Close the Combiner to stop its goroutine.
-func New[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options) *Combiner[K, V] {
-	opts = opts.withDefaults()
-	return NewShared(eng, pool, opts, NewScratch[K, V](opts.NoBufferReuse))
-}
-
-// NewShared is New with a caller-provided scratch arena, typically one
-// Scratch handed to every combiner of a shard group so the group's
-// retained scratch stays bounded regardless of shard count. With
-// opts.NoBufferReuse set, the shared arena is ignored and a private
-// disabled one is used, preserving the allocate-fresh semantics.
+// NewShared starts a Combiner serving eng. pool bounds the
+// parallelism of epoch execution (batched traversals and result
+// routing); a nil pool means sequential. The caller must not touch eng
+// afterwards except through the Combiner, and should Close the
+// Combiner to stop its goroutine.
+//
+// scr is the scratch arena epochs borrow from: typically one Scratch
+// handed to every combiner of a shard group so the group's retained
+// scratch stays bounded regardless of shard count. A nil scr gives the
+// Combiner a private one. With opts.NoBufferReuse set, scr is ignored
+// and a private disabled one is used, preserving the allocate-fresh
+// semantics.
 func NewShared[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options, scr *Scratch[K, V]) *Combiner[K, V] {
 	opts = opts.withDefaults()
 	if scr == nil || opts.NoBufferReuse {

@@ -19,7 +19,7 @@ func newCoreCombiner(t *testing.T, opts Options) (*Combiner[int64, uint64], *cor
 	t.Helper()
 	pool := parallel.NewPool(4)
 	eng := core.New[int64, uint64](core.Config{}, pool)
-	c := New[int64, uint64](eng, pool, opts)
+	c := NewShared[int64, uint64](eng, pool, opts, nil)
 	t.Cleanup(c.Close)
 	return c, eng
 }
@@ -204,7 +204,7 @@ func TestMiniBatchSemantics(t *testing.T) {
 func TestCombinesConcurrentOps(t *testing.T) {
 	eng := newGatedEngine()
 	pool := parallel.NewPool(2)
-	c := New[int64, uint64](eng, pool, Options{})
+	c := NewShared[int64, uint64](eng, pool, Options{}, nil)
 	defer c.Close()
 
 	// Epoch 1: a lone Contains enters the engine and blocks there.
@@ -266,7 +266,7 @@ func TestCombinesConcurrentOps(t *testing.T) {
 func TestInEpochOrdering(t *testing.T) {
 	eng := newGatedEngine()
 	eng.m[7] = 70 // pre-existing key
-	c := New[int64, uint64](eng, parallel.NewPool(2), Options{})
+	c := NewShared[int64, uint64](eng, parallel.NewPool(2), Options{}, nil)
 	defer c.Close()
 
 	opener := make(chan struct{})
@@ -401,7 +401,7 @@ func TestSizeTriggerFlush(t *testing.T) {
 // operations must complete, later submissions must fail.
 func TestCloseDrainsInFlight(t *testing.T) {
 	eng := newGatedEngine()
-	c := New[int64, uint64](eng, parallel.NewPool(2), Options{})
+	c := NewShared[int64, uint64](eng, parallel.NewPool(2), Options{}, nil)
 
 	opener := make(chan struct{})
 	go func() {

@@ -20,7 +20,7 @@ func TestEpochTracePhases(t *testing.T) {
 	pool := parallel.NewPool(2)
 	eng := core.New[int64, uint64](core.Config{}, pool)
 	reg := obs.NewRegistry()
-	c := New[int64, uint64](eng, pool, Options{Metrics: reg, TraceDepth: 32})
+	c := NewShared[int64, uint64](eng, pool, Options{Metrics: reg, TraceDepth: 32}, nil)
 	defer c.Close()
 
 	// Drive enough concurrent traffic to produce multi-op epochs.
@@ -102,7 +102,7 @@ func TestEpochTracePhases(t *testing.T) {
 func TestTraceDisabled(t *testing.T) {
 	pool := parallel.NewPool(1)
 	eng := core.New[int64, uint64](core.Config{}, pool)
-	c := New[int64, uint64](eng, pool, Options{})
+	c := NewShared[int64, uint64](eng, pool, Options{}, nil)
 	defer c.Close()
 	if _, err := c.Put(1, 1); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestTraceDisabled(t *testing.T) {
 func TestTraceWithoutRegistry(t *testing.T) {
 	pool := parallel.NewPool(1)
 	eng := core.New[int64, uint64](core.Config{}, pool)
-	c := New[int64, uint64](eng, pool, Options{TraceDepth: 4})
+	c := NewShared[int64, uint64](eng, pool, Options{TraceDepth: 4}, nil)
 	defer c.Close()
 	for i := int64(0); i < 10; i++ {
 		if _, err := c.Put(i, uint64(i)); err != nil {

@@ -26,8 +26,8 @@ type EpochTrace struct {
 	// Seq is the trace's position in its ring's push order (assigned
 	// by TraceRing.Push, monotonically increasing per ring).
 	Seq int64
-	// Shard identifies the combiner that ran the epoch: 0 for a
-	// standalone Concurrent frontend, the shard index under Sharded.
+	// Shard identifies the combiner that ran the epoch: its shard
+	// index, so always 0 for a one-shard frontend.
 	Shard int
 	// Start is when the combiner began executing the epoch; Wall is
 	// the execution time through client wakeup.

@@ -207,8 +207,8 @@ func TestSetAlgebraResultsAreLive(t *testing.T) {
 
 // TestConcurrentSnapshotAlgebra exercises the snapshot Maps: a
 // Snapshot must observe every operation completed before it and be
-// fully detached from the live frontend, and UnionSnapshot must merge
-// two frontends under the requested policy.
+// fully detached from the live frontend, and the union of two
+// frontends' snapshots must merge under the requested policy.
 func TestConcurrentSnapshotAlgebra(t *testing.T) {
 	ca := NewConcurrentFromItems[int64, uint64](ConcurrentOptions{}, []int64{1, 2, 3}, []uint64{10, 20, 30})
 	defer ca.Close()
@@ -229,14 +229,14 @@ func TestConcurrentSnapshotAlgebra(t *testing.T) {
 		t.Fatal("snapshot write leaked into the live frontend")
 	}
 
-	left := ca.UnionSnapshot(cb, LeftWins)
+	left := ca.Snapshot().Union(cb.Snapshot(), LeftWins)
 	if k := left.Keys(); !slices.Equal(k, []int64{1, 2, 3, 4, 99}) {
-		t.Fatalf("UnionSnapshot keys = %v", k)
+		t.Fatalf("snapshot union keys = %v", k)
 	}
 	if v, _ := left.Get(3); v != 30 {
 		t.Fatalf("LeftWins kept value %d for common key", v)
 	}
-	right := ca.UnionSnapshot(cb, RightWins)
+	right := ca.Snapshot().Union(cb.Snapshot(), RightWins)
 	if v, _ := right.Get(3); v != 31 {
 		t.Fatalf("RightWins kept value %d for common key", v)
 	}

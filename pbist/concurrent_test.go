@@ -219,9 +219,97 @@ func TestConcurrentSharedKeys(t *testing.T) {
 	}
 }
 
+// TestConcurrentBatchAtomicity checks the property a one-shard
+// frontend promises and a multi-shard Sharded does not: a batch is
+// atomic. A writer keeps storing its round number under two keys with
+// one PutBatch; readers alternate Items, Range, and GetBatch over both
+// keys and fail if the two values (or their presence) ever differ.
+func TestConcurrentBatchAtomicity(t *testing.T) {
+	const keyA, keyB = 100, 900
+	rounds := 2000
+	if testing.Short() {
+		rounds = 500
+	}
+	fill := make([]int64, 0, 100)
+	for k := int64(0); k < 1000; k += 10 {
+		fill = append(fill, k) // keyA, keyB, and keys around them
+	}
+	for _, tc := range []struct {
+		name string
+		open func() *pbist.Concurrent[int64, uint64]
+	}{
+		{"NewConcurrent", func() *pbist.Concurrent[int64, uint64] {
+			return pbist.NewConcurrent[int64, uint64](pbist.ConcurrentOptions{})
+		}},
+		{"NewConcurrentFromItems", func() *pbist.Concurrent[int64, uint64] {
+			return pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{}, fill, make([]uint64, len(fill)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.open()
+			defer c.Close()
+			// pick returns the values of keyA and keyB in a sorted
+			// (keys, values) result.
+			pick := func(ks []int64, vs []uint64) (a, b uint64, okA, okB bool) {
+				if i, ok := slices.BinarySearch(ks, keyA); ok {
+					a, okA = vs[i], true
+				}
+				if i, ok := slices.BinarySearch(ks, keyB); ok {
+					b, okB = vs[i], true
+				}
+				return a, b, okA, okB
+			}
+			var done sync.WaitGroup
+			stop := make(chan struct{})
+			const readers = 4
+			for id := 0; id < readers; id++ {
+				done.Add(1)
+				go func(id int) {
+					defer done.Done()
+					for i := id; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						var a, b uint64
+						var okA, okB bool
+						var how string
+						switch i % 3 {
+						case 0:
+							how = "Items"
+							a, b, okA, okB = pick(c.Items())
+						case 1:
+							how = "Range"
+							a, b, okA, okB = pick(c.Range(keyA, keyB))
+						case 2:
+							how = "GetBatch"
+							vals, found := c.GetBatch([]int64{keyA, keyB})
+							a, b, okA, okB = vals[0], vals[1], found[0], found[1]
+						}
+						if okA != okB || a != b {
+							t.Errorf("%s saw half a batch: key %d = %d (%v), key %d = %d (%v)",
+								how, keyA, a, okA, keyB, b, okB)
+							return
+						}
+					}
+				}(id)
+			}
+			for r := 1; r <= rounds; r++ {
+				c.PutBatch([]int64{keyA, keyB}, []uint64{uint64(r), uint64(r)})
+			}
+			close(stop)
+			done.Wait()
+			if vals, _ := c.GetBatch([]int64{keyA, keyB}); vals[0] != uint64(rounds) || vals[1] != uint64(rounds) {
+				t.Fatalf("final values %v, want both %d", vals, rounds)
+			}
+		})
+	}
+}
+
 // TestConcurrentCloseDuringInFlight closes the frontend while clients
 // are submitting: every operation either completes or panics with the
-// closed-Concurrent message, Close drains everything submitted before
+// closed-frontend message, Close drains everything submitted before
 // it, and later operations panic.
 func TestConcurrentCloseDuringInFlight(t *testing.T) {
 	c := pbist.NewConcurrent[int64, uint64](pbist.ConcurrentOptions{})
@@ -235,7 +323,7 @@ func TestConcurrentCloseDuringInFlight(t *testing.T) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					if r != "pbist: operation on closed Concurrent" {
+					if r != "pbist: operation on closed frontend" {
 						t.Errorf("unexpected panic: %v", r)
 					}
 					mu.Lock()

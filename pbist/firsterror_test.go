@@ -48,7 +48,7 @@ func TestFirstErrorKeepsFirst(t *testing.T) {
 // race: several shards fail in the same scatter (here: two of the four
 // combiners are closed under the frontend's feet), their goroutines
 // report concurrently, and the operation must still panic with the
-// closed-Sharded message — while the version read paths, which never
+// closed-frontend message — while the version read paths, which never
 // touch a combiner, keep working.
 func TestShardedTwoShardsFailing(t *testing.T) {
 	ks := make([]int64, 512)

@@ -34,7 +34,7 @@ func NewMetrics() *Metrics {
 type MetricsSnapshot = obs.Snapshot
 
 // EpochTrace is the structured record of one combining epoch, returned
-// by Concurrent.Trace and Sharded.Trace: start time, wall time, the
+// by Sharded.Trace: start time, wall time, the
 // gather wait its first operation paid, operation and key counts, and
 // the named phase spans (sort, read, replay, write, publish) that tile
 // the epoch's wall time.

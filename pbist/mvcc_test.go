@@ -141,7 +141,7 @@ func TestFastReadStressAcrossClose(t *testing.T) {
 		go func(w int, seed uint64) {
 			defer wg.Done()
 			// Close races the writers by design: a writer caught
-			// mid-submit panics with the closed-Concurrent message,
+			// mid-submit panics with the closed-frontend message,
 			// which is its documented outcome — swallow it and stop.
 			defer func() { _ = recover() }()
 			r := rand.New(rand.NewPCG(seed, seed^0xabc))

@@ -3,7 +3,7 @@
 // data structure of "Parallel-batched Interpolation Search Tree"
 // (Aksenov, Kokorin, Martsenyuk; PACT 2023).
 //
-// Four views share one engine:
+// Three views share one engine:
 //
 //   - Tree[K] is the sorted set: single-key operations (Contains,
 //     Insert, Remove), batched operations (ContainsBatch, InsertBatch,
@@ -15,15 +15,15 @@
 //     Delete/DeleteBatch) plus ordered iteration (All, Ascend),
 //     value-carrying Min/Max/Select/Range, and the same whole-tree
 //     algebra with an explicit MergePolicy on Union/Intersect.
-//   - Concurrent[K, V] is the shared frontend: the map engine served
-//     to arbitrarily many goroutines through a combining queue, for
+//   - Sharded[K, V] is the concurrent frontend: the map engine served
+//     to arbitrarily many goroutines through combining queues, for
 //     workloads where operations arrive one key at a time from
-//     concurrent clients rather than pre-assembled into batches.
-//   - Sharded[K, V] is the scatter-gather frontend: the key space
-//     partitioned across N independent engines (each behind its own
-//     combiner, all sharing one worker pool and one scratch arena),
-//     for batched write throughput past a single combiner's one
-//     epoch at a time — per-key linearizable, per-shard atomic.
+//     concurrent clients rather than pre-assembled into batches. The
+//     key space is partitioned across N independent engines, each
+//     behind its own combiner, all sharing one worker pool — per-key
+//     linearizable, per-shard atomic. Concurrent[K, V] is the
+//     one-shard case (NewConcurrent): the paper's single tree behind
+//     one combiner, where every batch is atomic.
 //
 // All views run every batch through the same parallel-batched traversal:
 //
@@ -61,30 +61,32 @@
 // analytical joins, periodic merges — because they spend zero
 // synchronization per operation.
 //
-// Concurrent is the view for the opposite shape: many goroutines each
+// Sharded is the view for the opposite shape: many goroutines each
 // issuing individual operations. Every method is safe for concurrent
-// use, and the structure is linearizable. A single combiner goroutine
-// coalesces everything submitted concurrently into an epoch, executes
-// the epoch as one batched read traversal plus one batched write
-// traversal (with full intra-batch parallelism), and routes each
-// result back to its caller. The more clients, the bigger the epochs,
-// so throughput grows where a lock around a Map would collapse —
-// while a single isolated client pays queue latency for no batching
-// benefit. Rule of thumb: own the batch, use Tree/Map; share the
-// structure, use Concurrent.
+// use, and every single-key operation is linearizable. Each shard's
+// combiner goroutine coalesces everything submitted concurrently into
+// an epoch, executes the epoch as one batched read traversal plus one
+// batched write traversal (with full intra-batch parallelism), and
+// routes each result back to its caller. The more clients, the bigger
+// the epochs, so throughput grows where a lock around a Map would
+// collapse — while a single isolated client pays queue latency for no
+// batching benefit. Rule of thumb: own the batch, use Tree/Map; share
+// the structure, use one shard (Concurrent); outgrow one combiner's
+// one epoch at a time, add shards.
 //
-// Sharded relaxes observation, not operation: per-key operations stay
-// linearizable, but Stats and Trace gather per-shard snapshots with no
-// cross-shard fence — each shard's counters are read while the other
-// shards keep executing, so the result is consistent per shard only.
-// (Whole-structure data reads are stronger: Items, Keys, Len, Range,
-// Ascend, and Snapshot each take one atomic cut of the published
-// versions of the shards they read, so they are mutually atomic.)
+// A batch is atomic per shard, not across shards, so with one shard
+// every batch is atomic. Stats and Trace gather per-shard snapshots
+// with no cross-shard fence — each shard's counters are read while
+// the other shards keep executing, so the result is consistent per
+// shard only. (Whole-structure data reads are stronger: Items, Keys,
+// Len, Range, Ascend, and Snapshot each take one atomic cut of the
+// published versions of the shards they read, so they are mutually
+// atomic.)
 //
 // # Wait-free reads and snapshots (MVCC)
 //
-// The combining frontends additionally publish an immutable version
-// of the tree after every mutating epoch — one atomic pointer store,
+// The concurrent frontend additionally publishes an immutable version
+// of each shard's tree after every mutating epoch — one atomic pointer store,
 // sequenced before the epoch's callers are woken. Every read outside
 // the combining queue is served from those versions: GetFast and
 // ContainsFast are wait-free (bounded steps, no locks, no retries
@@ -93,7 +95,7 @@
 // stable. All are linearizable against completed operations — once a
 // Put has returned, every later version read observes it; an
 // operation still in flight may not be visible until its epoch
-// publishes. Concurrent.Snapshot is O(changed), not a clone: the
+// publishes. A one-shard Snapshot is O(changed), not a clone: the
 // frozen Map shares unrebuilt chunk storage with the live tree, and
 // the engine's copy-on-rebuild generations guarantee the live tree
 // never mutates storage a published version can still reach.
@@ -121,7 +123,7 @@
 // batch (or combining epoch) spends; over-budget subtrees are
 // recorded as debt and repaid by later epochs, largest debt first.
 // Options.AsyncRebuild additionally moves repayment off the epoch
-// path under the combining frontends: the indebted subtree is rebuilt
+// path under the concurrent frontend: the indebted subtree is rebuilt
 // from the last published version by a background goroutine while
 // readers keep using the old shape, and spliced in at a later epoch
 // boundary. Deferral trades peak latency for a transiently
@@ -141,7 +143,7 @@
 // Sharded Stats call, a Snapshot is gathered without stopping the
 // engine: consistent per metric, not linearized across metrics. A nil
 // registry (the default) disables all recording at zero cost. The
-// combining frontends additionally retain a bounded ring of structured
+// concurrent frontend additionally retains a bounded ring of structured
 // epoch traces readable through Trace; see ARCHITECTURE.md's
 // Observability section for the metric catalog.
 package pbist
@@ -191,8 +193,8 @@ type Options struct {
 	// subtree from the last published version while readers and the
 	// combiner keep serving it, and the result is spliced in at a
 	// later epoch boundary (or abandoned, if the subtree changed
-	// mid-build). Effective only under the combining frontends
-	// (Concurrent, Sharded) with RebuildBudgetPerEpoch set; Tree and
+	// mid-build). Effective only under the concurrent frontend
+	// (Sharded, Concurrent) with RebuildBudgetPerEpoch set; Tree and
 	// Map ignore it because they publish no versions to rebuild from.
 	AsyncRebuild bool
 	// LeafSlack scales the headroom a leaf merge reallocates with:
@@ -234,7 +236,7 @@ type Options struct {
 	// Metrics attaches the engine to an observability registry:
 	// rebuild events, arena retention and hit rates, combining epoch
 	// phases, and client-observed latency all record into it, and the
-	// combining frontends additionally retain epoch traces readable
+	// concurrent frontend additionally retains epoch traces readable
 	// through Trace. One registry may be shared across any number of
 	// views. nil (the default) disables all recording at zero cost on
 	// the hot paths. See Metrics and ARCHITECTURE.md's Observability

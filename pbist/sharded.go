@@ -58,7 +58,8 @@ type ShardedOptions struct {
 	// scratch arena instead of one shared set of free lists. The
 	// default (false) shares one size-classed arena across the whole
 	// group, bounding total retained scratch by a single arena's
-	// structural cap regardless of shard count; set this only for
+	// structural cap regardless of shard count. NewConcurrent sets it
+	// (one shard has nothing to share with); otherwise set it only for
 	// isolation experiments and allocation profiling.
 	PrivateArenas bool
 }
@@ -73,38 +74,56 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 	return o
 }
 
-// Sharded is the scatter-gather frontend: one facade over N
-// independent core trees, each serving its own combiner goroutine,
-// all sharing one worker pool and (by default) one scratch arena. A
-// partition policy routes every key to exactly one shard, so point
-// operations go straight to the owning shard's combiner, batched
-// operations are split into per-shard sub-batches that execute
-// concurrently across shards — N epochs in flight instead of the one
-// epoch at a time a single Concurrent sustains — and the per-shard
+// Sharded is the concurrent frontend: a Map[K, V] engine served to
+// arbitrarily many goroutines. It runs N independent core trees
+// (ShardedOptions.Shards), each behind its own combining queue, all
+// sharing one worker pool. Unlike Tree and Map — which run one
+// batched operation at a time on the caller's goroutine — every
+// method of Sharded is safe for concurrent use. Concurrent is the
+// one-shard case: the paper's single batched tree.
+//
+// Each shard's combiner goroutine drains its queue in epochs:
+// everything submitted while the previous epoch executed is
+// coalesced, resolved with one batched read traversal plus one batched
+// write traversal on the shard's tree (full intra-batch parallelism),
+// and the per-operation results are routed back to the blocked
+// callers. Under many clients this recovers the batched
+// O(m·log log n) economics for workloads that arrive one key at a
+// time. A partition policy routes every key to exactly one shard, so
+// point operations go straight to the owning shard's combiner, batched
+// operations are split into per-shard sub-batches that execute as
+// concurrent epochs — up to N in flight at once — and the per-shard
 // results are stitched back in input order.
 //
-// Consistency: each key lives on exactly one shard and each shard is
-// a linearizable Concurrent engine, so ALL operations on a single key
-// are linearizable, and single-shard batches are atomic. A batch that
-// spans shards is atomic per shard but not across shards: another
-// client can observe one shard's half of the batch before the other
-// shard's half lands. Len, Keys, Items, Range, Ascend, and Snapshot
-// are mutually atomic whole-structure reads: each one captures the
+// Consistency: each key lives on exactly one shard, so ALL operations
+// on a single key are linearizable. Operations of one epoch take
+// effect in submission order — a Get observes every Put/Delete
+// submitted before it in the epoch, and writes to the same key resolve
+// last-wins. Batch methods (GetBatch, ContainsBatch, PutBatch,
+// DeleteBatch) are atomic per shard but not across shards: another
+// client can observe one shard's half of a batch before the other
+// shard's half lands. With one shard every batch is single-shard and
+// therefore atomic, so workloads that need cross-key atomic writes use
+// one shard; see the decision table in the README.
+//
+// Every read that does not go through a queue — GetFast,
+// ContainsFast, Len, Keys, Items, Range, Ascend, and Snapshot — is
+// served from the immutable versions the combiners publish after
+// every epoch: no queue round trip, no blocking on writers, and still
+// linearizable with the combined writes (a completed operation is
+// always visible, because publication precedes client wakeup). The
+// whole-structure reads are mutually atomic: each captures the
 // published versions of the shard trees it reads at a single instant
 // (see collectCut), so two of them taken back-to-back can never
-// disagree about which writes they reflect.
-// Workloads that need cross-key atomicity for writes should still use
-// Concurrent; see the decision table in the README.
+// disagree about which writes they reflect. Stats and Trace read the
+// combiners' counters without a fence.
 //
-// GetFast and ContainsFast serve wait-free point reads from the owning
-// shard's published version, linearizable with the shard's combined
-// operations exactly as on Concurrent.
-//
-// Create one with NewSharded, NewShardedRange, or
-// NewShardedFromItems; call Close when done. Operations on a closed
-// Sharded panic, except the version readers (GetFast, ContainsFast,
-// Len, Keys, Items, Range, Ascend, Snapshot), which keep serving the
-// final published state.
+// Create one with NewSharded, NewShardedRange, NewShardedFromItems,
+// NewConcurrent, or NewConcurrentFromItems; call Close when done to
+// stop the combiner goroutines. Operations on a closed frontend panic,
+// except the version readers (GetFast, ContainsFast, Len, Keys, Items,
+// Range, Ascend, Snapshot), which keep serving the final published
+// state.
 type Sharded[K Key, V any] struct {
 	part shard.Partitioner[K]
 	cbs  []*combine.Combiner[K, V]
@@ -199,23 +218,23 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 	}
 	var parts [][]K
 	var vparts [][]V
-	if keys != nil {
+	switch {
+	case keys == nil:
+	case p.N() == 1: // the one shard loads everything: no split copy
+		parts, vparts = [][]K{keys}, [][]V{vals}
+	default:
 		parts, vparts, _ = shard.SplitPairs(p, keys, vals)
 	}
 	cfg := opts.coreConfig()
 	copts := opts.combineOptions()
 	for i := range s.cbs {
-		var t *core.Tree[K, V]
 		var pk []K
 		var pv []V
 		if parts != nil {
 			pk, pv = parts[i], vparts[i]
 		}
-		if s.arena != nil {
-			t = core.NewFromSortedKVWithArena(cfg, pool, s.arena, pk, pv)
-		} else {
-			t = core.NewFromSortedKV(cfg, pool, pk, pv)
-		}
+		// A nil arena (PrivateArenas) gives the tree a private one.
+		t := core.NewFromSortedKVWithArena(cfg, pool, s.arena, pk, pv)
 		if s.filters != nil {
 			for _, k := range pk {
 				s.filters[i].Add(shard.HashKey(k))
@@ -235,10 +254,10 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 	return s
 }
 
-// checkSharded panics when an operation hits a closed Sharded.
-func checkSharded(err error) {
+// check panics when an operation hits a closed frontend.
+func check(err error) {
 	if err != nil {
-		panic("pbist: operation on closed Sharded")
+		panic("pbist: operation on closed frontend")
 	}
 }
 
@@ -255,17 +274,22 @@ func (f *firstError) set(err error) {
 	f.p.CompareAndSwap(nil, &err)
 }
 
-// check panics via checkSharded when any goroutine reported an error.
-// Call it only after the group has been joined.
+// check panics with the closed-frontend message when any goroutine
+// reported an error. Call it only after the group has been joined.
 func (f *firstError) check() {
 	if e := f.p.Load(); e != nil {
-		checkSharded(*e)
+		check(*e)
 	}
 }
 
-// owner returns the combiner serving key.
-func (s *Sharded[K, V]) owner(key K) *combine.Combiner[K, V] {
-	return s.cbs[s.part.Shard(key)]
+// shardOf returns the index of the shard owning key. A one-shard
+// group skips the partitioner, so its point operations cost what the
+// bare tree and combiner cost.
+func (s *Sharded[K, V]) shardOf(key K) int {
+	if len(s.cbs) == 1 {
+		return 0
+	}
+	return s.part.Shard(key)
 }
 
 // filterMiss reports whether the owning shard's filter proves key was
@@ -290,34 +314,42 @@ func (s *Sharded[K, V]) filterMiss(sh int, key K) bool {
 
 // Get returns the value stored under key; ok is false when absent.
 func (s *Sharded[K, V]) Get(key K) (val V, ok bool) {
-	sh := s.part.Shard(key)
+	sh := s.shardOf(key)
 	if s.filterMiss(sh, key) {
 		return val, false
 	}
 	val, ok, err := s.cbs[sh].Get(key)
-	checkSharded(err)
+	check(err)
 	return val, ok
 }
 
 // Contains reports whether key is present.
 func (s *Sharded[K, V]) Contains(key K) bool {
-	sh := s.part.Shard(key)
+	sh := s.shardOf(key)
 	if s.filterMiss(sh, key) {
 		return false
 	}
 	ok, err := s.cbs[sh].Contains(key)
-	checkSharded(err)
+	check(err)
 	return ok
 }
 
 // GetFast returns the value stored under key by reading the owning
-// shard's latest published version — the wait-free fast path of
-// Concurrent.GetFast routed through the partitioner (and through the
-// shard's Bloom filter when PointFilter is on). Linearizable with the
-// shard's combined operations: every completed write to key is
-// visible. Never panics on a closed Sharded.
+// shard's latest published version, without submitting to the
+// combining queue: wait-free (one atomic load, one interpolation walk,
+// no blocking on any writer) and allocation-free. With PointFilter on,
+// the shard's Bloom filter may answer a miss first.
+//
+// GetFast is linearizable with the combined operations: a version is
+// published after an epoch's writes and before its clients wake, so
+// GetFast observes every operation that completed before it was
+// called. What it gives up against Get is only the queue's view of
+// in-flight work — operations still waiting in a combining queue are
+// invisible until their epoch publishes, which is a valid
+// linearization either way. Unlike Get, GetFast never panics on a
+// closed frontend: the final version remains readable after Close.
 func (s *Sharded[K, V]) GetFast(key K) (val V, ok bool) {
-	sh := s.part.Shard(key)
+	sh := s.shardOf(key)
 	if s.filterMiss(sh, key) {
 		return val, false
 	}
@@ -327,7 +359,7 @@ func (s *Sharded[K, V]) GetFast(key K) (val V, ok bool) {
 // ContainsFast reports whether key is present in the owning shard's
 // latest published version; the membership-only form of GetFast.
 func (s *Sharded[K, V]) ContainsFast(key K) bool {
-	sh := s.part.Shard(key)
+	sh := s.shardOf(key)
 	if s.filterMiss(sh, key) {
 		return false
 	}
@@ -337,14 +369,14 @@ func (s *Sharded[K, V]) ContainsFast(key K) bool {
 // Put stores val under key, inserting or overwriting; it reports
 // whether the key was absent at the operation's linearization point.
 func (s *Sharded[K, V]) Put(key K, val V) bool {
-	sh := s.part.Shard(key)
+	sh := s.shardOf(key)
 	if s.filters != nil {
 		// Before the submit: once Put returns, every later point
 		// lookup must see the filter bit.
 		s.filters[sh].Add(shard.HashKey(key))
 	}
 	inserted, err := s.cbs[sh].Put(key, val)
-	checkSharded(err)
+	check(err)
 	return inserted
 }
 
@@ -352,15 +384,15 @@ func (s *Sharded[K, V]) Put(key K, val V) bool {
 // not clear filter bits (a stale positive only costs the round trip
 // a filterless lookup always pays).
 func (s *Sharded[K, V]) Delete(key K) bool {
-	removed, err := s.owner(key).Delete(key)
-	checkSharded(err)
+	removed, err := s.cbs[s.shardOf(key)].Delete(key)
+	check(err)
 	return removed
 }
 
 // forEachShard runs f concurrently for every shard with a non-empty
 // sub-batch and waits for all of them: the scatter half of every
 // batched operation. Sub-batches execute as concurrent epochs on
-// independent combiners — the parallelism a single Concurrent cannot
+// independent combiners — the parallelism one combiner cannot
 // reach — while the stitch back into input order happens on each
 // shard's gather goroutine (distinct shards never share an input
 // position, so the scatters are race-free).
@@ -598,8 +630,12 @@ func pairs[K Key, V any](ks []K, vs []V) iter.Seq2[K, V] {
 // sorted sequence: a concatenation under an order-preserving
 // partitioner, an N-way merge (folded pairwise on the shared pool)
 // under hashing. Shard key sets are disjoint, so UnionKV never has to
-// pick a winner.
+// pick a winner. A single part is returned as it is: the version
+// readers hand back fresh slices, so nothing is aliased.
 func (s *Sharded[K, V]) mergeShardKV(ks [][]K, vs [][]V) ([]K, []V) {
+	if len(ks) == 1 {
+		return ks[0], vs[0]
+	}
 	if s.part.Ordered() {
 		total := 0
 		for _, k := range ks {
@@ -718,19 +754,30 @@ func (s *Sharded[K, V]) Ascend(lo, hi K) iter.Seq2[K, V] {
 	return pairs(s.Range(lo, hi))
 }
 
-// Snapshot materializes a snapshot of the frontend as an independent
-// Map sharing the frontend's engine configuration and worker pool but
-// none of its data. The snapshot is one mutually atomic cross-shard
-// cut (the same instant-capture as Items), so it contains either all
-// or none of any batch's effects that had completed before the call.
-// Unlike Concurrent.Snapshot it cannot share chunk storage with the
-// live structure — the cut spans N independent trees whose contents
-// must be merged into one — so it costs Items plus one bulk load.
+// Snapshot returns an independent point-in-time Map sharing the
+// frontend's engine configuration and worker pool. It linearizes at
+// one mutually atomic cut (the same instant-capture as Items): it
+// contains every operation that completed before the call, no
+// operation submitted after it, and all or none of any batch's
+// effects. Like GetFast it takes no fence and works on a closed
+// frontend.
+//
+// With one shard the snapshot costs O(changed) time and space: it
+// shares every chunk of tree storage with the live tree. Later
+// mutations of the frontend copy shared nodes before writing, and
+// mutating the snapshot copies in the other direction, so neither
+// disturbs the other. With more shards the cut spans independent
+// trees whose contents must be merged into one, so the snapshot costs
+// Items plus one bulk load.
 func (s *Sharded[K, V]) Snapshot() *Map[K, V] {
-	ks, vs := s.Items()
 	m := &Map[K, V]{}
 	m.pool = s.pool
 	m.assumeSorted = s.opts.AssumeSorted
+	if len(s.trees) == 1 {
+		m.t = s.trees[0].SnapshotNow()
+		return m
+	}
+	ks, vs := s.Items()
 	m.t = core.NewFromSortedKV(s.opts.coreConfig(), s.pool, ks, vs)
 	return m
 }
@@ -738,8 +785,8 @@ func (s *Sharded[K, V]) Snapshot() *Map[K, V] {
 // Close stops every shard's combiner: it stops accepting operations,
 // waits for everything already submitted, and stops the combiner
 // goroutines. Idempotent; safe to call concurrently with in-flight
-// operations (each completes or panics with the closed-Sharded
-// message, as with Concurrent).
+// operations: each completes normally or panics with the
+// closed-frontend message. Operations submitted after Close panic.
 func (s *Sharded[K, V]) Close() {
 	var wg sync.WaitGroup
 	for _, cb := range s.cbs {
@@ -761,11 +808,17 @@ func (s *Sharded[K, V]) Closed() bool {
 func (s *Sharded[K, V]) Shards() int { return s.part.N() }
 
 // ShardedStats is a snapshot of the whole shard group's combining
-// behavior plus the group-level counters: per-shard epoch statistics
-// (the evidence that N combiners really do run N concurrent epochs),
-// filter effectiveness, and the shared-arena inventory the retention
-// regression tests watch.
+// behavior plus the group-level counters: group and per-shard epoch
+// statistics (the evidence that N combiners really do run N
+// concurrent epochs), filter effectiveness, and the shared-arena
+// inventory the retention regression tests watch.
 type ShardedStats struct {
+	// ConcurrentStats aggregates PerShard: Epochs, Ops, Keys, and
+	// SizeFlushes are summed over the shards, MeanOps and MeanKeys are
+	// computed from those sums, and MeanWait is the mean of the
+	// per-shard waits weighted by each shard's op count. With one
+	// shard it equals PerShard[0].
+	ConcurrentStats
 	// Shards is the shard count; Ordered whether the partitioner
 	// preserves key order across shards (range partitioning).
 	Shards  int
@@ -773,10 +826,6 @@ type ShardedStats struct {
 	// PerShard holds each shard's combining statistics — epochs,
 	// ops, keys, mean batch size, mean combine wait — in shard order.
 	PerShard []ConcurrentStats
-	// Epochs, Ops, and Keys aggregate PerShard.
-	Epochs int64
-	Ops    int64
-	Keys   int64
 	// FilterShortCircuits counts point lookups answered "absent" by a
 	// per-shard filter without a combiner round trip (0 with
 	// PointFilter off).
@@ -822,20 +871,22 @@ func (s *Sharded[K, V]) Stats() ShardedStats {
 		PerShard:            make([]ConcurrentStats, len(s.cbs)),
 		FilterShortCircuits: s.short.Load(),
 	}
+	var wait time.Duration
 	for i, cb := range s.cbs {
-		cs := cb.Stats()
-		st.PerShard[i] = ConcurrentStats{
-			Epochs:      cs.Epochs,
-			Ops:         cs.Ops,
-			Keys:        cs.Keys,
-			SizeFlushes: cs.SizeFlushes,
-			MeanOps:     cs.MeanOps,
-			MeanKeys:    cs.MeanKeys,
-			MeanWait:    cs.MeanWait,
-		}
+		cs := ConcurrentStats(cb.Stats())
+		st.PerShard[i] = cs
 		st.Epochs += cs.Epochs
 		st.Ops += cs.Ops
 		st.Keys += cs.Keys
+		st.SizeFlushes += cs.SizeFlushes
+		wait += cs.MeanWait * time.Duration(cs.Ops)
+	}
+	if st.Epochs > 0 {
+		st.MeanOps = float64(st.Ops) / float64(st.Epochs)
+		st.MeanKeys = float64(st.Keys) / float64(st.Epochs)
+	}
+	if st.Ops > 0 {
+		st.MeanWait = wait / time.Duration(st.Ops)
 	}
 	if s.arena != nil {
 		b, e := s.arena.Retained()

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/pbist"
@@ -344,12 +345,24 @@ func TestShardedConstructorsAndStats(t *testing.T) {
 			t.Fatalf("shard %d saw no epochs/keys: %+v", i, ps)
 		}
 	}
-	var sum int64
+	// The group-level ConcurrentStats: counts summed over the shards,
+	// means derived from the sums, wait weighted by each shard's ops.
+	var sum pbist.ConcurrentStats
+	var wait time.Duration
 	for _, ps := range st.PerShard {
-		sum += ps.Epochs
+		sum.Epochs += ps.Epochs
+		sum.Ops += ps.Ops
+		sum.Keys += ps.Keys
+		sum.SizeFlushes += ps.SizeFlushes
+		wait += ps.MeanWait * time.Duration(ps.Ops)
 	}
-	if sum != st.Epochs {
-		t.Fatalf("aggregate Epochs %d != per-shard sum %d", st.Epochs, sum)
+	if sum.Epochs != st.Epochs || sum.Ops != st.Ops || sum.Keys != st.Keys || sum.SizeFlushes != st.SizeFlushes {
+		t.Fatalf("aggregate %+v != per-shard sums %+v", st.ConcurrentStats, sum)
+	}
+	if st.MeanOps != float64(st.Ops)/float64(st.Epochs) ||
+		st.MeanKeys != float64(st.Keys)/float64(st.Epochs) ||
+		st.MeanWait != wait/time.Duration(st.Ops) {
+		t.Fatalf("aggregate means %+v not derived from the per-shard sums", st.ConcurrentStats)
 	}
 
 	m := s.Snapshot()
