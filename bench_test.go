@@ -15,6 +15,8 @@
 package repro
 
 import (
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -401,6 +403,29 @@ func BenchmarkConcurrentGet(b *testing.B) {
 			}
 			wg.Wait()
 			reportKeysPerSec(b, clients)
+		})
+	}
+}
+
+// Sharded batched reads: one GetBatch of unsorted keys against an
+// 8-shard frontend holding the ≈10⁶-key fixture tree. Each iteration
+// reads the next window of one shuffled fixture batch, so the small
+// batches do not hit the same cache lines every time. Two sizes fall on
+// each side of the switch from per-key walks to sorted per-shard
+// traversals in Sharded.GetBatch (cutSortMin).
+func BenchmarkShardedGetBatch(b *testing.B) {
+	base, bat := fixtures()
+	s := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 8}, base, bench.MapPayloads(base))
+	defer s.Close()
+	keys := slices.Clone(bat[0])
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, m := range []int{8, 4096, 16384, 100_000} {
+		b.Run("keys_"+itoa(m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				off := i * m % (len(keys) - m + 1)
+				s.GetBatch(keys[off : off+m])
+			}
+			reportKeysPerSec(b, m)
 		})
 	}
 }

@@ -22,9 +22,10 @@
 // resolve last-wins; mini-batch operations are atomic (their elements
 // occupy consecutive positions in the epoch order). Flush completes at
 // the end of its epoch, after every operation submitted before it.
-// Whole-structure reads are not served here: every epoch ends by
-// publishing an immutable version of the engine, and readers walk
-// those versions without entering the queue.
+// Multi-key and whole-structure reads are not served here: every epoch
+// ends by publishing an immutable version of the engine, and readers
+// walk those versions without entering the queue. The queue serves
+// single-key reads and single-key or mini-batch writes.
 package combine
 
 import (
@@ -525,43 +526,6 @@ func (c *Combiner[K, V]) Delete(key K) (removed bool, err error) {
 	removed = o.rf1[0]
 	c.putOp(o)
 	return removed, nil
-}
-
-// GetBatch fetches the value for every element of keys as one atomic
-// operation: vals[i] and found[i] answer keys[i], whatever the input
-// order or duplication.
-func (c *Combiner[K, V]) GetBatch(keys []K) (vals []V, found []bool, err error) {
-	if len(keys) == 0 {
-		return nil, nil, nil
-	}
-	o := c.getOp(kindGet)
-	o.keys = keys
-	o.rvals, o.rfound = make([]V, len(keys)), make([]bool, len(keys))
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return nil, nil, err
-	}
-	vals, found = o.rvals, o.rfound
-	c.putOp(o)
-	return vals, found, nil
-}
-
-// ContainsBatch reports membership for every element of keys as one
-// atomic operation.
-func (c *Combiner[K, V]) ContainsBatch(keys []K) (found []bool, err error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	o := c.getOp(kindContains)
-	o.keys = keys
-	o.rfound = make([]bool, len(keys))
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return nil, err
-	}
-	found = o.rfound
-	c.putOp(o)
-	return found, nil
 }
 
 // PutBatch upserts every (keys[i], vals[i]) pair as one atomic

@@ -101,6 +101,14 @@ func TestSingleClientOracle(t *testing.T) {
 	oracle := make(map[int64]uint64)
 	r := dist.NewRNG(0xc0ffee)
 	const keyspace = 512
+	get := func(step int, k int64) {
+		t.Helper()
+		wv, had := oracle[k]
+		v, ok, err := c.Get(k)
+		if err != nil || ok != had || (had && v != wv) {
+			t.Fatalf("step %d: Get(%d)=%v,%v,%v want %v,%v", step, k, v, ok, err, wv, had)
+		}
+	}
 	for step := 0; step < 4000; step++ {
 		k := r.Int63n(keyspace)
 		switch r.Uint64n(5) {
@@ -120,28 +128,32 @@ func TestSingleClientOracle(t *testing.T) {
 			}
 			delete(oracle, k)
 		case 2: // Get
-			wv, had := oracle[k]
-			v, ok, err := c.Get(k)
-			if err != nil || ok != had || (had && v != wv) {
-				t.Fatalf("step %d: Get(%d)=%v,%v,%v want %v,%v", step, k, v, ok, err, wv, had)
-			}
+			get(step, k)
 		case 3: // Contains
 			_, had := oracle[k]
 			ok, err := c.Contains(k)
 			if err != nil || ok != had {
 				t.Fatalf("step %d: Contains(%d)=%v,%v want %v", step, k, ok, err, had)
 			}
-		case 4: // mini-batch Get (unsorted, possibly duplicated input)
+		case 4: // mini-batch Put (unsorted, duplicated: last wins), read per key around it
 			keys := []int64{k, (k + 37) % keyspace, k}
-			vals, found, err := c.GetBatch(keys)
-			if err != nil {
-				t.Fatalf("step %d: GetBatch: %v", step, err)
+			vals := []uint64{r.Uint64(), r.Uint64(), r.Uint64()}
+			for _, q := range keys {
+				get(step, q)
 			}
+			want := 0
 			for i, q := range keys {
-				wv, had := oracle[q]
-				if found[i] != had || (had && vals[i] != wv) {
-					t.Fatalf("step %d: GetBatch[%d]=%v,%v want %v,%v", step, i, vals[i], found[i], wv, had)
+				if _, had := oracle[q]; !had {
+					want++
 				}
+				oracle[q] = vals[i]
+			}
+			ins, err := c.PutBatch(keys, vals)
+			if err != nil || ins != want {
+				t.Fatalf("step %d: PutBatch(%v)=%d,%v want inserted=%d", step, keys, ins, err, want)
+			}
+			for _, q := range keys {
+				get(step, q)
 			}
 		}
 	}
@@ -161,27 +173,28 @@ func TestSingleClientOracle(t *testing.T) {
 	}
 }
 
-// TestMiniBatchSemantics pins the atomic mini-batch contract:
-// positional answers for unsorted duplicated input, last-wins for
-// duplicate keys in one PutBatch, and per-op counts.
+// TestMiniBatchSemantics pins the atomic mini-batch write contract:
+// last-wins for duplicate keys in one PutBatch, per-op counts for
+// duplicated input, and per-key reads that observe the batch.
 func TestMiniBatchSemantics(t *testing.T) {
 	c, eng := newCoreCombiner(t, Options{})
 	ins, err := c.PutBatch([]int64{5, 5, 7}, []uint64{1, 2, 3})
 	if err != nil || ins != 2 {
 		t.Fatalf("PutBatch inserted %d, %v; want 2 (5 counts once, last value wins)", ins, err)
 	}
-	vals, found, err := c.GetBatch([]int64{7, 5, 9, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantV := []uint64{3, 2, 0, 2}
 	wantF := []bool{true, true, false, true}
-	if !slices.Equal(vals, wantV) || !slices.Equal(found, wantF) {
-		t.Fatalf("GetBatch = %v,%v want %v,%v", vals, found, wantV, wantF)
+	for i, k := range []int64{7, 5, 9, 5} {
+		v, ok, err := c.Get(k)
+		if err != nil || v != wantV[i] || ok != wantF[i] {
+			t.Fatalf("Get(%d) = %v,%v,%v want %v,%v", k, v, ok, err, wantV[i], wantF[i])
+		}
 	}
-	hits, err := c.ContainsBatch([]int64{9, 7, 9, 5})
-	if err != nil || !slices.Equal(hits, []bool{false, true, false, true}) {
-		t.Fatalf("ContainsBatch = %v, %v", hits, err)
+	for i, k := range []int64{9, 7, 9, 5} {
+		ok, err := c.Contains(k)
+		if want := []bool{false, true, false, true}[i]; err != nil || ok != want {
+			t.Fatalf("Contains(%d) = %v,%v want %v", k, ok, err, want)
+		}
 	}
 	rm, err := c.DeleteBatch([]int64{5, 9, 5})
 	if err != nil || rm != 1 {

@@ -366,6 +366,31 @@ func (t *Tree[K, V]) SnapshotNow() *Tree[K, V] {
 	return nt
 }
 
+// VersionGet fetches key's value from a pinned Version: the walk
+// SnapshotGet runs over the latest version, over v instead. The pin
+// contract is VersionItems'; the sharded frontend uses it to answer a
+// batched read from one consistent cut across all shards.
+//
+//pbist:noalloc
+func (t *Tree[K, V]) VersionGet(v *Version[K, V], key K) (V, bool) {
+	return lookupVersion(v, key)
+}
+
+// VersionGetBatched is GetBatchedInto over a pinned Version: one §4
+// batched traversal of v for the sorted, duplicate-free keys, writing
+// found[i], and vals[i] unless vals is nil. Both destinations must have
+// len(keys) and be zero-initialized. The pin contract is VersionItems'.
+func (t *Tree[K, V]) VersionGetBatched(v *Version[K, V], keys []K, vals []V, found []bool) {
+	if v == nil || len(keys) == 0 {
+		return
+	}
+	if vals == nil {
+		t.containsRec(v.root, keys, 0, len(keys), found)
+		return
+	}
+	t.getRec(v.root, keys, 0, len(keys), vals, found)
+}
+
 // VersionItems flattens a pinned Version into freshly allocated sorted
 // key/value arrays (§7.2). The caller must hold a ReaderPin taken
 // before the Version was loaded and keep it until VersionItems

@@ -68,7 +68,8 @@ func TestPublishGating(t *testing.T) {
 // reading the state it was published with, across arbitrary later
 // churn — including the rebuilds and chunk retirements that churn
 // triggers. Both handle kinds are checked: a durable SnapshotNow tree
-// and a pinned Version read through VersionItems/VersionRange.
+// and a pinned Version read through VersionItems/VersionRange/
+// VersionGet.
 func TestVersionImmutability(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	pool := parallel.NewPool(4)
@@ -126,6 +127,41 @@ func TestVersionImmutability(t *testing.T) {
 	}
 	if rk, _ := tr.VersionRange(ver, oracleK[j], oracleK[i]); len(rk) != 0 {
 		t.Fatalf("VersionRange over an inverted interval returned %d keys", len(rk))
+	}
+	for x, k := range oracleK {
+		if v, ok := tr.VersionGet(ver, k); !ok || v != k*3 {
+			t.Fatalf("VersionGet(%d) = %d,%v, want %d", k, v, ok, k*3)
+		}
+		// A key in the gap below a loaded key was never in this
+		// version, whatever the churn inserted since.
+		if x > 0 && k-oracleK[x-1] > 1 {
+			if _, ok := tr.VersionGet(ver, k-1); ok {
+				t.Fatalf("VersionGet(%d) found a key the version never held", k-1)
+			}
+		}
+	}
+	if _, ok := tr.VersionGet(nil, oracleK[0]); ok {
+		t.Fatal("VersionGet on a nil version found a key")
+	}
+	// The batched traversal of the version agrees with the per-key
+	// walks, over the loaded keys and the keys just below them.
+	var probe []int64
+	for x, k := range oracleK {
+		if x == 0 || k-oracleK[x-1] > 1 {
+			probe = append(probe, k-1)
+		}
+		probe = append(probe, k)
+	}
+	bv := make([]int64, len(probe))
+	bf := make([]bool, len(probe))
+	bc := make([]bool, len(probe))
+	tr.VersionGetBatched(ver, probe, bv, bf)
+	tr.VersionGetBatched(ver, probe, nil, bc)
+	for x, k := range probe {
+		v, ok := tr.VersionGet(ver, k)
+		if bf[x] != ok || bc[x] != ok || bv[x] != v {
+			t.Fatalf("VersionGetBatched(%d) = %d,%v (contains %v), VersionGet = %d,%v", k, bv[x], bf[x], bc[x], v, ok)
+		}
 	}
 }
 

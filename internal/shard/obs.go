@@ -2,16 +2,14 @@ package shard
 
 import "repro/internal/obs"
 
-// Obs bundles the scatter-gather metric handles a sharded frontend
-// records into: how long batches take to split into per-shard
-// sub-batches, how long per-shard results take to stitch back into
-// input order, and how often the per-shard Bloom filters short-circuit
-// point lookups versus passing them through to a combiner. All handles
-// are nil-safe, so callers record unconditionally once an Obs exists;
-// a nil *Obs is the fully disabled state.
+// Obs bundles the metric handles a sharded frontend records into: how
+// long write batches take to split into per-shard sub-batches, how
+// often the per-shard Bloom filters short-circuit point lookups versus
+// passing them through to a shard, and how often the cross-shard cut
+// retries. All handles are nil-safe, so callers record unconditionally
+// once an Obs exists; a nil *Obs is the fully disabled state.
 type Obs struct {
 	Scatter *obs.Histogram // ns to split one batch (Split/SplitPairs)
-	Stitch  *obs.Histogram // ns to stitch one shard's results back
 	// FilterShort counts point lookups answered "absent" by a filter
 	// alone; FilterPass counts lookups the filter let through. Their
 	// ratio is the short-circuit rate; Pass includes both true
@@ -19,9 +17,9 @@ type Obs struct {
 	FilterShort *obs.Counter
 	FilterPass  *obs.Counter
 	// CutRetries counts re-collections of the cross-shard atomic cut:
-	// a whole-structure read observed some shard publish a new version
-	// mid-collect and had to re-validate. Persistently high values mean
-	// whole-structure reads are racing a sustained write storm.
+	// a whole-structure or batched read observed some shard publish a
+	// new version mid-collect and had to re-validate. Persistently high
+	// values mean those reads are racing a sustained write storm.
 	CutRetries *obs.Counter
 }
 
@@ -33,7 +31,6 @@ func NewObs(r *obs.Registry) *Obs {
 	}
 	return &Obs{
 		Scatter:     r.Histogram("shard.scatter_ns"),
-		Stitch:      r.Histogram("shard.stitch_ns"),
 		FilterShort: r.Counter("shard.filter.short_circuits"),
 		FilterPass:  r.Counter("shard.filter.passes"),
 		CutRetries:  r.Counter("shard.cut.retries"),

@@ -1,9 +1,7 @@
 // Package shard implements the partitioning machinery behind the
 // sharded super-tree frontend (pbist.Sharded): partition policies that
-// assign every key to one of N independent trees, the scatter step
-// that splits a batch into per-shard sub-batches, and the
-// order-restoring stitch that routes per-shard results back to the
-// caller's input positions.
+// assign every key to one of N independent trees, and the scatter step
+// that splits a batch into per-shard sub-batches.
 //
 // The design follows the N-independent-trees-behind-one-facade recipe
 // of parallel B+-tree frontends: instead of scaling one tree's
@@ -25,10 +23,10 @@
 //     any workload spreads uniformly, but ordered reads must merge N
 //     sorted sequences.
 //
-// The scatter/stitch pair (Split, Stitch, SplitPairs) preserves the
-// positional contract of the batched API: whatever the input order or
-// duplication, result position i answers input position i, exactly as
-// the unsharded engine promises.
+// Split and SplitPairs keep input order within every sub-batch, so
+// duplicate keys of one write batch reach their shard in the order the
+// caller gave them and resolve last-wins there, exactly as the
+// unsharded engine promises.
 //
 // Bloom provides the optional per-shard point-lookup filter: a
 // fixed-size, lock-free (atomic word array) Bloom filter that answers
@@ -197,14 +195,19 @@ func HashKey[K Key](key K) uint64 {
 	return x
 }
 
-// Split scatters keys into per-shard sub-batches and remembers every
-// key's input position. parts[s] holds the keys owned by shard s in
-// input order; pos[s][j] is the input position of parts[s][j], so a
-// per-shard result vector r_s routes back with dst[pos[s][j]] =
-// r_s[j] (see Stitch). Both returned slice sets are carved from two
-// backing arrays of len(keys), so a Split costs O(keys) work and four
-// allocations however many shards there are.
-func Split[K Key](p Partitioner[K], keys []K) (parts [][]K, pos [][]int32) {
+// Split scatters keys into per-shard sub-batches: parts[s] holds the
+// keys owned by shard s, in input order. The sub-batches are carved
+// from one backing array of len(keys), so a Split costs O(keys) work
+// and a constant number of allocations however many shards there are.
+func Split[K Key](p Partitioner[K], keys []K) [][]K {
+	// Zero-size values: the value array and its appends cost nothing.
+	parts, _ := SplitPairs(p, keys, make([]struct{}, len(keys)))
+	return parts
+}
+
+// SplitPairs is Split for (key, value) pairs: vparts[s][j] is the
+// value of parts[s][j].
+func SplitPairs[K Key, V any](p Partitioner[K], keys []K, vals []V) (parts [][]K, vparts [][]V) {
 	n := p.N()
 	counts := make([]int, n)
 	owner := make([]int8, len(keys))
@@ -216,63 +219,27 @@ func Split[K Key](p Partitioner[K], keys []K) (parts [][]K, pos [][]int32) {
 			owner[i] = int8(s)
 		}
 	}
-	keyArr := make([]K, len(keys))
-	posArr := make([]int32, len(keys))
-	parts = make([][]K, n)
-	pos = make([][]int32, n)
-	off := 0
-	for s, c := range counts {
-		parts[s] = keyArr[off : off : off+c]
-		pos[s] = posArr[off : off : off+c]
-		off += c
-	}
+	parts = carve(make([]K, len(keys)), counts)
+	vparts = carve(make([]V, len(vals)), counts)
 	for i, k := range keys {
 		s := int(owner[i])
 		if wide {
 			s = p.Shard(k)
 		}
 		parts[s] = append(parts[s], k)
-		pos[s] = append(pos[s], int32(i))
+		vparts[s] = append(vparts[s], vals[i])
 	}
-	return parts, pos
+	return parts, vparts
 }
 
-// SplitPairs is Split for (key, value) pairs: vparts[s][j] is the
-// value of parts[s][j].
-func SplitPairs[K Key, V any](p Partitioner[K], keys []K, vals []V) (parts [][]K, vparts [][]V, pos [][]int32) {
-	parts, pos = Split(p, keys)
-	valArr := make([]V, len(vals))
-	vparts = make([][]V, len(parts))
+// carve cuts arr into one empty slice per shard, laid end to end with
+// capacity counts[s] each, ready to be appended to in place.
+func carve[T any](arr []T, counts []int) [][]T {
+	out := make([][]T, len(counts))
 	off := 0
-	for s := range parts {
-		c := len(parts[s])
-		w := valArr[off : off : off+c]
-		for _, at := range pos[s] {
-			w = append(w, vals[at])
-		}
-		vparts[s] = w
+	for s, c := range counts {
+		out[s] = arr[off : off : off+c]
 		off += c
 	}
-	return parts, vparts, pos
-}
-
-// Stitch routes per-shard results back to input positions:
-// dst[pos[s][j]] = parts[s][j] for every shard s. It is the inverse of
-// the scatter Split performed; distinct shards never share a position,
-// so concurrent per-shard stitches into one dst are race-free.
-func Stitch[T any](dst []T, parts [][]T, pos [][]int32) {
-	for s, ps := range parts {
-		for j, v := range ps {
-			dst[pos[s][j]] = v
-		}
-	}
-}
-
-// StitchOne routes one shard's results back to input positions —
-// the per-shard half of Stitch, for callers that stitch each shard's
-// results on that shard's gather goroutine.
-func StitchOne[T any](dst []T, part []T, pos []int32) {
-	for j, v := range part {
-		dst[pos[j]] = v
-	}
+	return out
 }

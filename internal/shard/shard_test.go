@@ -113,54 +113,47 @@ func TestHashedBalanceAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitStitchRoundTrip(t *testing.T) {
+// TestSplitKeepsOwnerAndOrder checks the scatter directly: every key
+// lands on its owning shard, each sub-batch keeps input order, and the
+// sub-batches together hold exactly the input multiset.
+func TestSplitKeepsOwnerAndOrder(t *testing.T) {
 	rng := dist.NewRNG(11)
 	for _, p := range []Partitioner[int64]{
 		NewHashed[int64](5),
 		NewRangeUniform(5, int64(0), int64(1000)),
 	} {
-		// Unsorted, duplicated input — the scatter must preserve the
-		// positional contract regardless.
+		// Unsorted, duplicated input.
 		keys := make([]int64, 777)
 		for i := range keys {
 			keys[i] = rng.Int63n(1000)
 		}
-		parts, pos := Split(p, keys)
-		if len(parts) != p.N() || len(pos) != p.N() {
-			t.Fatalf("Split returned %d/%d parts, want %d", len(parts), len(pos), p.N())
+		parts := Split(p, keys)
+		if len(parts) != p.N() {
+			t.Fatalf("Split returned %d parts, want %d", len(parts), p.N())
 		}
-		total := 0
+		var all []int64
 		for s := range parts {
-			if len(parts[s]) != len(pos[s]) {
-				t.Fatalf("shard %d: %d keys but %d positions", s, len(parts[s]), len(pos[s]))
-			}
-			total += len(parts[s])
-			for j, k := range parts[s] {
+			for _, k := range parts[s] {
 				if p.Shard(k) != s {
 					t.Fatalf("key %d scattered to shard %d, owner %d", k, s, p.Shard(k))
 				}
-				if keys[pos[s][j]] != k {
-					t.Fatalf("position map broken: parts[%d][%d]=%d but keys[%d]=%d",
-						s, j, k, pos[s][j], keys[pos[s][j]])
+			}
+			// The owned keys, filtered from the input in input order.
+			var want []int64
+			for _, k := range keys {
+				if p.Shard(k) == s {
+					want = append(want, k)
 				}
 			}
+			if !slices.Equal(parts[s], want) {
+				t.Fatalf("shard %d: sub-batch %v is not its keys in input order %v", s, parts[s], want)
+			}
+			all = append(all, parts[s]...)
 		}
-		if total != len(keys) {
-			t.Fatalf("scatter dropped keys: %d of %d", total, len(keys))
-		}
-		// Stitching the scattered keys back must reproduce the input.
-		out := make([]int64, len(keys))
-		Stitch(out, parts, pos)
-		if !slices.Equal(out, keys) {
-			t.Fatal("Stitch(Split(keys)) != keys")
-		}
-		// Per-shard stitch agrees with the all-shards stitch.
-		out2 := make([]int64, len(keys))
-		for s := range parts {
-			StitchOne(out2, parts[s], pos[s])
-		}
-		if !slices.Equal(out2, keys) {
-			t.Fatal("StitchOne disagrees with Stitch")
+		slices.Sort(all)
+		sorted := slices.Sorted(slices.Values(keys))
+		if !slices.Equal(all, sorted) {
+			t.Fatalf("sub-batches hold %d keys, not the input multiset of %d", len(all), len(keys))
 		}
 	}
 }
@@ -169,13 +162,21 @@ func TestSplitPairsAlignment(t *testing.T) {
 	p := NewHashed[int64](3)
 	keys := []int64{5, 1, 5, 9, 2, 2, 7}
 	vals := []uint64{50, 10, 51, 90, 20, 21, 70}
-	parts, vparts, pos := SplitPairs(p, keys, vals)
+	parts, vparts := SplitPairs(p, keys, vals)
 	for s := range parts {
-		for j := range parts[s] {
-			if vparts[s][j] != vals[pos[s][j]] {
-				t.Fatalf("value misaligned: shard %d slot %d has %d, want %d",
-					s, j, vparts[s][j], vals[pos[s][j]])
+		if len(vparts[s]) != len(parts[s]) {
+			t.Fatalf("shard %d: %d keys but %d values", s, len(parts[s]), len(vparts[s]))
+		}
+		// Pairs stay together and in input order, duplicates included.
+		var wantK []int64
+		var wantV []uint64
+		for i, k := range keys {
+			if p.Shard(k) == s {
+				wantK, wantV = append(wantK, k), append(wantV, vals[i])
 			}
+		}
+		if !slices.Equal(parts[s], wantK) || !slices.Equal(vparts[s], wantV) {
+			t.Fatalf("shard %d: pairs %v/%v, want %v/%v", s, parts[s], vparts[s], wantK, wantV)
 		}
 	}
 }

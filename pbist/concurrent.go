@@ -44,8 +44,9 @@ func (o ConcurrentOptions) combineOptions() combine.Options {
 // Concurrent is the one-shard Sharded: the paper's single batched
 // tree served to arbitrarily many goroutines through one combining
 // queue. With one shard every batch is a single-shard batch, so
-// GetBatch, ContainsBatch, PutBatch, and DeleteBatch are atomic, and
-// Snapshot shares chunk storage with the live tree in O(changed).
+// PutBatch and DeleteBatch are atomic, as GetBatch and ContainsBatch
+// are on any shard count, and Snapshot shares chunk storage with the
+// live tree in O(changed).
 // See Sharded for the method set and its consistency guarantees.
 type Concurrent[K Key, V any] = Sharded[K, V]
 

@@ -48,8 +48,8 @@ func TestFirstErrorKeepsFirst(t *testing.T) {
 // race: several shards fail in the same scatter (here: two of the four
 // combiners are closed under the frontend's feet), their goroutines
 // report concurrently, and the operation must still panic with the
-// closed-frontend message — while the version read paths, which never
-// touch a combiner, keep working.
+// closed-frontend message — while the version read paths, batched
+// reads included, never touch a combiner and keep working.
 func TestShardedTwoShardsFailing(t *testing.T) {
 	ks := make([]int64, 512)
 	vs := make([]uint64, 512)
@@ -86,9 +86,22 @@ func TestShardedTwoShardsFailing(t *testing.T) {
 	if v, ok := s.GetFast(ks[3]); !ok || v != vs[3] {
 		t.Fatalf("GetFast = %d,%v with two shards closed", v, ok)
 	}
+	// The batched reads answer from the cut too: every bulk-loaded key
+	// with its value, and the key one past each of them absent.
+	probe := make([]int64, 0, 2*len(ks))
+	for _, k := range ks {
+		probe = append(probe, k, k+1)
+	}
+	gotV, gotF := s.GetBatch(probe)
+	gotC := s.ContainsBatch(probe)
+	for i, k := range probe {
+		want := i%2 == 0
+		if gotF[i] != want || gotC[i] != want || (want && gotV[i] != vs[i/2]) {
+			t.Fatalf("key %d with two shards closed: GetBatch = %d,%v, ContainsBatch = %v; want present=%v",
+				k, gotV[i], gotF[i], gotC[i], want)
+		}
+	}
 
-	mustPanic("GetBatch", func() { s.GetBatch(ks) })
-	mustPanic("ContainsBatch", func() { s.ContainsBatch(ks) })
 	mustPanic("Flush", func() { s.Flush() })
 	// The mutating batches panic too — but first apply on the two live
 	// shards (cross-shard batches are atomic per shard, not across

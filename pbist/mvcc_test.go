@@ -1,6 +1,7 @@
 package pbist_test
 
 import (
+	"fmt"
 	"maps"
 	"math/rand/v2"
 	"runtime"
@@ -224,6 +225,25 @@ func TestFastReadStressAcrossClose(t *testing.T) {
 	if k, v := c.Items(); !slices.Equal(k, finalK) || !slices.Equal(v, finalV) {
 		t.Fatal("post-Close Items differ from the final snapshot")
 	}
+	// The batched reads answer from the final version as well, small
+	// and large: every key of the span, present or not, in descending
+	// order four times over (16k keys, answered by a sorted traversal),
+	// and the first 512 of those (answered key by key).
+	probe := make([]int64, 4*span)
+	for i := range probe {
+		probe[i] = span - 1 - int64(i%span)
+	}
+	for _, batch := range [][]int64{probe[:512], probe} {
+		gotV, gotF := c.GetBatch(batch)
+		gotC := c.ContainsBatch(batch)
+		for i, k := range batch {
+			j, want := slices.BinarySearch(finalK, k)
+			if gotF[i] != want || gotC[i] != want || (want && gotV[i] != finalV[j]) {
+				t.Fatalf("post-Close key %d of %d: GetBatch = %d,%v, ContainsBatch = %v; final snapshot present=%v",
+					k, len(batch), gotV[i], gotF[i], gotC[i], want)
+			}
+		}
+	}
 	wantK, wantV := final.Range(span/4, 3*span/4)
 	if k, v := c.Range(span/4, 3*span/4); !slices.Equal(k, wantK) || !slices.Equal(v, wantV) {
 		t.Fatal("post-Close Range differs from the final snapshot")
@@ -297,14 +317,27 @@ func TestShardedFastReads(t *testing.T) {
 // therefore observes round(B) <= round(A) in every state that ever
 // existed; per-shard reads could observe B's update without A's (B
 // read late, A read early), inventing a state that never was. With the
-// cut, Items and Range capture all the shards they read at one
-// instant, so the readers alternate the two.
+// cut, Items, Range, and GetBatch capture all the shards they read at
+// one instant, so the readers rotate through the three.
+//
+// Range partitioning over [0, 1000) with 4 shards puts 10 on the first
+// shard and 990 on the last deterministically, and both orientations
+// run, because each catches a different torn read: a read that visits
+// the shards one after another from the first reads A early when A is
+// on the first shard, and a read that fans out one task per shard tends
+// to reach the shard it started last first, reading A early when A is
+// on the last shard.
 func TestShardedCutConsistency(t *testing.T) {
-	// Range partitioning over [0, 1000) with 4 shards puts 10 and 990
-	// on the first and last shard deterministically.
+	for _, c := range []struct{ a, b int64 }{{10, 990}, {990, 10}} {
+		t.Run(fmt.Sprintf("A=%d,B=%d", c.a, c.b), func(t *testing.T) {
+			cutConsistency(t, c.a, c.b)
+		})
+	}
+}
+
+func cutConsistency(t *testing.T, keyA, keyB int64) {
 	s := pbist.NewShardedRange[int64, uint64](pbist.ShardedOptions{Shards: 4}, 0, 1000)
 	defer s.Close()
-	const keyA, keyB = int64(10), int64(990)
 	s.Put(keyA, 0)
 	s.Put(keyB, 0)
 
@@ -330,10 +363,17 @@ func TestShardedCutConsistency(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				var ks []int64
 				var vs []uint64
-				if i%2 == 0 {
+				how := "GetBatch"
+				switch i % 3 {
+				case 0:
+					how = "Items"
 					ks, vs = s.Items()
-				} else {
-					ks, vs = s.Range(keyA, keyB)
+				case 1:
+					how = "Range"
+					ks, vs = s.Range(min(keyA, keyB), max(keyA, keyB))
+				case 2:
+					ks = []int64{keyA, keyB}
+					vs, _ = s.GetBatch(ks)
 				}
 				var va, vb uint64
 				for i, k := range ks {
@@ -345,7 +385,7 @@ func TestShardedCutConsistency(t *testing.T) {
 					}
 				}
 				if vb > va {
-					t.Errorf("torn cut: round(B)=%d > round(A)=%d", vb, va)
+					t.Errorf("torn cut in %s: round(B)=%d > round(A)=%d", how, vb, va)
 					return
 				}
 				runtime.Gosched()

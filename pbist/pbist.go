@@ -74,14 +74,14 @@
 // the structure, use one shard (Concurrent); outgrow one combiner's
 // one epoch at a time, add shards.
 //
-// A batch is atomic per shard, not across shards, so with one shard
-// every batch is atomic. Stats and Trace gather per-shard snapshots
-// with no cross-shard fence — each shard's counters are read while
-// the other shards keep executing, so the result is consistent per
-// shard only. (Whole-structure data reads are stronger: Items, Keys,
-// Len, Range, Ascend, and Snapshot each take one atomic cut of the
-// published versions of the shards they read, so they are mutually
-// atomic.)
+// A write batch is atomic per shard, not across shards, so with one
+// shard every batch is atomic. Stats and Trace gather per-shard
+// snapshots with no cross-shard fence — each shard's counters are read
+// while the other shards keep executing, so the result is consistent
+// per shard only. (Data reads are stronger: GetBatch, ContainsBatch,
+// Items, Keys, Len, Range, Ascend, and Snapshot each take one atomic
+// cut of the published versions of the shards they read, so they are
+// mutually atomic.)
 //
 // # Wait-free reads and snapshots (MVCC)
 //
@@ -138,7 +138,7 @@
 // Setting Options.Metrics to a Metrics registry (NewMetrics) turns on
 // engine-wide instrumentation: combining-epoch counters and
 // client-observed latency histograms, core rebuild events, arena
-// retention gauges, and shard scatter/stitch/filter metrics, exported
+// retention gauges, and shard scatter/filter/cut metrics, exported
 // point-in-time via Snapshot, WriteJSON, or PublishExpvar. Like a
 // Sharded Stats call, a Snapshot is gathered without stopping the
 // engine: consistent per metric, not linearized across metrics. A nil

@@ -34,7 +34,9 @@ func newShardedForTest(cfg pbist.ShardedOptions, keys []int64, vals []uint64) *p
 // map oracle, hammering one Sharded whose stripes deliberately span
 // shard boundaries (stripe width and shard width are unrelated). Runs
 // under -race in CI. Finally the merged oracles must equal the
-// cross-shard snapshot.
+// cross-shard snapshot and the answers of batched reads over every key:
+// one of a thousand keys, looked up key by key in parallel, and one of
+// about twenty thousand, answered by a sorted batched traversal.
 func TestShardedDifferentialStress(t *testing.T) {
 	for name, cfg := range shardedConfigs() {
 		cfg := cfg
@@ -149,6 +151,28 @@ func TestShardedDifferentialStress(t *testing.T) {
 			}
 			if n := s.Len(); n != len(ks) {
 				t.Fatalf("Len = %d, snapshot %d", n, len(ks))
+			}
+			// One batch over the whole span and past both ends, shuffled,
+			// with every key six times: past 16k keys even with -short.
+			var probe []int64
+			for k := int64(-stride); k < int64(clients+1)*stride; k++ {
+				probe = append(probe, k, k, k, k, k, k)
+			}
+			r := dist.NewRNG(0xba7c4)
+			for i := len(probe) - 1; i > 0; i-- {
+				j := int(r.Uint64n(uint64(i + 1)))
+				probe[i], probe[j] = probe[j], probe[i]
+			}
+			for _, batch := range [][]int64{probe[:1000], probe} {
+				gotV, gotF := s.GetBatch(batch)
+				gotC := s.ContainsBatch(batch)
+				for i, k := range batch {
+					wv, had := merged[k]
+					if gotF[i] != had || gotC[i] != had || (had && gotV[i] != wv) {
+						t.Fatalf("batched read of %d keys: key %d = %d,%v, contains %v; want %d,%v",
+							len(batch), k, gotV[i], gotF[i], gotC[i], wv, had)
+					}
+				}
 			}
 		})
 	}
