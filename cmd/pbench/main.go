@@ -245,14 +245,12 @@ func runConcurrent(w bench.Workload, clients []int, reps int) ([]string, [][]str
 
 func runReadScale(w bench.Workload, clients []int, reps int) ([]string, [][]string) {
 	rows := bench.RunReadScale(w, clients, reps)
-	header := []string{"clients", "combine_get_mops", "getfast_mops", "fast_x", "mixed_fast_mops", "mixed_epochs"}
+	header := []string{"clients", "get_mops", "mixed_fast_mops", "mixed_epochs"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
 			strconv.Itoa(r.Clients),
-			fmt.Sprintf("%.3f", r.CombineMops),
-			fmt.Sprintf("%.3f", r.FastMops),
-			fmt.Sprintf("%.2f", r.FastX),
+			fmt.Sprintf("%.3f", r.GetMops),
 			fmt.Sprintf("%.3f", r.MixedMops),
 			strconv.FormatInt(r.Epochs, 10),
 		})

@@ -1,9 +1,10 @@
 // Frontend: a client simulation of the concurrent combining view.
 // Waves of client goroutines hammer one pbist.Concurrent with
 // individual point operations — the worst shape for a batched engine —
-// and the combiner's statistics show how the traffic is coalesced
-// back into batches: epochs track the number of active clients, so
-// the engine still runs its parallel-batched traversals.
+// and the combiner's statistics show how the write traffic is
+// coalesced back into batches: epochs track the number of active
+// clients, so the engine still runs its parallel-batched traversals.
+// Reads never enter the combiner; they walk the published version.
 //
 //	go run ./examples/frontend
 package main
@@ -37,19 +38,19 @@ func main() {
 
 	fmt.Printf("engine preloaded with %d keys; %d point ops per client (90%% reads)\n\n",
 		c.Len(), opsPerClient)
-	fmt.Printf("%-8s %-10s %-12s %-12s %-12s\n",
-		"clients", "kops/s", "epochs", "ops/epoch", "mean wait")
+	fmt.Printf("%-8s %-10s %-12s %-14s %-12s\n",
+		"clients", "kops/s", "epochs", "writes/epoch", "write wait")
 
 	prev := c.Stats()
 	for _, clients := range []int{1, 2, 4, 8, 16, 32} {
 		elapsed := wave(c, clients)
 		st := c.Stats()
 		epochs := st.Epochs - prev.Epochs
-		ops := st.Ops - prev.Ops
+		writes := st.Ops - prev.Ops
 		prev = st
-		kops := float64(ops) / elapsed.Seconds() / 1e3
-		fmt.Printf("%-8d %-10.0f %-12d %-12.1f %-12s\n",
-			clients, kops, epochs, float64(ops)/float64(epochs),
+		kops := float64(clients*opsPerClient) / elapsed.Seconds() / 1e3
+		fmt.Printf("%-8d %-10.0f %-12d %-14.1f %-12s\n",
+			clients, kops, epochs, float64(writes)/float64(epochs),
 			st.MeanWait.Round(100*time.Nanosecond))
 	}
 
@@ -89,6 +90,6 @@ func wave(c *pbist.Concurrent[int64, uint64], clients int) time.Duration {
 }
 
 func summarize(st pbist.ConcurrentStats) string {
-	return fmt.Sprintf("%d ops combined into %d epochs (mean %.1f ops, %d size-triggered)",
+	return fmt.Sprintf("%d writes combined into %d epochs (mean %.1f writes, %d size-triggered)",
 		st.Ops, st.Epochs, st.MeanOps, st.SizeFlushes)
 }

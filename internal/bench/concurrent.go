@@ -17,10 +17,10 @@ type ConcurrentRow struct {
 	CombineMops float64 // pbist.Concurrent (combining frontend)
 	RWMapMops   float64 // sync.RWMutex around a pbist.Map
 	SyncMapMops float64 // sync.Map
-	EpochOps    float64 // mean ops combined per epoch (frontend only)
+	EpochOps    float64 // mean writes combined per epoch (frontend only; reads never queue)
 	EpochKeys   float64 // mean keys combined per epoch
 	SizeFlushes int64   // epochs flushed by the MaxBatch size trigger
-	MeanWaitUS  float64 // mean µs an op queued before its epoch began
+	MeanWaitUS  float64 // mean µs a write queued before its epoch began
 }
 
 // script op kinds; the per-client scripts are generated once per
@@ -136,8 +136,9 @@ func mops(scripts [][]scriptOp, elapsed time.Duration) float64 {
 // client-goroutine count: every engine is bulk-loaded with the §9
 // base keys (8-byte payloads), then each repetition replays the same
 // per-client scripts — M mixed point ops split across the clients —
-// against the combining frontend (pbist.Concurrent), an RWMutex-
-// guarded pbist.Map, and a sync.Map.
+// against the combining frontend (pbist.Concurrent: writes through the
+// combiner, Gets from its published version), an RWMutex-guarded
+// pbist.Map, and a sync.Map.
 func RunConcurrentWorkload(w Workload, clients []int, reps int) []ConcurrentRow {
 	w = w.WithDefaults()
 	if reps < 1 {

@@ -105,7 +105,9 @@ func latencyRowFrom(frontend, dist string, clients int, offered float64,
 // scheduled at a fixed aggregate rate of rateKops thousand ops per
 // second. Each op's latency is measured from its scheduled arrival
 // (not its actual issue time), so queueing delay behind a slow epoch
-// or a rebuild is charged to every op it postpones. reps repetitions
+// or a rebuild is charged to every op it postpones. Only the writes
+// queue: Gets read the published versions and wait on no epoch, so
+// the 90% read share adds no combiner load. reps repetitions
 // accumulate into one histogram per row.
 //
 // rateKops <= 0 selects a closed-loop fallback (interval 0): clients
@@ -146,7 +148,7 @@ func RunLatencyWorkload(w Workload, clients, shards int, rateKops float64, reps 
 			ops += len(sc)
 		}
 
-		// Combining frontend.
+		// One-shard frontend.
 		{
 			c := pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{Options: opts}, base, baseVals)
 			h := obs.NewHistogram()

@@ -8,21 +8,17 @@ import (
 
 // ReadScaleRow is one point of the read-scaling experiment: point-read
 // throughput (million ops per second) at a given client-goroutine
-// count for the two read paths of pbist.Concurrent, plus a mixed
-// column that keeps the combiner republishing while the fast path is
-// under load.
+// count for pbist.Concurrent's read path, plus a mixed column that
+// keeps the combiner republishing while reads are under load.
 type ReadScaleRow struct {
-	Clients     int
-	CombineMops float64 // c.Get: reads queued through the combiner
-	FastMops    float64 // c.GetFast: wait-free published-version reads
-	FastX       float64 // FastMops / CombineMops
-	MixedMops   float64 // 90% GetFast, 10% combiner writes (republish under load)
-	Epochs      int64   // combiner epochs during the mixed replay (≈ republish count)
+	Clients   int
+	GetMops   float64 // c.Get: wait-free published-version reads
+	MixedMops float64 // 90% Get, 10% combiner writes (republish under load)
+	Epochs    int64   // combiner epochs during the mixed replay (≈ republish count)
 }
 
 // readOnlyScripts deals the same per-client scripts as the concurrent
-// experiment (same keys, same shuffle) but tags every op as a read,
-// so the two read paths replay byte-identical traffic.
+// experiment (same keys, same shuffle) but tags every op as a read.
 func readOnlyScripts(w Workload, rep, clients int) [][]scriptOp {
 	scripts := concurrentScripts(w, rep, clients)
 	for _, sc := range scripts {
@@ -34,18 +30,15 @@ func readOnlyScripts(w Workload, rep, clients int) [][]scriptOp {
 }
 
 // RunReadScale measures point-read throughput versus client count for
-// the combiner read path (Get: enqueue, wait for the epoch fence) and
-// the wait-free read path (GetFast: interpolate against the latest
-// published version, no coordination). Both replay identical
-// read-only scripts against the same bulk-loaded structure. A third
-// replay runs the standard 90/10 mixed scripts with reads routed
-// through GetFast and writes through the combiner, so the fast path
-// is measured while versions are being republished and chunks
-// retired/recycled underneath it.
+// the wait-free read path (Get: interpolate against the latest
+// published version, no coordination), replaying read-only scripts
+// against a bulk-loaded structure. A second replay runs the standard
+// 90/10 mixed scripts with writes through the combiner, so reads are
+// measured while versions are being republished and chunks
+// retired/recycled underneath them.
 //
-// On a single core the fast path should hold (not degrade) as clients
-// grow — there is no queue to collapse on — while its advantage over
-// the combiner path widens with core count (each GetFast is an
+// Read throughput should hold (not degrade) as clients grow — there is
+// no queue to collapse on — and scale with core count (each Get is an
 // independent cache-local probe; see README, "Wait-free reads and
 // snapshots").
 func RunReadScale(w Workload, clients []int, reps int) []ReadScaleRow {
@@ -68,8 +61,6 @@ func RunReadScale(w Workload, clients []int, reps int) []ReadScaleRow {
 
 		row := ReadScaleRow{Clients: nc}
 
-		// Both pure-read paths replay against one structure: the
-		// scripts never mutate, so the comparison sees identical data.
 		{
 			c := pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{Options: opts}, base, baseVals)
 			var total time.Duration
@@ -79,32 +70,19 @@ func RunReadScale(w Workload, clients []int, reps int) []ReadScaleRow {
 					func(k int64, v uint64) { c.Put(k, v) },
 					func(k int64) { c.Delete(k) })
 			}
-			row.CombineMops = mops(ro[0], total/time.Duration(reps))
-
-			total = 0
-			for rep := 0; rep < reps; rep++ {
-				total += replay(ro[rep],
-					func(k int64) { c.GetFast(k) },
-					func(k int64, v uint64) { c.Put(k, v) },
-					func(k int64) { c.Delete(k) })
-			}
-			row.FastMops = mops(ro[0], total/time.Duration(reps))
+			row.GetMops = mops(ro[0], total/time.Duration(reps))
 			c.Close()
 		}
-		if row.CombineMops > 0 {
-			row.FastX = row.FastMops / row.CombineMops
-		}
 
-		// Mixed: reads take the fast path while 10% of ops keep the
-		// combiner publishing fresh versions, exercising pin/era
-		// reclamation under read load. Fresh structure: the replay
-		// drifts its contents.
+		// Mixed: 10% of ops keep the combiner publishing fresh
+		// versions, exercising pin/era reclamation under read load.
+		// Fresh structure: the replay drifts its contents.
 		{
 			c := pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{Options: opts}, base, baseVals)
 			var total time.Duration
 			for rep := 0; rep < reps; rep++ {
 				total += replay(mixed[rep],
-					func(k int64) { c.GetFast(k) },
+					func(k int64) { c.Get(k) },
 					func(k int64, v uint64) { c.Put(k, v) },
 					func(k int64) { c.Delete(k) })
 			}

@@ -41,7 +41,8 @@ type RebuildSchedRow struct {
 // rebuildChurnPermille fixes the rebuild experiment's op mix at 10%
 // Get, 45% Put, 45% Delete: write-heavy churn is what drives modCnt
 // into the rebuild threshold over and over, which is the regime the
-// scheduler exists for.
+// scheduler exists for. Only the Puts and Deletes queue behind a
+// stalled epoch; the Gets read the published version.
 const rebuildChurnPermille = 100
 
 // RunRebuildSched measures the latency effect of the amortized rebuild

@@ -2,8 +2,8 @@
 // frontend for the parallel-batched engine: arbitrarily many client
 // goroutines submit single-key and mini-batch operations, a single
 // combiner goroutine coalesces everything queued into an epoch, and
-// each epoch executes as at most one batched read traversal plus one
-// batched write traversal on the underlying engine, with full
+// each epoch executes as at most one batched presence traversal plus
+// one batched write traversal on the underlying engine, with full
 // intra-batch parallelism.
 //
 // This inverts the usual lock-based recipe: instead of serializing
@@ -17,15 +17,15 @@
 // workload.
 //
 // Semantics: every operation of an epoch is linearized in submission
-// order. Reads observe the pre-epoch state as modified by the writes
-// submitted before them in the same epoch; writes to the same key
-// resolve last-wins; mini-batch operations are atomic (their elements
-// occupy consecutive positions in the epoch order). Flush completes at
-// the end of its epoch, after every operation submitted before it.
-// Multi-key and whole-structure reads are not served here: every epoch
-// ends by publishing an immutable version of the engine, and readers
-// walk those versions without entering the queue. The queue serves
-// single-key reads and single-key or mini-batch writes.
+// order. Each write reports the presence its key had just before it:
+// the pre-epoch state as modified by the writes submitted before it in
+// the same epoch. Writes to the same key resolve last-wins; mini-batch
+// operations are atomic (their elements occupy consecutive positions
+// in the epoch order). Flush completes at the end of its epoch, after
+// every operation submitted before it. Reads are not served here:
+// every epoch ends by publishing an immutable version of the engine,
+// and readers walk those versions without entering the queue. The
+// queue serves only single-key or mini-batch writes and Flush fences.
 package combine
 
 import (
@@ -45,14 +45,13 @@ import (
 // always sorted and duplicate-free. The Combiner is the only caller,
 // so the Engine itself need not be safe for concurrent use.
 //
-// The read traversals are the *Into shape: destinations are
-// caller-provided, len(keys), zero-initialized (entries of absent keys
-// are left untouched), so the combiner can recycle the result arrays
-// of one epoch as the result arrays of the next instead of allocating
-// per epoch.
+// ContainsBatchedInto resolves the pre-epoch presence every write
+// reports. Its destination is caller-provided, len(keys),
+// zero-initialized (entries of absent keys are left untouched), so the
+// combiner can recycle the array of one epoch as the array of the next
+// instead of allocating per epoch.
 type Engine[K cmp.Ordered, V any] interface {
 	ContainsBatchedInto(keys []K, found []bool)
-	GetBatchedInto(keys []K, vals []V, found []bool)
 	PutBatched(keys []K, vals []V) int
 	RemoveBatched(keys []K) int
 
@@ -77,13 +76,15 @@ type Engine[K cmp.Ordered, V any] interface {
 
 // Scratch is the per-epoch scratch arena of one or more Combiners:
 // size-classed free lists for the event lists, distinct-key arrays,
-// result side arrays, and write batches an epoch borrows and returns.
+// presence and mark arrays, and write batches an epoch borrows and
+// returns.
 // The underlying free lists (arena.Scratch) are safe for concurrent
 // use, so one Scratch may serve many Combiners at once — that is the
 // point: a shard group hands every per-shard combiner the same Scratch
 // and the group's total retained scratch stays bounded by the free
 // lists' structural cap instead of multiplying with the shard count.
-// NewScratch builds one; New creates a private one when none is given.
+// NewScratch builds one; NewShared creates a private one when none is
+// given.
 type Scratch[K cmp.Ordered, V any] struct {
 	ev    arena.Scratch[event[K]]
 	keys  arena.Scratch[K]
@@ -98,8 +99,8 @@ type Scratch[K cmp.Ordered, V any] struct {
 }
 
 // NewScratch returns an empty combiner scratch arena. With disabled
-// set, every borrow allocates fresh and every return is dropped — the
-// NoBufferReuse semantics.
+// set, every borrow allocates fresh and every return is dropped;
+// results are identical either way.
 func NewScratch[K cmp.Ordered, V any](disabled bool) *Scratch[K, V] {
 	s := &Scratch[K, V]{}
 	s.ev.Disabled = disabled
@@ -142,11 +143,6 @@ type Options struct {
 	// arrivals stall (see loop), so MaxWait is a bound, not a tax paid
 	// on every epoch. Default 200µs.
 	MaxWait time.Duration
-	// NoBufferReuse turns off the recycling of per-epoch scratch
-	// buffers (event lists, distinct-key arrays, write batches)
-	// through the combiner's arena. The default (false) recycles
-	// them across epochs; results are identical either way.
-	NoBufferReuse bool
 
 	// Metrics attaches the combiner to an observability registry:
 	// epoch counters, phase-span and client-latency histograms record
@@ -178,9 +174,7 @@ func (o Options) withDefaults() Options {
 type Kind uint8
 
 const (
-	kindGet Kind = iota + 1
-	kindContains
-	kindPut
+	kindPut Kind = iota + 1
 	kindDelete
 	kindFence // carries no keys; completes after all earlier ops
 )
@@ -194,20 +188,18 @@ type op[K cmp.Ordered, V any] struct {
 	keys []K
 	vals []V // kindPut: vals[i] to store under keys[i]
 
-	rvals  []V    // kindGet: value per input position
-	rfound []bool // get/contains: present; put: inserted; delete: removed
+	rfound []bool // put: inserted; delete: removed
 
 	enq  time.Time // for the combine-wait statistic
 	done chan struct{}
 
 	k1  [1]K
 	v1  [1]V
-	rv1 [1]V
 	rf1 [1]bool
 }
 
 // Combiner serves concurrent clients by funneling their operations
-// through epochs executed on a single Engine. Create one with New;
+// through epochs executed on a single Engine. Create one with NewShared;
 // all exported methods are safe for concurrent use.
 type Combiner[K cmp.Ordered, V any] struct {
 	eng  Engine[K, V] //pbist:guardedby combiner
@@ -285,13 +277,12 @@ type Stats struct {
 // scr is the scratch arena epochs borrow from: typically one Scratch
 // handed to every combiner of a shard group so the group's retained
 // scratch stays bounded regardless of shard count. A nil scr gives the
-// Combiner a private one. With opts.NoBufferReuse set, scr is ignored
-// and a private disabled one is used, preserving the allocate-fresh
-// semantics.
+// Combiner a private one that recycles buffers; pass a disabled
+// Scratch (NewScratch(true)) to allocate fresh every epoch.
 func NewShared[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options, scr *Scratch[K, V]) *Combiner[K, V] {
 	opts = opts.withDefaults()
-	if scr == nil || opts.NoBufferReuse {
-		scr = NewScratch[K, V](opts.NoBufferReuse)
+	if scr == nil {
+		scr = NewScratch[K, V](false)
 	}
 	scr.Observe(opts.Metrics, "combine.scratch")
 	c := &Combiner[K, V]{
@@ -320,10 +311,10 @@ func (c *Combiner[K, V]) getOp(kind Kind) *op[K, V] {
 // putOp recycles an op. Results must have been copied out already;
 // references to caller slices are dropped so nothing is retained.
 func (c *Combiner[K, V]) putOp(o *op[K, V]) {
-	o.keys, o.vals, o.rvals, o.rfound = nil, nil, nil, nil
+	o.keys, o.vals, o.rfound = nil, nil, nil
 	var zk K
 	var zv V
-	o.k1[0], o.v1[0], o.rv1[0], o.rf1[0] = zk, zv, zv, false
+	o.k1[0], o.v1[0], o.rf1[0] = zk, zv, false
 	c.opPool.Put(o)
 }
 
@@ -466,36 +457,6 @@ func (c *Combiner[K, V]) Stats() Stats {
 		s.MeanWait = st.waitTotal / time.Duration(st.ops)
 	}
 	return s
-}
-
-// Get returns the value stored under key.
-func (c *Combiner[K, V]) Get(key K) (val V, ok bool, err error) {
-	o := c.getOp(kindGet)
-	o.k1[0] = key
-	o.keys = o.k1[:]
-	o.rvals, o.rfound = o.rv1[:], o.rf1[:]
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return val, false, err
-	}
-	val, ok = o.rv1[0], o.rf1[0]
-	c.putOp(o)
-	return val, ok, nil
-}
-
-// Contains reports whether key is present.
-func (c *Combiner[K, V]) Contains(key K) (ok bool, err error) {
-	o := c.getOp(kindContains)
-	o.k1[0] = key
-	o.keys = o.k1[:]
-	o.rfound = o.rf1[:]
-	if err := c.submit(o); err != nil {
-		c.putOp(o)
-		return false, err
-	}
-	ok = o.rf1[0]
-	c.putOp(o)
-	return ok, nil
 }
 
 // Put stores val under key, reporting whether the key was absent.

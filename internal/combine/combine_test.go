@@ -14,7 +14,8 @@ import (
 
 // newCoreCombiner builds a Combiner over a real core engine and
 // returns both. The test may read the engine only after a Flush, and
-// only while no other operation is in flight.
+// only while no other operation is in flight: the combiner serves no
+// reads.
 func newCoreCombiner(t *testing.T, opts Options) (*Combiner[int64, uint64], *core.Tree[int64, uint64]) {
 	t.Helper()
 	pool := parallel.NewPool(4)
@@ -31,13 +32,13 @@ func queued(c *Combiner[int64, uint64]) int {
 	return len(c.pending)
 }
 
-// gatedEngine is a map-backed Engine whose read traversals block on a
-// rendezvous, so tests can hold an epoch open while submissions queue
-// behind it. Only the combiner goroutine calls it, so the plain map is
-// safe.
+// gatedEngine is a map-backed Engine whose presence traversal blocks
+// on a rendezvous, so tests can hold an epoch open while submissions
+// queue behind it. Only the combiner goroutine calls it, so the plain
+// map is safe.
 type gatedEngine struct {
 	m       map[int64]uint64
-	entered chan struct{} // receives one token when a read traversal starts
+	entered chan struct{} // receives one token when a presence traversal starts
 	release chan struct{} // the traversal proceeds after a token arrives
 }
 
@@ -58,13 +59,6 @@ func (e *gatedEngine) ContainsBatchedInto(keys []int64, found []bool) {
 	e.gate()
 	for i, k := range keys {
 		_, found[i] = e.m[k]
-	}
-}
-
-func (e *gatedEngine) GetBatchedInto(keys []int64, vals []uint64, found []bool) {
-	e.gate()
-	for i, k := range keys {
-		vals[i], found[i] = e.m[k]
 	}
 }
 
@@ -101,12 +95,16 @@ func TestSingleClientOracle(t *testing.T) {
 	oracle := make(map[int64]uint64)
 	r := dist.NewRNG(0xc0ffee)
 	const keyspace = 512
+	// get reads k from the engine once a Flush has drained every
+	// earlier operation, and checks it against the oracle.
 	get := func(step int, k int64) {
 		t.Helper()
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		wv, had := oracle[k]
-		v, ok, err := c.Get(k)
-		if err != nil || ok != had || (had && v != wv) {
-			t.Fatalf("step %d: Get(%d)=%v,%v,%v want %v,%v", step, k, v, ok, err, wv, had)
+		if v, ok := eng.Get(k); ok != had || (had && v != wv) {
+			t.Fatalf("step %d: Get(%d)=%v,%v want %v,%v", step, k, v, ok, wv, had)
 		}
 	}
 	for step := 0; step < 4000; step++ {
@@ -129,11 +127,15 @@ func TestSingleClientOracle(t *testing.T) {
 			delete(oracle, k)
 		case 2: // Get
 			get(step, k)
-		case 3: // Contains
-			_, had := oracle[k]
-			ok, err := c.Contains(k)
-			if err != nil || ok != had {
-				t.Fatalf("step %d: Contains(%d)=%v,%v want %v", step, k, ok, err, had)
+		case 3: // Delete then re-Put: both report the presence before them
+			v, had := oracle[k]
+			if rm, err := c.Delete(k); err != nil || rm != had {
+				t.Fatalf("step %d: Delete(%d)=%v,%v want %v", step, k, rm, err, had)
+			}
+			if had {
+				if ins, err := c.Put(k, v); err != nil || !ins {
+					t.Fatalf("step %d: re-Put(%d)=%v,%v want inserted", step, k, ins, err)
+				}
 			}
 		case 4: // mini-batch Put (unsorted, duplicated: last wins), read per key around it
 			keys := []int64{k, (k + 37) % keyspace, k}
@@ -175,25 +177,27 @@ func TestSingleClientOracle(t *testing.T) {
 
 // TestMiniBatchSemantics pins the atomic mini-batch write contract:
 // last-wins for duplicate keys in one PutBatch, per-op counts for
-// duplicated input, and per-key reads that observe the batch.
+// duplicated input, and an engine state after Flush that reflects the
+// batch.
 func TestMiniBatchSemantics(t *testing.T) {
 	c, eng := newCoreCombiner(t, Options{})
 	ins, err := c.PutBatch([]int64{5, 5, 7}, []uint64{1, 2, 3})
 	if err != nil || ins != 2 {
 		t.Fatalf("PutBatch inserted %d, %v; want 2 (5 counts once, last value wins)", ins, err)
 	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	wantV := []uint64{3, 2, 0, 2}
 	wantF := []bool{true, true, false, true}
 	for i, k := range []int64{7, 5, 9, 5} {
-		v, ok, err := c.Get(k)
-		if err != nil || v != wantV[i] || ok != wantF[i] {
-			t.Fatalf("Get(%d) = %v,%v,%v want %v,%v", k, v, ok, err, wantV[i], wantF[i])
+		if v, ok := eng.Get(k); v != wantV[i] || ok != wantF[i] {
+			t.Fatalf("Get(%d) = %v,%v want %v,%v", k, v, ok, wantV[i], wantF[i])
 		}
 	}
 	for i, k := range []int64{9, 7, 9, 5} {
-		ok, err := c.Contains(k)
-		if want := []bool{false, true, false, true}[i]; err != nil || ok != want {
-			t.Fatalf("Contains(%d) = %v,%v want %v", k, ok, err, want)
+		if ok, want := eng.Contains(k), []bool{false, true, false, true}[i]; ok != want {
+			t.Fatalf("Contains(%d) = %v want %v", k, ok, want)
 		}
 	}
 	rm, err := c.DeleteBatch([]int64{5, 9, 5})
@@ -220,12 +224,13 @@ func TestCombinesConcurrentOps(t *testing.T) {
 	c := NewShared[int64, uint64](eng, pool, Options{}, nil)
 	defer c.Close()
 
-	// Epoch 1: a lone Contains enters the engine and blocks there.
+	// Epoch 1: a lone Delete of an absent key enters the engine and
+	// blocks there.
 	firstDone := make(chan struct{})
 	go func() {
 		defer close(firstDone)
-		if ok, err := c.Contains(1); ok || err != nil {
-			t.Errorf("Contains(1) = %v, %v", ok, err)
+		if rm, err := c.Delete(1); rm || err != nil {
+			t.Errorf("Delete(1) = %v, %v", rm, err)
 		}
 	}()
 	<-eng.entered
@@ -254,7 +259,7 @@ func TestCombinesConcurrentOps(t *testing.T) {
 	}
 
 	eng.release <- struct{}{} // finish epoch 1
-	<-eng.entered             // epoch 2 (the ten Puts) starts its read traversal
+	<-eng.entered             // epoch 2 (the ten Puts) starts its presence traversal
 	eng.release <- struct{}{}
 	wg.Wait()
 	<-firstDone
@@ -273,9 +278,9 @@ func TestCombinesConcurrentOps(t *testing.T) {
 	}
 }
 
-// TestInEpochOrdering gates the engine to force mixed reads and
-// writes on the same keys into one epoch, with deterministic per-key
-// results because every key has a single writer.
+// TestInEpochOrdering gates the engine to force a Put and a Delete
+// into one epoch, with deterministic per-key results because every key
+// has a single writer.
 func TestInEpochOrdering(t *testing.T) {
 	eng := newGatedEngine()
 	eng.m[7] = 70 // pre-existing key
@@ -285,7 +290,7 @@ func TestInEpochOrdering(t *testing.T) {
 	opener := make(chan struct{})
 	go func() {
 		defer close(opener)
-		c.Contains(0)
+		c.Delete(0)
 	}()
 	<-eng.entered
 
@@ -419,7 +424,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	opener := make(chan struct{})
 	go func() {
 		defer close(opener)
-		c.Contains(1)
+		c.Delete(1)
 	}()
 	<-eng.entered
 
@@ -461,8 +466,8 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	if !c.Closed() {
 		t.Fatal("Closed() = false after Close")
 	}
-	if _, err := c.Contains(1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-Close Contains error = %v, want ErrClosed", err)
+	if _, err := c.Put(1, 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-Close Put error = %v, want ErrClosed", err)
 	}
 	if len(eng.m) != 2 {
 		t.Fatalf("engine has %d keys after drain, want 2", len(eng.m))

@@ -21,10 +21,10 @@ type event[K cmp.Ordered] struct {
 }
 
 // runEpoch executes one combined batch: it resolves the pre-epoch
-// state of every distinct key with at most one batched read traversal,
-// replays each key's events in linearization order to fill per-op
-// results, and applies the surviving last-wins writes with at most one
-// PutBatched and one RemoveBatched traversal. keyCount and sized feed
+// presence of every distinct key with at most one batched contains
+// traversal, replays each key's events in linearization order to fill
+// per-op results, and applies the surviving last-wins writes with at
+// most one PutBatched and one RemoveBatched traversal. keyCount and sized feed
 // the statistics.
 //
 //pbist:combiner
@@ -44,12 +44,8 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	// the end of this epoch (before clients wake), recycled by the next
 	// epoch.
 	nev := 0
-	needVals := false
 	for _, o := range ops {
 		nev += len(o.keys)
-		if o.kind == kindGet {
-			needVals = true
-		}
 	}
 	evBuf := c.scr.ev.Get(nev)
 	events := evBuf[:0]
@@ -90,20 +86,15 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 		tSort = time.Now()
 	}
 
-	// One batched read traversal resolves the pre-epoch state of every
-	// key the epoch touches; values ride along only when a Get needs
-	// them. Both destinations are epoch scratch (the *Into engine
-	// contract wants them zeroed), returned below with the rest, so
-	// steady-state epochs run the read phase allocation-free.
-	var preVals []V
+	// One batched contains traversal resolves the pre-epoch presence of
+	// every key the epoch touches, which the writes' return values and
+	// the write batches below need. The destination is epoch scratch
+	// (the *Into engine contract wants it zeroed), returned below with
+	// the rest, so steady-state epochs run the read phase
+	// allocation-free.
 	preFound := c.scr.bools.GetZero(nruns)
 	if nruns > 0 {
-		if needVals {
-			preVals = c.scr.vals.GetZero(nruns)
-			c.eng.GetBatchedInto(readKeys, preVals, preFound)
-		} else {
-			c.eng.ContainsBatchedInto(readKeys, preFound)
-		}
+		c.eng.ContainsBatchedInto(readKeys, preFound)
 	}
 	if pr != nil {
 		tRead = time.Now()
@@ -119,11 +110,11 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	winVal := c.scr.vals.GetZero(nruns)
 	if pr != nil {
 		parallel.WithLabel(true, "combine-replay", func() {
-			c.replayRuns(ops, events, runStart, preVals, preFound, putMark, delMark, winVal, needVals, nruns)
+			c.replayRuns(ops, events, runStart, preFound, putMark, delMark, winVal, nruns)
 		})
 		tReplay = time.Now()
 	} else {
-		c.replayRuns(ops, events, runStart, preVals, preFound, putMark, delMark, winVal, needVals, nruns)
+		c.replayRuns(ops, events, runStart, preFound, putMark, delMark, winVal, nruns)
 	}
 
 	// Gather the surviving writes in run order — readKeys is sorted, so
@@ -154,9 +145,10 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	}
 	// Publish the post-epoch state for version readers before any
 	// client of this epoch wakes: an operation that has completed is
-	// then always visible to the wait-free fast path, which is what
-	// makes fast reads linearizable with combined operations. Read-only
-	// epochs publish nothing new but still advance reclamation.
+	// then always visible to the wait-free version reads, which is what
+	// makes them linearizable with combined operations.
+	// Fence-only epochs publish nothing new but still advance
+	// reclamation.
 	c.eng.PublishVersion()
 	if pr != nil {
 		tWrite = time.Now()
@@ -177,7 +169,6 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	c.scr.keys.Put(rkBuf)
 	c.scr.i32s.Put(rsBuf)
 	c.scr.bools.Put(preFound)
-	c.scr.vals.Put(preVals)
 	c.scr.bools.Put(putMark)
 	c.scr.bools.Put(delMark)
 	c.scr.vals.Put(winVal)
@@ -216,36 +207,22 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 // closure allocation on the unobserved path. It touches no
 // combiner-confined state — everything it needs arrives as epoch-local
 // scratch.
-func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, preVals []V, preFound []bool, putMark, delMark []bool, winVal []V, needVals bool, nruns int) {
+func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, preFound []bool, putMark, delMark []bool, winVal []V, nruns int) {
 	parallel.For(c.pool, nruns, 256, func(r int) {
 		present := preFound[r]
 		var val V
-		if needVals {
-			val = preVals[r]
-		}
-		wrote := false
+		// Only writes carry keys, so every run ends in a write.
 		for i := runStart[r]; i < runStart[r+1]; i++ {
 			e := events[i]
 			o := ops[e.op]
-			switch o.kind {
-			case kindGet:
-				o.rvals[e.sub] = val
-				o.rfound[e.sub] = present
-			case kindContains:
-				o.rfound[e.sub] = present
-			case kindPut:
+			if o.kind == kindPut {
 				o.rfound[e.sub] = !present
 				present = true
 				val = o.vals[e.sub]
-				wrote = true
-			case kindDelete:
+			} else {
 				o.rfound[e.sub] = present
 				present = false
-				wrote = true
 			}
-		}
-		if !wrote {
-			return
 		}
 		switch {
 		case present:

@@ -35,8 +35,8 @@ func TestEpochTracePhases(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, err := c.Get(k); err != nil {
-					t.Error(err)
+				if rm, err := c.Delete(k); err != nil || !rm {
+					t.Errorf("Delete(%d) = %v, %v; want removed", k, rm, err)
 					return
 				}
 			}

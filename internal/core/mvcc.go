@@ -376,10 +376,11 @@ func (t *Tree[K, V]) VersionGet(v *Version[K, V], key K) (V, bool) {
 	return lookupVersion(v, key)
 }
 
-// VersionGetBatched is GetBatchedInto over a pinned Version: one §4
-// batched traversal of v for the sorted, duplicate-free keys, writing
-// found[i], and vals[i] unless vals is nil. Both destinations must have
-// len(keys) and be zero-initialized. The pin contract is VersionItems'.
+// VersionGetBatched is GetBatched over a pinned Version, writing into
+// caller-provided destinations: one §4 batched traversal of v for the
+// sorted, duplicate-free keys, writing found[i], and vals[i] unless
+// vals is nil. Both destinations must have len(keys) and be
+// zero-initialized. The pin contract is VersionItems'.
 func (t *Tree[K, V]) VersionGetBatched(v *Version[K, V], keys []K, vals []V, found []bool) {
 	if v == nil || len(keys) == 0 {
 		return

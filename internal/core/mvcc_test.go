@@ -296,8 +296,10 @@ func TestMVCCDifferential(t *testing.T) {
 	}
 }
 
-// TestIntoVariantsMatchAllocating: the *Into read variants agree with
-// their allocating counterparts.
+// TestIntoVariantsMatchAllocating: the read variants writing into
+// caller-provided destinations (ContainsBatchedInto, and
+// VersionGetBatched over the latest version) agree with their
+// allocating counterparts.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tr := New[int64, int64](Config{}, nil)
@@ -307,14 +309,17 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	tr.PutBatched(keys, vals)
+	tr.EnablePublish()
 	probe := sortedBatch(r, 2000, 1<<16)
 
 	wantV, wantF := tr.GetBatched(probe)
 	gotV := make([]int64, len(probe))
 	gotF := make([]bool, len(probe))
-	tr.GetBatchedInto(probe, gotV, gotF)
+	pin := tr.PinReader()
+	tr.VersionGetBatched(tr.CurrentVersion(), probe, gotV, gotF)
+	pin.Release()
 	if !slices.Equal(gotF, wantF) || !slices.Equal(gotV, wantV) {
-		t.Fatal("GetBatchedInto disagrees with GetBatched")
+		t.Fatal("VersionGetBatched disagrees with GetBatched")
 	}
 
 	wantC := tr.ContainsBatched(probe)
@@ -326,9 +331,10 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 }
 
 // TestReadIntoAllocs is the satellite AllocsPerRun ceiling: warmed
-// steady-state batched reads through the *Into variants must not
-// allocate at all — destinations are caller-recycled and the traversal
-// scratch comes from the arena.
+// steady-state batched reads into caller-provided destinations
+// (VersionGetBatched, ContainsBatchedInto) must not allocate at all —
+// destinations are caller-recycled and the traversal scratch comes
+// from the arena.
 func TestReadIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceiling is checked in the non-race run")
@@ -336,20 +342,22 @@ func TestReadIntoAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	tr := New[int64, int64](Config{}, nil)
 	tr.PutBatched(seqKeys(20000, 0, 3), make([]int64, 20000))
+	tr.EnablePublish()
+	ver := tr.CurrentVersion()
 	probe := sortedBatch(r, 1000, 60000)
 	vals := make([]int64, len(probe))
 	found := make([]bool, len(probe))
 	res := make([]bool, len(probe))
 	// Warm the walker pool and the arena.
-	tr.GetBatchedInto(probe, vals, found)
+	tr.VersionGetBatched(ver, probe, vals, found)
 	tr.ContainsBatchedInto(probe, res)
 
 	if avg := testing.AllocsPerRun(20, func() {
 		clear(vals)
 		clear(found)
-		tr.GetBatchedInto(probe, vals, found)
+		tr.VersionGetBatched(ver, probe, vals, found)
 	}); avg > 0 {
-		t.Fatalf("GetBatchedInto allocates %.1f/op in steady state, want 0", avg)
+		t.Fatalf("VersionGetBatched allocates %.1f/op in steady state, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
 		clear(res)

@@ -40,18 +40,6 @@ func (t *Tree[K, V]) ContainsBatchedInto(keys []K, result []bool) {
 	t.containsInto(keys, result)
 }
 
-// GetBatchedInto is GetBatched writing into caller-provided
-// destinations: vals and found must have len(keys) and be
-// zero-initialized — entries of absent keys are left untouched, which
-// is exactly the zero-value-when-absent contract of GetBatched. Like
-// ContainsBatchedInto, it lets per-epoch callers recycle both arrays.
-func (t *Tree[K, V]) GetBatchedInto(keys []K, vals []V, found []bool) {
-	if len(keys) == 0 {
-		return
-	}
-	t.getRec(t.root, keys, 0, len(keys), vals, found)
-}
-
 // GetBatched fetches the value stored under every key of the sorted
 // duplicate-free batch: found[i] reports whether keys[i] is live, and
 // vals[i] is its value (the zero value when absent). It is the same

@@ -9,11 +9,11 @@ const bloomProbes = 2
 
 // Bloom is a fixed-size, lock-free Bloom filter used as the optional
 // per-shard point-lookup router: Add on every insert, MayContain
-// before submitting a Get/Contains to the shard's combiner. A false
-// answer is authoritative — the key was never inserted into this
-// shard — so the lookup can short-circuit to "absent" without a queue
-// round trip. A true answer merely forwards the lookup; deletes never
-// clear bits, so a deleted key reads as a (harmless) stale positive.
+// before walking the shard's published version for a Get/Contains. A
+// false answer is authoritative — the key was never inserted into this
+// shard — so the lookup can short-circuit to "absent" without the
+// walk. A true answer merely forwards the lookup; deletes never clear
+// bits, so a deleted key reads as a (harmless) stale positive.
 //
 // Concurrency: Add uses atomic Or, MayContain atomic loads, so any
 // number of goroutines may add and test at once. The linearizability

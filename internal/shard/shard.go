@@ -30,7 +30,7 @@
 //
 // Bloom provides the optional per-shard point-lookup filter: a
 // fixed-size, lock-free (atomic word array) Bloom filter that answers
-// "definitely absent" without touching the shard's combiner. It is
+// "definitely absent" without touching the shard's tree. It is
 // one-sided by construction — keys are added on insert and never
 // removed, so a hit may be stale after a delete (the lookup proceeds
 // and answers correctly) but a miss is always authoritative.

@@ -33,17 +33,16 @@ type ConcurrentOptions struct {
 
 func (o ConcurrentOptions) combineOptions() combine.Options {
 	return combine.Options{
-		MaxBatch:      o.MaxBatch,
-		MaxWait:       o.MaxWait,
-		NoBufferReuse: o.ReuseBuffers == ReuseOff,
-		Metrics:       o.Metrics,
-		TraceDepth:    o.TraceDepth,
+		MaxBatch:   o.MaxBatch,
+		MaxWait:    o.MaxWait,
+		Metrics:    o.Metrics,
+		TraceDepth: o.TraceDepth,
 	}
 }
 
 // Concurrent is the one-shard Sharded: the paper's single batched
-// tree served to arbitrarily many goroutines through one combining
-// queue. With one shard every batch is a single-shard batch, so
+// tree served to arbitrarily many goroutines, writes through one
+// combining queue and reads from its published version. With one shard every batch is a single-shard batch, so
 // PutBatch and DeleteBatch are atomic, as GetBatch and ContainsBatch
 // are on any shard count, and Snapshot shares chunk storage with the
 // live tree in O(changed).
@@ -70,12 +69,13 @@ func oneShard(opts ConcurrentOptions) ShardedOptions {
 
 // ConcurrentStats is a snapshot of combining behavior since
 // construction: how well a combiner, or a whole shard group, is
-// turning concurrent single-key traffic into batches.
+// turning concurrent single-key writes into batches. Reads never
+// enter a combiner and are not counted.
 type ConcurrentStats struct {
 	// Epochs is the number of combined batches executed.
 	Epochs int64
-	// Ops is the number of client operations served; Keys the number
-	// of keys they carried (mini-batches carry several).
+	// Ops is the number of client writes and Flush fences served; Keys
+	// the number of keys they carried (mini-batches carry several).
 	Ops  int64
 	Keys int64
 	// SizeFlushes counts epochs flushed by the MaxBatch size trigger;

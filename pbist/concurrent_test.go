@@ -352,13 +352,27 @@ func TestConcurrentCloseDuringInFlight(t *testing.T) {
 	if closedPanics == 0 {
 		t.Fatal("no client observed the close (test raced nothing)")
 	}
+	// Reads answer from the final published version after Close; writes
+	// panic.
+	finalK, finalV := c.Snapshot().Items()
+	for i, k := range finalK {
+		if v, ok := c.Get(k); !ok || v != finalV[i] {
+			t.Fatalf("post-Close Get(%d) = %d,%v, want %d", k, v, ok, finalV[i])
+		}
+		if !c.Contains(k) {
+			t.Fatalf("post-Close Contains(%d) = false, want true", k)
+		}
+	}
+	if _, ok := c.Get(-1); ok || c.Contains(-1) {
+		t.Fatal("post-Close Get/Contains report a key never written")
+	}
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("Get after Close did not panic")
+			if r := recover(); r != "pbist: operation on closed frontend" {
+				t.Errorf("Put after Close: recovered %v, want the closed-frontend panic", r)
 			}
 		}()
-		c.Get(1)
+		c.Put(1, 1)
 	}()
 	c.Close() // idempotent
 }

@@ -48,8 +48,8 @@ func TestFirstErrorKeepsFirst(t *testing.T) {
 // race: several shards fail in the same scatter (here: two of the four
 // combiners are closed under the frontend's feet), their goroutines
 // report concurrently, and the operation must still panic with the
-// closed-frontend message — while the version read paths, batched
-// reads included, never touch a combiner and keep working.
+// closed-frontend message — while the reads, point and batched, never
+// touch a combiner and keep working.
 func TestShardedTwoShardsFailing(t *testing.T) {
 	ks := make([]int64, 512)
 	vs := make([]uint64, 512)
@@ -83,8 +83,16 @@ func TestShardedTwoShardsFailing(t *testing.T) {
 	if len(gotK) != len(ks) {
 		t.Fatalf("Items returned %d keys, want %d", len(gotK), len(ks))
 	}
-	if v, ok := s.GetFast(ks[3]); !ok || v != vs[3] {
-		t.Fatalf("GetFast = %d,%v with two shards closed", v, ok)
+	// Point reads answer every bulk-loaded key, on the closed shards as
+	// well as the live ones, and the key one past each of them absent.
+	for i, k := range ks {
+		if v, ok := s.Get(k); !ok || v != vs[i] {
+			t.Fatalf("Get(%d) = %d,%v with two shards closed, want %d", k, v, ok, vs[i])
+		}
+		if !s.Contains(k) || s.Contains(k+1) {
+			t.Fatalf("Contains(%d), Contains(%d) = %v, %v with two shards closed; want true, false",
+				k, k+1, s.Contains(k), s.Contains(k+1))
+		}
 	}
 	// The batched reads answer from the cut too: every bulk-loaded key
 	// with its value, and the key one past each of them absent.
@@ -111,7 +119,7 @@ func TestShardedTwoShardsFailing(t *testing.T) {
 
 	// The closed shards' versions are untouched by the failed batches
 	// (ks[200] sits in the second quantile, owned by closed shard 1).
-	if v, ok := s.GetFast(ks[200]); !ok || v != vs[200] {
-		t.Fatalf("closed shard's GetFast = %d,%v after failed batches", v, ok)
+	if v, ok := s.Get(ks[200]); !ok || v != vs[200] {
+		t.Fatalf("closed shard's Get = %d,%v after failed batches", v, ok)
 	}
 }

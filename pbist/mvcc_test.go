@@ -15,28 +15,28 @@ import (
 
 // TestFastReadsLinearizable checks the core contract of the wait-free
 // read path: an operation that has completed is always visible to
-// GetFast/ContainsFast, because the combiner publishes a version
-// before waking the epoch's clients.
+// Get/Contains, because the combiner publishes a version before waking
+// the epoch's clients.
 func TestFastReadsLinearizable(t *testing.T) {
 	c := pbist.NewConcurrent[int64, uint64](pbist.ConcurrentOptions{})
 	defer c.Close()
 	for i := int64(0); i < 2000; i++ {
 		c.Put(i, uint64(i)*3)
-		if v, ok := c.GetFast(i); !ok || v != uint64(i)*3 {
-			t.Fatalf("GetFast(%d) = %d,%v after Put returned", i, v, ok)
+		if v, ok := c.Get(i); !ok || v != uint64(i)*3 {
+			t.Fatalf("Get(%d) = %d,%v after Put returned", i, v, ok)
 		}
-		if !c.ContainsFast(i) {
-			t.Fatalf("ContainsFast(%d) false after Put returned", i)
+		if !c.Contains(i) {
+			t.Fatalf("Contains(%d) false after Put returned", i)
 		}
 	}
 	for i := int64(0); i < 2000; i += 2 {
 		c.Delete(i)
-		if c.ContainsFast(i) {
-			t.Fatalf("ContainsFast(%d) true after Delete returned", i)
+		if c.Contains(i) {
+			t.Fatalf("Contains(%d) true after Delete returned", i)
 		}
 	}
-	if v, ok := c.GetFast(1); !ok || v != 3 {
-		t.Fatalf("GetFast(1) = %d,%v", v, ok)
+	if v, ok := c.Get(1); !ok || v != 3 {
+		t.Fatalf("Get(1) = %d,%v", v, ok)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestSnapshotOracleDifferential(t *testing.T) {
 
 		// Mutating the snapshot must never disturb the live structure.
 		snap.Put(-int64(round)-1, 42)
-		if c.ContainsFast(-int64(round) - 1) {
+		if c.Contains(-int64(round) - 1) {
 			t.Fatalf("round %d: snapshot write leaked into live structure", round)
 		}
 	}
@@ -172,9 +172,9 @@ func TestFastReadStressAcrossClose(t *testing.T) {
 			r := rand.New(rand.NewPCG(seed^0x55, seed))
 			for !stop.Load() {
 				k := int64(r.IntN(span))
-				v, ok := c.GetFast(k)
+				v, ok := c.Get(k)
 				if ok && v == 0 {
-					t.Error("GetFast returned ok with a value no writer stores")
+					t.Error("Get returned ok with a value no writer stores")
 					return
 				}
 				if r.IntN(64) == 0 {
@@ -208,12 +208,19 @@ func TestFastReadStressAcrossClose(t *testing.T) {
 	if !c.Closed() {
 		t.Fatal("Closed() false after Close")
 	}
-	// Version readers survive Close; the queue paths panic.
+	// Reads survive Close, answering from the final version; writes
+	// panic.
 	final := c.Snapshot()
 	finalK, finalV := final.Items()
 	for i, k := range finalK {
-		if v, ok := c.GetFast(k); !ok || v != finalV[i] {
-			t.Fatalf("post-Close GetFast(%d) = %d,%v, want %d", k, v, ok, finalV[i])
+		if v, ok := c.Get(k); !ok || v != finalV[i] {
+			t.Fatalf("post-Close Get(%d) = %d,%v, want %d", k, v, ok, finalV[i])
+		}
+	}
+	for k := int64(0); k < span; k++ {
+		_, want := slices.BinarySearch(finalK, k)
+		if c.Contains(k) != want {
+			t.Fatalf("post-Close Contains(%d) = %v, final snapshot present=%v", k, !want, want)
 		}
 	}
 	if n := c.Len(); n != len(finalK) {
@@ -258,18 +265,18 @@ func TestFastReadStressAcrossClose(t *testing.T) {
 	}
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("Get on closed Concurrent did not panic")
+			if r := recover(); r != "pbist: operation on closed frontend" {
+				t.Errorf("Put on closed Concurrent: recovered %v, want the closed-frontend panic", r)
 			}
 		}()
-		c.Get(1)
+		c.Put(1, 1)
 	}()
 }
 
-// TestShardedFastReads checks GetFast/ContainsFast against the oracle
-// across the shard configurations (including filtered ones, where a
-// Bloom miss answers without touching the shard tree), and that the
-// fast path keeps serving after Close.
+// TestShardedFastReads checks Get/Contains against the oracle across
+// the shard configurations (including filtered ones, where a Bloom
+// miss answers without touching the shard tree), and that the point
+// reads keep serving after Close.
 func TestShardedFastReads(t *testing.T) {
 	for name, cfg := range shardedConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -287,21 +294,21 @@ func TestShardedFastReads(t *testing.T) {
 				oracle[k] = vs[i]
 			}
 			for k, v := range oracle {
-				if got, ok := s.GetFast(k); !ok || got != v {
-					t.Fatalf("GetFast(%d) = %d,%v, want %d", k, got, ok, v)
+				if got, ok := s.Get(k); !ok || got != v {
+					t.Fatalf("Get(%d) = %d,%v, want %d", k, got, ok, v)
 				}
 			}
 			for i := 0; i < 2000; i++ {
 				k := int64(r.IntN(1 << 21))
 				_, want := oracle[k]
-				if s.ContainsFast(k) != want {
-					t.Fatalf("ContainsFast(%d) != %v", k, want)
+				if s.Contains(k) != want {
+					t.Fatalf("Contains(%d) != %v", k, want)
 				}
 			}
 			s.Close()
-			// Version readers survive Close on Sharded too.
-			if got, ok := s.GetFast(ks[0]); !ok || got != oracle[ks[0]] {
-				t.Fatalf("post-Close GetFast = %d,%v", got, ok)
+			// Point reads survive Close on Sharded too.
+			if got, ok := s.Get(ks[0]); !ok || got != oracle[ks[0]] {
+				t.Fatalf("post-Close Get = %d,%v", got, ok)
 			}
 			if s.Len() != len(oracle) {
 				t.Fatalf("post-Close Len = %d, want %d", s.Len(), len(oracle))

@@ -16,14 +16,15 @@
 //     value-carrying Min/Max/Select/Range, and the same whole-tree
 //     algebra with an explicit MergePolicy on Union/Intersect.
 //   - Sharded[K, V] is the concurrent frontend: the map engine served
-//     to arbitrarily many goroutines through combining queues, for
-//     workloads where operations arrive one key at a time from
-//     concurrent clients rather than pre-assembled into batches. The
-//     key space is partitioned across N independent engines, each
-//     behind its own combiner, all sharing one worker pool — per-key
-//     linearizable, per-shard atomic. Concurrent[K, V] is the
-//     one-shard case (NewConcurrent): the paper's single tree behind
-//     one combiner, where every batch is atomic.
+//     to arbitrarily many goroutines, writes through combining queues
+//     and reads from published versions, for workloads where
+//     operations arrive one key at a time from concurrent clients
+//     rather than pre-assembled into batches. The key space is
+//     partitioned across N independent engines, each behind its own
+//     combiner, all sharing one worker pool — per-key linearizable,
+//     per-shard atomic. Concurrent[K, V] is the one-shard case
+//     (NewConcurrent): the paper's single tree behind one combiner,
+//     where every batch is atomic.
 //
 // All views run every batch through the same parallel-batched traversal:
 //
@@ -64,15 +65,16 @@
 // Sharded is the view for the opposite shape: many goroutines each
 // issuing individual operations. Every method is safe for concurrent
 // use, and every single-key operation is linearizable. Each shard's
-// combiner goroutine coalesces everything submitted concurrently into
-// an epoch, executes the epoch as one batched read traversal plus one
-// batched write traversal (with full intra-batch parallelism), and
-// routes each result back to its caller. The more clients, the bigger
-// the epochs, so throughput grows where a lock around a Map would
-// collapse — while a single isolated client pays queue latency for no
-// batching benefit. Rule of thumb: own the batch, use Tree/Map; share
-// the structure, use one shard (Concurrent); outgrow one combiner's
-// one epoch at a time, add shards.
+// combiner goroutine coalesces every write submitted concurrently into
+// an epoch, executes the epoch as one batched presence traversal plus
+// one batched write traversal (with full intra-batch parallelism), and
+// routes each result back to its caller. The more writing clients, the
+// bigger the epochs, so throughput grows where a lock around a Map
+// would collapse — while a single isolated writer pays queue latency
+// for no batching benefit. Reads never queue (see below). Rule of
+// thumb: own the batch, use Tree/Map; share the structure, use one
+// shard (Concurrent); outgrow one combiner's one epoch at a time, add
+// shards.
 //
 // A write batch is atomic per shard, not across shards, so with one
 // shard every batch is atomic. Stats and Trace gather per-shard
@@ -87,12 +89,12 @@
 //
 // The concurrent frontend additionally publishes an immutable version
 // of each shard's tree after every mutating epoch — one atomic pointer store,
-// sequenced before the epoch's callers are woken. Every read outside
-// the combining queue is served from those versions: GetFast and
-// ContainsFast are wait-free (bounded steps, no locks, no retries
-// against writers); Len, Keys, Items, Range, Ascend, and Snapshot pin
-// the versions they walk and re-load them only until the cut is
-// stable. All are linearizable against completed operations — once a
+// sequenced before the epoch's callers are woken. Every read is served
+// from those versions; the combining queues carry only writes and
+// Flush. Get and Contains are wait-free (bounded steps, no locks, no
+// retries against writers); GetBatch, ContainsBatch, Len, Keys, Items,
+// Range, Ascend, and Snapshot pin the versions they walk and re-load
+// them only until the cut is stable. All are linearizable against completed operations — once a
 // Put has returned, every later version read observes it; an
 // operation still in flight may not be visible until its epoch
 // publishes. A one-shard Snapshot is O(changed), not a clone: the
@@ -106,10 +108,10 @@
 // snapshot iteration never observes recycled memory, with no
 // stop-the-world and no per-read allocation. Durable snapshots
 // extend the grace transitively: chunks a live Snapshot can reach
-// are handed to the garbage collector rather than recycled. Version
-// readers survive Close — a snapshot taken before a frontend drains
-// stays valid after — while queue-path operations on a closed
-// frontend panic.
+// are handed to the garbage collector rather than recycled. Reads
+// survive Close — a snapshot taken before a frontend drains stays
+// valid after, and Get keeps answering from the final versions — while
+// writes and Flush on a closed frontend panic.
 //
 // # Rebuild scheduling
 //

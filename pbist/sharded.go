@@ -46,10 +46,10 @@ type ShardedOptions struct {
 	// Partition selects the key-to-shard policy; see the constants.
 	Partition PartitionPolicy
 	// PointFilter enables a per-shard Bloom filter that answers point
-	// lookup misses without touching the shard: keys are added on
-	// every insert (never removed), so a filter miss proves the key
-	// was never inserted into that shard. Worth it for miss-heavy
-	// point workloads; off by default.
+	// lookup misses without walking the shard's published version: keys
+	// are added on every insert (never removed), so a filter miss
+	// proves the key was never inserted into that shard. Worth it for
+	// miss-heavy point workloads; off by default.
 	PointFilter bool
 	// FilterBits is the Bloom filter size per shard in bits (rounded
 	// up to a power of two). Default 1<<21 (256 KiB per shard);
@@ -83,53 +83,51 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 // method of Sharded is safe for concurrent use. Concurrent is the
 // one-shard case: the paper's single batched tree.
 //
-// Each shard's combiner goroutine drains its queue in epochs:
-// everything submitted while the previous epoch executed is
-// coalesced, resolved with one batched read traversal plus one batched
-// write traversal on the shard's tree (full intra-batch parallelism),
-// and the per-operation results are routed back to the blocked
-// callers. Under many clients this recovers the batched
-// O(m·log log n) economics for workloads that arrive one key at a
-// time. A partition policy routes every key to exactly one shard, so
-// point operations go straight to the owning shard's combiner, and
-// batched writes are split into per-shard sub-batches that execute as
-// concurrent epochs — up to N in flight at once.
+// The combining queues serve writes only. Each shard's combiner
+// goroutine drains its queue in epochs: everything submitted while the
+// previous epoch executed is coalesced, resolved with one batched
+// presence traversal plus one batched write traversal on the shard's
+// tree (full intra-batch parallelism), and the per-operation results
+// are routed back to the blocked callers. Under many clients this
+// recovers the batched O(m·log log n) economics for writes that arrive
+// one key at a time. A partition policy routes every key to exactly
+// one shard, so point writes go straight to the owning shard's
+// combiner, and batched writes are split into per-shard sub-batches
+// that execute as concurrent epochs — up to N in flight at once.
 //
 // Consistency: each key lives on exactly one shard, so ALL operations
-// on a single key are linearizable. Operations of one epoch take
-// effect in submission order — a Get observes every Put/Delete
-// submitted before it in the epoch, and writes to the same key resolve
-// last-wins. Batched writes (PutBatch, DeleteBatch) are atomic per
-// shard but not across shards: another client can observe one shard's
-// half of a batch before the other shard's half lands. With one shard
-// every batch is single-shard and therefore atomic, so workloads that
-// need cross-key atomic writes use one shard; see the decision table
-// in the README.
+// on a single key are linearizable. Writes of one epoch take effect in
+// submission order, and writes to the same key resolve last-wins.
+// Batched writes (PutBatch, DeleteBatch) are atomic per shard but not
+// across shards: another client can observe one shard's half of a
+// batch before the other shard's half lands. With one shard every
+// batch is single-shard and therefore atomic, so workloads that need
+// cross-key atomic writes use one shard; see the decision table in the
+// README.
 //
-// Every read that does not go through a queue — GetFast,
-// ContainsFast, GetBatch, ContainsBatch, Len, Keys, Items, Range,
-// Ascend, and Snapshot — is served from the immutable versions the
-// combiners publish after every epoch: no queue round trip, no
-// blocking on writers, and still linearizable with the combined writes
-// (a completed operation is always visible, because publication
-// precedes client wakeup). The batched and whole-structure reads are
-// mutually atomic: each captures the published versions of the shard
-// trees it reads at a single instant (see collectCut), so two of them
-// taken back-to-back can never disagree about which writes they
-// reflect. Stats and Trace read the combiners' counters without a
+// Every read — Get, Contains, GetBatch, ContainsBatch, Len, Keys,
+// Items, Range, Ascend, and Snapshot — is served from the immutable
+// versions the combiners publish after every epoch: no queue round
+// trip, no blocking on writers, and still linearizable with the
+// combined writes (a completed operation is always visible, because
+// publication precedes client wakeup). The batched and whole-structure
+// reads are mutually atomic: each captures the published versions of
+// the shard trees it reads at a single instant (see collectCut), so two
+// of them taken back-to-back can never disagree about which writes
+// they reflect. Stats and Trace read the combiners' counters without a
 // fence.
 //
 // Create one with NewSharded, NewShardedRange, NewShardedFromItems,
 // NewConcurrent, or NewConcurrentFromItems; call Close when done to
-// stop the combiner goroutines. Operations on a closed frontend panic,
-// except the version readers (GetFast, ContainsFast, GetBatch,
-// ContainsBatch, Len, Keys, Items, Range, Ascend, Snapshot), which keep
-// serving the final published state.
+// stop the combiner goroutines. Writes and Flush on a closed frontend
+// panic; the reads (Get, Contains, GetBatch, ContainsBatch, Len, Keys,
+// Items, Range, Ascend, Snapshot) keep serving the final published
+// state.
 type Sharded[K Key, V any] struct {
 	part shard.Partitioner[K]
 	cbs  []*combine.Combiner[K, V]
 	// trees[i] is the engine behind cbs[i], retained for the version
-	// read paths: per-shard wait-free point reads (GetFast) and the
+	// read paths: per-shard wait-free point reads (Get) and the
 	// cross-shard atomic cut (collectCut) both read the versions the
 	// shard's combiner publishes, never the combining queue.
 	trees   []*core.Tree[K, V]
@@ -250,7 +248,11 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 		// index, so a merged Trace attributes epochs to shards.
 		shOpts := copts
 		shOpts.ID = i
-		s.cbs[i] = combine.NewShared(combine.Engine[K, V](t), pool, shOpts, s.cscr)
+		scr := s.cscr
+		if scr == nil {
+			scr = combine.NewScratch[K, V](reuseOff)
+		}
+		s.cbs[i] = combine.NewShared(combine.Engine[K, V](t), pool, shOpts, scr)
 	}
 	return s
 }
@@ -294,8 +296,8 @@ func (s *Sharded[K, V]) shardOf(key K) int {
 }
 
 // filterMiss reports whether the owning shard's filter proves key was
-// never inserted, letting a lookup answer "absent" without touching
-// the shard. Always false when PointFilter is off.
+// never inserted, letting a lookup answer "absent" without walking the
+// shard's version. Always false when PointFilter is off.
 func (s *Sharded[K, V]) filterMiss(sh int, key K) bool {
 	if s.filters == nil {
 		return false
@@ -313,43 +315,19 @@ func (s *Sharded[K, V]) filterMiss(sh int, key K) bool {
 	return true
 }
 
-// Get returns the value stored under key; ok is false when absent.
-func (s *Sharded[K, V]) Get(key K) (val V, ok bool) {
-	sh := s.shardOf(key)
-	if s.filterMiss(sh, key) {
-		return val, false
-	}
-	val, ok, err := s.cbs[sh].Get(key)
-	check(err)
-	return val, ok
-}
-
-// Contains reports whether key is present.
-func (s *Sharded[K, V]) Contains(key K) bool {
-	sh := s.shardOf(key)
-	if s.filterMiss(sh, key) {
-		return false
-	}
-	ok, err := s.cbs[sh].Contains(key)
-	check(err)
-	return ok
-}
-
-// GetFast returns the value stored under key by reading the owning
-// shard's latest published version, without submitting to the
-// combining queue: wait-free (one atomic load, one interpolation walk,
-// no blocking on any writer) and allocation-free. With PointFilter on,
-// the shard's Bloom filter may answer a miss first.
+// Get returns the value stored under key; ok is false when absent. It
+// reads the owning shard's latest published version and never enters
+// the combining queue: wait-free (one atomic load, one interpolation
+// walk, no blocking on any writer) and allocation-free. With
+// PointFilter on, the shard's Bloom filter may answer a miss first.
 //
-// GetFast is linearizable with the combined operations: a version is
-// published after an epoch's writes and before its clients wake, so
-// GetFast observes every operation that completed before it was
-// called. What it gives up against Get is only the queue's view of
-// in-flight work — operations still waiting in a combining queue are
-// invisible until their epoch publishes, which is a valid
-// linearization either way. Unlike Get, GetFast never panics on a
-// closed frontend: the final version remains readable after Close.
-func (s *Sharded[K, V]) GetFast(key K) (val V, ok bool) {
+// Get is linearizable with the combined writes: a version is published
+// after an epoch's writes and before its clients wake, so Get observes
+// every operation that completed before it was called. Writes still
+// waiting in a combining queue have not taken effect yet and stay
+// invisible until their epoch publishes. Get keeps answering after
+// Close, from the final published version.
+func (s *Sharded[K, V]) Get(key K) (val V, ok bool) {
 	sh := s.shardOf(key)
 	if s.filterMiss(sh, key) {
 		return val, false
@@ -357,15 +335,20 @@ func (s *Sharded[K, V]) GetFast(key K) (val V, ok bool) {
 	return s.trees[sh].SnapshotGet(key)
 }
 
-// ContainsFast reports whether key is present in the owning shard's
-// latest published version; the membership-only form of GetFast.
-func (s *Sharded[K, V]) ContainsFast(key K) bool {
+// Contains reports whether key is present; the membership-only form of
+// Get, with the same guarantees.
+func (s *Sharded[K, V]) Contains(key K) bool {
 	sh := s.shardOf(key)
 	if s.filterMiss(sh, key) {
 		return false
 	}
 	return s.trees[sh].SnapshotContains(key)
 }
+
+// GetFast is Get.
+//
+// Deprecated: use Get, which reads the published version the same way.
+func (s *Sharded[K, V]) GetFast(key K) (V, bool) { return s.Get(key) }
 
 // Put stores val under key, inserting or overwriting; it reports
 // whether the key was absent at the operation's linearization point.
@@ -382,7 +365,7 @@ func (s *Sharded[K, V]) Put(key K, val V) bool {
 }
 
 // Delete removes key, reporting whether it was present. Deletes do
-// not clear filter bits (a stale positive only costs the round trip
+// not clear filter bits (a stale positive only costs the version walk
 // a filterless lookup always pays).
 func (s *Sharded[K, V]) Delete(key K) bool {
 	removed, err := s.cbs[s.shardOf(key)].Delete(key)
@@ -449,7 +432,7 @@ const cutSortMin = 16384
 // held the state it reports, and every operation that completed before
 // the call. It never enters a combining queue — wait-free apart from
 // cut retries — and keeps answering after Close. Batches below
-// cutSortMin keys look each key up on its own, routed as in GetFast;
+// cutSortMin keys look each key up on its own, routed as in Get;
 // larger ones are sorted and answered with one batched traversal per
 // shard. Both run on the pool once the batch exceeds a few hundred
 // keys.
@@ -804,7 +787,7 @@ func (s *Sharded[K, V]) Ascend(lo, hi K) iter.Seq2[K, V] {
 // one mutually atomic cut (the same instant-capture as Items): it
 // contains every operation that completed before the call, no
 // operation submitted after it, and all or none of each shard's part
-// of a batch. Like GetFast it takes no fence and works on a closed
+// of a batch. Like Get it takes no fence and works on a closed
 // frontend.
 //
 // With one shard the snapshot costs O(changed) time and space: it
@@ -827,11 +810,12 @@ func (s *Sharded[K, V]) Snapshot() *Map[K, V] {
 	return m
 }
 
-// Close stops every shard's combiner: it stops accepting operations,
-// waits for everything already submitted, and stops the combiner
-// goroutines. Idempotent; safe to call concurrently with in-flight
-// operations: each completes normally or panics with the
-// closed-frontend message. Operations submitted after Close panic.
+// Close stops every shard's combiner: it stops accepting writes, waits
+// for everything already submitted, and stops the combiner goroutines.
+// Idempotent; safe to call concurrently with in-flight writes: each
+// completes normally or panics with the closed-frontend message.
+// Writes and Flush submitted after Close panic; reads keep answering
+// from the final published versions.
 func (s *Sharded[K, V]) Close() {
 	var wg sync.WaitGroup
 	for _, cb := range s.cbs {
@@ -872,8 +856,8 @@ type ShardedStats struct {
 	// ops, keys, mean batch size, mean combine wait — in shard order.
 	PerShard []ConcurrentStats
 	// FilterShortCircuits counts point lookups answered "absent" by a
-	// per-shard filter without a combiner round trip (0 with
-	// PointFilter off).
+	// per-shard filter without a version walk (0 with PointFilter
+	// off).
 	FilterShortCircuits int64
 	// RetainedBuffers and RetainedElems gauge the group's idle
 	// scratch inventory — free-list buffers held for reuse across the
