@@ -18,6 +18,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -426,6 +427,51 @@ func BenchmarkShardedGetBatch(b *testing.B) {
 				s.GetBatch(keys[off : off+m])
 			}
 			reportKeysPerSec(b, m)
+		})
+	}
+}
+
+// Sharded point misses: parallel Get against an 8-shard frontend of
+// 2^20 even keys, with and without the per-shard Bloom filter
+// (ShardedOptions.PointFilter), at 100% and 25% misses. A miss probes
+// an odd key inside the loaded span, so without the filter it pays a
+// full version walk; with it, most misses end at the filter.
+func BenchmarkShardedGetMiss(b *testing.B) {
+	const n = 1 << 20
+	keys := make([]int64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i] = 2 * int64(i)
+		vals[i] = uint64(i)
+	}
+	for _, filter := range []bool{false, true} {
+		name := "filter_off"
+		if filter {
+			name = "filter_on"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 8, PointFilter: filter}, keys, vals)
+			defer s.Close()
+			for _, missPct := range []int{100, 25} {
+				r := rand.New(rand.NewPCG(uint64(missPct), 3))
+				probes := make([]int64, 1<<16)
+				for i := range probes {
+					probes[i] = 2 * r.Int64N(n)
+					if r.IntN(100) < missPct {
+						probes[i]++
+					}
+				}
+				b.Run("miss_"+itoa(missPct), func(b *testing.B) {
+					var next atomic.Int64
+					b.RunParallel(func(pb *testing.PB) {
+						i := int(next.Add(1)) * 7919
+						for pb.Next() {
+							s.Get(probes[i%len(probes)])
+							i++
+						}
+					})
+				})
+			}
 		})
 	}
 }

@@ -10,9 +10,8 @@
 // a carve is a Carve call on a named type `Chunk`. Matching by type
 // name keeps the analyzers hermetically testable (testdata packages
 // declare their own mini Scratch) while remaining precise on the real
-// tree: the only types named Scratch in this module are
-// internal/arena.Scratch and internal/combine.Scratch (whose fields
-// are arena.Scratch again), and method calls named Get/Put on other
+// tree: the only type named Scratch in this module is
+// internal/arena.Scratch, and method calls named Get/Put on other
 // receivers — sync.Pool, Combiner, Map, Tree — never match because
 // their receiver types are not named Scratch.
 package scratchcall

@@ -54,8 +54,8 @@ const (
 //
 // With Disabled set, Get always allocates fresh and Put drops its
 // argument, restoring allocate-and-forget semantics bit for bit; the
-// flag backs the public ReuseBuffers knob and lets every test run
-// under both settings.
+// flag backs core.Config.DisableBufferReuse, the test-only switch that
+// lets every test run under both settings.
 type Scratch[T any] struct {
 	// Disabled turns the free list off: Get allocates, Put discards.
 	// Toggle only while no buffers are outstanding.
@@ -186,11 +186,9 @@ func (s *Scratch[T]) Stats() (gets, reuses int64) {
 // capacity in elements. Buffers currently lent out by Get are not
 // counted — Retained measures what the free list itself pins.
 //
-// The structural bound is numShards × numClasses × maxPerClass buffers
-// regardless of how many trees or combiners share the Scratch, which
-// is exactly why sharing one Scratch across a shard group bounds total
-// retained memory where per-shard free lists would multiply it; the
-// shared-arena regression tests assert on this number.
+// The structural bound is numShards × numClasses × maxPerClass
+// buffers. The retention gauges (core.arena.*, combine.scratch.*) and
+// the sharded retention test read this number.
 func (s *Scratch[T]) Retained() (buffers int, elems int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]

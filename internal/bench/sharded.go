@@ -15,7 +15,7 @@ import (
 // combining evidence — how many epochs each configuration executed
 // and how evenly the keys spread over the shards.
 type ShardedRow struct {
-	Shards       int     // 0 = the Concurrent baseline row (one shard, private arenas)
+	Shards       int     // 0 = the Concurrent baseline row (one shard)
 	Mops         float64 // million keys through PutBatch/GetBatch per second
 	Speedup      float64 // vs the Concurrent baseline
 	Epochs       int64   // total epochs across all combiners

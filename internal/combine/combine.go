@@ -74,48 +74,23 @@ type Engine[K cmp.Ordered, V any] interface {
 	EndRebuildEpoch() (spentKeys, debtKeys int)
 }
 
-// Scratch is the per-epoch scratch arena of one or more Combiners:
-// size-classed free lists for the event lists, distinct-key arrays,
-// presence and mark arrays, and write batches an epoch borrows and
-// returns.
-// The underlying free lists (arena.Scratch) are safe for concurrent
-// use, so one Scratch may serve many Combiners at once — that is the
-// point: a shard group hands every per-shard combiner the same Scratch
-// and the group's total retained scratch stays bounded by the free
-// lists' structural cap instead of multiplying with the shard count.
-// NewScratch builds one; NewShared creates a private one when none is
-// given.
-type Scratch[K cmp.Ordered, V any] struct {
+// scratch is a Combiner's per-epoch scratch arena: size-classed free
+// lists for the event lists, distinct-key arrays, presence and mark
+// arrays, and write batches an epoch borrows and returns. Every
+// Combiner owns one; the zero value recycles.
+type scratch[K cmp.Ordered, V any] struct {
 	ev    arena.Scratch[event[K]]
 	keys  arena.Scratch[K]
 	vals  arena.Scratch[V]
 	bools arena.Scratch[bool]
 	i32s  arena.Scratch[int32]
-
-	// obsOnce makes Observe idempotent: a bundle shared by a whole
-	// shard group registers its gauges exactly once however many
-	// combiners hold it.
-	obsOnce sync.Once
 }
 
-// NewScratch returns an empty combiner scratch arena. With disabled
-// set, every borrow allocates fresh and every return is dropped;
-// results are identical either way.
-func NewScratch[K cmp.Ordered, V any](disabled bool) *Scratch[K, V] {
-	s := &Scratch[K, V]{}
-	s.ev.Disabled = disabled
-	s.keys.Disabled = disabled
-	s.vals.Disabled = disabled
-	s.bools.Disabled = disabled
-	s.i32s.Disabled = disabled
-	return s
-}
-
-// Retained reports the scratch free-list inventory across all element
+// retained reports the scratch free-list inventory across all element
 // types: idle buffers held for reuse and their summed capacity in
 // elements (value buffers count elements of V, key buffers elements
 // of K, and so on — the number is a structural gauge, not bytes).
-func (s *Scratch[K, V]) Retained() (buffers int, elems int64) {
+func (s *scratch[K, V]) retained() (buffers int, elems int64) {
 	b, e := s.ev.Retained()
 	buffers, elems = buffers+b, elems+e
 	b, e = s.keys.Retained()
@@ -199,7 +174,7 @@ type op[K cmp.Ordered, V any] struct {
 }
 
 // Combiner serves concurrent clients by funneling their operations
-// through epochs executed on a single Engine. Create one with NewShared;
+// through epochs executed on a single Engine. Create one with New;
 // all exported methods are safe for concurrent use.
 type Combiner[K cmp.Ordered, V any] struct {
 	eng  Engine[K, V] //pbist:guardedby combiner
@@ -222,11 +197,8 @@ type Combiner[K cmp.Ordered, V any] struct {
 	// Only runEpoch borrows from these, and it returns every buffer
 	// before the epoch's clients are woken, so no recycled buffer is
 	// ever reachable from two epochs — or from any client — at once.
-	// The bundle may be shared with other Combiners (NewShared): the
-	// free lists are concurrency-safe and buffers carry no identity,
-	// so one combiner's retired epoch buffers become another's.
 	//pbist:guardedby combiner
-	scr *Scratch[K, V]
+	scr *scratch[K, V]
 
 	// probe is the combiner's observability hook: nil unless the
 	// combiner was built with Options.Metrics or Options.TraceDepth.
@@ -268,23 +240,16 @@ type Stats struct {
 	MeanWait time.Duration
 }
 
-// NewShared starts a Combiner serving eng. pool bounds the
-// parallelism of epoch execution (batched traversals and result
-// routing); a nil pool means sequential. The caller must not touch eng
-// afterwards except through the Combiner, and should Close the
-// Combiner to stop its goroutine.
-//
-// scr is the scratch arena epochs borrow from: typically one Scratch
-// handed to every combiner of a shard group so the group's retained
-// scratch stays bounded regardless of shard count. A nil scr gives the
-// Combiner a private one that recycles buffers; pass a disabled
-// Scratch (NewScratch(true)) to allocate fresh every epoch.
-func NewShared[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options, scr *Scratch[K, V]) *Combiner[K, V] {
+// New starts a Combiner serving eng. pool bounds the parallelism of
+// epoch execution (batched traversals and result routing); a nil pool
+// means sequential. The caller must not touch eng afterwards except
+// through the Combiner, and should Close the Combiner to stop its
+// goroutine. The Combiner owns a private scratch arena its epochs
+// recycle buffers through.
+func New[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options) *Combiner[K, V] {
 	opts = opts.withDefaults()
-	if scr == nil {
-		scr = NewScratch[K, V](false)
-	}
-	scr.Observe(opts.Metrics, "combine.scratch")
+	scr := &scratch[K, V]{}
+	scr.observe(opts.Metrics)
 	c := &Combiner[K, V]{
 		eng:      eng,
 		pool:     pool,

@@ -20,7 +20,7 @@ func newCoreCombiner(t *testing.T, opts Options) (*Combiner[int64, uint64], *cor
 	t.Helper()
 	pool := parallel.NewPool(4)
 	eng := core.New[int64, uint64](core.Config{}, pool)
-	c := NewShared[int64, uint64](eng, pool, opts, nil)
+	c := New[int64, uint64](eng, pool, opts)
 	t.Cleanup(c.Close)
 	return c, eng
 }
@@ -221,7 +221,7 @@ func TestMiniBatchSemantics(t *testing.T) {
 func TestCombinesConcurrentOps(t *testing.T) {
 	eng := newGatedEngine()
 	pool := parallel.NewPool(2)
-	c := NewShared[int64, uint64](eng, pool, Options{}, nil)
+	c := New[int64, uint64](eng, pool, Options{})
 	defer c.Close()
 
 	// Epoch 1: a lone Delete of an absent key enters the engine and
@@ -284,7 +284,7 @@ func TestCombinesConcurrentOps(t *testing.T) {
 func TestInEpochOrdering(t *testing.T) {
 	eng := newGatedEngine()
 	eng.m[7] = 70 // pre-existing key
-	c := NewShared[int64, uint64](eng, parallel.NewPool(2), Options{}, nil)
+	c := New[int64, uint64](eng, parallel.NewPool(2), Options{})
 	defer c.Close()
 
 	opener := make(chan struct{})
@@ -419,7 +419,7 @@ func TestSizeTriggerFlush(t *testing.T) {
 // operations must complete, later submissions must fail.
 func TestCloseDrainsInFlight(t *testing.T) {
 	eng := newGatedEngine()
-	c := NewShared[int64, uint64](eng, parallel.NewPool(2), Options{}, nil)
+	c := New[int64, uint64](eng, parallel.NewPool(2), Options{})
 
 	opener := make(chan struct{})
 	go func() {

@@ -107,25 +107,21 @@ func (c *Combiner[K, V]) Trace(n int) []obs.EpochTrace {
 	return c.probe.ring.Recent(n)
 }
 
-// Observe registers the scratch arena's free-list telemetry with r as
-// live gauges under prefix ("combine.scratch" for the combiner-owned
-// bundle): retained buffer count and summed element capacity, plus
-// cumulative gets and reuse hits. Repeat calls are idempotent — a
-// Scratch shared by a whole shard group must be counted once, however
-// many combiners observe it.
-func (s *Scratch[K, V]) Observe(r *obs.Registry, prefix string) {
+// observe registers the scratch arena's free-list telemetry with r as
+// live gauges under "combine.scratch": retained buffer count and summed
+// element capacity. Combiners sharing a registry sum their gauges under
+// the same names.
+func (s *scratch[K, V]) observe(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	s.obsOnce.Do(func() {
-		r.Func(prefix+".retained_buffers", func() int64 {
-			b, _ := s.Retained()
-			return int64(b)
-		})
-		r.Func(prefix+".retained_elems", func() int64 {
-			_, e := s.Retained()
-			return e
-		})
+	r.Func("combine.scratch.retained_buffers", func() int64 {
+		b, _ := s.retained()
+		return int64(b)
+	})
+	r.Func("combine.scratch.retained_elems", func() int64 {
+		_, e := s.retained()
+		return e
 	})
 }
 

@@ -39,10 +39,6 @@ type treeArena[K iindex.Numeric, V any] struct {
 	chunkBuilds atomic.Int64 // chunked subtree (re)builds
 	chunkKeys   atomic.Int64 // key slots laid into chunks
 	leafGrows   atomic.Int64 // leaf merges that reallocated (LeafSlack)
-
-	// obsOnce makes observe idempotent: an arena shared by a whole
-	// shard group registers its gauges exactly once.
-	obsOnce sync.Once
 }
 
 func newTreeArena[K iindex.Numeric, V any](disabled bool) *treeArena[K, V] {
@@ -86,36 +82,6 @@ func (a *treeArena[K, V]) retained() (buffers int, elems int64) {
 		elems += e
 	}
 	return buffers, elems
-}
-
-// SharedArena is a tree scratch arena detached from any single tree,
-// for handing one free-list set to a whole group of trees — the
-// sharded frontend gives every partition's tree the same SharedArena,
-// so the group's total retained scratch is bounded by one arena's
-// structural cap instead of growing linearly with the shard count.
-//
-// Sharing is safe: the underlying free lists are sharded and
-// mutex-guarded (arena.Scratch), the sequential-walk pool is a
-// sync.Pool, and the chunk counters are atomic, so trees on different
-// goroutines may run batched operations concurrently against one
-// SharedArena. Buffers carry no tree identity — a flatten buffer
-// retired by one tree becomes the merge buffer of another.
-type SharedArena[K iindex.Numeric, V any] struct {
-	ar *treeArena[K, V]
-}
-
-// NewSharedArena returns an empty shared arena. With disableReuse set
-// every Get allocates fresh and every Put is dropped, mirroring
-// Config.DisableBufferReuse.
-func NewSharedArena[K iindex.Numeric, V any](disableReuse bool) *SharedArena[K, V] {
-	return &SharedArena[K, V]{ar: newTreeArena[K, V](disableReuse)}
-}
-
-// Retained reports the arena's idle free-list inventory: buffers held
-// for reuse and their summed capacity in elements. The shared-arena
-// regression tests assert this stays bounded as trees are added.
-func (s *SharedArena[K, V]) Retained() (buffers int, elems int64) {
-	return s.ar.retained()
 }
 
 // newChunk allocates chunked node storage for a subtree of n keys and

@@ -26,8 +26,8 @@
 // around. Every temporary a batched operation needs (position buffers,
 // membership side arrays, flatten/merge buffers) is drawn from a
 // tree-owned recycled-scratch arena and returned when the operation
-// completes, so steady-state batches allocate almost nothing; see
-// Config.DisableBufferReuse for the escape hatch.
+// completes, so steady-state batches allocate almost nothing
+// (Config.DisableBufferReuse turns this off for tests).
 //
 // The paper evaluates a sorted set; the set is the V = struct{}
 // instantiation of this tree (NewFromSorted builds one), which costs
@@ -105,8 +105,9 @@ type Config struct {
 	// every internal temporary is then allocated fresh and dropped,
 	// as if the arena did not exist. The default (false) recycles
 	// scratch buffers across batched operations and rebuilds.
-	// Results are identical either way; the knob exists for leak
-	// analysis, allocation profiling, and differential testing.
+	// Results are identical either way. It is a test switch, for
+	// differential tests and allocation comparisons; the public pbist
+	// options do not expose it.
 	DisableBufferReuse bool
 	// Metrics attaches the tree to an observability registry: rebuild
 	// events record under "core.rebuild.*" and the arena's retention
@@ -199,33 +200,6 @@ func New[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool) *Tree[K, V] {
 		sched: newSched[K, V](cfg),
 	}
 	t.ar.observe(cfg.Metrics)
-	return t
-}
-
-// NewWithArena is New with a caller-provided SharedArena instead of a
-// private one, so several trees (a shard group) can recycle scratch
-// through one bounded free-list set. A nil arena falls back to a
-// private one. cfg.DisableBufferReuse still disables recycling for
-// this tree's borrows, but the authoritative disable switch of a
-// shared arena is the one it was constructed with.
-func NewWithArena[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool, sa *SharedArena[K, V]) *Tree[K, V] {
-	if sa == nil {
-		return New[K, V](cfg, pool)
-	}
-	cfg = cfg.withDefaults()
-	t := &Tree[K, V]{cfg: cfg, pool: pool, ar: sa.ar, obs: newCoreObs(cfg.Metrics), sched: newSched[K, V](cfg)}
-	t.ar.observe(cfg.Metrics)
-	return t
-}
-
-// NewFromSortedKVWithArena bulk-loads a tree (as NewFromSortedKV) with
-// its scratch drawn from a caller-provided SharedArena.
-func NewFromSortedKVWithArena[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool, sa *SharedArena[K, V], keys []K, vals []V) *Tree[K, V] {
-	if len(keys) != len(vals) {
-		panic("core: NewFromSortedKVWithArena keys/vals length mismatch")
-	}
-	t := NewWithArena[K, V](cfg, pool, sa)
-	t.root = t.buildIdeal(keys, vals)
 	return t
 }
 

@@ -359,7 +359,7 @@ func (t *Tree[K, V]) SnapshotNow() *Tree[K, V] {
 	nt := &Tree[K, V]{
 		cfg:  t.cfg,
 		pool: t.pool,
-		ar:   t.ar, // scratch free lists are concurrency-safe (SharedArena contract)
+		ar:   t.ar, // scratch free lists are concurrency-safe (arena.Scratch)
 	}
 	nt.root = v.root
 	nt.writeGen = v.gen + 1 // strictly newer than anything shared

@@ -88,31 +88,29 @@ func (t *Tree[K, V]) labeledBuild(keys []K, vals []V) (root *node[K, V]) {
 
 // observe registers the arena's live telemetry with r as gauge
 // functions under the "core." prefix: free-list inventory, cumulative
-// scratch gets and reuse hits, and the chunk-build counters. Once per
-// arena, however many trees share it — a shard group must not count
-// one SharedArena per shard.
+// scratch gets and reuse hits, and the chunk-build counters. Called
+// once, by New: every arena belongs to exactly one tree, and trees
+// sharing a registry sum their gauges under the same names.
 func (a *treeArena[K, V]) observe(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	a.obsOnce.Do(func() {
-		r.Func("core.arena.retained_buffers", func() int64 {
-			b, _ := a.retained()
-			return int64(b)
-		})
-		r.Func("core.arena.retained_elems", func() int64 {
-			_, e := a.retained()
-			return e
-		})
-		r.Func("core.arena.scratch_gets", func() int64 {
-			g, _ := a.scratchStats()
-			return g
-		})
-		r.Func("core.arena.scratch_reuses", func() int64 {
-			_, u := a.scratchStats()
-			return u
-		})
-		r.Func("core.chunk.builds", a.chunkBuilds.Load)
-		r.Func("core.chunk.keys", a.chunkKeys.Load)
+	r.Func("core.arena.retained_buffers", func() int64 {
+		b, _ := a.retained()
+		return int64(b)
 	})
+	r.Func("core.arena.retained_elems", func() int64 {
+		_, e := a.retained()
+		return e
+	})
+	r.Func("core.arena.scratch_gets", func() int64 {
+		g, _ := a.scratchStats()
+		return g
+	})
+	r.Func("core.arena.scratch_reuses", func() int64 {
+		_, u := a.scratchStats()
+		return u
+	})
+	r.Func("core.chunk.builds", a.chunkBuilds.Load)
+	r.Func("core.chunk.keys", a.chunkKeys.Load)
 }

@@ -27,7 +27,7 @@ import (
 // Everything else — epoch bracketing, drains, async kick/splice — runs
 // on the goroutine that owns the tree (the combiner, in the published
 // setup), like every other mutating method. The async worker itself
-// touches only its job and the shared arena/pool/metric handles, all
+// touches only its job and the tree's arena, pool and metric handles, all
 // of which are concurrency-safe.
 
 // debtRec locates one indebted subtree: key is the first rep key the

@@ -7,22 +7,22 @@ import (
 
 // Cross-view clone tests: a clone must be fully detached — no batched
 // operation, value overwrite, or rebuild on either side may ever be
-// observable through the other — under both ReuseBuffers settings
+// observable through the other — with scratch recycling on and off
 // (recycled scratch is per-tree, so cloning from a mid-churn tree must
 // not share buffers either).
 
-func cloneOpts(mode ReuseMode) Options {
-	return Options{Workers: 2, LeafCap: 8, ReuseBuffers: mode}
+func cloneOpts(reuseOff bool) Options {
+	return Options{Workers: 2, LeafCap: 8, disableReuse: reuseOff}
 }
 
-func reuseModes(t *testing.T, f func(t *testing.T, mode ReuseMode)) {
-	t.Run("reuseOn", func(t *testing.T) { f(t, ReuseOn) })
-	t.Run("reuseOff", func(t *testing.T) { f(t, ReuseOff) })
+func reuseModes(t *testing.T, f func(t *testing.T, reuseOff bool)) {
+	t.Run("reuseOn", func(t *testing.T) { f(t, false) })
+	t.Run("reuseOff", func(t *testing.T) { f(t, true) })
 }
 
 func TestTreeCloneDetached(t *testing.T) {
-	reuseModes(t, func(t *testing.T, mode ReuseMode) {
-		tr := NewFromKeys(cloneOpts(mode), rangeKeys(0, 20_000, 3))
+	reuseModes(t, func(t *testing.T, reuseOff bool) {
+		tr := NewFromKeys(cloneOpts(reuseOff), rangeKeys(0, 20_000, 3))
 		tr.RemoveBatch(rangeKeys(0, 3_000, 6)) // leave dead keys + rebuild debt
 		want := tr.Keys()
 
@@ -57,13 +57,13 @@ func TestTreeCloneDetached(t *testing.T) {
 }
 
 func TestMapCloneDetachedValues(t *testing.T) {
-	reuseModes(t, func(t *testing.T, mode ReuseMode) {
+	reuseModes(t, func(t *testing.T, reuseOff bool) {
 		keys := rangeKeys(0, 10_000, 2)
 		vals := make([]int64, len(keys))
 		for i, k := range keys {
 			vals[i] = k * 10
 		}
-		m := NewMapFromItems(cloneOpts(mode), keys, vals)
+		m := NewMapFromItems(cloneOpts(reuseOff), keys, vals)
 		cp := m.Clone()
 
 		// Overwrite every value in the original; the clone keeps the
@@ -99,7 +99,7 @@ func TestCloneSharesNoArena(t *testing.T) {
 	// A clone starts with fresh arena counters: buffers never migrate
 	// from the receiver, so its scratch statistics begin at the cost of
 	// its own construction, not the receiver's history.
-	tr := NewFromKeys(cloneOpts(ReuseOn), rangeKeys(0, 50_000, 1))
+	tr := NewFromKeys(cloneOpts(false), rangeKeys(0, 50_000, 1))
 	for i := 0; i < 5; i++ {
 		tr.InsertBatch(rangeKeys(int64(i), 2_000, 11))
 	}

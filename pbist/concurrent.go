@@ -50,8 +50,7 @@ func (o ConcurrentOptions) combineOptions() combine.Options {
 type Concurrent[K Key, V any] = Sharded[K, V]
 
 // NewConcurrent returns an empty one-shard frontend and starts its
-// combiner goroutine. The tree and the combiner each keep a private
-// scratch arena.
+// combiner goroutine.
 func NewConcurrent[K Key, V any](opts ConcurrentOptions) *Concurrent[K, V] {
 	return NewSharded[K, V](oneShard(opts))
 }
@@ -64,7 +63,7 @@ func NewConcurrentFromItems[K Key, V any](opts ConcurrentOptions, keys []K, vals
 }
 
 func oneShard(opts ConcurrentOptions) ShardedOptions {
-	return ShardedOptions{ConcurrentOptions: opts, Shards: 1, PrivateArenas: true}
+	return ShardedOptions{ConcurrentOptions: opts, Shards: 1}
 }
 
 // ConcurrentStats is a snapshot of combining behavior since

@@ -170,6 +170,17 @@ type Key interface {
 
 // Options configures a Tree or a Map. The zero value gives sensible
 // defaults; the same Options value works for both views.
+//
+// Every tree owns a scratch arena that recycles its internal
+// temporaries (position buffers, membership side arrays, flatten and
+// merge buffers) across batched operations and rebuilds, which keeps
+// steady-state batches nearly allocation-free. The arena never affects
+// results or aliasing: slices passed in are never retained (bulk loads
+// and batched writes copy keys and values into tree-owned chunk
+// storage), and slices handed out (Keys, Items, Range, batch results)
+// are always freshly allocated. Recycled buffers may briefly retain
+// copies of removed values until their next reuse, bounded by the
+// free lists' depth.
 type Options struct {
 	// Workers bounds the parallelism of batched operations. 0 selects
 	// GOMAXPROCS; 1 makes every operation sequential.
@@ -217,24 +228,6 @@ type Options struct {
 	// Results are undefined if the promise is broken; use only on
 	// trusted input paths.
 	AssumeSorted bool
-	// ReuseBuffers controls the tree-owned scratch arena that recycles
-	// internal temporaries (position buffers, membership side arrays,
-	// flatten/merge buffers) across batched operations and rebuilds.
-	// The default, ReuseOn, is what makes steady-state batches nearly
-	// allocation-free; ReuseOff allocates every temporary fresh, for
-	// allocation profiling and differential testing. Results are
-	// identical either way.
-	//
-	// Aliasing guarantees are unaffected by the setting: slices passed
-	// in are never retained (bulk loads and batched writes copy keys
-	// and values into tree-owned chunk storage at the construction
-	// boundary), and slices handed out (Keys, Items, Range, batch
-	// results) are always freshly allocated, never recycled ones. The
-	// arena only circulates buffers the tree itself created. Recycled
-	// buffers may briefly retain copies of removed values until their
-	// next reuse; set ReuseOff if even bounded retention of value
-	// memory matters.
-	ReuseBuffers ReuseMode
 	// Metrics attaches the engine to an observability registry:
 	// rebuild events, arena retention and hit rates, combining epoch
 	// phases, and client-observed latency all record into it, and the
@@ -244,19 +237,12 @@ type Options struct {
 	// the hot paths. See Metrics and ARCHITECTURE.md's Observability
 	// section for the metric catalog.
 	Metrics *Metrics
+
+	// disableReuse turns scratch recycling off in every tree built
+	// from these options (core.Config.DisableBufferReuse), so the
+	// package's tests can check that results never depend on it.
+	disableReuse bool
 }
-
-// ReuseMode selects a buffer-recycling policy for Options.ReuseBuffers.
-type ReuseMode int8
-
-const (
-	// ReuseDefault is the zero value and behaves like ReuseOn.
-	ReuseDefault ReuseMode = iota
-	// ReuseOn recycles internal scratch buffers (the default).
-	ReuseOn
-	// ReuseOff allocates every internal temporary fresh.
-	ReuseOff
-)
 
 func (o Options) coreConfig() core.Config {
 	cfg := core.Config{
@@ -266,7 +252,7 @@ func (o Options) coreConfig() core.Config {
 		AsyncRebuild:          o.AsyncRebuild,
 		LeafSlack:             o.LeafSlack,
 		IndexSizeFactor:       o.IndexSizeFactor,
-		DisableBufferReuse:    o.ReuseBuffers == ReuseOff,
+		DisableBufferReuse:    o.disableReuse,
 		Metrics:               o.Metrics,
 	}
 	if o.RankTraversal {
@@ -543,8 +529,8 @@ func (tr *Tree[K]) Ascend(lo, hi K) iter.Seq[K] {
 	}
 }
 
-// Stats summarizes the structure of a Tree or Map, plus the arena
-// counters of the memory subsystem (see Options.ReuseBuffers).
+// Stats summarizes the structure of a Tree or Map, plus the counters
+// of its scratch arena (see Options).
 type Stats struct {
 	LiveKeys   int // keys logically stored
 	DeadKeys   int // logically removed keys awaiting a rebuild
@@ -557,9 +543,9 @@ type Stats struct {
 
 	// ScratchGets counts internal scratch-buffer requests since
 	// construction and ScratchReuses how many were served by a
-	// recycled buffer; their ratio is the arena hit rate (0 under
-	// ReuseOff). ChunkBuilds counts chunked subtree (re)builds and
-	// ChunkKeys the key slots those builds laid out contiguously.
+	// recycled buffer; their ratio is the arena hit rate. ChunkBuilds
+	// counts chunked subtree (re)builds and ChunkKeys the key slots
+	// those builds laid out contiguously.
 	ScratchGets   int64
 	ScratchReuses int64
 	ChunkBuilds   int64

@@ -14,14 +14,14 @@ import (
 // run flat out at the same time. Exact per-key oracles catch silent
 // value corruption that a data-race detector alone would miss.
 
-func stressConcurrent(t *testing.T, mode ReuseMode) {
+func stressConcurrent(t *testing.T, reuseOff bool) {
 	const (
 		clients = 16
 		rounds  = 300
 		keys    = 512 // small universe: heavy same-key contention
 	)
 	c := NewConcurrent[int64, int64](ConcurrentOptions{
-		Options: Options{Workers: 4, ReuseBuffers: mode},
+		Options: Options{Workers: 4, disableReuse: reuseOff},
 		// Tiny epochs + near-zero wait: maximize epoch count so
 		// buffers recycle as often as possible.
 		MaxBatch: 64,
@@ -85,8 +85,8 @@ func stressConcurrent(t *testing.T, mode ReuseMode) {
 }
 
 func TestConcurrentEpochBufferReuseStress(t *testing.T) {
-	t.Run("reuseOn", func(t *testing.T) { stressConcurrent(t, ReuseOn) })
-	t.Run("reuseOff", func(t *testing.T) { stressConcurrent(t, ReuseOff) })
+	t.Run("reuseOn", func(t *testing.T) { stressConcurrent(t, false) })
+	t.Run("reuseOff", func(t *testing.T) { stressConcurrent(t, true) })
 }
 
 // TestTwoConcurrentFrontends runs two independent frontends flat out

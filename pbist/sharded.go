@@ -55,13 +55,10 @@ type ShardedOptions struct {
 	// up to a power of two). Default 1<<21 (256 KiB per shard);
 	// size at roughly 8 bits per expected key per shard.
 	FilterBits int
-	// PrivateArenas gives every shard tree and combiner its own
-	// scratch arena instead of one shared set of free lists. The
-	// default (false) shares one size-classed arena across the whole
-	// group, bounding total retained scratch by a single arena's
-	// structural cap regardless of shard count. NewConcurrent sets it
-	// (one shard has nothing to share with); otherwise set it only for
-	// isolation experiments and allocation profiling.
+	// PrivateArenas is ignored: every shard tree and combiner always
+	// owns its scratch arena.
+	//
+	// Deprecated: no longer has any effect.
 	PrivateArenas bool
 }
 
@@ -135,10 +132,8 @@ type Sharded[K Key, V any] struct {
 	pool    *parallel.Pool
 	opts    ShardedOptions
 
-	arena *core.SharedArena[K, V] // nil under PrivateArenas
-	cscr  *combine.Scratch[K, V]  // nil under PrivateArenas
-	short atomic.Int64            // point lookups answered by a filter
-	obs   *shard.Obs              // nil unless Options.Metrics was set
+	short atomic.Int64 // point lookups answered by a filter
+	obs   *shard.Obs   // nil unless Options.Metrics was set
 }
 
 // NewSharded returns an empty sharded frontend. With no data and no
@@ -192,8 +187,8 @@ func NewShardedFromItems[K Key, V any](opts ShardedOptions, keys []K, vals []V) 
 
 // newSharded builds the shard group: one core tree per shard loaded
 // with its slice of the (optional) initial items, one combiner per
-// tree, one pool for everything, and — unless PrivateArenas — one
-// shared tree arena plus one shared combiner scratch for the group.
+// tree, and one pool for everything. Each tree and each combiner owns
+// its scratch arena.
 func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys []K, vals []V) *Sharded[K, V] {
 	pool := opts.pool()
 	s := &Sharded[K, V]{
@@ -203,11 +198,6 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 		pool:  pool,
 		opts:  opts,
 		obs:   shard.NewObs(opts.Metrics),
-	}
-	reuseOff := opts.ReuseBuffers == ReuseOff
-	if !opts.PrivateArenas {
-		s.arena = core.NewSharedArena[K, V](reuseOff)
-		s.cscr = combine.NewScratch[K, V](reuseOff)
 	}
 	if opts.PointFilter {
 		s.filters = make([]*shard.Bloom, p.N())
@@ -232,8 +222,7 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 		if parts != nil {
 			pk, pv = parts[i], vparts[i]
 		}
-		// A nil arena (PrivateArenas) gives the tree a private one.
-		t := core.NewFromSortedKVWithArena(cfg, pool, s.arena, pk, pv)
+		t := core.NewFromSortedKV(cfg, pool, pk, pv)
 		if s.filters != nil {
 			for _, k := range pk {
 				s.filters[i].Add(shard.HashKey(k))
@@ -248,11 +237,7 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 		// index, so a merged Trace attributes epochs to shards.
 		shOpts := copts
 		shOpts.ID = i
-		scr := s.cscr
-		if scr == nil {
-			scr = combine.NewScratch[K, V](reuseOff)
-		}
-		s.cbs[i] = combine.NewShared(combine.Engine[K, V](t), pool, shOpts, scr)
+		s.cbs[i] = combine.New(combine.Engine[K, V](t), pool, shOpts)
 	}
 	return s
 }
@@ -839,8 +824,9 @@ func (s *Sharded[K, V]) Shards() int { return s.part.N() }
 // ShardedStats is a snapshot of the whole shard group's combining
 // behavior plus the group-level counters: group and per-shard epoch
 // statistics (the evidence that N combiners really do run N
-// concurrent epochs), filter effectiveness, and the shared-arena
-// inventory the retention regression tests watch.
+// concurrent epochs) and filter effectiveness. Scratch retention is
+// reported by the summed core.arena.* and combine.scratch.* gauges of
+// Options.Metrics.
 type ShardedStats struct {
 	// ConcurrentStats aggregates PerShard: Epochs, Ops, Keys, and
 	// SizeFlushes are summed over the shards, MeanOps and MeanKeys are
@@ -859,15 +845,6 @@ type ShardedStats struct {
 	// per-shard filter without a version walk (0 with PointFilter
 	// off).
 	FilterShortCircuits int64
-	// RetainedBuffers and RetainedElems gauge the group's idle
-	// scratch inventory — free-list buffers held for reuse across the
-	// shared tree arena and the shared combiner scratch, and their
-	// summed capacity in elements. Bounded by the free lists'
-	// structural cap however many shards exist (0 under
-	// PrivateArenas, where each shard's private inventory is not
-	// aggregated).
-	RetainedBuffers int
-	RetainedElems   int64
 }
 
 // Trace returns up to n recent epoch traces across all shards, newest
@@ -916,16 +893,6 @@ func (s *Sharded[K, V]) Stats() ShardedStats {
 	}
 	if st.Ops > 0 {
 		st.MeanWait = wait / time.Duration(st.Ops)
-	}
-	if s.arena != nil {
-		b, e := s.arena.Retained()
-		st.RetainedBuffers += b
-		st.RetainedElems += e
-	}
-	if s.cscr != nil {
-		b, e := s.cscr.Retained()
-		st.RetainedBuffers += b
-		st.RetainedElems += e
 	}
 	return st
 }
