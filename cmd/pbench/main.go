@@ -58,7 +58,7 @@ func main() {
 		rate       = flag.Float64("rate", 200, "offered load of the latency and rebuildsched experiments in thousand ops/s across all clients (must be positive)")
 		reps       = flag.Int("reps", 3, "repetitions per measurement (paper: 10)")
 		rounds     = flag.Int("rounds", 4, "churn rounds for the rebuildc and leafslack ablations")
-		rbBudget   = flag.Int("rebuildbudget", 4096, "RebuildBudgetPerEpoch for the bounded and async rows of the rebuildsched experiment")
+		rbBudget   = flag.Int("rebuildbudget", 4096, "RebuildBudgetPerEpoch for the bounded row of the rebuildsched experiment")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut    = flag.Bool("json", false, "emit one machine-readable JSON array with every experiment's series")
 		distName   = flag.String("dist", "",
@@ -280,7 +280,11 @@ func runLatency(w bench.Workload, clients, shards int, rateKops float64, reps in
 }
 
 func runRebuildSched(w bench.Workload, clients int, rateKops float64, reps, budget int) ([]string, [][]string) {
-	rows := bench.RunRebuildSched(w, clients, rateKops, reps, budget)
+	rows, err := bench.RunRebuildSched(w, clients, rateKops, reps, budget)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pbench:", err)
+		os.Exit(1)
+	}
 	header := []string{"mode", "dist", "budget", "clients", "offered_kops", "achieved_kops",
 		"mean_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us",
 		"max_epoch_rebuild_keys", "peak_rebuild_debt"}

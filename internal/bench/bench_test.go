@@ -266,6 +266,32 @@ func TestRunConcurrentWorkloadShape(t *testing.T) {
 	}
 }
 
+// TestRunRebuildSchedShape runs the rebuild-scheduler experiment
+// closed-loop at a tiny scale: one eager and one bounded-sync row, every
+// epoch's trace read (RunRebuildSched fails otherwise), and the bounded
+// row's per-epoch spend within its budget.
+func TestRunRebuildSchedShape(t *testing.T) {
+	const budget = 512
+	rows, err := RunRebuildSched(tiny(), 4, 0, 3, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Mode != "eager" || rows[1].Mode != "bounded" {
+		t.Fatalf("got rows %+v, want eager then bounded", rows)
+	}
+	if rows[0].MaxEpochRebuildKeys != 0 || rows[0].Budget != 0 {
+		t.Fatalf("eager row reports scheduler work: %+v", rows[0])
+	}
+	if b := rows[1]; b.Budget != budget || b.MaxEpochRebuildKeys > budget {
+		t.Fatalf("bounded row over its budget: %+v", b)
+	}
+	for _, r := range rows {
+		if r.AchievedKops <= 0 || r.P50US > r.P999US {
+			t.Fatalf("implausible latency row %+v", r)
+		}
+	}
+}
+
 func TestConcurrentScriptsDeterministicAndFair(t *testing.T) {
 	w := tiny()
 	a := concurrentScripts(w, 0, 4)

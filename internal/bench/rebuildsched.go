@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -11,13 +12,13 @@ import (
 // client-observed latency percentiles of write-heavy point-op churn
 // under one rebuild-scheduling mode. The eager row is the paper's
 // behavior (every due rebuild inline, RebuildBudgetPerEpoch unset) and
-// is the baseline the bounded and async rows are gated against: the
+// is the baseline the bounded row is gated against: the
 // whole point of the scheduler is the p999 column, which under eager
 // scheduling absorbs the full O(n) root-rebuild stall plus the queueing
 // backlog it causes (the open-loop harness charges a stall to every op
 // it postpones).
 type RebuildSchedRow struct {
-	Mode         string  // "eager" | "bounded" | "async"
+	Mode         string  // "eager" | "bounded"
 	Dist         string  // batch distribution of the churn scripts
 	Budget       int     // RebuildBudgetPerEpoch (0 for eager)
 	Clients      int     // client goroutines offering load
@@ -30,11 +31,12 @@ type RebuildSchedRow struct {
 	P999US       float64
 	MaxUS        float64
 	// MaxEpochRebuildKeys is the largest per-epoch rebuild spend any
-	// recorded epoch trace reports — the empirical witness that the
-	// cap held (eager mode reports 0: no scheduler, nothing counted).
+	// epoch of the run reports — the empirical witness that the cap
+	// held (eager mode reports 0: no scheduler, nothing counted). Every
+	// epoch's trace is read; none is evicted unread.
 	MaxEpochRebuildKeys int
 	// PeakRebuildDebt is the largest outstanding-debt figure any epoch
-	// trace reports, in keys — how far behind the drain ran.
+	// of the run reports, in keys — how far behind the drain ran.
 	PeakRebuildDebt int
 }
 
@@ -47,12 +49,14 @@ const rebuildChurnPermille = 100
 
 // RunRebuildSched measures the latency effect of the amortized rebuild
 // scheduler: the same open-loop write-heavy churn is replayed against
-// three identically loaded Concurrent frontends — eager (no budget),
-// bounded-sync (budget, inline drains), async (budget + background
-// rebuilds) — and each run reports the coordinated-omission-safe
-// percentiles plus the scheduler evidence from its epoch traces.
-// rateKops <= 0 replays closed-loop (saturation latency).
-func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int) []RebuildSchedRow {
+// two identically loaded Concurrent frontends — eager (no budget) and
+// bounded-sync (budget, drains inside the epochs) — and each run
+// reports the coordinated-omission-safe percentiles plus the scheduler
+// evidence from its epoch traces. rateKops <= 0 replays closed-loop
+// (saturation latency). It fails if an epoch's trace was evicted from
+// the ring before it was read, which would hide that epoch from the
+// cap and debt columns.
+func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int) ([]RebuildSchedRow, error) {
 	w = w.WithDefaults()
 	if reps < 1 {
 		reps = 1
@@ -80,15 +84,17 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 	for _, sc := range scripts[0] {
 		ops += len(sc)
 	}
+	// Every rep deals the same M keys, so each rep has ops operations,
+	// and an epoch carries at least one of them: a ring of ops+1 traces
+	// holds every epoch of one rep.
+	depth := ops + 1
 
 	modes := []struct {
 		name   string
 		budget int
-		async  bool
 	}{
-		{"eager", 0, false},
-		{"bounded", budget, false},
-		{"async", budget, true},
+		{"eager", 0},
+		{"bounded", budget},
 	}
 
 	rows := make([]RebuildSchedRow, 0, len(modes))
@@ -97,26 +103,36 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 			Options: pbist.Options{
 				AssumeSorted:          true, // base is sorted unique
 				RebuildBudgetPerEpoch: m.budget,
-				AsyncRebuild:          m.async,
 			},
-			TraceDepth: 1 << 15,
+			TraceDepth: depth,
 		}, base, baseVals)
 		h := obs.NewHistogram()
 		var total time.Duration
+		maxSpend, peakDebt := 0, 0
+		var read int64 // epochs whose traces were read
 		for rep := 0; rep < reps; rep++ {
 			total += replayOpenLoop(scripts[rep], interval, h,
 				func(k int64) { c.Get(k) },
 				func(k int64, v uint64) { c.Put(k, v) },
 				func(k int64) { c.Delete(k) })
-		}
-		maxSpend, peakDebt := 0, 0
-		for _, tr := range c.Trace(0) {
-			if tr.RebuildKeys > maxSpend {
-				maxSpend = tr.RebuildKeys
+			// Every op of the rep has returned, and an epoch's trace is
+			// pushed before its clients wake, so the newest traces are
+			// exactly the rep's epochs and nothing runs until the next
+			// rep. Read only those, so the copy stays one rep's worth.
+			epochs := c.Stats().Epochs
+			if fresh := epochs - read; fresh > 0 {
+				traces := c.Trace(int(fresh))
+				if int64(len(traces)) != fresh {
+					c.Close()
+					return nil, fmt.Errorf("rebuildsched %s: rep %d ran %d epochs but the trace ring (depth %d) kept %d of them",
+						m.name, rep, fresh, depth, len(traces))
+				}
+				for _, tr := range traces {
+					maxSpend = max(maxSpend, tr.RebuildKeys)
+					peakDebt = max(peakDebt, tr.RebuildDebt)
+				}
 			}
-			if tr.RebuildDebt > peakDebt {
-				peakDebt = tr.RebuildDebt
-			}
+			read = epochs
 		}
 		c.Close()
 
@@ -139,5 +155,5 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 			PeakRebuildDebt:     peakDebt,
 		})
 	}
-	return rows
+	return rows, nil
 }

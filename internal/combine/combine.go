@@ -63,13 +63,11 @@ type Engine[K cmp.Ordered, V any] interface {
 	PublishVersion()
 	// BeginRebuildEpoch and EndRebuildEpoch bracket every epoch so one
 	// rebuild budget covers everything its write traversals spend.
-	// BeginRebuildEpoch runs before the epoch executes (and may splice
-	// a finished background rebuild in, so the epoch serves the
-	// repaired shape). EndRebuildEpoch runs after the epoch publishes,
-	// the moment the live tree is frozen: it drains deferred debt or
-	// kicks the next background rebuild, and reports the rebuild keys
-	// the epoch spent plus the debt still outstanding, which the epoch
-	// trace records.
+	// BeginRebuildEpoch runs before the epoch executes and opens the
+	// budget. EndRebuildEpoch runs after the epoch publishes: it drains
+	// deferred debt with what is left of the budget, and reports the
+	// rebuild keys the epoch spent plus the debt still outstanding,
+	// which the epoch trace records.
 	BeginRebuildEpoch()
 	EndRebuildEpoch() (spentKeys, debtKeys int)
 }

@@ -32,10 +32,9 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	start := time.Now()
 	pr := c.probe
 
-	// Open the epoch's rebuild budget before any traversal: a finished
-	// background rebuild splices in here, so this epoch already serves
-	// the repaired shape, and every rebuild the write traversals below
-	// spend shares one per-epoch cap (core's sched.go).
+	// Open the epoch's rebuild budget before any traversal, so every
+	// rebuild the write traversals below spend shares one per-epoch cap
+	// (core's sched.go).
 	c.eng.BeginRebuildEpoch()
 
 	// Flatten the epoch into events. Fences carry no keys, so they
@@ -153,11 +152,10 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	if pr != nil {
 		tWrite = time.Now()
 	}
-	// Close the rebuild budget after the publish: this is the moment
-	// the live tree is frozen (identical to the just-published
-	// version), so the scheduler can drain deferred debt synchronously
-	// or kick a background rebuild whose splice-by-pointer-identity
-	// check stays sound. The spent/debt figures feed the epoch trace.
+	// Close the rebuild budget after the publish: the scheduler drains
+	// deferred debt with what is left of the budget, and its splices
+	// reach readers at the next publish. The spent/debt figures feed
+	// the epoch trace.
 	rbSpent, rbDebt := c.eng.EndRebuildEpoch()
 	if pr != nil {
 		tSched = time.Now()

@@ -129,9 +129,8 @@ func (s *scratch[K, V]) observe(r *obs.Registry) {
 // ran. The phase stamps are the clock reads runEpoch took at each
 // stage boundary, so the six spans tile [start, end] exactly: their
 // sum equals Wall by construction, up to the clock's own granularity.
-// The rebuild span covers the post-publish scheduler step (debt drain
-// or background splice/kick); RebuildKeys and RebuildDebt carry what
-// that step reported.
+// The rebuild span covers the post-publish scheduler step (the debt
+// drain); RebuildKeys and RebuildDebt carry what that step reported.
 //
 //pbist:combiner
 func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount int, sized bool, rbSpent, rbDebt int, start, tSort, tRead, tReplay, tWrite, tSched, end time.Time) {

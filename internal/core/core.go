@@ -86,14 +86,6 @@ type Config struct {
 	// rebuild debt and the mutation proceeds — and repays debt in
 	// later epochs, highest debt first (sched.go).
 	RebuildBudgetPerEpoch int
-	// AsyncRebuild drains deferred rebuild debt on a background
-	// goroutine instead of inside later epochs: the indebted subtree
-	// is rebuilt from the frozen published version while readers and
-	// the combiner keep serving, and the result is spliced in at an
-	// epoch boundary. Effective only with RebuildBudgetPerEpoch set on
-	// a publishing tree (EnablePublish); otherwise deferred debt
-	// drains synchronously.
-	AsyncRebuild bool
 	// LeafSlack is the capacity headroom factor of reallocated leaf
 	// arrays: a leaf merge that outgrows its storage allocates
 	// ceil(LeafSlack·n) slots for its n keys, so the next few merges
@@ -153,7 +145,7 @@ type Tree[K iindex.Numeric, V any] struct {
 
 	// sched is the amortized rebuild scheduler (sched.go); nil — the
 	// default — means every rebuild trigger runs eagerly inline.
-	sched *rebuildSched[K, V]
+	sched *rebuildSched[K]
 }
 
 // node is one IST node (§3.1 plus the bookkeeping of §6–§7). Leaves
@@ -197,7 +189,7 @@ func New[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool) *Tree[K, V] {
 		pool:  pool,
 		ar:    newTreeArena[K, V](cfg.DisableBufferReuse),
 		obs:   newCoreObs(cfg.Metrics),
-		sched: newSched[K, V](cfg),
+		sched: newSched[K](cfg),
 	}
 	t.ar.observe(cfg.Metrics)
 	return t

@@ -460,17 +460,13 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 
 // replaceAtKey splices repl in place of the subtree rooted at target,
 // located by walking key from the root. The walk must reach target by
-// pointer identity — that identity is the splice's linearization
-// guard: every node of target was frozen when it was captured (its
-// generation predates the current one), so any mutation of the subtree
-// since then replaced its root via path copying, and finding the same
-// pointer proves the subtree is exactly the state the replacement was
-// built from. On success the old subtree's chunks retire through the
-// grace ring (readers of published versions may still hold them) and
-// the path down to the splice point is copied for the current
-// generation, so previously published versions stay intact. Returns
-// false — tree untouched — when the walk no longer reaches target.
-// Owning goroutine only, like every mutating method.
+// pointer identity; drainDebt found target by the same walk, so it
+// always does. The old subtree's chunks retire through the grace ring
+// (readers of published versions may still hold them) and the path
+// down to the splice point is copied for the current generation, so
+// previously published versions stay intact. Returns false — tree
+// untouched — when the walk no longer reaches target. Owning goroutine
+// only, like every mutating method.
 func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) bool {
 	if t.root == target {
 		t.retireSubtree(target)
@@ -508,29 +504,6 @@ func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) bool {
 	t.root = top
 	t.dirty = true
 	return true
-}
-
-// discardBuilt recycles a rebuilt subtree that was never linked into
-// the tree (an async build whose splice lost to a concurrent change).
-// No grace period applies: the chunk was drawn fresh for this build
-// and no reader, version, or snapshot ever saw it, so its arrays go
-// straight back to the scratch free lists.
-//
-//pbist:releases
-func (t *Tree[K, V]) discardBuilt(v *node[K, V]) {
-	if v == nil {
-		return
-	}
-	if v.chunk != nil {
-		t.ar.keys.Put(v.chunk.ch.Keys)
-		t.ar.vals.Put(v.chunk.ch.Vals)
-		t.ar.bools.Put(v.chunk.ch.Exists)
-	}
-	for _, c := range v.children {
-		if c != nil {
-			t.discardBuilt(c)
-		}
-	}
 }
 
 // retireSubtree walks a subtree just replaced by a rebuild and moves

@@ -53,8 +53,6 @@ func (c *schedCounters) observe(r *obs.Registry) {
 	}
 	r.Func("core.rebuild.debt_keys", c.debtKeys.Load)
 	r.Func("core.rebuild.deferred_keys", c.deferredKeys.Load)
-	r.Func("core.rebuild.async_count", c.asyncRuns.Load)
-	r.Func("core.rebuild.splice_retries", c.spliceRetries.Load)
 }
 
 // recordRebuild stores one §7.1 rebuild event: a subtree of size keys

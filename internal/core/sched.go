@@ -15,20 +15,17 @@ import (
 // (or standalone batch) may lay down at most that many rebuild keys;
 // triggers that would exceed the budget record the subtree as rebuild
 // debt instead and the mutation proceeds, letting modCnt run past
-// C·initSize. Debt is repaid in later epochs — synchronously from the
-// debt-priority heap (bounded-sync mode), or on a background goroutine
-// that rebuilds from the frozen published tree and splices the result
-// in at an epoch boundary (async mode, Config.AsyncRebuild, publishing
-// trees only).
+// C·initSize. Debt is repaid synchronously in later epochs, from the
+// debt-priority heap, inside the epoch or batch that owns the tree
+// (bounded-sync); drainDebt documents the starvation of a victim
+// larger than the whole budget.
 //
 // Concurrency: the heap, the byKey index, and the spent counter are
 // guarded by mu because rebuild triggers fire inside the parallel
 // batch recursion (insertRec/removeRec fan out across pool workers).
-// Everything else — epoch bracketing, drains, async kick/splice — runs
-// on the goroutine that owns the tree (the combiner, in the published
-// setup), like every other mutating method. The async worker itself
-// touches only its job and the tree's arena, pool and metric handles, all
-// of which are concurrency-safe.
+// Everything else — epoch bracketing and drains — runs on the
+// goroutine that owns the tree (the combiner, in the published
+// setup), like every other mutating method.
 
 // debtRec locates one indebted subtree: key is the first rep key the
 // subtree root held when the debt was recorded (stable across COW
@@ -46,39 +43,14 @@ type debtRec[K iindex.Numeric] struct {
 // schedCounters is the scheduler's observable state, split from the
 // generic scheduler so obs.go can register it without type parameters.
 type schedCounters struct {
-	debtKeys      atomic.Int64 // outstanding debt (sum of record priorities)
-	deferredKeys  atomic.Int64 // cumulative rebuild keys whose work was deferred
-	asyncRuns     atomic.Int64 // background rebuilds launched
-	spliceRetries atomic.Int64 // async splices abandoned (subtree changed)
-}
-
-// asyncResult is what one background rebuild hands back: the rebuilt
-// subtree (nil when every key of the old subtree was logically dead)
-// and the number of keys it laid down.
-type asyncResult[K iindex.Numeric, V any] struct {
-	built *node[K, V]
-	keys  int
-}
-
-// asyncJob is one in-flight background rebuild. The owning goroutine
-// (combiner) fills the capture fields at launch; the worker publishes
-// exactly once through done. old is safe for the worker to read without
-// synchronization beyond done: it was captured from a just-published
-// tree, so every node in it is frozen — later mutations copy before
-// writing — and the pin keeps its chunk storage out of the recycler.
-type asyncJob[K iindex.Numeric, V any] struct {
-	key  K           // debt-record key, for the splice walk
-	old  *node[K, V] // captured subtree root; identity = unchanged
-	gen  uint64      // writeGen at capture; the build's node generation
-	pin  ReaderPin
-	done atomic.Pointer[asyncResult[K, V]]
+	debtKeys     atomic.Int64 // outstanding debt (sum of record priorities)
+	deferredKeys atomic.Int64 // cumulative rebuild keys whose work was deferred
 }
 
 // rebuildSched is the per-tree scheduler state. nil (budget unset)
 // means eager rebuilds everywhere.
-type rebuildSched[K iindex.Numeric, V any] struct {
-	budget int  // max rebuild keys per epoch/batch
-	async  bool // drain debt on a background goroutine
+type rebuildSched[K iindex.Numeric] struct {
+	budget int // max rebuild keys per epoch/batch
 
 	mu        sync.Mutex
 	spent     int  // rebuild keys reserved in the current epoch/batch
@@ -87,18 +59,15 @@ type rebuildSched[K iindex.Numeric, V any] struct {
 	byKey     map[K]int // record key → heap position
 
 	c schedCounters
-
-	job *asyncJob[K, V] // in-flight background rebuild, nil if none
 }
 
 // newSched builds the scheduler for cfg, nil when no budget is set.
-func newSched[K iindex.Numeric, V any](cfg Config) *rebuildSched[K, V] {
+func newSched[K iindex.Numeric](cfg Config) *rebuildSched[K] {
 	if cfg.RebuildBudgetPerEpoch <= 0 {
 		return nil
 	}
-	s := &rebuildSched[K, V]{
+	s := &rebuildSched[K]{
 		budget: cfg.RebuildBudgetPerEpoch,
-		async:  cfg.AsyncRebuild,
 		byKey:  make(map[K]int),
 	}
 	s.c.observe(cfg.Metrics)
@@ -108,14 +77,14 @@ func newSched[K iindex.Numeric, V any](cfg Config) *rebuildSched[K, V] {
 // --- debt heap (max-heap by debt, byKey position index) ---
 // All heap mutators run with s.mu held.
 
-func (s *rebuildSched[K, V]) swap(i, j int) {
+func (s *rebuildSched[K]) swap(i, j int) {
 	h := s.heap
 	h[i], h[j] = h[j], h[i]
 	s.byKey[h[i].key] = i
 	s.byKey[h[j].key] = j
 }
 
-func (s *rebuildSched[K, V]) siftUp(i int) {
+func (s *rebuildSched[K]) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if s.heap[p].debt >= s.heap[i].debt {
@@ -126,7 +95,7 @@ func (s *rebuildSched[K, V]) siftUp(i int) {
 	}
 }
 
-func (s *rebuildSched[K, V]) siftDown(i int) {
+func (s *rebuildSched[K]) siftDown(i int) {
 	n := len(s.heap)
 	for {
 		l, r, big := 2*i+1, 2*i+2, i
@@ -144,7 +113,7 @@ func (s *rebuildSched[K, V]) siftDown(i int) {
 	}
 }
 
-func (s *rebuildSched[K, V]) heapPush(rec debtRec[K]) {
+func (s *rebuildSched[K]) heapPush(rec debtRec[K]) {
 	s.heap = append(s.heap, rec)
 	s.byKey[rec.key] = len(s.heap) - 1
 	s.siftUp(len(s.heap) - 1)
@@ -152,7 +121,7 @@ func (s *rebuildSched[K, V]) heapPush(rec debtRec[K]) {
 
 // removeAt drops the record at heap position i, keeping the debt gauge
 // in step.
-func (s *rebuildSched[K, V]) removeAt(i int) {
+func (s *rebuildSched[K]) removeAt(i int) {
 	rec := s.heap[i]
 	last := len(s.heap) - 1
 	s.swap(i, last)
@@ -166,7 +135,7 @@ func (s *rebuildSched[K, V]) removeAt(i int) {
 }
 
 // removeRecord drops the record for key if one exists.
-func (s *rebuildSched[K, V]) removeRecord(key K) {
+func (s *rebuildSched[K]) removeRecord(key K) {
 	s.mu.Lock()
 	if i, ok := s.byKey[key]; ok {
 		s.removeAt(i)
@@ -175,7 +144,7 @@ func (s *rebuildSched[K, V]) removeRecord(key K) {
 }
 
 // peekTop returns the highest-debt record without removing it.
-func (s *rebuildSched[K, V]) peekTop() (debtRec[K], bool) {
+func (s *rebuildSched[K]) peekTop() (debtRec[K], bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.heap) == 0 {
@@ -296,22 +265,23 @@ func (t *Tree[K, V]) findIndebted(key K) *node[K, V] {
 // rebuildNode rebuilds subtree v ideally from its live contents — the
 // drain-path analog of rebuildMerged/rebuildSubtracted, with no batch
 // riding along — returning the new subtree root (nil when every key
-// was logically dead) and the number of keys laid down.
-func (t *Tree[K, V]) rebuildNode(v *node[K, V]) (*node[K, V], int) {
+// was logically dead).
+func (t *Tree[K, V]) rebuildNode(v *node[K, V]) *node[K, V] {
 	t0 := obsNow(t.obs)
 	flatK, flatV := t.flattenScratch(v)
 	n := len(flatK)
 	root := t.labeledBuild(flatK, flatV)
 	t.ar.putKV(flatK, flatV)
 	t.recordRebuild(t0, n)
-	return root, n
+	return root
 }
 
 // drainDebt synchronously repays deferred debt, highest priority
 // first, until the heap empties or the next victim would push the
 // epoch past its budget. A victim larger than the whole budget
-// therefore starves in bounded-sync mode — the documented tradeoff
-// that async mode exists to remove. Owning goroutine only.
+// therefore starves: no epoch can afford it, and the drain stops at it,
+// so the records behind it wait too (see ARCHITECTURE.md, "Rebuild
+// scheduling"). Owning goroutine only.
 func (t *Tree[K, V]) drainDebt() {
 	s := t.sched
 	for {
@@ -333,83 +303,15 @@ func (t *Tree[K, V]) drainDebt() {
 		if !fits {
 			return
 		}
-		repl, _ := t.rebuildNode(v)
+		repl := t.rebuildNode(v)
 		if !t.replaceAtKey(rec.key, v, repl) {
-			// Unreachable on the owning goroutine — nothing ran between
-			// findIndebted and the splice — but fail safe: recycle the
-			// orphan build and leave the record for the next drain.
-			t.discardBuilt(repl)
+			// Unreachable: replaceAtKey retraces findIndebted's walk and
+			// nothing ran in between. Fail safe all the same: leave the
+			// record for the next drain and the unlinked build to the GC.
 			return
 		}
 		s.removeRecord(rec.key)
 	}
-}
-
-// --- async drain (owning goroutine kicks/splices; worker builds) ---
-
-// tickAsync advances the background drain by one step: splice a
-// finished job if one is waiting, then — when the live tree is clean,
-// i.e. identical to the published version with every node frozen —
-// launch the next job from the top of the debt heap. Owning goroutine
-// only; called at epoch boundaries.
-func (t *Tree[K, V]) tickAsync() {
-	s := t.sched
-	if j := s.job; j != nil {
-		res := j.done.Load()
-		if res == nil {
-			return // still building
-		}
-		s.job = nil
-		if t.replaceAtKey(j.key, j.old, res.built) {
-			s.removeRecord(j.key)
-		} else {
-			// The subtree changed while the worker built (its root was
-			// COW-replaced), so the build describes a stale state: count
-			// the retry and recycle the never-published chunk directly —
-			// no grace period needed, no reader ever saw it.
-			s.c.spliceRetries.Add(1)
-			t.discardBuilt(res.built)
-		}
-	}
-	if t.dirty {
-		// Unpublished mutations exist, so live nodes of the current
-		// generation could mutate in place under a worker — pointer
-		// identity would no longer mean "unchanged". Kick next epoch,
-		// right after a publish, when everything is frozen again.
-		return
-	}
-	for {
-		rec, ok := s.peekTop()
-		if !ok {
-			return
-		}
-		v := t.findIndebted(rec.key)
-		if v == nil {
-			s.removeRecord(rec.key)
-			continue
-		}
-		j := &asyncJob[K, V]{key: rec.key, old: v, gen: t.writeGen, pin: t.PinReader()}
-		s.job = j
-		s.c.asyncRuns.Add(1)
-		go t.runAsyncRebuild(j)
-		return
-	}
-}
-
-// runAsyncRebuild is the worker: flatten the captured (frozen) subtree
-// and build its ideal replacement off the critical path, then hand the
-// result back for the next epoch boundary to splice. It works through
-// a detached tree handle so the build is attributed to the capture
-// generation and draws exact-size GC-managed chunks (mv nil), while
-// sharing the arena free lists, pool, and metric handles — all safe
-// for concurrent use. The pin covers every read of the old subtree's
-// chunk storage and is released before the result is published, so an
-// abandoned job (frontend closed mid-build) cannot wedge reclamation.
-func (t *Tree[K, V]) runAsyncRebuild(j *asyncJob[K, V]) {
-	bt := &Tree[K, V]{cfg: t.cfg, pool: t.pool, ar: t.ar, obs: t.obs, writeGen: j.gen}
-	built, n := bt.rebuildNode(j.old)
-	j.pin.Release()
-	j.done.Store(&asyncResult[K, V]{built: built, keys: n})
 }
 
 // --- epoch bracketing ---
@@ -430,12 +332,7 @@ func (t *Tree[K, V]) beginBatch() {
 		s.spent = 0
 	}
 	s.mu.Unlock()
-	if open {
-		return
-	}
-	if s.async && t.mv != nil {
-		t.tickAsync()
-	} else {
+	if !open {
 		t.drainDebt()
 	}
 }
@@ -444,8 +341,6 @@ func (t *Tree[K, V]) beginBatch() {
 // combiner calls it before executing the epoch (combine.Engine);
 // every rebuild the epoch's write traversals perform — plus the
 // EndRebuildEpoch drain — then shares one RebuildBudgetPerEpoch cap.
-// In async mode a finished background rebuild is spliced here, before
-// the epoch's reads, so the epoch already serves the repaired shape.
 // No-op without a scheduler.
 func (t *Tree[K, V]) BeginRebuildEpoch() {
 	s := t.sched
@@ -456,28 +351,19 @@ func (t *Tree[K, V]) BeginRebuildEpoch() {
 	s.epochOpen = true
 	s.spent = 0
 	s.mu.Unlock()
-	if s.async && t.mv != nil {
-		t.tickAsync()
-	}
 }
 
 // EndRebuildEpoch closes the epoch's budget window after the epoch has
-// published: bounded-sync mode drains debt up to the remaining budget;
-// async mode splices/kicks background work (the post-publish moment is
-// exactly when the live tree is frozen, so a job can launch). Returns
-// the rebuild keys the epoch spent — the number the per-epoch cap
-// bounds — and the outstanding debt, both of which feed the epoch
-// trace. No-op (0, 0) without a scheduler.
+// published, draining debt up to the remaining budget. Returns the
+// rebuild keys the epoch spent — the number the per-epoch cap bounds —
+// and the outstanding debt, both of which feed the epoch trace. No-op
+// (0, 0) without a scheduler.
 func (t *Tree[K, V]) EndRebuildEpoch() (spentKeys, debtKeys int) {
 	s := t.sched
 	if s == nil {
 		return 0, 0
 	}
-	if s.async && t.mv != nil {
-		t.tickAsync()
-	} else {
-		t.drainDebt()
-	}
+	t.drainDebt()
 	s.mu.Lock()
 	spentKeys = s.spent
 	s.epochOpen = false

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 // schedMutation is one step of a deterministic churn script: a put
@@ -63,30 +62,6 @@ func applyScript(t *testing.T, tr *Tree[int64, int64], script []schedMutation, e
 	}
 }
 
-// drainAsync runs empty epochs until the scheduler's debt heap empties:
-// each round splices any finished background rebuild, republishes, and
-// kicks the next job. Fails the test if debt does not converge.
-func drainAsync(t *testing.T, tr *Tree[int64, int64]) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		tr.BeginRebuildEpoch()
-		tr.PublishVersion()
-		tr.EndRebuildEpoch()
-		tr.sched.mu.Lock()
-		debt := len(tr.sched.heap)
-		busy := tr.sched.job != nil
-		tr.sched.mu.Unlock()
-		if debt == 0 && !busy {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async drain did not converge: %d debt records outstanding", debt)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestRebuildBudgetStandaloneBatches: without epoch bracketing, every
 // batched mutation is its own budget window — the spend after any batch
 // never exceeds the cap, and deferred debt is tracked, not lost.
@@ -118,42 +93,25 @@ func TestRebuildBudgetStandaloneBatches(t *testing.T) {
 
 // TestRebuildBudgetEpochCap: under combiner-style epoch bracketing the
 // spend EndRebuildEpoch reports — write-traversal rebuilds plus the
-// post-publish drain — respects the cap every epoch, in both bounded
-// modes. This is the acceptance assertion behind the epoch traces.
+// post-publish drain — respects the cap every epoch. This is the
+// acceptance assertion behind the epoch traces.
 func TestRebuildBudgetEpochCap(t *testing.T) {
 	const budget = 1024
-	for _, async := range []bool{false, true} {
-		name := "bounded-sync"
-		if async {
-			name = "async"
+	t.Run("bounded-sync", func(t *testing.T) {
+		tr := New[int64, int64](Config{RebuildBudgetPerEpoch: budget}, nil)
+		tr.EnablePublish()
+		applyScript(t, tr, schedScript(7, 200, 512), true, budget)
+		checkInvariants(t, tr)
+		if tr.Stats().DeferredKeys == 0 {
+			t.Fatal("write-heavy churn never deferred a rebuild; budget not exercised")
 		}
-		t.Run(name, func(t *testing.T) {
-			tr := New[int64, int64](Config{RebuildBudgetPerEpoch: budget, AsyncRebuild: async}, nil)
-			tr.EnablePublish()
-			applyScript(t, tr, schedScript(7, 200, 512), true, budget)
-			checkInvariants(t, tr)
-			st := tr.Stats()
-			if st.DeferredKeys == 0 {
-				t.Fatal("write-heavy churn never deferred a rebuild; budget not exercised")
-			}
-			if async {
-				drainAsync(t, tr)
-				if d := tr.Stats().DebtKeys; d != 0 {
-					t.Fatalf("debt gauge %d after async drain, want 0", d)
-				}
-				if tr.Stats().AsyncRebuilds == 0 {
-					t.Fatal("async mode launched no background rebuilds")
-				}
-				checkInvariants(t, tr)
-			}
-		})
-	}
+	})
 }
 
 // TestSchedDifferentialConvergence: one churn script applied under
-// eager, bounded-sync, and async scheduling converges to identical
-// contents — scheduling moves rebuild work in time, never changes what
-// the tree stores — and every variant passes the full invariant check.
+// eager and bounded-sync scheduling converges to identical contents —
+// scheduling moves rebuild work in time, never changes what the tree
+// stores — and both pass the full invariant check.
 func TestSchedDifferentialConvergence(t *testing.T) {
 	script := schedScript(42, 160, 384)
 
@@ -165,33 +123,29 @@ func TestSchedDifferentialConvergence(t *testing.T) {
 	bounded.EnablePublish()
 	applyScript(t, bounded, script, true, 256)
 
-	async := New[int64, int64](Config{RebuildBudgetPerEpoch: 256, AsyncRebuild: true}, nil)
-	async.EnablePublish()
-	applyScript(t, async, script, true, 256)
-	drainAsync(t, async)
-
 	wantK, wantV := eager.Items()
-	for _, v := range []struct {
-		name string
-		tr   *Tree[int64, int64]
-	}{{"bounded-sync", bounded}, {"async", async}} {
-		gotK, gotV := v.tr.Items()
-		if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
-			t.Fatalf("%s diverged from eager: %d keys vs %d", v.name, len(gotK), len(wantK))
-		}
-		checkInvariants(t, v.tr)
+	gotK, gotV := bounded.Items()
+	if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+		t.Fatalf("bounded-sync diverged from eager: %d keys vs %d", len(gotK), len(wantK))
 	}
+	checkInvariants(t, bounded)
 	checkInvariants(t, eager)
 }
 
-// TestAsyncRebuildWithSnapshotReaders races background rebuilds and
-// their splices against wait-free snapshot readers across many
-// reclamation grace periods: readers pin versions, iterate durable
-// snapshots, and must never observe a key the published version did
-// not contain. Run under -race this also checks the splice path
-// publishes the rebuilt subtree safely.
-func TestAsyncRebuildWithSnapshotReaders(t *testing.T) {
-	tr := New[int64, int64](Config{RebuildBudgetPerEpoch: 128, AsyncRebuild: true}, nil)
+// TestDrainDebtWithSnapshotReaders races drainDebt's splices and the
+// grace-ring retirements they cause against wait-free snapshot readers
+// across many reclamation grace periods: readers pin versions, iterate
+// durable snapshots, and must never observe a torn or recycled state.
+// Run under -race this also checks that a splice publishes the rebuilt
+// subtree safely.
+func TestDrainDebtWithSnapshotReaders(t *testing.T) {
+	// A bulk-built base keeps the root clear of debt for a while. Once
+	// the root is indebted it tops the heap and, larger than the
+	// budget, blocks every drain; from an empty tree that happens
+	// before any drain can run.
+	const budget = 128
+	base := sortedUniqueKeys(5, 1<<13, 1<<16)
+	tr := NewFromSortedKV[int64, int64](Config{RebuildBudgetPerEpoch: budget}, nil, base, base)
 	tr.EnablePublish()
 	tr.PublishVersion()
 
@@ -228,10 +182,33 @@ func TestAsyncRebuildWithSnapshotReaders(t *testing.T) {
 
 	// Small key span + small batches force heavy leaf churn and many
 	// subtree retirements, cycling the grace ring while readers hold
-	// pins; the async drain splices mid-churn.
-	applyScript(t, tr, schedScript(99, 250, 128), true, 128)
-	drainAsync(t, tr)
+	// pins. The epochs are bracketed as the combiner brackets them; an
+	// epoch whose spend grows across EndRebuildEpoch drained debt, so
+	// drainDebt spliced a rebuilt subtree in after the publish.
+	drains := 0
+	for i, m := range schedScript(99, 250, 128) {
+		tr.BeginRebuildEpoch()
+		if m.put {
+			tr.PutBatched(m.keys, m.vals)
+		} else {
+			tr.RemoveBatched(m.keys)
+		}
+		tr.PublishVersion()
+		tr.sched.mu.Lock()
+		before := tr.sched.spent
+		tr.sched.mu.Unlock()
+		spent, _ := tr.EndRebuildEpoch()
+		if spent > budget {
+			t.Fatalf("step %d: epoch spent %d rebuild keys, budget %d", i, spent, budget)
+		}
+		if spent > before {
+			drains++
+		}
+	}
 	close(stop)
 	wg.Wait()
+	if drains == 0 {
+		t.Fatal("no epoch drained debt; the splice path was not exercised")
+	}
 	checkInvariants(t, tr)
 }

@@ -34,13 +34,9 @@ type Stats struct {
 	// Rebuild-scheduler counters (sched.go); all zero without
 	// Config.RebuildBudgetPerEpoch. DebtKeys is the outstanding
 	// rebuild debt (a gauge); DeferredKeys the cumulative rebuild keys
-	// whose work was deferred past its triggering epoch; AsyncRebuilds
-	// the background rebuilds launched; SpliceRetries the async
-	// splices abandoned because the subtree changed mid-build.
-	DebtKeys      int64
-	DeferredKeys  int64
-	AsyncRebuilds int64
-	SpliceRetries int64
+	// whose work was deferred past its triggering epoch.
+	DebtKeys     int64
+	DeferredKeys int64
 }
 
 // Stats computes shape statistics in one O(n) traversal and snapshots
@@ -58,8 +54,6 @@ func (t *Tree[K, V]) Stats() Stats {
 	if sc := t.sched; sc != nil {
 		s.DebtKeys = sc.c.debtKeys.Load()
 		s.DeferredKeys = sc.c.deferredKeys.Load()
-		s.AsyncRebuilds = sc.c.asyncRuns.Load()
-		s.SpliceRetries = sc.c.spliceRetries.Load()
 	}
 	return s
 }

@@ -123,17 +123,15 @@
 // the tail a latency-sensitive service notices. Setting
 // Options.RebuildBudgetPerEpoch caps the keys of rebuild work any one
 // batch (or combining epoch) spends; over-budget subtrees are
-// recorded as debt and repaid by later epochs, largest debt first.
-// Options.AsyncRebuild additionally moves repayment off the epoch
-// path under the concurrent frontend: the indebted subtree is rebuilt
-// from the last published version by a background goroutine while
-// readers keep using the old shape, and spliced in at a later epoch
-// boundary. Deferral trades peak latency for a transiently
-// less-balanced tree — reads of an indebted subtree pay the same
-// degraded (still-correct) cost they already paid between threshold
-// and rebuild. Stats reports outstanding debt, and epoch traces
-// carry per-epoch rebuild spend; see ARCHITECTURE.md's "Rebuild
-// scheduling" section.
+// recorded as debt and repaid synchronously by later epochs (or
+// batches), largest debt first, within the same budget. A subtree
+// larger than the whole budget is never affordable: it stays
+// indebted, and the records behind it wait too. Deferral trades peak
+// latency for a transiently less-balanced tree — reads of an indebted
+// subtree pay the same degraded (still-correct) cost they already paid
+// between threshold and rebuild. Stats reports outstanding debt, and
+// epoch traces carry per-epoch rebuild spend; see ARCHITECTURE.md's
+// "Rebuild scheduling" section.
 //
 // # Observability
 //
@@ -201,24 +199,6 @@ type Options struct {
 	// 0 (the default) keeps the paper's eager behavior: every due
 	// rebuild runs inline in the triggering batch.
 	RebuildBudgetPerEpoch int
-	// AsyncRebuild moves deferred rebuild debt off the epoch path
-	// entirely: a background goroutine rebuilds the most indebted
-	// subtree from the last published version while readers and the
-	// combiner keep serving it, and the result is spliced in at a
-	// later epoch boundary (or abandoned, if the subtree changed
-	// mid-build). Effective only under the concurrent frontend
-	// (Sharded, Concurrent) with RebuildBudgetPerEpoch set; Tree and
-	// Map ignore it because they publish no versions to rebuild from.
-	AsyncRebuild bool
-	// LeafSlack scales the headroom a leaf merge reallocates with:
-	// a leaf outgrowing its array is regrown to n·LeafSlack so nearby
-	// future inserts merge in place. Values < 1 select the default
-	// 1.5. Larger values trade dead space for fewer reallocations;
-	// see the leafslack benchmark experiment.
-	LeafSlack float64
-	// IndexSizeFactor scales the per-node interpolation index.
-	// Default 1.0.
-	IndexSizeFactor float64
 	// RankTraversal switches batched traversals from per-key
 	// interpolation search to merge-based ranking. Interpolation is
 	// faster on smooth inputs; ranking is distribution-insensitive.
@@ -249,9 +229,6 @@ func (o Options) coreConfig() core.Config {
 		LeafCap:               o.LeafCap,
 		RebuildFactor:         o.RebuildFactor,
 		RebuildBudgetPerEpoch: o.RebuildBudgetPerEpoch,
-		AsyncRebuild:          o.AsyncRebuild,
-		LeafSlack:             o.LeafSlack,
-		IndexSizeFactor:       o.IndexSizeFactor,
 		DisableBufferReuse:    o.disableReuse,
 		Metrics:               o.Metrics,
 	}
@@ -352,8 +329,6 @@ func (vw *view[K, V]) Stats() Stats {
 		LeafGrows:     s.LeafGrows,
 		DebtKeys:      s.DebtKeys,
 		DeferredKeys:  s.DeferredKeys,
-		AsyncRebuilds: s.AsyncRebuilds,
-		SpliceRetries: s.SpliceRetries,
 	}
 }
 
@@ -552,18 +527,13 @@ type Stats struct {
 	ChunkKeys     int64
 
 	// LeafGrows counts leaf merges that outgrew their arrays and
-	// reallocated with Options.LeafSlack headroom.
+	// reallocated, each with 1.5 times its key count in capacity.
 	LeafGrows int64
 
 	// Rebuild-scheduler counters; all zero unless
 	// Options.RebuildBudgetPerEpoch is set. DebtKeys is the rebuild
 	// debt currently outstanding (a gauge, in keys); DeferredKeys the
-	// cumulative rebuild keys deferred past their triggering epoch;
-	// AsyncRebuilds the background rebuilds launched under
-	// Options.AsyncRebuild; SpliceRetries the async rebuilds abandoned
-	// because the subtree changed while it was being rebuilt.
-	DebtKeys      int64
-	DeferredKeys  int64
-	AsyncRebuilds int64
-	SpliceRetries int64
+	// cumulative rebuild keys deferred past their triggering epoch.
+	DebtKeys     int64
+	DeferredKeys int64
 }

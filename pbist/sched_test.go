@@ -67,86 +67,60 @@ func checkAgainstOracle(t *testing.T, c *pbist.Concurrent[int64, int64], oracle 
 // TestConcurrentRebuildBudgetTrace is the acceptance assertion at the
 // frontend: with a rebuild budget set, no combining epoch spends more
 // than the cap in rebuild keys — checked against the epoch traces the
-// combiner records — and write-heavy churn actually exercises the
-// deferral path (some epoch reports outstanding debt).
+// combiner records, every epoch of the run among them — and
+// write-heavy churn actually exercises the deferral path (some epoch
+// reports outstanding debt). A snapshot taken before Close must stay
+// fully readable after it.
 func TestConcurrentRebuildBudgetTrace(t *testing.T) {
 	const budget = 256
-	for _, async := range []bool{false, true} {
-		name := "bounded-sync"
-		if async {
-			name = "async"
-		}
-		t.Run(name, func(t *testing.T) {
-			c := pbist.NewConcurrent[int64, int64](pbist.ConcurrentOptions{
-				Options: pbist.Options{
-					RebuildBudgetPerEpoch: budget,
-					AsyncRebuild:          async,
-				},
-				TraceDepth: 4096,
-			})
-			defer c.Close()
-			oracle := schedChurn(t, c, 8, 4000)
-			c.Flush()
-
-			traces := c.Trace(0)
-			if len(traces) == 0 {
-				t.Fatal("no epoch traces recorded")
-			}
-			sawSpend, sawDebt := false, false
-			for _, tr := range traces {
-				if tr.RebuildKeys > budget {
-					t.Fatalf("epoch %d spent %d rebuild keys, budget %d", tr.Seq, tr.RebuildKeys, budget)
-				}
-				if tr.RebuildKeys > 0 {
-					sawSpend = true
-				}
-				if tr.RebuildDebt > 0 {
-					sawDebt = true
-				}
-			}
-			if !sawSpend {
-				t.Fatal("no epoch spent rebuild work; churn too light for the test to mean anything")
-			}
-			if !sawDebt {
-				t.Fatal("no epoch reported rebuild debt; deferral path not exercised")
-			}
-			checkAgainstOracle(t, c, oracle)
-		})
-	}
-}
-
-// TestConcurrentAsyncRebuildClose races Close against in-flight
-// background rebuilds: churn heavy enough to keep async jobs in the
-// air, then close mid-flight. A snapshot taken before Close must stay
-// fully readable after it (version readers survive Close), and under
-// -race the abandoned worker must not trip the detector.
-func TestConcurrentAsyncRebuildClose(t *testing.T) {
-	rounds := 8
-	if testing.Short() {
-		rounds = 3
-	}
-	for round := 0; round < rounds; round++ {
+	const goroutines, steps = 8, 4000
+	t.Run("bounded-sync", func(t *testing.T) {
 		c := pbist.NewConcurrent[int64, int64](pbist.ConcurrentOptions{
-			Options: pbist.Options{
-				RebuildBudgetPerEpoch: 64,
-				AsyncRebuild:          true,
-			},
+			Options: pbist.Options{RebuildBudgetPerEpoch: budget},
+			// Every epoch carries at least one op (the final Flush
+			// included), so the ring keeps every epoch of the run.
+			TraceDepth: goroutines*steps + 1,
 		})
-		oracle := schedChurn(t, c, 4, 1500)
+		oracle := schedChurn(t, c, goroutines, steps)
+		c.Flush()
+
+		traces := c.Trace(0)
+		if epochs := c.Stats().Epochs; epochs > int64(len(traces)) {
+			t.Fatalf("%d epochs ran but the trace ring kept %d", epochs, len(traces))
+		}
+		sawSpend, sawDebt := false, false
+		for _, tr := range traces {
+			if tr.RebuildKeys > budget {
+				t.Fatalf("epoch %d spent %d rebuild keys, budget %d", tr.Seq, tr.RebuildKeys, budget)
+			}
+			if tr.RebuildKeys > 0 {
+				sawSpend = true
+			}
+			if tr.RebuildDebt > 0 {
+				sawDebt = true
+			}
+		}
+		if !sawSpend {
+			t.Fatal("no epoch spent rebuild work; churn too light for the test to mean anything")
+		}
+		if !sawDebt {
+			t.Fatal("no epoch reported rebuild debt; deferral path not exercised")
+		}
+		checkAgainstOracle(t, c, oracle)
+
 		snap := c.Snapshot()
 		c.Close()
-
-		keys := snap.Keys()
+		keys, vals := snap.Items()
 		if !slices.IsSorted(keys) {
-			t.Fatalf("round %d: snapshot keys unsorted after Close", round)
-		}
-		for _, k := range keys {
-			if _, ok := snap.Get(k); !ok {
-				t.Fatalf("round %d: snapshot lost key %d after Close", round, k)
-			}
+			t.Fatal("snapshot keys unsorted after Close")
 		}
 		if len(keys) != len(oracle) {
-			t.Fatalf("round %d: snapshot has %d keys, oracle %d", round, len(keys), len(oracle))
+			t.Fatalf("snapshot has %d keys after Close, oracle %d", len(keys), len(oracle))
 		}
-	}
+		for i, k := range keys {
+			if v, ok := snap.Get(k); !ok || v != vals[i] || v != oracle[k] {
+				t.Fatalf("snapshot Get(%d) = %d,%v after Close, oracle %d", k, v, ok, oracle[k])
+			}
+		}
+	})
 }
