@@ -476,6 +476,38 @@ func BenchmarkShardedGetMiss(b *testing.B) {
 	}
 }
 
+// Sharded point writes: parallel single-key Put against an 8-shard
+// frontend of 2^20 even keys. Every Put overwrites a loaded key, so the
+// shape holds still across b.N, and every one rides a combiner epoch
+// that path-copies its key's root-to-leaf path and publishes. Run with
+// -benchmem: B/op and allocs/op are the serving write path's cost.
+func BenchmarkShardedPut(b *testing.B) {
+	const n = 1 << 20
+	keys := make([]int64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i] = 2 * int64(i)
+		vals[i] = uint64(i)
+	}
+	s := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 8}, keys, vals)
+	defer s.Close()
+	r := rand.New(rand.NewPCG(5, 7))
+	probes := make([]int64, 1<<16)
+	for i := range probes {
+		probes[i] = 2 * r.Int64N(n)
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 7919
+		for pb.Next() {
+			s.Put(probes[i%len(probes)], uint64(i))
+			i++
+		}
+	})
+}
+
 // Steady-state write-path allocation benchmarks: a 1M-key tree churned
 // with 10k-key batches. Run with -benchmem: allocs/op and B/op here are
 // the committed regression surface for the arena-backed rebuild engine

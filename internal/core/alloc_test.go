@@ -237,3 +237,57 @@ func TestCloneEmpty(t *testing.T) {
 		t.Fatal("mutating clone of empty tree affected the original")
 	}
 }
+
+// TestPublishedEpochAllocs pins the path-copy cost of one publishing
+// epoch: a single-key update, insert or remove on a 2^17-key
+// publishing tree, followed by PublishVersion. Each epoch copies one
+// children array per inner level on the key's path, the vals/exists
+// slots only at the node whose slot it writes, and the leaf arrays
+// with merge headroom, so the insert merges in place. The ceilings
+// are the measured counts; copying every inner node's vals and exists
+// as well costs 17 (update), 23 (insert) and 16 (remove).
+func TestPublishedEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceilings are checked in the non-race run")
+	}
+	const n = 1 << 17
+	base := seqKeys(n, 0, 2) // even keys; odd keys are fresh
+	tr := NewFromSortedKV(Config{}, nil, base, make([]int64, n))
+	tr.EnablePublish()
+	next := 0
+	key := [1]int64{}
+	val := [1]int64{}
+	epoch := func(op func()) func() {
+		return func() {
+			next++
+			key[0] = base[next*7919%n] // odd stride: distinct keys
+			val[0]++
+			op()
+			tr.PublishVersion()
+		}
+	}
+	update := epoch(func() { tr.PutBatched(key[:], val[:]) })
+	insert := epoch(func() {
+		key[0]++ // odd: absent
+		tr.PutBatched(key[:], val[:])
+	})
+	remove := epoch(func() { tr.RemoveBatched(key[:]) })
+	for _, c := range []struct {
+		name    string
+		run     func()
+		ceiling float64
+	}{
+		{"update", update, 12},
+		{"insert", insert, 14},
+		{"remove", remove, 11},
+	} {
+		for i := 0; i < 8; i++ {
+			c.run() // warm the arena's free lists
+		}
+		got := testing.AllocsPerRun(200, c.run)
+		t.Logf("%s epoch: %.2f allocs", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s epoch allocates %.2f, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

@@ -171,6 +171,10 @@ type node[K iindex.Numeric, V any] struct {
 	// mutation in a later generation copies the node first (mvcc.go).
 	// Zero everywhere on never-published trees.
 	gen uint64
+	// sharedSlots marks an inner path copy whose vals/exists still
+	// alias the frozen node it was copied from; ownSlots copies them
+	// before the first slot write (mvcc.go).
+	sharedSlots bool
 	// chunk, set only on the root node of a chunked build, ties the
 	// subtree back to its contiguous storage so a rebuild of an
 	// enclosing subtree can retire it for reclamation (mvcc.go).

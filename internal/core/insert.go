@@ -154,6 +154,7 @@ func (t *Tree[K, V]) insertRec(v *node[K, V], keys []K, vals []V, l, r int) *nod
 		t.deferRebuild(v, k, v.size+k)
 	}
 	v = t.owned(v)
+	t.ownSlots(v)
 	v.modCnt += k
 	v.size += k
 
@@ -219,6 +220,7 @@ func (t *Tree[K, V]) updateRec(v *node[K, V], keys []K, vals []V, l, r int) *nod
 		return root
 	}
 	v = t.owned(v)
+	t.ownSlots(v)
 	pf := t.ar.i32s.Get(seg)
 	defer t.ar.i32s.Put(pf)
 	t.findPositions(v, keys, l, r, pf)

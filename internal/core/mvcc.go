@@ -24,13 +24,17 @@ import (
 //
 //   - Generations. The tree carries a write generation (writeGen,
 //     combiner-confined) and every node records the generation it was
-//     created in. A mutation first calls owned(): a node from an older
-//     generation is copied (path copying), so nodes reachable from a
-//     published Version are never written again. Publishing bumps
-//     writeGen, freezing everything published. Trees that never call
-//     EnablePublish keep writeGen at zero forever, every node matches,
-//     and owned() is an equality test — the direct Map/Tree views pay
-//     nothing for this layer.
+//     created in. Every mutation calls owned() on each node of its
+//     path: a node from an older generation is copied (path copying),
+//     so nodes reachable from a published Version are never written
+//     again. One epoch copies one children array per inner level on
+//     the path, the vals/exists slots at a node whose slot it writes
+//     or that takes the parallel path (ownSlots), and the leaf arrays
+//     with room for the merge.
+//     Publishing bumps writeGen, freezing everything published. Trees
+//     that never call EnablePublish keep writeGen at zero forever,
+//     every node matches, and owned() is an equality test — the direct
+//     Map/Tree views pay nothing for this layer.
 //
 //   - Publication. PublishVersion (combiner-confined) wraps the
 //     current root in an immutable Version and stores it in an
@@ -167,6 +171,10 @@ func (t *Tree[K, V]) EnablePublish() {
 		m.retired = r.Counter("core.mvcc.chunks_retired")
 		m.recycled = r.Counter("core.mvcc.chunks_recycled")
 		m.dropped = r.Counter("core.mvcc.chunks_dropped")
+		if o := t.obs; o != nil {
+			o.nodeCopies = r.Counter("core.mvcc.node_copies")
+			o.slotCopies = r.Counter("core.mvcc.slot_copies")
+		}
 		r.Func("core.mvcc.snapshot_age_ns", func() int64 {
 			v := m.pub.Load()
 			if v == nil {
@@ -427,15 +435,32 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 
 // owned returns a node the current generation may write to: v itself
 // when it was created in this generation, otherwise a copy (path
-// copying). Inner copies share the rep array and its interpolation
-// index — both immutable between rebuilds — and copy the mutable
-// vals/exists/children arrays; leaf copies duplicate all three arrays
-// because leaf reps mutate on insertion. The chunk handle rides along
-// (see chunkHandle). On a tree that never published, writeGen and every
-// node generation are zero and this is one predictable branch.
+// copying). What one copy costs is what the epoch writes next:
+//
+//   - An inner copy allocates only its children array, the one array
+//     every write below it touches. It aliases the frozen original's
+//     rep and interpolation index (immutable between rebuilds) and its
+//     vals/exists slots, and sets sharedSlots; ownSlots copies the
+//     slots just before the first slot write at this node. The
+//     sequential paths call it only when the node's rep holds a batch
+//     key, so a small epoch whose keys live deeper never copies them;
+//     the parallel paths (more than seqSegCutoff keys at the node,
+//     which almost always include one in its rep) call it right
+//     after owned.
+//   - A leaf copy duplicates rep/vals/exists, because leaf reps mutate
+//     on insertion, with capacity for one more key plus LeafSlack
+//     headroom, so the insert that triggered the copy merges in place
+//     (mergeLeafPF) instead of allocating a second time.
+//
+// The chunk handle rides along (see chunkHandle). On a tree that never
+// published, writeGen and every node generation are zero and this is
+// one predictable branch.
 func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 	if v.gen == t.writeGen {
 		return v
+	}
+	if o := t.obs; o != nil {
+		o.nodeCopies.Add(1)
 	}
 	cp := &node[K, V]{
 		idx:      v.idx,
@@ -446,16 +471,33 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 		chunk:    v.chunk,
 	}
 	if v.children == nil {
-		cp.rep = append(make([]K, 0, len(v.rep)), v.rep...)
-		cp.vals = append(make([]V, 0, len(v.vals)), v.vals...)
-		cp.exists = append(make([]bool, 0, len(v.exists)), v.exists...)
+		c := leafGrowCap(len(v.rep)+1, t.cfg.LeafSlack)
+		cp.rep = append(make([]K, 0, c), v.rep...)
+		cp.vals = append(make([]V, 0, c), v.vals...)
+		cp.exists = append(make([]bool, 0, c), v.exists...)
 	} else {
-		cp.rep = v.rep
-		cp.vals = append(make([]V, 0, len(v.vals)), v.vals...)
-		cp.exists = append(make([]bool, 0, len(v.exists)), v.exists...)
+		cp.rep, cp.vals, cp.exists = v.rep, v.vals, v.exists
+		cp.sharedSlots = true
 		cp.children = append(make([]*node[K, V], 0, len(v.children)), v.children...)
 	}
 	return cp
+}
+
+// ownSlots gives an inner copy private vals/exists arrays before its
+// first slot write (see owned). Every slot-write site calls it: the
+// sequential ones inside their found-key branch, the parallel ones
+// unconditionally. Nodes that own their slots — every node of a tree
+// that never published — pay one branch.
+func (t *Tree[K, V]) ownSlots(v *node[K, V]) {
+	if !v.sharedSlots {
+		return
+	}
+	if o := t.obs; o != nil {
+		o.slotCopies.Add(1)
+	}
+	v.vals = append(make([]V, 0, len(v.vals)), v.vals...)
+	v.exists = append(make([]bool, 0, len(v.exists)), v.exists...)
+	v.sharedSlots = false
 }
 
 // replaceAtKey splices repl in place of the subtree rooted at target,

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -404,12 +406,156 @@ func TestNonPublishingTreesStayGenZero(t *testing.T) {
 		if v == nil {
 			return
 		}
-		if v.gen != 0 {
-			t.Fatalf("node with gen %d in a never-published tree", v.gen)
+		if v.gen != 0 || v.sharedSlots {
+			t.Fatalf("node with gen %d (shared slots %v) in a never-published tree", v.gen, v.sharedSlots)
 		}
 		for _, c := range v.children {
 			walk(c)
 		}
 	}
 	walk(tr.root)
+}
+
+// TestInnerSlotCopyOnWrite: an inner path copy aliases the frozen
+// node's vals/exists until its first slot write (owned/ownSlots), so
+// a write at one node must never leak into a version published
+// earlier, whether the written slot sits in the root's rep, in a
+// middle-level rep or in a leaf. Single-key update, remove and revive
+// epochs run on keys at each level, every version is kept under one
+// pin, and at the end each reads exactly what it was published with.
+// A final pair of wide epochs drives the parallel write paths over the
+// same keys. RebuildFactor is large enough that no rebuild runs, so
+// every write goes through the path copy.
+func TestInnerSlotCopyOnWrite(t *testing.T) {
+	reg := obs.NewRegistry()
+	base := seqKeys(1<<14, 0, 2)
+	baseV := make([]int64, len(base))
+	for i, k := range base {
+		baseV[i] = k * 3
+	}
+	tr := NewFromSortedKV(Config{RebuildFactor: 1 << 20, Metrics: reg}, parallel.NewPool(2), base, baseV)
+	tr.EnablePublish()
+	pin := tr.PinReader()
+	defer pin.Release()
+
+	// Keys in the root's rep, in a middle-level rep and in leaves.
+	root := tr.root
+	mid := root.children[len(root.children)/2]
+	if mid.isLeaf() {
+		t.Fatal("tree too shallow: the root's children are leaves")
+	}
+	leaf := mid.children[0]
+	for !leaf.isLeaf() {
+		leaf = leaf.children[0]
+	}
+	var probe []int64
+	for _, rep := range [][]int64{root.rep, mid.rep, leaf.rep} {
+		probe = append(probe, rep[0], rep[len(rep)/2], rep[len(rep)-1])
+	}
+
+	oracle := make(map[int64]int64, len(base))
+	for i, k := range base {
+		oracle[k] = baseV[i]
+	}
+	type kept struct {
+		ver  *Version[int64, int64]
+		want map[int64]int64
+	}
+	versions := []kept{{tr.CurrentVersion(), maps.Clone(oracle)}}
+	publish := func() {
+		tr.PublishVersion()
+		versions = append(versions, kept{tr.CurrentVersion(), maps.Clone(oracle)})
+	}
+	val := int64(-1)
+	for _, k := range probe {
+		val--
+		tr.PutBatched([]int64{k}, []int64{val}) // update in place
+		oracle[k] = val
+		publish()
+		tr.RemoveBatched([]int64{k})
+		delete(oracle, k)
+		publish()
+		val--
+		tr.PutBatched([]int64{k}, []int64{val}) // revive the removed slot
+		oracle[k] = val
+		publish()
+	}
+	// A leaf write leaves the root's slots shared with the version
+	// before it; a root slot write gives the live root its own.
+	prev := tr.CurrentVersion()
+	tr.PutBatched([]int64{leaf.rep[1]}, []int64{7})
+	oracle[leaf.rep[1]] = 7
+	publish()
+	if cur := tr.CurrentVersion(); &cur.root.vals[0] != &prev.root.vals[0] {
+		t.Error("a leaf write copied the root's value slots")
+	}
+	prev = tr.CurrentVersion()
+	tr.PutBatched([]int64{root.rep[1]}, []int64{9})
+	oracle[root.rep[1]] = 9
+	publish()
+	if cur := tr.CurrentVersion(); &cur.root.vals[0] == &prev.root.vals[0] {
+		t.Error("a root slot write did not copy the root's value slots")
+	}
+
+	// Wide epochs take the parallel paths: every probe key plus a
+	// stripe of the base set, updated, removed, then revived.
+	wide := slices.Clone(probe)
+	for i := 0; i < len(base); i += 11 {
+		wide = append(wide, base[i])
+	}
+	slices.Sort(wide)
+	wide = slices.Compact(wide)
+	wideV := make([]int64, len(wide))
+	for i, k := range wide {
+		wideV[i] = -k
+		oracle[k] = -k
+	}
+	tr.PutBatched(wide, wideV)
+	publish()
+	tr.RemoveBatched(wide)
+	for _, k := range wide {
+		delete(oracle, k)
+	}
+	publish()
+	for i, k := range wide {
+		wideV[i] = k + 1
+		oracle[k] = k + 1
+	}
+	tr.PutBatched(wide, wideV)
+	publish()
+
+	for x, kv := range versions {
+		gotK, gotV := tr.VersionItems(kv.ver)
+		if len(gotK) != len(kv.want) {
+			t.Fatalf("version %d holds %d keys, published with %d", x, len(gotK), len(kv.want))
+		}
+		for i, k := range gotK {
+			if w, ok := kv.want[k]; !ok || gotV[i] != w {
+				t.Fatalf("version %d: key %d reads %d, published with %d (present %v)", x, k, gotV[i], w, ok)
+			}
+		}
+		for _, k := range probe {
+			w, wok := kv.want[k]
+			if v, ok := tr.VersionGet(kv.ver, k); ok != wok || v != w {
+				t.Fatalf("version %d: VersionGet(%d) = %d,%v, published with %d,%v", x, k, v, ok, w, wok)
+			}
+		}
+	}
+	gotK, gotV := tr.Items()
+	if len(gotK) != len(oracle) {
+		t.Fatalf("live tree holds %d keys, oracle %d", len(gotK), len(oracle))
+	}
+	for i, k := range gotK {
+		if w, ok := oracle[k]; !ok || gotV[i] != w {
+			t.Fatalf("live key %d reads %d, oracle %d (present %v)", k, gotV[i], w, ok)
+		}
+	}
+	checkInvariants(t, tr)
+
+	nodes := reg.Counter("core.mvcc.node_copies").Load()
+	slots := reg.Counter("core.mvcc.slot_copies").Load()
+	t.Logf("path copies: %d nodes, %d inner slot arrays", nodes, slots)
+	if slots == 0 || slots >= nodes {
+		t.Errorf("slot copies = %d, node copies = %d: want 0 < slots < nodes", slots, nodes)
+	}
 }

@@ -17,6 +17,12 @@ type coreObs struct {
 	rebuildKeys *obs.Counter   // keys laid down by those rebuilds
 	rebuildNS   *obs.Histogram // per-event duration, ns
 	rebuildSize *obs.Histogram // per-event subtree size, keys
+
+	// Path-copy counters (mvcc.go), registered by EnablePublish: nodes
+	// copied by owned and inner slot arrays copied by ownSlots. nil on
+	// a tree that never published, which never copies.
+	nodeCopies *obs.Counter
+	slotCopies *obs.Counter
 }
 
 // newCoreObs resolves the tree metric handles; nil registry → nil obs.

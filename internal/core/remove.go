@@ -55,6 +55,7 @@ func (t *Tree[K, V]) removeRec(v *node[K, V], keys []K, l, r int) *node[K, V] {
 		t.deferRebuild(v, k, v.size-k)
 	}
 	v = t.owned(v)
+	t.ownSlots(v)
 	v.modCnt += k
 	v.size -= k
 

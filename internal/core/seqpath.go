@@ -184,6 +184,7 @@ func (t *Tree[K, V]) insertSeq(v *node[K, V], keys []K, vals []V, l, r int, sc *
 	found := 0
 	for i, p := range pf {
 		if p&1 == 1 {
+			t.ownSlots(v)
 			v.exists[p>>1] = true // revive (§6), storing the new value
 			v.vals[p>>1] = vals[l+i]
 			found++
@@ -227,6 +228,7 @@ func (t *Tree[K, V]) updateSeq(v *node[K, V], keys []K, vals []V, l, r int, sc *
 	t.findPositionsSeq(v, keys, l, r, pf)
 	for i, p := range pf {
 		if p&1 == 1 {
+			t.ownSlots(v)
 			v.vals[p>>1] = vals[l+i]
 		}
 	}
@@ -266,6 +268,7 @@ func (t *Tree[K, V]) removeSeq(v *node[K, V], keys []K, l, r int, sc *scratch, d
 	t.findPositionsSeq(v, keys, l, r, pf)
 	for _, p := range pf {
 		if p&1 == 1 {
+			t.ownSlots(v)
 			v.exists[p>>1] = false
 		}
 	}
@@ -300,7 +303,11 @@ func (t *Tree[K, V]) removeSeq(v *node[K, V], keys []K, l, r int, sc *scratch, d
 // counter the leafslack experiment sweeps. Chunk-carved arrays are
 // capacity-clamped and therefore always take the allocating path on
 // their first merge, which is what keeps leaf growth out of shared
-// chunk storage. The arrays are leaf-retained either way, so they
+// chunk storage. On a publishing tree the leaf is a path copy of this
+// epoch (owned), whose private arrays already hold one more key plus
+// the same slack, so a single-key insert merges in place; a frozen
+// leaf's spare capacity is never written, because the merge only ever
+// runs on the copy. The arrays are leaf-retained either way, so they
 // never come from recycled scratch.
 func mergeLeafPF[K iindex.Numeric, V any](rep []K, vals []V, exists []bool, batchK []K, batchV []V, pf []int32, absent int, slack float64) ([]K, []V, []bool, bool) {
 	skip := func(j int) bool { return pf != nil && pf[j]&1 == 1 }
@@ -327,7 +334,7 @@ func mergeLeafPF[K iindex.Numeric, V any](rep []K, vals []V, exists []bool, batc
 		}
 		return rep, vals, exists, false
 	}
-	grown := n + int(float64(n)*(slack-1)) // headroom for in-place follow-up merges
+	grown := leafGrowCap(n, slack) // headroom for in-place follow-up merges
 	nr := make([]K, 0, grown)
 	nv := make([]V, 0, grown)
 	ne := make([]bool, 0, grown)
@@ -363,4 +370,11 @@ func mergeLeafPF[K iindex.Numeric, V any](rep []K, vals []V, exists []bool, batc
 		ne = append(ne, true)
 	}
 	return nr, nv, ne, true
+}
+
+// leafGrowCap is the capacity of freshly allocated leaf arrays for n
+// keys: n plus the Config.LeafSlack headroom that lets the next few
+// merges into the leaf run in place.
+func leafGrowCap(n int, slack float64) int {
+	return n + int(float64(n)*(slack-1))
 }
