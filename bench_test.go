@@ -508,6 +508,43 @@ func BenchmarkShardedPut(b *testing.B) {
 	})
 }
 
+// Paper-sized sharded batches: one PutBatch of M = N/10 fresh keys,
+// sorted, into a frontend of N = 2^20 even keys, on 1 and 8 shards.
+// Each shard's part is one large combining epoch, the batch size the
+// paper evaluates (M = N/10). The DeleteBatch that restores the base
+// runs untimed. Run with -benchmem or read the reported allocs/op.
+func BenchmarkShardedPutBatch(b *testing.B) {
+	const n = 1 << 20
+	const m = n / 10
+	keys := make([]int64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i] = 2 * int64(i)
+		vals[i] = uint64(i)
+	}
+	batch := make([]int64, m) // odd, so absent from the base
+	for i, x := range rand.New(rand.NewPCG(11, 13)).Perm(n)[:m] {
+		batch[i] = 2*int64(x) + 1
+	}
+	slices.Sort(batch)
+	bvals := make([]uint64, m)
+	for _, shards := range []int{1, 8} {
+		b.Run("shards_"+itoa(shards), func(b *testing.B) {
+			s := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: shards}, keys, vals)
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.PutBatch(batch, bvals)
+				b.StopTimer()
+				s.DeleteBatch(batch)
+				b.StartTimer()
+			}
+			reportKeysPerSec(b, m)
+		})
+	}
+}
+
 // Steady-state write-path allocation benchmarks: a 1M-key tree churned
 // with 10k-key batches. Run with -benchmem: allocs/op and B/op here are
 // the committed regression surface for the arena-backed rebuild engine

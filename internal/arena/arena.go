@@ -187,8 +187,10 @@ func (s *Scratch[T]) Stats() (gets, reuses int64) {
 // counted — Retained measures what the free list itself pins.
 //
 // The structural bound is numShards × numClasses × maxPerClass
-// buffers. The retention gauges (core.arena.*, combine.scratch.*) and
-// the sharded retention test read this number.
+// buffers. The core.arena.* retention gauges, and through them the
+// sharded retention test, read this number. A combiner uses no
+// Scratch: its per-epoch arrays are confined to its goroutine and
+// reported by the combine.scratch.* gauges instead.
 func (s *Scratch[T]) Retained() (buffers int, elems int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]

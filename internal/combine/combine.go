@@ -3,8 +3,8 @@
 // goroutines submit single-key and mini-batch operations, a single
 // combiner goroutine coalesces everything queued into an epoch, and
 // each epoch executes as at most one batched presence traversal plus
-// one batched write traversal on the underlying engine, with full
-// intra-batch parallelism.
+// the batched write traversals that presence already splits (no second
+// presence check), with full intra-batch parallelism.
 //
 // This inverts the usual lock-based recipe: instead of serializing
 // clients around a structure that handles one key at a time, clients
@@ -33,9 +33,9 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/arena"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -48,12 +48,19 @@ import (
 // ContainsBatchedInto resolves the pre-epoch presence every write
 // reports. Its destination is caller-provided, len(keys),
 // zero-initialized (entries of absent keys are left untouched), so the
-// combiner can recycle the array of one epoch as the array of the next
+// combiner can reuse the array of one epoch as the array of the next
 // instead of allocating per epoch.
+//
+// ApplyResolved applies the epoch's surviving writes, split by that
+// same presence: updK are live keys whose values it overwrites with
+// updV, insK absent keys it inserts with insV, delK live keys it
+// removes. The three batches are pairwise disjoint. The engine trusts
+// the split and runs no presence traversal of its own, so an epoch
+// walks the tree once to read and once to write. It never retains a
+// batch slice.
 type Engine[K cmp.Ordered, V any] interface {
 	ContainsBatchedInto(keys []K, found []bool)
-	PutBatched(keys []K, vals []V) int
-	RemoveBatched(keys []K) int
+	ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK []K)
 
 	// PublishVersion is called at the end of every epoch, after the
 	// epoch's writes and before its clients are woken, so by the time
@@ -70,35 +77,6 @@ type Engine[K cmp.Ordered, V any] interface {
 	// which the epoch trace records.
 	BeginRebuildEpoch()
 	EndRebuildEpoch() (spentKeys, debtKeys int)
-}
-
-// scratch is a Combiner's per-epoch scratch arena: size-classed free
-// lists for the event lists, distinct-key arrays, presence and mark
-// arrays, and write batches an epoch borrows and returns. Every
-// Combiner owns one; the zero value recycles.
-type scratch[K cmp.Ordered, V any] struct {
-	ev    arena.Scratch[event[K]]
-	keys  arena.Scratch[K]
-	vals  arena.Scratch[V]
-	bools arena.Scratch[bool]
-	i32s  arena.Scratch[int32]
-}
-
-// retained reports the scratch free-list inventory across all element
-// types: idle buffers held for reuse and their summed capacity in
-// elements (value buffers count elements of V, key buffers elements
-// of K, and so on — the number is a structural gauge, not bytes).
-func (s *scratch[K, V]) retained() (buffers int, elems int64) {
-	b, e := s.ev.Retained()
-	buffers, elems = buffers+b, elems+e
-	b, e = s.keys.Retained()
-	buffers, elems = buffers+b, elems+e
-	b, e = s.vals.Retained()
-	buffers, elems = buffers+b, elems+e
-	b, e = s.bools.Retained()
-	buffers, elems = buffers+b, elems+e
-	b, e = s.i32s.Retained()
-	return buffers + b, elems + e
 }
 
 // ErrClosed is returned by operations submitted after Close.
@@ -190,13 +168,18 @@ type Combiner[K cmp.Ordered, V any] struct {
 
 	opPool sync.Pool
 
-	// Per-epoch scratch, recycled across epochs through the same
-	// size-classed free lists the core tree uses (internal/arena).
-	// Only runEpoch borrows from these, and it returns every buffer
-	// before the epoch's clients are woken, so no recycled buffer is
-	// ever reachable from two epochs — or from any client — at once.
+	// Per-epoch arrays, owned by the combiner goroutine: each epoch
+	// regrows them to its size and the next epoch reuses them. No
+	// client ever sees one, and only the combiner goroutine touches
+	// them, so they need no lock and no free list (epoch.go).
 	//pbist:guardedby combiner
-	scr *scratch[K, V]
+	buf epochBufs[K, V]
+
+	// retBufs and retElems are what buf held at the end of the last
+	// observed epoch, stored by the combiner for the
+	// combine.scratch.* gauges: gauge callbacks run on other
+	// goroutines and must not read buf itself.
+	retBufs, retElems atomic.Int64
 
 	// probe is the combiner's observability hook: nil unless the
 	// combiner was built with Options.Metrics or Options.TraceDepth.
@@ -242,21 +225,18 @@ type Stats struct {
 // epoch execution (batched traversals and result routing); a nil pool
 // means sequential. The caller must not touch eng afterwards except
 // through the Combiner, and should Close the Combiner to stop its
-// goroutine. The Combiner owns a private scratch arena its epochs
-// recycle buffers through.
+// goroutine. The Combiner owns the per-epoch arrays its epochs reuse.
 func New[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options) *Combiner[K, V] {
 	opts = opts.withDefaults()
-	scr := &scratch[K, V]{}
-	scr.observe(opts.Metrics)
 	c := &Combiner[K, V]{
 		eng:      eng,
 		pool:     pool,
 		opts:     opts,
 		wake:     make(chan struct{}, 1),
 		loopDone: make(chan struct{}),
-		scr:      scr,
 		probe:    newProbe(opts.Metrics, opts.TraceDepth, opts.ID),
 	}
+	c.observeRetained(opts.Metrics)
 	c.opPool.New = func() any {
 		return &op[K, V]{done: make(chan struct{}, 1)}
 	}

@@ -62,26 +62,28 @@ func (e *gatedEngine) ContainsBatchedInto(keys []int64, found []bool) {
 	}
 }
 
-func (e *gatedEngine) PutBatched(keys []int64, vals []uint64) int {
-	n := 0
-	for i, k := range keys {
+// ApplyResolved trusts the combiner's split as a core tree does, but
+// checks it first: a key filed under the wrong presence panics the
+// combiner goroutine, which fails the test binary loudly.
+func (e *gatedEngine) ApplyResolved(updK []int64, updV []uint64, insK []int64, insV []uint64, delK []int64) {
+	for i, k := range updK {
 		if _, ok := e.m[k]; !ok {
-			n++
+			panic("gatedEngine: update of an absent key")
 		}
-		e.m[k] = vals[i]
+		e.m[k] = updV[i]
 	}
-	return n
-}
-
-func (e *gatedEngine) RemoveBatched(keys []int64) int {
-	n := 0
-	for _, k := range keys {
+	for i, k := range insK {
 		if _, ok := e.m[k]; ok {
-			n++
-			delete(e.m, k)
+			panic("gatedEngine: insert of a live key")
 		}
+		e.m[k] = insV[i]
 	}
-	return n
+	for _, k := range delK {
+		if _, ok := e.m[k]; !ok {
+			panic("gatedEngine: remove of an absent key")
+		}
+		delete(e.m, k)
+	}
 }
 
 func (e *gatedEngine) PublishVersion()                    {}

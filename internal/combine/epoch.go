@@ -20,17 +20,91 @@ type event[K cmp.Ordered] struct {
 	sub int32
 }
 
+// verdict is what an epoch writes for one distinct key, decided by
+// replaying the key's events from its pre-epoch presence.
+type verdict uint8
+
+const (
+	noWrite verdict = iota // absent before the epoch and after it
+	update                 // live before and after: overwrite the value
+	insert                 // absent before, live after
+	remove                 // live before, absent after
+)
+
+// retainFactor bounds what the per-epoch arrays keep between epochs:
+// when an epoch ends, an array whose capacity exceeds retainFactor ×
+// MaxBatch elements is dropped, so one huge PutBatch does not pin its
+// high-water mark. The size trigger flushes at MaxBatch keys, so
+// ordinary epochs stay under the bound and reuse their arrays.
+const retainFactor = 2
+
+// epochBufs holds the arrays one epoch fills. The combiner owns them:
+// runEpoch regrows each to its epoch's size, and the next epoch reuses
+// them. Their contents are dead between epochs.
+type epochBufs[K cmp.Ordered, V any] struct {
+	events   []event[K]
+	keys     []K       // distinct keys, sorted
+	runs     []int32   // start of each key's event run, plus the end
+	found    []bool    // pre-epoch presence per distinct key
+	verdicts []verdict // what the epoch writes per distinct key
+	winVal   []V       // the value a surviving Put installs
+	wk       []K       // write batches: updates, inserts, then removes
+	wv       []V       // values of the updates, then of the inserts
+}
+
+// trim drops every array whose capacity exceeds maxCap elements.
+func (b *epochBufs[K, V]) trim(maxCap int) {
+	b.events = trimmed(b.events, maxCap)
+	b.keys = trimmed(b.keys, maxCap)
+	b.runs = trimmed(b.runs, maxCap)
+	b.found = trimmed(b.found, maxCap)
+	b.verdicts = trimmed(b.verdicts, maxCap)
+	b.winVal = trimmed(b.winVal, maxCap)
+	b.wk = trimmed(b.wk, maxCap)
+	b.wv = trimmed(b.wv, maxCap)
+}
+
+// retained reports how many arrays b holds and their summed capacity
+// in elements.
+func (b *epochBufs[K, V]) retained() (bufs, elems int64) {
+	for _, n := range [...]int{
+		cap(b.events), cap(b.keys), cap(b.runs), cap(b.found),
+		cap(b.verdicts), cap(b.winVal), cap(b.wk), cap(b.wv),
+	} {
+		if n > 0 {
+			bufs++
+			elems += int64(n)
+		}
+	}
+	return bufs, elems
+}
+
+// trimmed returns s, or nil when its capacity exceeds maxCap.
+func trimmed[T any](s []T, maxCap int) []T {
+	if cap(s) > maxCap {
+		return nil
+	}
+	return s
+}
+
+// resized returns s with length n, reusing its array when the capacity
+// suffices. The contents are arbitrary.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
 // runEpoch executes one combined batch: it resolves the pre-epoch
 // presence of every distinct key with at most one batched contains
 // traversal, replays each key's events in linearization order to fill
-// per-op results, and applies the surviving last-wins writes with at
-// most one PutBatched and one RemoveBatched traversal. keyCount and sized feed
+// per-op results, and hands the surviving last-wins writes, split by
+// that presence, to one ApplyResolved call. keyCount and sized feed
 // the statistics.
 //
 //pbist:combiner
 func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	start := time.Now()
 	pr := c.probe
+	buf := &c.buf
 
 	// Open the epoch's rebuild budget before any traversal, so every
 	// rebuild the write traversals below spend shares one per-epoch cap
@@ -39,20 +113,19 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 
 	// Flatten the epoch into events. Fences carry no keys, so they
 	// complete with the rest of the epoch. The event list and every
-	// per-run array below are arena scratch: borrowed here, returned at
-	// the end of this epoch (before clients wake), recycled by the next
-	// epoch.
+	// per-run array below are the combiner's own, regrown here and
+	// reused by the next epoch.
 	nev := 0
 	for _, o := range ops {
 		nev += len(o.keys)
 	}
-	evBuf := c.scr.ev.Get(nev)
-	events := evBuf[:0]
+	events := slices.Grow(buf.events[:0], nev)
 	for i, o := range ops {
 		for j := range o.keys {
 			events = append(events, event[K]{key: o.keys[j], op: int32(i), sub: int32(j)})
 		}
 	}
+	buf.events = events
 	slices.SortFunc(events, func(a, b event[K]) int {
 		if r := cmp.Compare(a.key, b.key); r != 0 {
 			return r
@@ -64,10 +137,8 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	})
 
 	// Distinct keys and their event runs.
-	rkBuf := c.scr.keys.Get(nev)
-	rsBuf := c.scr.i32s.Get(nev + 1)
-	readKeys := rkBuf[:0]
-	runStart := rsBuf[:0]
+	readKeys := slices.Grow(buf.keys[:0], nev)
+	runStart := slices.Grow(buf.runs[:0], nev+1)
 	for i := range events {
 		if i == 0 || events[i].key != events[i-1].key {
 			runStart = append(runStart, int32(i))
@@ -75,6 +146,7 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 		}
 	}
 	runStart = append(runStart, int32(len(events)))
+	buf.keys, buf.runs = readKeys, runStart
 	nruns := len(readKeys)
 
 	// The phase stamps below are taken only when the combiner is
@@ -86,12 +158,12 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	}
 
 	// One batched contains traversal resolves the pre-epoch presence of
-	// every key the epoch touches, which the writes' return values and
-	// the write batches below need. The destination is epoch scratch
-	// (the *Into engine contract wants it zeroed), returned below with
-	// the rest, so steady-state epochs run the read phase
-	// allocation-free.
-	preFound := c.scr.bools.GetZero(nruns)
+	// every key the epoch touches. The writes' return values need it,
+	// and so does the split of the write batches below, which is why
+	// the engine's writes run no presence check of their own.
+	preFound := resized(buf.found, nruns)
+	clear(preFound) // the *Into engine contract wants it zeroed
+	buf.found = preFound
 	if nruns > 0 {
 		c.eng.ContainsBatchedInto(readKeys, preFound)
 	}
@@ -102,45 +174,55 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	// Replay every key's events in linearization order, in parallel
 	// across keys: presence (and value) evolve per event, each event
 	// writes its op's answer at its own position, and the key's final
-	// state decides the write traversal below. Distinct keys never
-	// share a result position, so the scatter is race-free.
-	putMark := c.scr.bools.GetZero(nruns)
-	delMark := c.scr.bools.GetZero(nruns)
-	winVal := c.scr.vals.GetZero(nruns)
+	// state against its pre-epoch presence is its verdict. Distinct
+	// keys never share a result position, so the scatter is race-free.
+	verdicts := resized(buf.verdicts, nruns)
+	winVal := resized(buf.winVal, nruns)
+	buf.verdicts, buf.winVal = verdicts, winVal
 	if pr != nil {
 		parallel.WithLabel(true, "combine-replay", func() {
-			c.replayRuns(ops, events, runStart, preFound, putMark, delMark, winVal, nruns)
+			c.replayRuns(ops, events, runStart, preFound, verdicts, winVal, nruns)
 		})
 		tReplay = time.Now()
 	} else {
-		c.replayRuns(ops, events, runStart, preFound, putMark, delMark, winVal, nruns)
+		c.replayRuns(ops, events, runStart, preFound, verdicts, winVal, nruns)
 	}
 
-	// Gather the surviving writes in run order — readKeys is sorted, so
-	// the write batches are sorted and duplicate-free as the engine
-	// requires — and apply them with one traversal each. The engine
-	// never retains a batch slice (writes copy into tree-owned
-	// storage), so scratch-backed batches are safe here.
-	pkBuf := c.scr.keys.Get(nruns)
-	pvBuf := c.scr.vals.Get(nruns)
-	dkBuf := c.scr.keys.Get(nruns)
-	putK := pkBuf[:0]
-	putV := pvBuf[:0]
-	delK := dkBuf[:0]
-	for r := 0; r < nruns; r++ {
-		switch {
-		case putMark[r]:
-			putK = append(putK, readKeys[r])
-			putV = append(putV, winVal[r])
-		case delMark[r]:
+	// Split the surviving writes by verdict, in run order — readKeys is
+	// sorted, so each batch is sorted and duplicate-free as the engine
+	// requires — into three regions of one key array and two of one
+	// value array, and apply them with one call. The engine never
+	// retains a batch slice (writes copy into tree-owned storage).
+	var nUpd, nIns, nDel int
+	for _, v := range verdicts {
+		switch v {
+		case update:
+			nUpd++
+		case insert:
+			nIns++
+		case remove:
+			nDel++
+		}
+	}
+	wk := resized(buf.wk, nUpd+nIns+nDel)
+	wv := resized(buf.wv, nUpd+nIns)
+	buf.wk, buf.wv = wk, wv
+	updK, insK, delK := wk[:0:nUpd], wk[nUpd:nUpd:nUpd+nIns], wk[nUpd+nIns:nUpd+nIns]
+	updV, insV := wv[:0:nUpd], wv[nUpd:nUpd]
+	for r, v := range verdicts {
+		switch v {
+		case update:
+			updK = append(updK, readKeys[r])
+			updV = append(updV, winVal[r])
+		case insert:
+			insK = append(insK, readKeys[r])
+			insV = append(insV, winVal[r])
+		case remove:
 			delK = append(delK, readKeys[r])
 		}
 	}
-	if len(putK) > 0 {
-		c.eng.PutBatched(putK, putV)
-	}
-	if len(delK) > 0 {
-		c.eng.RemoveBatched(delK)
+	if len(wk) > 0 {
+		c.eng.ApplyResolved(updK, updV, insK, insV, delK)
 	}
 	// Publish the post-epoch state for version readers before any
 	// client of this epoch wakes: an operation that has completed is
@@ -161,18 +243,15 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 		tSched = time.Now()
 	}
 
-	// Every scratch buffer goes back before the clients wake: nothing
-	// below reads them, so the next epoch is free to recycle.
-	c.scr.ev.Put(evBuf)
-	c.scr.keys.Put(rkBuf)
-	c.scr.i32s.Put(rsBuf)
-	c.scr.bools.Put(preFound)
-	c.scr.bools.Put(putMark)
-	c.scr.bools.Put(delMark)
-	c.scr.vals.Put(winVal)
-	c.scr.keys.Put(pkBuf)
-	c.scr.vals.Put(pvBuf)
-	c.scr.keys.Put(dkBuf)
+	// Nothing below reads the epoch's arrays. They stay for the next
+	// epoch, except any a huge epoch grew past the retention bound; an
+	// observed combiner reports what it keeps to its gauges.
+	buf.trim(retainFactor * c.opts.MaxBatch)
+	if pr != nil {
+		bufs, elems := buf.retained()
+		c.retBufs.Store(bufs)
+		c.retElems.Store(elems)
+	}
 
 	// Statistics, then wake every client. Waiters read their results
 	// only after receiving from done, so the sends publish the scatter
@@ -203,9 +282,8 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 // replayRuns is the replay stage of runEpoch, extracted so the
 // observed path can run it under a pprof label without forcing a
 // closure allocation on the unobserved path. It touches no
-// combiner-confined state — everything it needs arrives as epoch-local
-// scratch.
-func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, preFound []bool, putMark, delMark []bool, winVal []V, nruns int) {
+// combiner-confined state — everything it needs arrives as arguments.
+func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, preFound []bool, verdicts []verdict, winVal []V, nruns int) {
 	parallel.For(c.pool, nruns, 256, func(r int) {
 		present := preFound[r]
 		var val V
@@ -222,15 +300,18 @@ func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart
 				present = false
 			}
 		}
+		// A key live after the epoch ends in a Put, whose value is
+		// installed (also when the key pre-existed, since the value may
+		// differ).
 		switch {
+		case present && preFound[r]:
+			verdicts[r], winVal[r] = update, val
 		case present:
-			// The last state-setting write was a Put: install its value
-			// (an upsert also when the key pre-existed, since the value
-			// may differ).
-			putMark[r] = true
-			winVal[r] = val
+			verdicts[r], winVal[r] = insert, val
 		case preFound[r]:
-			delMark[r] = true
+			verdicts[r] = remove
+		default:
+			verdicts[r] = noWrite
 		}
 	})
 }

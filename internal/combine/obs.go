@@ -107,22 +107,20 @@ func (c *Combiner[K, V]) Trace(n int) []obs.EpochTrace {
 	return c.probe.ring.Recent(n)
 }
 
-// observe registers the scratch arena's free-list telemetry with r as
-// live gauges under "combine.scratch": retained buffer count and summed
-// element capacity. Combiners sharing a registry sum their gauges under
-// the same names.
-func (s *scratch[K, V]) observe(r *obs.Registry) {
+// observeRetained registers what the combiner's per-epoch arrays hold
+// between epochs as live gauges under "combine.scratch": the number of
+// arrays and their summed capacity in elements (events, keys, values
+// and flags alike — a structural gauge, not bytes). The figures are
+// those runEpoch stored at the end of the last observed epoch, read
+// from atomics, so a snapshot never touches the combiner-confined
+// arrays. Combiners sharing a registry sum their gauges under the
+// same names.
+func (c *Combiner[K, V]) observeRetained(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	r.Func("combine.scratch.retained_buffers", func() int64 {
-		b, _ := s.retained()
-		return int64(b)
-	})
-	r.Func("combine.scratch.retained_elems", func() int64 {
-		_, e := s.retained()
-		return e
-	})
+	r.Func("combine.scratch.retained_buffers", c.retBufs.Load)
+	r.Func("combine.scratch.retained_elems", c.retElems.Load)
 }
 
 // traceEpoch assembles and records the trace of the epoch that just

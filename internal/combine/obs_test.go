@@ -131,3 +131,65 @@ func TestTraceWithoutRegistry(t *testing.T) {
 		t.Fatalf("ring retained %d traces, depth 4", len(traces))
 	}
 }
+
+// TestRetainedArraysBounded checks the combine.scratch.* gauges, which
+// report what the combiner's per-epoch arrays keep between epochs.
+// Ordinary epochs keep their arrays, so the gauges read nonzero. An
+// epoch larger than retainFactor × MaxBatch keys drops every array it
+// grew past that bound. A second goroutine snapshots the registry
+// while epochs run; under -race that checks the gauges never read the
+// combiner's arrays themselves.
+func TestRetainedArraysBounded(t *testing.T) {
+	const maxBatch = 64
+	const bound = 8 * retainFactor * maxBatch // eight arrays at the bound
+	pool := parallel.NewPool(2)
+	eng := core.New[int64, uint64](core.Config{}, pool)
+	reg := obs.NewRegistry()
+	c := New[int64, uint64](eng, pool, Options{MaxBatch: maxBatch, Metrics: reg})
+	defer c.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Snapshot()
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+
+	retained := func() (bufs, elems int64) {
+		g := reg.Snapshot().Gauges
+		return g["combine.scratch.retained_buffers"], g["combine.scratch.retained_elems"]
+	}
+	put := func(keys []int64) {
+		t.Helper()
+		if _, err := c.PutBatch(keys, make([]uint64, len(keys))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	put([]int64{1, 2, 3})
+	if bufs, elems := retained(); bufs == 0 || elems == 0 || elems > bound {
+		t.Fatalf("after a small epoch: %d arrays of %d elements, want some, at most %d", bufs, elems, bound)
+	}
+	huge := make([]int64, 50*maxBatch)
+	for i := range huge {
+		huge[i] = int64(i)
+	}
+	put(huge)
+	if bufs, elems := retained(); elems > bound {
+		t.Fatalf("after a %d-key epoch: %d arrays of %d elements, want at most %d", len(huge), bufs, elems, bound)
+	}
+	put([]int64{4})
+	if bufs, elems := retained(); bufs == 0 || elems > bound {
+		t.Fatalf("after the next small epoch: %d arrays of %d elements, want some, at most %d", bufs, elems, bound)
+	}
+}

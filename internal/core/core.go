@@ -10,6 +10,8 @@
 //   - InsertBatched (§5) adds a sorted batch (set union),
 //   - PutBatched (§5) upserts a sorted batch of key-value pairs,
 //   - RemoveBatched (§6) deletes a sorted batch (set difference),
+//   - ApplyResolved runs the write traversals of the three above for
+//     batches whose presence the caller already resolved,
 //
 // each in expected O(m·log log n) work for a batch of m keys against a
 // tree of n keys drawn from a smooth distribution, and polylogarithmic

@@ -6,6 +6,41 @@ import (
 	"repro/internal/parallel"
 )
 
+// ApplyResolved applies writes whose presence the caller has already
+// resolved against the current contents: every updK[i] is live and
+// takes updV[i] through the value-overwrite traversal (updateRec),
+// every insK[i] is absent and is inserted with insV[i] through the §5
+// insertion traversal (insertRec), and every delK[i] is live and is
+// removed through the §6 traversal (removeRec). Each batch must be
+// sorted and duplicate-free and the three pairwise disjoint; empty
+// batches are skipped. It runs no membership traversal or filter and
+// borrows no scratch of its own (the traversals borrow their position
+// buffers as always), so the caller's presence is trusted: a wrong one
+// corrupts the size accounting.
+//
+// It is the one place the write order lives: PutBatched, InsertBatched
+// and RemoveBatched are each their presence filter plus a call to it,
+// and the combining frontend calls it directly with the presence its
+// epoch's read phase resolved.
+func (t *Tree[K, V]) ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK []K) {
+	if len(updK) != len(updV) || len(insK) != len(insV) {
+		panic("core: ApplyResolved keys/vals length mismatch")
+	}
+	t.beginBatch()
+	if len(updK) > 0 {
+		t.dirty = true
+		t.root = t.updateRec(t.root, updK, updV, 0, len(updK))
+	}
+	if len(insK) > 0 {
+		t.dirty = true
+		t.root = t.insertRec(t.root, insK, insV, 0, len(insK))
+	}
+	if len(delK) > 0 {
+		t.dirty = true
+		t.root = t.removeRec(t.root, delK, 0, len(delK))
+	}
+}
+
 // InsertBatched adds every key of the sorted duplicate-free batch with
 // a zero value and returns the number of keys actually inserted (keys
 // already present are skipped, keeping their stored value). It
@@ -23,32 +58,29 @@ func (t *Tree[K, V]) InsertBatched(keys []K) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	t.beginBatch()
 	present := t.ar.bools.GetZero(len(keys))
 	t.containsInto(keys, present)
 	freshBuf := t.ar.keys.Get(len(keys))
 	fresh := parallel.FilterIndexInto(t.pool, keys, freshBuf, func(i int) bool { return !present[i] })
 	t.ar.bools.Put(present)
 	n := len(fresh)
-	if n > 0 {
-		t.dirty = true
-		zeroV := t.ar.vals.GetZero(n)
-		t.root = t.insertRec(t.root, fresh, zeroV, 0, n)
-		t.ar.vals.Put(zeroV)
-	}
+	zeroV := t.ar.vals.GetZero(n)
+	t.ApplyResolved(nil, nil, fresh, zeroV, nil)
+	t.ar.vals.Put(zeroV)
 	t.ar.keys.Put(freshBuf)
 	return n
 }
 
 // PutBatched upserts every (keys[i], vals[i]) pair of the sorted
 // duplicate-free batch and returns the number of keys that were newly
-// inserted (as opposed to overwritten). The batch splits against the
-// current contents: keys already live take one value-overwrite
-// traversal (updateRec — no structural change, so no rebuild
-// accounting), absent keys take the §5 insertion traversal with their
-// values riding alongside. Both halves are batched; there is no
-// per-key fallback. All split buffers are arena scratch scoped to
-// this call — safe because no traversal retains a batch slice.
+// inserted (as opposed to overwritten). One membership traversal
+// splits the batch against the current contents: keys already live
+// take the value-overwrite traversal (no structural change, so no
+// rebuild accounting), absent keys take the §5 insertion traversal
+// with their values riding alongside (ApplyResolved). Both halves are
+// batched; there is no per-key fallback. All split buffers are arena
+// scratch scoped to this call — safe because no traversal retains a
+// batch slice.
 func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 	if len(keys) != len(vals) {
 		panic("core: PutBatched keys/vals length mismatch")
@@ -56,32 +88,25 @@ func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	t.beginBatch()
 	present := t.ar.bools.GetZero(len(keys))
 	t.containsInto(keys, present)
-	hitKBuf := t.ar.keys.Get(len(keys))
-	hitK := parallel.FilterIndexInto(t.pool, keys, hitKBuf, func(i int) bool { return present[i] })
+	hit := func(i int) bool { return present[i] }
+	fresh := func(i int) bool { return !present[i] }
+	hitKBuf, hitVBuf := t.ar.keys.Get(len(keys)), t.ar.vals.Get(len(keys))
+	freshKBuf, freshVBuf := t.ar.keys.Get(len(keys)), t.ar.vals.Get(len(keys))
+	hitK := parallel.FilterIndexInto(t.pool, keys, hitKBuf, hit)
+	var hitV []V
+	freshK, freshV := keys, vals
 	if len(hitK) > 0 {
-		t.dirty = true
-		hitVBuf := t.ar.vals.Get(len(vals))
-		hitV := parallel.FilterIndexInto(t.pool, vals, hitVBuf, func(i int) bool { return present[i] })
-		t.root = t.updateRec(t.root, hitK, hitV, 0, len(hitK))
-		t.ar.vals.Put(hitVBuf)
+		hitV = parallel.FilterIndexInto(t.pool, vals, hitVBuf, hit)
+		freshK = parallel.FilterIndexInto(t.pool, keys, freshKBuf, fresh)
+		freshV = parallel.FilterIndexInto(t.pool, vals, freshVBuf, fresh)
 	}
-	inserted := len(keys) - len(hitK)
-	if inserted > 0 {
-		t.dirty = true
-		freshKBuf := t.ar.keys.Get(len(keys))
-		freshVBuf := t.ar.vals.Get(len(vals))
-		freshK := parallel.FilterIndexInto(t.pool, keys, freshKBuf, func(i int) bool { return !present[i] })
-		freshV := parallel.FilterIndexInto(t.pool, vals, freshVBuf, func(i int) bool { return !present[i] })
-		t.root = t.insertRec(t.root, freshK, freshV, 0, len(freshK))
-		t.ar.keys.Put(freshKBuf)
-		t.ar.vals.Put(freshVBuf)
-	}
-	t.ar.keys.Put(hitKBuf)
 	t.ar.bools.Put(present)
-	return inserted
+	t.ApplyResolved(hitK, hitV, freshK, freshV, nil)
+	t.ar.putKV(hitKBuf, hitVBuf)
+	t.ar.putKV(freshKBuf, freshVBuf)
+	return len(freshK)
 }
 
 // rebuildMerged is §7.1 step 2a, shared by the parallel and sequential

@@ -8,8 +8,10 @@ import "repro/internal/parallel"
 // keys currently present, then the traversal marks each of them
 // logically removed in the Exists array of the node whose Rep holds it
 // (Fig. 12). Space — including the value slots — is reclaimed by the
-// next rebuild of an enclosing subtree (§7). The membership side array
-// and the filtered batch are arena scratch with this call's lifetime.
+// next rebuild of an enclosing subtree (§7). The filter is one
+// membership traversal; the removal is ApplyResolved's. The membership
+// side array and the filtered batch are arena scratch with this call's
+// lifetime.
 //
 // RemoveBatched(B) is set difference: A.RemoveBatched(B) makes
 // A = A \ B (§2.2).
@@ -17,19 +19,14 @@ func (t *Tree[K, V]) RemoveBatched(keys []K) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	t.beginBatch()
 	present := t.ar.bools.GetZero(len(keys))
 	t.containsInto(keys, present)
 	doomedBuf := t.ar.keys.Get(len(keys))
 	doomed := parallel.FilterIndexInto(t.pool, keys, doomedBuf, func(i int) bool { return present[i] })
 	t.ar.bools.Put(present)
-	n := len(doomed)
-	if n > 0 {
-		t.dirty = true
-		t.root = t.removeRec(t.root, doomed, 0, n)
-	}
+	t.ApplyResolved(nil, nil, nil, nil, doomed)
 	t.ar.keys.Put(doomedBuf)
-	return n
+	return len(doomed)
 }
 
 // removeRec removes keys[l:r) — all logically present — from subtree v

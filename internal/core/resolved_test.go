@@ -1,0 +1,144 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/parallel"
+)
+
+// TestApplyResolvedMatchesFilteredWrites is the differential test of
+// ApplyResolved. Each round draws a random batch, makes each key a Put
+// or a Delete, and splits the batch by the presence a model reports:
+// Puts of live keys are updates, Puts of absent keys inserts, Deletes
+// of live keys removals, and Deletes of absent keys are dropped. One
+// tree takes the split through ApplyResolved; its twin takes the same
+// Puts and Deletes through PutBatched + RemoveBatched, which resolve
+// presence themselves. After every round both must hold the model's
+// items. On publishing trees every round also publishes, and at the
+// end each published version of the two trees is read under one pin
+// per tree, taken before the first publish, and compared.
+//
+// The cases cover the sequential path (batches of at most 512 keys on
+// a 1-worker pool) and the parallel one (larger batches on a 2-worker
+// pool). RebuildFactor 1 makes rebuilds fire in every case.
+func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
+	for _, tc := range []struct {
+		workers, maxBatch int
+		publish           bool
+	}{
+		{1, 512, false},
+		{1, 512, true},
+		{2, 4096, false},
+		{2, 4096, true},
+	} {
+		name := fmt.Sprintf("workers%d_batch%d_publish%v", tc.workers, tc.maxBatch, tc.publish)
+		t.Run(name, func(t *testing.T) {
+			const span, rounds = 1 << 15, 40
+			r := rand.New(rand.NewSource(int64(tc.maxBatch) + int64(tc.workers)))
+			reg := obs.NewRegistry()
+			pool := parallel.NewPool(tc.workers)
+			base := randomBatch(r, span/2, span)
+			baseV := make([]int64, len(base))
+			model := make(map[int64]int64, len(base))
+			for i, k := range base {
+				baseV[i] = r.Int63()
+				model[k] = baseV[i]
+			}
+			resolved := NewFromSortedKV(Config{RebuildFactor: 1, Metrics: reg}, pool, base, baseV)
+			filtered := NewFromSortedKV(Config{RebuildFactor: 1}, pool, base, baseV)
+			startRebuilds := reg.Snapshot().Counters["core.rebuild.count"]
+
+			var versions [][2]*Version[int64, int64]
+			var pins [2]ReaderPin
+			if tc.publish {
+				resolved.EnablePublish()
+				filtered.EnablePublish()
+				pins = [2]ReaderPin{resolved.PinReader(), filtered.PinReader()}
+				defer pins[0].Release()
+				defer pins[1].Release()
+			}
+			var wantK [][]int64 // the model's keys after each published round
+			var wantV [][]int64
+
+			for round := 0; round < rounds; round++ {
+				keys := randomBatch(r, tc.maxBatch, span)
+				var putK, delK, updK, insK, remK []int64
+				var putV, updV, insV []int64
+				for _, k := range keys {
+					_, live := model[k]
+					if r.Intn(2) == 0 {
+						v := r.Int63()
+						putK, putV = append(putK, k), append(putV, v)
+						if live {
+							updK, updV = append(updK, k), append(updV, v)
+						} else {
+							insK, insV = append(insK, k), append(insV, v)
+						}
+						model[k] = v
+						continue
+					}
+					delK = append(delK, k)
+					if live {
+						remK = append(remK, k)
+						delete(model, k)
+					}
+				}
+				resolved.ApplyResolved(updK, updV, insK, insV, remK)
+				if got := filtered.PutBatched(putK, putV); got != len(insK) {
+					t.Fatalf("round %d: PutBatched inserted %d, want %d", round, got, len(insK))
+				}
+				if got := filtered.RemoveBatched(delK); got != len(remK) {
+					t.Fatalf("round %d: RemoveBatched removed %d, want %d", round, got, len(remK))
+				}
+
+				mk, mv := modelItems(model)
+				for _, tr := range []*Tree[int64, int64]{resolved, filtered} {
+					gk, gv := tr.Items()
+					if tr.Len() != len(mk) || !slices.Equal(gk, mk) || !slices.Equal(gv, mv) {
+						t.Fatalf("round %d: tree holds %d items (Len %d), model %d, or they differ",
+							round, len(gk), tr.Len(), len(mk))
+					}
+				}
+				if tc.publish {
+					resolved.PublishVersion()
+					filtered.PublishVersion()
+					versions = append(versions, [2]*Version[int64, int64]{
+						resolved.CurrentVersion(), filtered.CurrentVersion(),
+					})
+					wantK, wantV = append(wantK, mk), append(wantV, mv)
+				}
+			}
+
+			for i, vs := range versions {
+				for j, tr := range []*Tree[int64, int64]{resolved, filtered} {
+					gk, gv := tr.VersionItems(vs[j])
+					if vs[j].Len() != len(wantK[i]) || !slices.Equal(gk, wantK[i]) || !slices.Equal(gv, wantV[i]) {
+						t.Fatalf("version %d of tree %d: %d items (Len %d), want %d, or they differ",
+							i, j, len(gk), vs[j].Len(), len(wantK[i]))
+					}
+				}
+			}
+			if reg.Snapshot().Counters["core.rebuild.count"] == startRebuilds {
+				t.Fatal("no rebuild fired; the case does not cover the rebuild paths")
+			}
+		})
+	}
+}
+
+// modelItems returns the model's pairs in key order.
+func modelItems(m map[int64]int64) ([]int64, []int64) {
+	keys := make([]int64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	vals := make([]int64, len(keys))
+	for i, k := range keys {
+		vals[i] = m[k]
+	}
+	return keys, vals
+}

@@ -319,8 +319,8 @@ func (t *Tree[K, V]) drainDebt() {
 // beginBatch opens the per-batch accounting window of a standalone
 // batched mutation: reset the budget and run one drain step. Inside a
 // combiner epoch (epochOpen) the bracket is wider — BeginRebuildEpoch
-// already reset the budget, and the epoch's PutBatched and
-// RemoveBatched share it — so this is a no-op.
+// already reset the budget, and the epoch's ApplyResolved spends
+// it — so this is a no-op.
 func (t *Tree[K, V]) beginBatch() {
 	s := t.sched
 	if s == nil {

@@ -55,8 +55,8 @@ type ShardedOptions struct {
 	// up to a power of two). Default 1<<21 (256 KiB per shard);
 	// size at roughly 8 bits per expected key per shard.
 	FilterBits int
-	// PrivateArenas is ignored: every shard tree and combiner always
-	// owns its scratch arena.
+	// PrivateArenas is ignored: every shard tree always owns its
+	// scratch arena, and every combiner its per-epoch arrays.
 	//
 	// Deprecated: no longer has any effect.
 	PrivateArenas bool
@@ -187,8 +187,8 @@ func NewShardedFromItems[K Key, V any](opts ShardedOptions, keys []K, vals []V) 
 
 // newSharded builds the shard group: one core tree per shard loaded
 // with its slice of the (optional) initial items, one combiner per
-// tree, and one pool for everything. Each tree and each combiner owns
-// its scratch arena.
+// tree, and one pool for everything. Each tree owns its scratch arena
+// and each combiner its per-epoch arrays.
 func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys []K, vals []V) *Sharded[K, V] {
 	pool := opts.pool()
 	s := &Sharded[K, V]{
@@ -824,9 +824,9 @@ func (s *Sharded[K, V]) Shards() int { return s.part.N() }
 // ShardedStats is a snapshot of the whole shard group's combining
 // behavior plus the group-level counters: group and per-shard epoch
 // statistics (the evidence that N combiners really do run N
-// concurrent epochs) and filter effectiveness. Scratch retention is
-// reported by the summed core.arena.* and combine.scratch.* gauges of
-// Options.Metrics.
+// concurrent epochs) and filter effectiveness. Retention is reported
+// by the summed core.arena.* (tree scratch) and combine.scratch.*
+// (combiner per-epoch arrays) gauges of Options.Metrics.
 type ShardedStats struct {
 	// ConcurrentStats aggregates PerShard: Epochs, Ops, Keys, and
 	// SizeFlushes are summed over the shards, MeanOps and MeanKeys are
