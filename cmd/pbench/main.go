@@ -11,7 +11,7 @@
 //	pbench -experiment map -workers 1,4,8
 //	pbench -experiment concurrent -clients 1,4,16,64
 //	pbench -latency -rate 200 -json
-//	pbench -experiment rebuildsched -rate 150 -rebuildbudget 4096 -json
+//	pbench -experiment rebuildsched -rate 150 -json
 //	pbench -experiment leafslack -rounds 6
 //	pbench -experiment setalgebra -workers 8
 //	pbench -experiment seqcmp -reps 5
@@ -58,7 +58,6 @@ func main() {
 		rate       = flag.Float64("rate", 200, "offered load of the latency and rebuildsched experiments in thousand ops/s across all clients (must be positive)")
 		reps       = flag.Int("reps", 3, "repetitions per measurement (paper: 10)")
 		rounds     = flag.Int("rounds", 4, "churn rounds for the rebuildc and leafslack ablations")
-		rbBudget   = flag.Int("rebuildbudget", 4096, "RebuildBudgetPerEpoch for the bounded row of the rebuildsched experiment")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut    = flag.Bool("json", false, "emit one machine-readable JSON array with every experiment's series")
 		distName   = flag.String("dist", "",
@@ -132,7 +131,7 @@ func main() {
 		case "latency":
 			return runLatency(w, clients[len(clients)-1], shards[len(shards)-1], *rate, *reps)
 		case "rebuildsched":
-			return runRebuildSched(w, clients[len(clients)-1], *rate, *reps, *rbBudget)
+			return runRebuildSched(w, clients[len(clients)-1], *rate, *reps)
 		case "setalgebra":
 			return runSetAlgebra(w, workers[len(workers)-1], *reps)
 		case "seqcmp":
@@ -279,32 +278,27 @@ func runLatency(w bench.Workload, clients, shards int, rateKops float64, reps in
 	return header, cells
 }
 
-func runRebuildSched(w bench.Workload, clients int, rateKops float64, reps, budget int) ([]string, [][]string) {
-	rows, err := bench.RunRebuildSched(w, clients, rateKops, reps, budget)
+func runRebuildSched(w bench.Workload, clients int, rateKops float64, reps int) ([]string, [][]string) {
+	r, err := bench.RunRebuildSched(w, clients, rateKops, reps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pbench:", err)
 		os.Exit(1)
 	}
-	header := []string{"mode", "dist", "budget", "clients", "offered_kops", "achieved_kops",
+	header := []string{"mode", "dist", "clients", "offered_kops", "achieved_kops",
 		"mean_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us",
-		"max_epoch_rebuild_keys", "peak_rebuild_debt"}
-	cells := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Mode, r.Dist, strconv.Itoa(r.Budget), strconv.Itoa(r.Clients),
-			fmt.Sprintf("%.1f", r.OfferedKops),
-			fmt.Sprintf("%.1f", r.AchievedKops),
-			fmt.Sprintf("%.1f", r.MeanUS),
-			fmt.Sprintf("%.1f", r.P50US),
-			fmt.Sprintf("%.1f", r.P90US),
-			fmt.Sprintf("%.1f", r.P99US),
-			fmt.Sprintf("%.1f", r.P999US),
-			fmt.Sprintf("%.1f", r.MaxUS),
-			strconv.Itoa(r.MaxEpochRebuildKeys),
-			strconv.Itoa(r.PeakRebuildDebt),
-		})
-	}
-	return header, cells
+		"max_epoch_rebuild_keys"}
+	return header, [][]string{{
+		r.Mode, r.Dist, strconv.Itoa(r.Clients),
+		fmt.Sprintf("%.1f", r.OfferedKops),
+		fmt.Sprintf("%.1f", r.AchievedKops),
+		fmt.Sprintf("%.1f", r.MeanUS),
+		fmt.Sprintf("%.1f", r.P50US),
+		fmt.Sprintf("%.1f", r.P90US),
+		fmt.Sprintf("%.1f", r.P99US),
+		fmt.Sprintf("%.1f", r.P999US),
+		fmt.Sprintf("%.1f", r.MaxUS),
+		strconv.Itoa(r.MaxEpochRebuildKeys),
+	}}
 }
 
 func runLeafSlack(w bench.Workload, workers, rounds int) ([]string, [][]string) {

@@ -266,29 +266,26 @@ func TestRunConcurrentWorkloadShape(t *testing.T) {
 	}
 }
 
-// TestRunRebuildSchedShape runs the rebuild-scheduler experiment
-// closed-loop at a tiny scale: one eager and one bounded-sync row, every
-// epoch's trace read (RunRebuildSched fails otherwise), and the bounded
-// row's per-epoch spend within its budget.
+// TestRunRebuildSchedShape runs the rebuild experiment closed-loop at
+// a tiny scale: one eager row, every epoch's trace read
+// (RunRebuildSched fails otherwise), and a base small enough against
+// the churn that some epoch's inline rebuild shows in
+// max_epoch_rebuild_keys.
 func TestRunRebuildSchedShape(t *testing.T) {
-	const budget = 512
-	rows, err := RunRebuildSched(tiny(), 4, 0, 3, budget)
+	w := tiny()
+	w.N = 2000
+	r, err := RunRebuildSched(w, 4, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Mode != "eager" || rows[1].Mode != "bounded" {
-		t.Fatalf("got rows %+v, want eager then bounded", rows)
+	if r.Mode != "eager" || r.Clients != 4 {
+		t.Fatalf("got row %+v, want an eager row of 4 clients", r)
 	}
-	if rows[0].MaxEpochRebuildKeys != 0 || rows[0].Budget != 0 {
-		t.Fatalf("eager row reports scheduler work: %+v", rows[0])
+	if r.MaxEpochRebuildKeys <= 0 {
+		t.Fatalf("no epoch reports a rebuild: %+v", r)
 	}
-	if b := rows[1]; b.Budget != budget || b.MaxEpochRebuildKeys > budget {
-		t.Fatalf("bounded row over its budget: %+v", b)
-	}
-	for _, r := range rows {
-		if r.AchievedKops <= 0 || r.P50US > r.P999US {
-			t.Fatalf("implausible latency row %+v", r)
-		}
+	if r.AchievedKops <= 0 || r.P50US > r.P999US {
+		t.Fatalf("implausible latency row %+v", r)
 	}
 }
 

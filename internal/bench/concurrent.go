@@ -53,7 +53,7 @@ func concurrentScripts(w Workload, rep, clients int) [][]scriptOp {
 
 // scriptsWithMix is concurrentScripts with an explicit read share:
 // readPermille out of every 1000 ops are Gets, the remainder split
-// evenly between Puts and Deletes. The rebuild-scheduler experiment
+// evenly between Puts and Deletes. The rebuildsched experiment
 // uses a write-heavy mix to drive subtrees into their rebuild budget.
 func scriptsWithMix(w Workload, rep, clients, readPerm int) [][]scriptOp {
 	keys := w.Batch(rep)

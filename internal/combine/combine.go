@@ -57,10 +57,11 @@ import (
 // removes. The three batches are pairwise disjoint. The engine trusts
 // the split and runs no presence traversal of its own, so an epoch
 // walks the tree once to read and once to write. It never retains a
-// batch slice.
+// batch slice. It returns the keys its inline rebuilds laid down,
+// which the epoch trace records as RebuildKeys.
 type Engine[K cmp.Ordered, V any] interface {
 	ContainsBatchedInto(keys []K, found []bool)
-	ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK []K)
+	ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK []K) (rebuildKeys int)
 
 	// PublishVersion is called at the end of every epoch, after the
 	// epoch's writes and before its clients are woken, so by the time
@@ -68,15 +69,6 @@ type Engine[K cmp.Ordered, V any] interface {
 	// readers. That ordering keeps the wait-free reads linearizable
 	// with combined operations.
 	PublishVersion()
-	// BeginRebuildEpoch and EndRebuildEpoch bracket every epoch so one
-	// rebuild budget covers everything its write traversals spend.
-	// BeginRebuildEpoch runs before the epoch executes and opens the
-	// budget. EndRebuildEpoch runs after the epoch publishes: it drains
-	// deferred debt with what is left of the budget, and reports the
-	// rebuild keys the epoch spent plus the debt still outstanding,
-	// which the epoch trace records.
-	BeginRebuildEpoch()
-	EndRebuildEpoch() (spentKeys, debtKeys int)
 }
 
 // ErrClosed is returned by operations submitted after Close.

@@ -65,7 +65,7 @@ func (e *gatedEngine) ContainsBatchedInto(keys []int64, found []bool) {
 // ApplyResolved trusts the combiner's split as a core tree does, but
 // checks it first: a key filed under the wrong presence panics the
 // combiner goroutine, which fails the test binary loudly.
-func (e *gatedEngine) ApplyResolved(updK []int64, updV []uint64, insK []int64, insV []uint64, delK []int64) {
+func (e *gatedEngine) ApplyResolved(updK []int64, updV []uint64, insK []int64, insV []uint64, delK []int64) int {
 	for i, k := range updK {
 		if _, ok := e.m[k]; !ok {
 			panic("gatedEngine: update of an absent key")
@@ -84,11 +84,10 @@ func (e *gatedEngine) ApplyResolved(updK []int64, updV []uint64, insK []int64, i
 		}
 		delete(e.m, k)
 	}
+	return 0
 }
 
-func (e *gatedEngine) PublishVersion()                    {}
-func (e *gatedEngine) BeginRebuildEpoch()                 {}
-func (e *gatedEngine) EndRebuildEpoch() (spent, debt int) { return 0, 0 }
+func (e *gatedEngine) PublishVersion() {}
 
 // TestSingleClientOracle drives one client through a long random
 // mixed sequence and checks every result against a builtin map.

@@ -106,11 +106,6 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	pr := c.probe
 	buf := &c.buf
 
-	// Open the epoch's rebuild budget before any traversal, so every
-	// rebuild the write traversals below spend shares one per-epoch cap
-	// (core's sched.go).
-	c.eng.BeginRebuildEpoch()
-
 	// Flatten the epoch into events. Fences carry no keys, so they
 	// complete with the rest of the epoch. The event list and every
 	// per-run array below are the combiner's own, regrown here and
@@ -151,8 +146,8 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 
 	// The phase stamps below are taken only when the combiner is
 	// observed; together with start and end they tile the epoch into
-	// the sort/read/replay/write/rebuild/publish spans of its trace.
-	var tSort, tRead, tReplay, tWrite, tSched time.Time
+	// the sort/read/replay/write/publish spans of its trace.
+	var tSort, tRead, tReplay, tWrite time.Time
 	if pr != nil {
 		tSort = time.Now()
 	}
@@ -221,8 +216,12 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 			delK = append(delK, readKeys[r])
 		}
 	}
+	rebuildKeys := 0
 	if len(wk) > 0 {
-		c.eng.ApplyResolved(updK, updV, insK, insV, delK)
+		rebuildKeys = c.eng.ApplyResolved(updK, updV, insK, insV, delK)
+	}
+	if pr != nil {
+		tWrite = time.Now()
 	}
 	// Publish the post-epoch state for version readers before any
 	// client of this epoch wakes: an operation that has completed is
@@ -231,17 +230,6 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	// Fence-only epochs publish nothing new but still advance
 	// reclamation.
 	c.eng.PublishVersion()
-	if pr != nil {
-		tWrite = time.Now()
-	}
-	// Close the rebuild budget after the publish: the scheduler drains
-	// deferred debt with what is left of the budget, and its splices
-	// reach readers at the next publish. The spent/debt figures feed
-	// the epoch trace.
-	rbSpent, rbDebt := c.eng.EndRebuildEpoch()
-	if pr != nil {
-		tSched = time.Now()
-	}
 
 	// Nothing below reads the epoch's arrays. They stay for the next
 	// epoch, except any a huge epoch grew past the retention bound; an
@@ -271,7 +259,7 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	c.smu.Unlock()
 
 	if pr != nil {
-		c.traceEpoch(ops, keyCount, sized, rbSpent, rbDebt, start, tSort, tRead, tReplay, tWrite, tSched, time.Now())
+		c.traceEpoch(ops, keyCount, sized, rebuildKeys, start, tSort, tRead, tReplay, tWrite, time.Now())
 	}
 
 	for _, o := range ops {

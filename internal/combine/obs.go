@@ -33,7 +33,6 @@ type probe struct {
 	phaseRead    *obs.Histogram
 	phaseReplay  *obs.Histogram
 	phaseWrite   *obs.Histogram
-	phaseRebuild *obs.Histogram
 	phasePublish *obs.Histogram
 }
 
@@ -57,7 +56,6 @@ func newProbe(r *obs.Registry, traceDepth, id int) *probe {
 		phaseRead:    r.Histogram("combine.epoch.read_ns"),
 		phaseReplay:  r.Histogram("combine.epoch.replay_ns"),
 		phaseWrite:   r.Histogram("combine.epoch.write_ns"),
-		phaseRebuild: r.Histogram("combine.epoch.rebuild_ns"),
 		phasePublish: r.Histogram("combine.epoch.publish_ns"),
 	}
 }
@@ -86,8 +84,6 @@ func (p *probe) record(tr *obs.EpochTrace) {
 			h = p.phaseReplay
 		case "write":
 			h = p.phaseWrite
-		case "rebuild":
-			h = p.phaseRebuild
 		case "publish":
 			h = p.phasePublish
 		}
@@ -125,13 +121,13 @@ func (c *Combiner[K, V]) observeRetained(r *obs.Registry) {
 
 // traceEpoch assembles and records the trace of the epoch that just
 // ran. The phase stamps are the clock reads runEpoch took at each
-// stage boundary, so the six spans tile [start, end] exactly: their
+// stage boundary, so the five spans tile [start, end] exactly: their
 // sum equals Wall by construction, up to the clock's own granularity.
-// The rebuild span covers the post-publish scheduler step (the debt
-// drain); RebuildKeys and RebuildDebt carry what that step reported.
+// The write span holds the epoch's inline rebuilds, whose keys
+// rebuildKeys carries; the publish span starts at PublishVersion.
 //
 //pbist:combiner
-func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount int, sized bool, rbSpent, rbDebt int, start, tSort, tRead, tReplay, tWrite, tSched, end time.Time) {
+func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount int, sized bool, rebuildKeys int, start, tSort, tRead, tReplay, tWrite, end time.Time) {
 	pr := c.probe
 	var tr obs.EpochTrace
 	tr.Shard = pr.id
@@ -141,14 +137,12 @@ func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount int, sized bool, r
 	tr.Ops = len(ops)
 	tr.Keys = keyCount
 	tr.Sized = sized
-	tr.RebuildKeys = rbSpent
-	tr.RebuildDebt = rbDebt
+	tr.RebuildKeys = rebuildKeys
 	tr.AddPhase("sort", tSort.Sub(start))
 	tr.AddPhase("read", tRead.Sub(tSort))
 	tr.AddPhase("replay", tReplay.Sub(tRead))
 	tr.AddPhase("write", tWrite.Sub(tReplay))
-	tr.AddPhase("rebuild", tSched.Sub(tWrite))
-	tr.AddPhase("publish", end.Sub(tSched))
+	tr.AddPhase("publish", end.Sub(tWrite))
 	pr.record(&tr)
 	// Client-observed latency: enqueue to wakeup. Recorded before the
 	// done sends so no op is touched after its client may reuse it.

@@ -7,8 +7,8 @@ package core
 // owns its own root, node storage, and arena, so subsequent batched
 // operations on either tree can never be observed through the other.
 // It is also ideally balanced even when the receiver is mid-churn,
-// which makes Clone a compaction: logically removed keys and the
-// receiver's rebuild debt do not carry over.
+// which makes Clone a compaction: logically removed keys do not carry
+// over.
 //
 // Values are copied by assignment; for pointer-typed V both trees
 // share the pointed-to data, as with any shallow value copy.

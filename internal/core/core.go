@@ -43,6 +43,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/iindex"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -80,14 +82,6 @@ type Config struct {
 	// Traverse selects the batched traversal mode. Default
 	// TraverseInterpolation.
 	Traverse TraverseMode
-	// RebuildBudgetPerEpoch caps the number of rebuild keys one
-	// mutating epoch (or one standalone batched mutation) may lay
-	// down. 0 (the default) keeps today's eager policy: every §7.1
-	// trigger rebuilds inline, however large. A positive budget defers
-	// triggers the epoch cannot afford — the subtree is recorded as
-	// rebuild debt and the mutation proceeds — and repays debt in
-	// later epochs, highest debt first (sched.go).
-	RebuildBudgetPerEpoch int
 	// LeafSlack is the capacity headroom factor of reallocated leaf
 	// arrays: a leaf merge that outgrows its storage allocates
 	// ceil(LeafSlack·n) slots for its n keys, so the next few merges
@@ -145,9 +139,10 @@ type Tree[K iindex.Numeric, V any] struct {
 	writeGen uint64
 	dirty    bool // mutations since the last publish
 
-	// sched is the amortized rebuild scheduler (sched.go); nil — the
-	// default — means every rebuild trigger runs eagerly inline.
-	sched *rebuildSched[K]
+	// rebuiltKeys counts the keys every §7.1 rebuild of this tree has
+	// laid down (recordRebuild). Rebuilds fire inside the parallel
+	// recursion, hence the atomic; ApplyResolved reports its delta.
+	rebuiltKeys atomic.Int64
 }
 
 // node is one IST node (§3.1 plus the bookkeeping of §6–§7). Leaves
@@ -191,11 +186,10 @@ func (v *node[K, V]) isLeaf() bool { return v.children == nil }
 func New[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool) *Tree[K, V] {
 	cfg = cfg.withDefaults()
 	t := &Tree[K, V]{
-		cfg:   cfg,
-		pool:  pool,
-		ar:    newTreeArena[K, V](cfg.DisableBufferReuse),
-		obs:   newCoreObs(cfg.Metrics),
-		sched: newSched[K](cfg),
+		cfg:  cfg,
+		pool: pool,
+		ar:   newTreeArena[K, V](cfg.DisableBufferReuse),
+		obs:  newCoreObs(cfg.Metrics),
 	}
 	t.ar.observe(cfg.Metrics)
 	return t

@@ -16,17 +16,19 @@ import (
 // batches are skipped. It runs no membership traversal or filter and
 // borrows no scratch of its own (the traversals borrow their position
 // buffers as always), so the caller's presence is trusted: a wrong one
-// corrupts the size accounting.
+// corrupts the size accounting. It returns the keys the §7.1 rebuilds
+// it triggered laid down, which the combining frontend records in its
+// epoch trace.
 //
 // It is the one place the write order lives: PutBatched, InsertBatched
 // and RemoveBatched are each their presence filter plus a call to it,
 // and the combining frontend calls it directly with the presence its
 // epoch's read phase resolved.
-func (t *Tree[K, V]) ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK []K) {
+func (t *Tree[K, V]) ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK []K) (rebuildKeys int) {
 	if len(updK) != len(updV) || len(insK) != len(insV) {
 		panic("core: ApplyResolved keys/vals length mismatch")
 	}
-	t.beginBatch()
+	before := t.rebuiltKeys.Load()
 	if len(updK) > 0 {
 		t.dirty = true
 		t.root = t.updateRec(t.root, updK, updV, 0, len(updK))
@@ -39,6 +41,7 @@ func (t *Tree[K, V]) ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK 
 		t.dirty = true
 		t.root = t.removeRec(t.root, delK, 0, len(delK))
 	}
+	return int(t.rebuiltKeys.Load() - before)
 }
 
 // InsertBatched adds every key of the sorted duplicate-free batch with
@@ -167,16 +170,10 @@ func (t *Tree[K, V]) insertRec(v *node[K, V], keys []K, vals []V, l, r int) *nod
 	}
 	k := r - l
 	if t.rebuildDue(v, k) {
-		// §7.1 step 2a: the recursion stops here for this subtree —
-		// unless the epoch's rebuild budget cannot cover it, in which
-		// case the subtree is recorded as debt and the insertion
-		// proceeds below (sched.go).
-		if t.tryReserveRebuild(v.size + k) {
-			root := t.rebuildMerged(v, keys, vals, l, r)
-			t.retireSubtree(v)
-			return root
-		}
-		t.deferRebuild(v, k, v.size+k)
+		// §7.1 step 2a: the recursion stops here for this subtree.
+		root := t.rebuildMerged(v, keys, vals, l, r)
+		t.retireSubtree(v)
+		return root
 	}
 	v = t.owned(v)
 	t.ownSlots(v)

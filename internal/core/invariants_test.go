@@ -13,17 +13,6 @@ import (
 // set-algebra tests.
 func checkInvariants[V any](t *testing.T, tr *Tree[int64, V]) {
 	t.Helper()
-	// Snapshot the rebuild scheduler's debt-record keys: with a rebuild
-	// budget configured, a node may legally exceed its §7.1 budget as
-	// long as the excess is tracked as debt (see sched.go).
-	var debtKeys []int64
-	if s := tr.sched; s != nil {
-		s.mu.Lock()
-		for _, rec := range s.heap {
-			debtKeys = append(debtKeys, rec.key)
-		}
-		s.mu.Unlock()
-	}
 	var walk func(v *node[int64, V], lo, hi *int64) int
 	walk = func(v *node[int64, V], lo, hi *int64) int {
 		if v == nil {
@@ -63,21 +52,7 @@ func checkInvariants[V any](t *testing.T, tr *Tree[int64, V]) {
 			budget = tr.cfg.RebuildFactor
 		}
 		if v.modCnt > budget {
-			// Over budget is legal only when a rebuild scheduler holds a
-			// covering debt record: one whose key falls inside this
-			// subtree's bounds (a record key physically stays inside the
-			// subtree it was recorded for until a rebuild repays it, so
-			// an untracked over-budget node has no such record).
-			covered := false
-			for _, k := range debtKeys {
-				if (lo == nil || k > *lo) && (hi == nil || k < *hi) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				t.Fatalf("modCnt %d exceeds rebuild budget %d (initSize %d) with no covering debt record", v.modCnt, budget, v.initSize)
-			}
+			t.Fatalf("modCnt %d exceeds rebuild budget %d (initSize %d)", v.modCnt, budget, v.initSize)
 		}
 		live := 0
 		for _, ok := range v.exists {

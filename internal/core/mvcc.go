@@ -500,54 +500,6 @@ func (t *Tree[K, V]) ownSlots(v *node[K, V]) {
 	v.sharedSlots = false
 }
 
-// replaceAtKey splices repl in place of the subtree rooted at target,
-// located by walking key from the root. The walk must reach target by
-// pointer identity; drainDebt found target by the same walk, so it
-// always does. The old subtree's chunks retire through the grace ring
-// (readers of published versions may still hold them) and the path
-// down to the splice point is copied for the current generation, so
-// previously published versions stay intact. Returns false — tree
-// untouched — when the walk no longer reaches target. Owning goroutine
-// only, like every mutating method.
-func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) bool {
-	if t.root == target {
-		t.retireSubtree(target)
-		t.root = repl
-		t.dirty = true
-		return true
-	}
-	var nodes []*node[K, V]
-	var slots []int
-	v := t.root
-	for v != nil && v != target {
-		if v.isLeaf() {
-			return false
-		}
-		pos, found := t.stepPos(v, key)
-		if found {
-			return false // key's node was rebuilt away or merged upward
-		}
-		nodes = append(nodes, v)
-		slots = append(slots, pos)
-		v = v.children[pos]
-	}
-	if v != target {
-		return false
-	}
-	t.retireSubtree(target)
-	top := t.owned(nodes[0])
-	cur := top
-	for i := 1; i < len(nodes); i++ {
-		next := t.owned(nodes[i])
-		cur.children[slots[i-1]] = next
-		cur = next
-	}
-	cur.children[slots[len(slots)-1]] = repl
-	t.root = top
-	t.dirty = true
-	return true
-}
-
 // retireSubtree walks a subtree just replaced by a rebuild and moves
 // every chunk handle it roots into the grace ring. Only meaningful on
 // a publishing tree: older versions (and pinned readers) may still

@@ -38,34 +38,14 @@ func newCoreObs(r *obs.Registry) *coreObs {
 	}
 }
 
-// obsNow stamps the start of an observed event: time.Now() when the
-// tree records metrics, the zero Time otherwise — the same "stamp only
-// when observed" discipline the inline rebuild paths follow, packaged
-// for call sites outside this file (the scheduler's drain rebuilds).
-func obsNow(o *coreObs) time.Time {
-	if o == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observe registers the rebuild scheduler's counters as live gauges
-// under the "core.rebuild." prefix. Func-backed gauges sum across
-// registrations, so a shard group sharing one registry reads group
-// totals, matching the arena and MVCC gauges.
-func (c *schedCounters) observe(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	r.Func("core.rebuild.debt_keys", c.debtKeys.Load)
-	r.Func("core.rebuild.deferred_keys", c.deferredKeys.Load)
-}
-
 // recordRebuild stores one §7.1 rebuild event: a subtree of size keys
-// rebuilt ideally in the time elapsed since t0. No-op on an unobserved
-// tree — callers stamp t0 only when t.obs is set, so the hot path pays
-// one nil check.
+// rebuilt ideally in the time elapsed since t0. The tree's own key
+// count (rebuiltKeys, which feeds ApplyResolved's result) is kept
+// always; rebuilds are rare, so its atomic add costs nothing visible.
+// The metrics are skipped on an unobserved tree — callers stamp t0
+// only when t.obs is set, so the hot path pays one nil check.
 func (t *Tree[K, V]) recordRebuild(t0 time.Time, size int) {
+	t.rebuiltKeys.Add(int64(size))
 	if t.obs == nil {
 		return
 	}

@@ -40,16 +40,10 @@ func (t *Tree[K, V]) removeRec(v *node[K, V], keys []K, l, r int) *node[K, V] {
 	}
 	k := r - l
 	if t.rebuildDue(v, k) {
-		// §7.1 step 2b: the recursion stops here for this subtree —
-		// unless the epoch's budget cannot cover the v.size−k keys the
-		// rebuild would lay down; then the subtree is recorded as debt
-		// and the removal proceeds below (sched.go).
-		if t.tryReserveRebuild(v.size - k) {
-			root := t.rebuildSubtracted(v, keys, l, r)
-			t.retireSubtree(v)
-			return root
-		}
-		t.deferRebuild(v, k, v.size-k)
+		// §7.1 step 2b: the recursion stops here for this subtree.
+		root := t.rebuildSubtracted(v, keys, l, r)
+		t.retireSubtree(v)
+		return root
 	}
 	v = t.owned(v)
 	t.ownSlots(v)

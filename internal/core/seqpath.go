@@ -168,12 +168,9 @@ func (t *Tree[K, V]) insertSeq(v *node[K, V], keys []K, vals []V, l, r int, sc *
 	}
 	k := r - l
 	if t.rebuildDue(v, k) {
-		if t.tryReserveRebuild(v.size + k) {
-			root := t.rebuildMerged(v, keys, vals, l, r)
-			t.retireSubtree(v)
-			return root
-		}
-		t.deferRebuild(v, k, v.size+k) // over budget: debt, not rebuild
+		root := t.rebuildMerged(v, keys, vals, l, r)
+		t.retireSubtree(v)
+		return root
 	}
 	v = t.owned(v)
 	v.modCnt += k
@@ -253,12 +250,9 @@ func (t *Tree[K, V]) updateSeq(v *node[K, V], keys []K, vals []V, l, r int, sc *
 func (t *Tree[K, V]) removeSeq(v *node[K, V], keys []K, l, r int, sc *scratch, depth int) *node[K, V] {
 	k := r - l
 	if t.rebuildDue(v, k) {
-		if t.tryReserveRebuild(v.size - k) {
-			root := t.rebuildSubtracted(v, keys, l, r)
-			t.retireSubtree(v)
-			return root
-		}
-		t.deferRebuild(v, k, v.size-k) // over budget: debt, not rebuild
+		root := t.rebuildSubtracted(v, keys, l, r)
+		t.retireSubtree(v)
+		return root
 	}
 	v = t.owned(v)
 	v.modCnt += k

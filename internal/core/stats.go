@@ -30,13 +30,6 @@ type Stats struct {
 	// reallocated with LeafSlack headroom — the realloc-rate axis of
 	// the leafslack experiment.
 	LeafGrows int64
-
-	// Rebuild-scheduler counters (sched.go); all zero without
-	// Config.RebuildBudgetPerEpoch. DebtKeys is the outstanding
-	// rebuild debt (a gauge); DeferredKeys the cumulative rebuild keys
-	// whose work was deferred past its triggering epoch.
-	DebtKeys     int64
-	DeferredKeys int64
 }
 
 // Stats computes shape statistics in one O(n) traversal and snapshots
@@ -51,10 +44,6 @@ func (t *Tree[K, V]) Stats() Stats {
 	s.ChunkBuilds = t.ar.chunkBuilds.Load()
 	s.ChunkKeys = t.ar.chunkKeys.Load()
 	s.LeafGrows = t.ar.leafGrows.Load()
-	if sc := t.sched; sc != nil {
-		s.DebtKeys = sc.c.debtKeys.Load()
-		s.DeferredKeys = sc.c.deferredKeys.Load()
-	}
 	return s
 }
 

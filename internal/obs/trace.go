@@ -6,8 +6,8 @@ import (
 )
 
 // maxPhases bounds the named phases one EpochTrace can carry. The
-// combiner records six (sort, read, replay, write, rebuild, publish);
-// the headroom is for future phases without a layout change.
+// combiner records five (sort, read, replay, write, publish); the
+// headroom is for future phases without a layout change.
 const maxPhases = 8
 
 // PhaseSpan is one named slice of an epoch's wall time.
@@ -42,12 +42,9 @@ type EpochTrace struct {
 	Ops   int
 	Keys  int
 	Sized bool
-	// RebuildKeys is the rebuild work the epoch spent under its budget,
-	// in keys laid down; RebuildDebt is the deferred rebuild debt still
-	// outstanding when the epoch closed. Both are zero unless the engine
-	// runs a bounded rebuild scheduler.
+	// RebuildKeys is the keys the epoch's inline §7.1 rebuilds laid
+	// down, inside its write phase; 0 when no subtree was due.
 	RebuildKeys int
-	RebuildDebt int
 
 	phases  [maxPhases]PhaseSpan
 	nphases int

@@ -2,6 +2,7 @@ package pbist
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +95,60 @@ func TestConcurrentObservability(t *testing.T) {
 	}
 	if decoded.Counters["combine.epochs"] != snap.Counters["combine.epochs"] {
 		t.Fatalf("JSON round trip lost combine.epochs")
+	}
+}
+
+// TestConcurrentEpochRebuildKeys: every inline §7.1 rebuild shows in
+// the trace of the epoch that ran it. Write-heavy churn on a small key
+// span drives subtrees over their modification budget; the ring keeps
+// every epoch of the run, so the traces' RebuildKeys must sum to
+// exactly the keys the core.rebuild.keys counter saw over the run,
+// and some epoch must report a rebuild.
+func TestConcurrentEpochRebuildKeys(t *testing.T) {
+	const goroutines, steps = 4, 2000
+	reg := NewMetrics()
+	c := NewConcurrent[int64, int64](ConcurrentOptions{
+		Options: Options{Metrics: reg},
+		// Every epoch carries at least one op (the final Flush
+		// included), so the ring keeps every epoch of the run.
+		TraceDepth: goroutines*steps + 1,
+	})
+	defer c.Close()
+	before := reg.Snapshot().Counters["core.rebuild.keys"]
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g) + 1))
+			for i := 0; i < steps; i++ {
+				k := int64(g<<10) + r.Int63n(1<<9)
+				if r.Intn(3) == 0 {
+					c.Delete(k)
+				} else {
+					c.Put(k, int64(i))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c.Flush()
+
+	traces := c.Trace(0)
+	if epochs := c.Stats().Epochs; epochs > int64(len(traces)) {
+		t.Fatalf("%d epochs ran but the trace ring kept %d", epochs, len(traces))
+	}
+	sum, maxKeys := 0, 0
+	for _, tr := range traces {
+		sum += tr.RebuildKeys
+		maxKeys = max(maxKeys, tr.RebuildKeys)
+	}
+	if maxKeys == 0 {
+		t.Fatal("no epoch reports a rebuild; churn too light for the test to mean anything")
+	}
+	if delta := reg.Snapshot().Counters["core.rebuild.keys"] - before; int64(sum) != delta {
+		t.Fatalf("epoch traces sum to %d rebuild keys, core.rebuild.keys grew by %d", sum, delta)
 	}
 }
 

@@ -113,25 +113,15 @@
 // valid after, and Get keeps answering from the final versions — while
 // writes and Flush on a closed frontend panic.
 //
-// # Rebuild scheduling
+// # Rebuilds
 //
 // The engine keeps itself balanced by rebuilding any subtree that has
 // absorbed more than RebuildFactor times its built size in
-// modifications. By default that rebuild runs eagerly, inside the
-// batch that crossed the threshold — amortized O(log log n) per key,
-// but an occasional O(n) stall when the root trips, which is exactly
-// the tail a latency-sensitive service notices. Setting
-// Options.RebuildBudgetPerEpoch caps the keys of rebuild work any one
-// batch (or combining epoch) spends; over-budget subtrees are
-// recorded as debt and repaid synchronously by later epochs (or
-// batches), largest debt first, within the same budget. A subtree
-// larger than the whole budget is never affordable: it stays
-// indebted, and the records behind it wait too. Deferral trades peak
-// latency for a transiently less-balanced tree — reads of an indebted
-// subtree pay the same degraded (still-correct) cost they already paid
-// between threshold and rebuild. Stats reports outstanding debt, and
-// epoch traces carry per-epoch rebuild spend; see ARCHITECTURE.md's
-// "Rebuild scheduling" section.
+// modifications. The rebuild runs inside the batch (or combining
+// epoch) that crossed the threshold, as the paper's §7.1 does:
+// amortized O(log log n) work per key, with an occasional O(n) stall
+// when the root trips. Epoch traces report the keys each epoch's
+// rebuilds laid down; see ARCHITECTURE.md's "Rebuilds" section.
 //
 // # Observability
 //
@@ -190,15 +180,6 @@ type Options struct {
 	// absorbed more than C times its built size in modifications.
 	// Default 2.
 	RebuildFactor int
-	// RebuildBudgetPerEpoch caps the rebuild work one mutating batch
-	// (or one combining epoch, under the concurrent frontends) may
-	// spend inline, measured in keys laid down. Subtrees whose rebuild
-	// does not fit the remaining budget are deferred as debt and
-	// repaid by later epochs, largest debt first, so a single O(n)
-	// root rebuild no longer lands in one victim operation's latency.
-	// 0 (the default) keeps the paper's eager behavior: every due
-	// rebuild runs inline in the triggering batch.
-	RebuildBudgetPerEpoch int
 	// RankTraversal switches batched traversals from per-key
 	// interpolation search to merge-based ranking. Interpolation is
 	// faster on smooth inputs; ranking is distribution-insensitive.
@@ -226,11 +207,10 @@ type Options struct {
 
 func (o Options) coreConfig() core.Config {
 	cfg := core.Config{
-		LeafCap:               o.LeafCap,
-		RebuildFactor:         o.RebuildFactor,
-		RebuildBudgetPerEpoch: o.RebuildBudgetPerEpoch,
-		DisableBufferReuse:    o.disableReuse,
-		Metrics:               o.Metrics,
+		LeafCap:            o.LeafCap,
+		RebuildFactor:      o.RebuildFactor,
+		DisableBufferReuse: o.disableReuse,
+		Metrics:            o.Metrics,
 	}
 	if o.RankTraversal {
 		cfg.Traverse = core.TraverseRank
@@ -327,8 +307,6 @@ func (vw *view[K, V]) Stats() Stats {
 		ChunkBuilds:   s.ChunkBuilds,
 		ChunkKeys:     s.ChunkKeys,
 		LeafGrows:     s.LeafGrows,
-		DebtKeys:      s.DebtKeys,
-		DeferredKeys:  s.DeferredKeys,
 	}
 }
 
@@ -529,11 +507,4 @@ type Stats struct {
 	// LeafGrows counts leaf merges that outgrew their arrays and
 	// reallocated, each with 1.5 times its key count in capacity.
 	LeafGrows int64
-
-	// Rebuild-scheduler counters; all zero unless
-	// Options.RebuildBudgetPerEpoch is set. DebtKeys is the rebuild
-	// debt currently outstanding (a gauge, in keys); DeferredKeys the
-	// cumulative rebuild keys deferred past their triggering epoch.
-	DebtKeys     int64
-	DeferredKeys int64
 }
