@@ -27,10 +27,14 @@ import (
 //     created in. Every mutation calls owned() on each node of its
 //     path: a node from an older generation is copied (path copying),
 //     so nodes reachable from a published Version are never written
-//     again. One epoch copies one children array per inner level on
-//     the path, the vals/exists slots at a node whose slot it writes
-//     or that takes the parallel path (ownSlots), and the leaf arrays
-//     with room for the merge.
+//     again. One epoch copies one children array per inner level
+//     below the root on the path, the vals/exists slots at a node
+//     whose slot it writes or that takes the parallel path
+//     (ownSlots), and the leaf arrays with room for the merge. The
+//     √n-wide root is the exception: its copy is a graced spare root
+//     (see Reclamation) synced to the frozen root by diff, so a
+//     steady-state epoch allocates nothing for it and rewrites only
+//     the child pointers that changed since the spare was live.
 //     Publishing bumps writeGen, freezing everything published. Trees
 //     that never call EnablePublish keep writeGen at zero forever,
 //     every node matches, and owned() is an equality test — the direct
@@ -54,7 +58,14 @@ import (
 //     could possibly have seen it has unpinned. Chunks that might be
 //     referenced by a durable snapshot (born at or before the latest
 //     Snapshot cut) and ring overflow are dropped to the GC instead:
-//     reclamation degrades, never breaks.
+//     reclamation degrades, never breaks. Superseded inner roots take
+//     the same route on a smaller scale: PublishVersion pushes the
+//     root a new version replaced into a FIFO of spareRoots entries
+//     stamped with the era, and the next root copy reuses the oldest
+//     one once it is graced by the same two-advance rule, was born
+//     after the Snapshot cut, and has the frozen root's width. Spares
+//     that fail a check go to the GC. Version headers are never
+//     recycled: cut collection relies on their pointer identity.
 const (
 	// retireRingCap bounds the grace ring: retired chunks beyond this
 	// many pending entries are dropped to the GC instead of recycled,
@@ -64,6 +75,12 @@ const (
 	// per era band, so concurrent fast reads do not contend on one
 	// counter word.
 	readerStripes = 8
+	// spareRoots bounds the FIFO of superseded roots waiting out their
+	// grace period for reuse as the next root copy. Each publish pushes
+	// at most one and each epoch takes at most one, and a spare is
+	// graced two era advances after its push, so a few entries cover
+	// the steady state.
+	spareRoots = 4
 )
 
 // Version is one published immutable tree state. Pointer identity is
@@ -122,6 +139,13 @@ type retiredChunk[K iindex.Numeric, V any] struct {
 	stamp uint64 // era at retirement
 }
 
+// spareRoot is one superseded inner root waiting to be reused as a
+// root copy once graced (see spareRootCopy).
+type spareRoot[K iindex.Numeric, V any] struct {
+	n     *node[K, V]
+	stamp uint64 // era when a newer version replaced it
+}
+
 // chunkHandle ties the root node of a chunked build back to its chunk
 // so a later rebuild of an enclosing subtree can retire the storage.
 // COW copies share the handle with their original; that is safe
@@ -147,11 +171,17 @@ type mvccState[K iindex.Numeric, V any] struct {
 	seq    uint64 // publish counter
 	ringMu sync.Mutex
 	ring   []retiredChunk[K, V] // grace ring
+	spares []spareRoot[K, V]    // superseded roots, oldest first; combiner-confined
+	// graceDepth mirrors len(ring)+len(spares) at the end of each
+	// PublishVersion for the grace_depth gauge, which is read off the
+	// combiner.
+	graceDepth atomic.Int64
 
-	published *obs.Counter // versions published
-	retired   *obs.Counter // chunks entering the grace ring
-	recycled  *obs.Counter // graced chunks recycled into the arena
-	dropped   *obs.Counter // graced chunks dropped to the GC
+	published     *obs.Counter // versions published
+	retired       *obs.Counter // chunks entering the grace ring
+	recycled      *obs.Counter // graced chunks recycled into the arena
+	dropped       *obs.Counter // graced chunks dropped to the GC
+	rootsRecycled *obs.Counter // root copies served by a spare root
 }
 
 // EnablePublish switches the tree into publishing mode and publishes
@@ -171,10 +201,12 @@ func (t *Tree[K, V]) EnablePublish() {
 		m.retired = r.Counter("core.mvcc.chunks_retired")
 		m.recycled = r.Counter("core.mvcc.chunks_recycled")
 		m.dropped = r.Counter("core.mvcc.chunks_dropped")
+		m.rootsRecycled = r.Counter("core.mvcc.roots_recycled")
 		if o := t.obs; o != nil {
 			o.nodeCopies = r.Counter("core.mvcc.node_copies")
 			o.slotCopies = r.Counter("core.mvcc.slot_copies")
 		}
+		r.Func("core.mvcc.grace_depth", m.graceDepth.Load)
 		r.Func("core.mvcc.snapshot_age_ns", func() int64 {
 			v := m.pub.Load()
 			if v == nil {
@@ -190,8 +222,9 @@ func (t *Tree[K, V]) EnablePublish() {
 
 // PublishVersion publishes the current tree state as a new immutable
 // Version (when anything changed since the last publish) and runs one
-// round of reclamation bookkeeping: advance the era if the stale
-// reader band has drained, then recycle or drop graced chunks.
+// round of reclamation bookkeeping: queue the inner root the new
+// version superseded as a spare, advance the era if the stale reader
+// band has drained, then recycle or drop graced chunks.
 // Combiner-confined, like every mutating method of the tree; no-op on
 // a non-publishing tree.
 func (t *Tree[K, V]) PublishVersion() {
@@ -201,7 +234,7 @@ func (t *Tree[K, V]) PublishVersion() {
 	}
 	if t.dirty {
 		m.seq++
-		m.pub.Store(&Version[K, V]{
+		prev := m.pub.Swap(&Version[K, V]{
 			root: t.root,
 			size: t.Len(),
 			gen:  t.writeGen,
@@ -213,6 +246,15 @@ func (t *Tree[K, V]) PublishVersion() {
 		if m.published != nil {
 			m.published.Add(1)
 		}
+		// The era is loaded after the swap: every reader that can
+		// still reach prev's root pinned before it, so two advances
+		// past this stamp prove the root unreachable.
+		if prev != nil && prev.root != t.root && prev.root != nil && prev.root.children != nil {
+			if len(m.spares) == spareRoots {
+				m.spares = dropOldest(m.spares)
+			}
+			m.spares = append(m.spares, spareRoot[K, V]{n: prev.root, stamp: m.era.Load()})
+		}
 	}
 	// Era advance: the band of the parity we are about to hand to new
 	// readers must be empty, which proves every reader pinned two eras
@@ -222,6 +264,7 @@ func (t *Tree[K, V]) PublishVersion() {
 		m.era.Store(e + 1)
 	}
 	t.drainRetired()
+	m.graceDepth.Store(int64(len(m.ring) + len(m.spares)))
 }
 
 // pin registers the caller as an active reader of the current era and
@@ -438,15 +481,17 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 // copying). What one copy costs is what the epoch writes next:
 //
 //   - An inner copy allocates only its children array, the one array
-//     every write below it touches. It aliases the frozen original's
-//     rep and interpolation index (immutable between rebuilds) and its
-//     vals/exists slots, and sets sharedSlots; ownSlots copies the
-//     slots just before the first slot write at this node. The
-//     sequential paths call it only when the node's rep holds a batch
-//     key, so a small epoch whose keys live deeper never copies them;
-//     the parallel paths (more than seqSegCutoff keys at the node,
-//     which almost always include one in its rep) call it right
-//     after owned.
+//     every write below it touches; a copy of the live root takes a
+//     graced spare root instead when one fits (spareRootCopy), so it
+//     allocates nothing and writes only the children that differ. It
+//     aliases the frozen original's rep and interpolation index
+//     (immutable between rebuilds) and its vals/exists slots, and
+//     sets sharedSlots; ownSlots copies the slots just before the
+//     first slot write at this node. The sequential paths call it
+//     only when the node's rep holds a batch key, so a small epoch
+//     whose keys live deeper never copies them; the parallel paths
+//     (more than seqSegCutoff keys at the node, which almost always
+//     include one in its rep) call it right after owned.
 //   - A leaf copy duplicates rep/vals/exists, because leaf reps mutate
 //     on insertion, with capacity for one more key plus LeafSlack
 //     headroom, so the insert that triggered the copy merges in place
@@ -461,6 +506,11 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 	}
 	if o := t.obs; o != nil {
 		o.nodeCopies.Add(1)
+	}
+	if v == t.root && v.children != nil {
+		if cp := t.spareRootCopy(v); cp != nil {
+			return cp
+		}
 	}
 	cp := &node[K, V]{
 		idx:      v.idx,
@@ -481,6 +531,68 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 		cp.children = append(make([]*node[K, V], 0, len(v.children)), v.children...)
 	}
 	return cp
+}
+
+// spareRootCopy is owned's copy of the inner root v made from the
+// oldest spare root that passes three checks: graced (two era
+// advances past its stamp, so no pinned reader can reach it), born
+// after the durable-snapshot cutoff (so no Snapshot can), and as wide
+// as v. The spare is synced to v by diff, writing children[i] only
+// where it differs (a spare is a few epochs old, so a handful of
+// pointers), and its header is reset from v exactly as owned resets a
+// fresh copy's. Spares that fail the cutoff or width check, which
+// follows a root rebuild, are dropped to the GC. nil when no spare is
+// usable. Combiner-confined, like the root copy that calls it.
+func (t *Tree[K, V]) spareRootCopy(v *node[K, V]) *node[K, V] {
+	m := t.mv
+	if m == nil {
+		return nil
+	}
+	era := m.era.Load()
+	cutoff := m.snapCutoff.Load()
+	for len(m.spares) > 0 {
+		sp := m.spares[0]
+		if sp.stamp+2 > era {
+			return nil // stamps only grow: no younger spare is graced
+		}
+		m.spares = dropOldest(m.spares)
+		cp := sp.n
+		if cp.gen <= cutoff || len(cp.children) != len(v.children) {
+			continue
+		}
+		ch := cp.children[:len(v.children)]
+		for i, c := range v.children {
+			if ch[i] != c {
+				ch[i] = c
+			}
+		}
+		*cp = node[K, V]{
+			rep:         v.rep,
+			vals:        v.vals,
+			exists:      v.exists,
+			children:    ch,
+			idx:         v.idx,
+			size:        v.size,
+			initSize:    v.initSize,
+			modCnt:      v.modCnt,
+			gen:         t.writeGen,
+			sharedSlots: true,
+			chunk:       v.chunk,
+		}
+		if m.rootsRecycled != nil {
+			m.rootsRecycled.Add(1)
+		}
+		return cp
+	}
+	return nil
+}
+
+// dropOldest removes the oldest spare root, clearing the vacated slot
+// so the FIFO keeps no dropped node alive.
+func dropOldest[K iindex.Numeric, V any](s []spareRoot[K, V]) []spareRoot[K, V] {
+	copy(s, s[1:])
+	s[len(s)-1] = spareRoot[K, V]{}
+	return s[:len(s)-1]
 }
 
 // ownSlots gives an inner copy private vals/exists arrays before its

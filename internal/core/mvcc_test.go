@@ -628,3 +628,161 @@ func TestInnerSlotCopyOnWrite(t *testing.T) {
 		t.Errorf("slot copies = %d, node copies = %d: want 0 < slots < nodes", slots, nodes)
 	}
 }
+
+// TestRootRecycleGrace pins the grace rules of root recycling: a
+// superseded root is reused as a later root copy only once no pinned
+// reader and no durable snapshot can reach it, and only at the frozen
+// root's width.
+func TestRootRecycleGrace(t *testing.T) {
+	// oneKeyEpoch runs one single-key epoch (update, insert or remove
+	// against oracle) and publishes it.
+	oneKeyEpoch := func(tr *Tree[int64, int64], r *rand.Rand, oracle map[int64]int64, span int64) {
+		k := r.Int63n(span)
+		if _, live := oracle[k]; live && r.Intn(3) == 0 {
+			tr.RemoveBatched([]int64{k})
+			delete(oracle, k)
+		} else {
+			v := r.Int63()
+			tr.PutBatched([]int64{k}, []int64{v})
+			oracle[k] = v
+		}
+		tr.PublishVersion()
+	}
+	newTree := func(cfg Config, n int) (*Tree[int64, int64], map[int64]int64) {
+		base := seqKeys(n, 0, 2)
+		oracle := make(map[int64]int64, n)
+		for _, k := range base {
+			oracle[k] = k
+		}
+		tr := NewFromSortedKV(cfg, nil, base, slices.Clone(base))
+		tr.EnablePublish()
+		return tr, oracle
+	}
+	matchOracle := func(t *testing.T, ks, vs []int64, oracle map[int64]int64, what string) {
+		t.Helper()
+		if len(ks) != len(oracle) {
+			t.Fatalf("%s holds %d keys, oracle %d", what, len(ks), len(oracle))
+		}
+		for i, k := range ks {
+			if w, ok := oracle[k]; !ok || vs[i] != w {
+				t.Fatalf("%s: key %d reads %d, oracle %d (present %v)", what, k, vs[i], w, ok)
+			}
+		}
+	}
+
+	t.Run("pinned reader", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		tr, oracle := newTree(Config{Metrics: reg}, 1<<14)
+		recycled := reg.Counter("core.mvcc.roots_recycled")
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < 2*spareRoots; i++ {
+			oneKeyEpoch(tr, r, oracle, 1<<15) // fill the spare FIFO
+		}
+		pin := tr.PinReader()
+		v0 := tr.CurrentVersion()
+		children := slices.Clone(v0.root.children)
+		gen := v0.root.gen
+		wantK, wantV := tr.VersionItems(v0)
+		for i := 0; i < 4*spareRoots; i++ {
+			oneKeyEpoch(tr, r, oracle, 1<<15)
+			if tr.root == v0.root {
+				t.Fatalf("epoch %d reused the pinned version's root", i)
+			}
+		}
+		if !slices.Equal(v0.root.children, children) || v0.root.gen != gen {
+			t.Fatal("the pinned version's root was rewritten")
+		}
+		gotK, gotV := tr.VersionItems(v0)
+		if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+			t.Fatal("the pinned version's contents changed")
+		}
+		pin.Release()
+		before := recycled.Load()
+		for i := 0; i < 2*spareRoots; i++ {
+			oneKeyEpoch(tr, r, oracle, 1<<15)
+		}
+		if recycled.Load() == before {
+			t.Fatal("no root copy reused a spare after the pin was released")
+		}
+		gotK, gotV = tr.Items()
+		matchOracle(t, gotK, gotV, oracle, "live tree")
+		checkInvariants(t, tr)
+	})
+
+	t.Run("durable snapshot", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		tr, oracle := newTree(Config{Metrics: reg}, 1<<14)
+		r := rand.New(rand.NewSource(5))
+		for i := 0; i < 50; i++ {
+			oneKeyEpoch(tr, r, oracle, 1<<15)
+		}
+		snap := tr.SnapshotNow()
+		snapOracle := maps.Clone(oracle)
+		for i := 0; i < 100; i++ {
+			oneKeyEpoch(tr, r, oracle, 1<<15)
+			if tr.root == snap.root {
+				t.Fatalf("epoch %d reused the snapshot's root", i)
+			}
+		}
+		gotK, gotV := snap.Items()
+		matchOracle(t, gotK, gotV, snapOracle, "snapshot")
+		gotK, gotV = tr.Items()
+		matchOracle(t, gotK, gotV, oracle, "live tree")
+		if reg.Counter("core.mvcc.roots_recycled").Load() == 0 {
+			t.Fatal("no root copy reused a spare")
+		}
+	})
+
+	t.Run("root rebuilds", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		tr, oracle := newTree(Config{RebuildFactor: 1, Metrics: reg}, 64)
+		r := rand.New(rand.NewSource(7))
+		epochs, rebuilds, widths := 0, 0, 0
+		chunk, width := tr.root.chunk, len(tr.root.children)
+		check := func() {
+			epochs++
+			if c := tr.root.chunk; c != chunk {
+				rebuilds++ // every copy carries the handle; a rebuild makes a new one
+				chunk = c
+			}
+			if w := len(tr.root.children); w != width {
+				widths++
+				width = w
+			}
+			gotK, gotV := tr.Items()
+			matchOracle(t, gotK, gotV, oracle, "live tree")
+			k := r.Int63n(1 << 12)
+			w, wok := oracle[k]
+			if v, ok := tr.SnapshotGet(k); ok != wok || v != w {
+				t.Fatalf("epoch %d: SnapshotGet(%d) = %d,%v, oracle %d,%v", epochs, k, v, ok, w, wok)
+			}
+		}
+		// Grow, then shrink back one live key per epoch, three times:
+		// the root is rebuilt wider on the way up and narrower on the
+		// way down, so spares of the old width meet a new root.
+		for cycle := 0; cycle < 3; cycle++ {
+			for i := 0; i < 800; i++ {
+				oneKeyEpoch(tr, r, oracle, 1<<12)
+				check()
+			}
+			doomed := slices.Sorted(maps.Keys(oracle))
+			r.Shuffle(len(doomed), func(a, b int) { doomed[a], doomed[b] = doomed[b], doomed[a] })
+			for _, k := range doomed[:len(doomed)-64] {
+				tr.RemoveBatched([]int64{k})
+				delete(oracle, k)
+				tr.PublishVersion()
+				check()
+			}
+		}
+		recycled := reg.Counter("core.mvcc.roots_recycled").Load()
+		t.Logf("%d epochs, %d root rebuilds, %d of them changed its width; %d root copies reused a spare",
+			epochs, rebuilds, widths, recycled)
+		if rebuilds < 8 || widths < 6 {
+			t.Fatalf("%d root rebuilds changed the width %d times, want at least 8 and 6", rebuilds, widths)
+		}
+		if recycled == 0 {
+			t.Fatal("no root copy reused a spare")
+		}
+		checkInvariants(t, tr)
+	})
+}
