@@ -9,7 +9,10 @@
 // every subsequent exit, and branch arms are analyzed independently
 // and merged on fall-through. A borrow still live at a return, a
 // panic, or the end of the function body is reported once, at the
-// Get that created it.
+// Get that created it. A Put of a borrow that every path to it has
+// already returned — explicitly, or by a defer that will run again at
+// exit — is reported at that Put: the buffer would enter the free list
+// twice and be lent to two borrowers at once.
 //
 // Deliberate ownership transfer — borrows that are stored, returned,
 // or otherwise handed off by design — is declared with //pbist:owner,
@@ -36,16 +39,19 @@ var Analyzer = &framework.Analyzer{
 }
 
 // borrow is one live Get: shared by every branch-local copy of the
-// environment so reporting and defer-satisfaction dedupe globally.
+// environment so reporting and defer-satisfaction dedupe globally. An
+// explicit Put replaces it, in the environment of the path that ran
+// the Put only, with a released record that catches a second Put.
 type borrow struct {
 	v        *types.Var
 	pos      token.Pos // the Get call, where leaks are reported
 	deferred bool      // a defer releases this borrow on every exit
+	released bool      // an explicit Put already returned it on this path
 	reported bool
 }
 
-// env maps live borrowed variables to their borrow records. Copies
-// share the *borrow values.
+// env maps borrowed variables to their borrow records, live or
+// released. Copies share the *borrow values.
 type env map[*types.Var]*borrow
 
 func (e env) clone() env {
@@ -116,7 +122,7 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 // reportLive flags every live, non-deferred borrow in e, once.
 func (c *checker) reportLive(e env) {
 	for _, b := range e {
-		if b.deferred || b.reported {
+		if b.deferred || b.released || b.reported {
 			continue
 		}
 		b.reported = true
@@ -324,7 +330,7 @@ func (c *checker) killOrLeak(lhs ast.Expr, e env) {
 		return
 	}
 	delete(e, v)
-	if b.deferred || b.reported || c.ownerAt(lhs.Pos()) {
+	if b.deferred || b.released || b.reported || c.ownerAt(lhs.Pos()) {
 		return
 	}
 	b.reported = true
@@ -362,12 +368,15 @@ func (c *checker) releaseCall(call *ast.CallExpr, e env, asDefer bool) bool {
 		if v == nil {
 			continue
 		}
-		if b, ok := e[v]; ok {
-			if asDefer {
-				b.deferred = true
-			} else {
-				delete(e, v)
-			}
+		b, ok := e[v]
+		switch {
+		case !ok:
+		case b.released || b.deferred:
+			c.pass.Reportf(call.Pos(), "scratch borrow of %s is returned twice; it was already returned on every path here (explicitly or by a defer)", v.Name())
+		case asDefer:
+			b.deferred = true
+		default:
+			e[v] = &borrow{v: v, pos: call.Pos(), released: true}
 		}
 	}
 	return true
@@ -451,23 +460,18 @@ func (c *checker) switchStmt(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, e
 		arms = append(arms, armEnv)
 	}
 	allTerm := hasDefault && len(arms) > 0
-	merged := make(env)
+	var open []env
 	for i, arm := range arms {
-		if terms[i] {
-			continue
-		}
-		allTerm = false
-		for k, v := range arm {
-			merged[k] = v
+		if !terms[i] {
+			allTerm = false
+			open = append(open, arm)
 		}
 	}
 	if !hasDefault {
-		for k, v := range e {
-			merged[k] = v
-		}
+		open = append(open, e)
 		allTerm = false
 	}
-	replace(e, merged)
+	replace(e, join(open))
 	return allTerm
 }
 
@@ -483,35 +487,66 @@ func (c *checker) loopBody(body *ast.BlockStmt, e env) {
 		if _, outer := e[v]; outer {
 			continue
 		}
-		if b.deferred || b.reported {
+		if b.deferred || b.released || b.reported {
 			continue
 		}
 		b.reported = true
 		c.pass.Reportf(b.pos, "scratch borrow of %s is not returned within the loop iteration that created it", b.v.Name())
 	}
 	for v := range e {
-		if _, still := inner[v]; !still {
+		if b, still := inner[v]; !still || b.released {
 			delete(e, v)
 		}
 	}
 }
 
-// merge replaces e with the union of the non-terminated arms; when
+// merge replaces e with the join of the non-terminated arms; when
 // both arms terminate, e's contents are irrelevant to the (dead) code
 // after the branch.
 func merge(e, thenEnv env, thenTerm bool, elseEnv env, elseTerm bool) {
-	merged := make(env)
+	var arms []env
 	if !thenTerm {
-		for k, v := range thenEnv {
-			merged[k] = v
-		}
+		arms = append(arms, thenEnv)
 	}
 	if !elseTerm {
-		for k, v := range elseEnv {
-			merged[k] = v
+		arms = append(arms, elseEnv)
+	}
+	replace(e, join(arms))
+}
+
+// join merges the environments of the arms that fall through to one
+// statement: a borrow live on any arm stays live, and a released
+// record survives only when every arm released the borrow, so a
+// later Put is reported as a second one only when it is one on every
+// path.
+func join(arms []env) env {
+	merged := make(env)
+	for _, arm := range arms {
+		for k, b := range arm {
+			if !b.released {
+				merged[k] = b
+			}
 		}
 	}
-	replace(e, merged)
+	if len(arms) == 0 {
+		return merged
+	}
+	for k, b := range arms[0] {
+		if !b.released || merged[k] != nil {
+			continue
+		}
+		everyArm := true
+		for _, arm := range arms[1:] {
+			if o, ok := arm[k]; !ok || !o.released {
+				everyArm = false
+				break
+			}
+		}
+		if everyArm {
+			merged[k] = b
+		}
+	}
+	return merged
 }
 
 func replace(e, with env) {

@@ -107,6 +107,56 @@ func loopBalanced(s *Scratch[int]) {
 	}
 }
 
+// putTwice returns the same borrow twice: the buffer would sit in the
+// free list twice and be lent to two borrowers at once.
+func putTwice(s *Scratch[int]) {
+	buf := s.Get(8)
+	s.Put(buf)
+	s.Put(buf) // want `returned twice`
+}
+
+// putAfterDefer returns explicitly a borrow its defer returns again at
+// exit.
+func putAfterDefer(s *Scratch[int]) {
+	buf := s.Get(8)
+	defer s.Put(buf)
+	use(buf)
+	s.Put(buf) // want `returned twice`
+}
+
+// putEachArmThenAgain returns the borrow in both arms and once more
+// after them.
+func putEachArmThenAgain(s *Scratch[int]) {
+	buf := s.Get(8)
+	if cond() {
+		s.Put(buf)
+	} else {
+		s.Put(buf)
+	}
+	s.Put(buf) // want `returned twice`
+}
+
+// putEarlyReturn returns the borrow on the early exit and on the
+// fall-through: one Put per path, clean.
+func putEarlyReturn(s *Scratch[int]) {
+	buf := s.Get(8)
+	if cond() {
+		s.Put(buf)
+		return
+	}
+	use(buf)
+	s.Put(buf)
+}
+
+// reborrow returns a borrow, then borrows again into the same
+// variable and returns that: clean.
+func reborrow(s *Scratch[int]) {
+	buf := s.Get(8)
+	s.Put(buf)
+	buf = s.Get(16)
+	s.Put(buf)
+}
+
 // unbound passes the borrow straight into a call: unverifiable.
 func unbound(s *Scratch[int]) {
 	use(s.Get(8)) // want `not bound to a variable`

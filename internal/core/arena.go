@@ -30,10 +30,12 @@ type treeArena[K iindex.Numeric, V any] struct {
 	i32s  arena.Scratch[int32]
 	ints  arena.Scratch[int]
 
-	// seqScr pools complete sequential-walk scratches (seqpath.go)
-	// with their per-depth position buffers attached, so a sequential
-	// segment borrows a ready-to-go walker instead of growing one
-	// level by level. sync.Pool gives the per-P sharding here.
+	// seqScr pools the walkers (seqpath.go) that a batched
+	// recursion's sequential segments run on, with their per-depth
+	// position buffers attached, so a segment borrows a ready-to-go
+	// walker instead of growing one level by level; i32s backs only
+	// the parallel segments' buffers. sync.Pool gives the per-P
+	// sharding here.
 	seqScr sync.Pool
 
 	chunkBuilds atomic.Int64 // chunked subtree (re)builds

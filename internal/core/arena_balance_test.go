@@ -10,10 +10,9 @@ import (
 
 // assertBalanced checks the dynamic half of the arenapair contract:
 // once no batched operation is in flight, every free-list Get has been
-// matched by a Put. The i32s scratch is deliberately exempt — the
-// pooled sequential walkers (seqpath.go) retain their per-depth level
-// buffers across borrows by design, so its gets legitimately run ahead
-// of its puts.
+// matched by a Put. That includes the i32s scratch, which backs only
+// the position buffers of parallel segments: sequential walkers
+// (seqpath.go) own their per-depth level buffers.
 func assertBalanced[K ~int64 | ~int32, V any](t *testing.T, label string, tr *Tree[K, V]) {
 	t.Helper()
 	type balancer interface{ Balance() (gets, puts int64) }
@@ -21,6 +20,7 @@ func assertBalanced[K ~int64 | ~int32, V any](t *testing.T, label string, tr *Tr
 		"keys":  &tr.ar.keys,
 		"vals":  &tr.ar.vals,
 		"bools": &tr.ar.bools,
+		"i32s":  &tr.ar.i32s,
 		"ints":  &tr.ar.ints,
 	} {
 		gets, puts := s.Balance()

@@ -18,6 +18,14 @@
 // span (§8). Balance and space are maintained by amortized parallel
 // subtree rebuilding (§7).
 //
+// Each batched operation is one recursion (§4, Listing 1.2). While a
+// node's segment of the batch is large it runs parallel loops and a
+// per-child fan-out on arena position buffers; the first segment of
+// at most seqSegCutoff keys (every segment, on a one-worker pool)
+// borrows a pooled walker, and its whole subtree runs plain loops on
+// the walker's per-depth buffers. The ideal build switches the same
+// way at buildSeqCutoff keys, to a node slab.
+//
 // Node storage is chunked: a rebuilt subtree lays the rep/vals/exists
 // arrays of all its nodes into three contiguous backing arrays
 // (internal/arena.Chunk) that the nodes slice into at deterministic
@@ -244,24 +252,18 @@ func (t *Tree[K, V]) Items() ([]K, []V) {
 	return t.flatten(t.root)
 }
 
-// Contains reports whether key is in the tree. It is a batch of size
-// one; hot scalar paths should use the sequential tree or batch their
-// queries.
+// Contains reports whether key is in the tree: one root-to-leaf walk
+// (lookup), allocation-free. Batch many queries through
+// ContainsBatched instead.
 func (t *Tree[K, V]) Contains(key K) bool {
-	buf := [1]K{key}
-	var res [1]bool
-	t.containsRec(t.root, buf[:], 0, 1, res[:])
-	return res[0]
+	_, ok := lookup(t.root, key)
+	return ok
 }
 
 // Get returns the value stored under key; ok is false when the key is
-// absent. Like Contains, it is a batch of size one.
+// absent. Like Contains, it is one root-to-leaf walk.
 func (t *Tree[K, V]) Get(key K) (val V, ok bool) {
-	buf := [1]K{key}
-	var vals [1]V
-	var found [1]bool
-	t.getRec(t.root, buf[:], 0, 1, vals[:], found[:])
-	return vals[0], found[0]
+	return lookup(t.root, key)
 }
 
 // Insert adds key with a zero value, reporting whether it was absent.

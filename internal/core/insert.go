@@ -31,15 +31,15 @@ func (t *Tree[K, V]) ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK 
 	before := t.rebuiltKeys.Load()
 	if len(updK) > 0 {
 		t.dirty = true
-		t.root = t.updateRec(t.root, updK, updV, 0, len(updK))
+		t.root = t.updateRec(t.root, updK, updV, 0, len(updK), nil, 0)
 	}
 	if len(insK) > 0 {
 		t.dirty = true
-		t.root = t.insertRec(t.root, insK, insV, 0, len(insK))
+		t.root = t.insertRec(t.root, insK, insV, 0, len(insK), nil, 0)
 	}
 	if len(delK) > 0 {
 		t.dirty = true
-		t.root = t.removeRec(t.root, delK, 0, len(delK))
+		t.root = t.removeRec(t.root, delK, 0, len(delK), nil, 0)
 	}
 	return int(t.rebuiltKeys.Load() - before)
 }
@@ -112,8 +112,8 @@ func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 	return len(freshK)
 }
 
-// rebuildMerged is §7.1 step 2a, shared by the parallel and sequential
-// insertion paths: flatten v, merge the triggering sub-batch, rebuild
+// rebuildMerged is §7.1 step 2a, in both forms of the insertion
+// recursion: flatten v, merge the triggering sub-batch, rebuild
 // ideally. Every temporary is arena scratch: the flatten buffers and
 // the merge destination are returned the moment buildIdeal has copied
 // the merged pairs into chunk storage, so consecutive rebuilds cycle
@@ -135,7 +135,8 @@ func (t *Tree[K, V]) rebuildMerged(v *node[K, V], keys []K, vals []V, l, r int) 
 	return root
 }
 
-// rebuildSubtracted is §7.1 step 2b, shared by both removal paths:
+// rebuildSubtracted is §7.1 step 2b, in both forms of the removal
+// recursion:
 // flatten v, subtract the triggering sub-batch, rebuild ideally, with
 // the same scratch lifetimes as rebuildMerged.
 func (t *Tree[K, V]) rebuildSubtracted(v *node[K, V], keys []K, l, r int) *node[K, V] {
@@ -156,67 +157,73 @@ func (t *Tree[K, V]) rebuildSubtracted(v *node[K, V], keys []K, l, r int) *node[
 
 // insertRec inserts keys[l:r) — all logically absent from the tree —
 // with their values into subtree v and returns the possibly replaced
-// subtree root.
-func (t *Tree[K, V]) insertRec(v *node[K, V], keys []K, vals []V, l, r int) *node[K, V] {
+// subtree root. sc and depth are containsRec's walker.
+func (t *Tree[K, V]) insertRec(v *node[K, V], keys []K, vals []V, l, r int, sc *scratch, depth int) *node[K, V] {
 	if v == nil {
 		// Empty range: the sub-batch becomes a fresh ideal subtree.
 		return t.buildIdeal(keys[l:r], vals[l:r])
 	}
-	if r-l <= seqSegCutoff || t.pool.Workers() == 1 {
-		sc := t.newScratch()
-		root := t.insertSeq(v, keys, vals, l, r, sc, 0)
-		sc.release()
-		return root
-	}
-	k := r - l
-	if t.rebuildDue(v, k) {
+	seg := r - l
+	if t.rebuildDue(v, seg) {
 		// §7.1 step 2a: the recursion stops here for this subtree.
 		root := t.rebuildMerged(v, keys, vals, l, r)
 		t.retireSubtree(v)
 		return root
 	}
 	v = t.owned(v)
-	t.ownSlots(v)
-	v.modCnt += k
-	v.size += k
-
-	seg := r - l
-	pf := t.ar.i32s.Get(seg)
-	t.findPositions(v, keys, l, r, pf)
+	v.modCnt += seg
+	v.size += seg
 
 	// Revive keys that still exist physically but were logically
 	// removed (§6), storing the incoming value: they are guaranteed
 	// dead here because the batch was filtered against live contents.
-	exists, vv := v.exists, v.vals
-	parallel.For(t.pool, seg, 0, func(i int) {
-		if pf[i]&1 == 1 {
-			exists[pf[i]>>1] = true
-			vv[pf[i]>>1] = vals[l+i]
-		}
-	})
-
-	if v.isLeaf() {
-		// Fig. 11: merge the physically absent pairs into the leaf.
-		akBuf := t.ar.keys.Get(seg)
-		absentK := parallel.FilterIndexInto(t.pool, keys[l:r], akBuf, func(i int) bool { return pf[i]&1 == 0 })
-		if len(absentK) > 0 {
-			avBuf := t.ar.vals.Get(seg)
-			absentV := parallel.FilterIndexInto(t.pool, vals[l:r], avBuf, func(i int) bool { return pf[i]&1 == 0 })
-			var grew bool
-			v.rep, v.vals, v.exists, grew = mergeLeafPF(v.rep, v.vals, v.exists, absentK, absentV, nil, len(absentK), t.cfg.LeafSlack)
-			if grew {
-				t.ar.leafGrows.Add(1)
+	// Leaves then merge in the physically absent pairs (Fig. 11).
+	if sc == nil && !t.sequential(seg) {
+		pf := t.ar.i32s.Get(seg)
+		defer t.ar.i32s.Put(pf)
+		t.findPositions(v, keys[l:r], pf, nil)
+		t.ownSlots(v)
+		exists, vv := v.exists, v.vals
+		parallel.For(t.pool, seg, 0, func(i int) {
+			if pf[i]&1 == 1 {
+				exists[pf[i]>>1] = true
+				vv[pf[i]>>1] = vals[l+i]
 			}
-			t.ar.vals.Put(avBuf)
+		})
+		if v.isLeaf() {
+			t.mergeLeaf(v, keys[l:r], vals[l:r], pf)
+			return v
 		}
-		t.ar.keys.Put(akBuf)
-		t.ar.i32s.Put(pf)
+		children := v.children
+		t.forEachChildRun(pf, func(lo, hi int, child int) {
+			children[child] = t.insertRec(children[child], keys, vals, l+lo, l+hi, nil, 0)
+		})
 		return v
 	}
-	t.forEachChildRun(pf, func(lo, hi int, child int) {
-		v.children[child] = t.insertRec(v.children[child], keys, vals, l+lo, l+hi)
-	})
-	t.ar.i32s.Put(pf)
+	if sc == nil {
+		sc = t.newScratch()
+		defer sc.release()
+	}
+	pf := sc.buf(depth, seg)
+	t.findPositions(v, keys[l:r], pf, sc)
+	for i, p := range pf {
+		if p&1 == 1 {
+			t.ownSlots(v)
+			v.exists[p>>1] = true
+			v.vals[p>>1] = vals[l+i]
+		}
+	}
+	if v.isLeaf() {
+		t.mergeLeaf(v, keys[l:r], vals[l:r], pf)
+		return v
+	}
+	for i, j := 0, 0; i < seg; i = j {
+		j = runEnd(pf, i)
+		if pf[i]&1 == 0 {
+			c := pf[i] >> 1
+			v.children[c] = t.insertRec(v.children[c], keys, vals, l+i, l+j, sc, depth+1)
+		}
+	}
 	return v
 }
 
@@ -224,39 +231,58 @@ func (t *Tree[K, V]) insertRec(v *node[K, V], keys []K, vals []V, l, r int) *nod
 // present — with vals[l:r) and returns the possibly copied subtree
 // root. Value overwrites are not structural modifications: Rep arrays,
 // sizes, and the rebuild budget are untouched, so the traversal is
-// read-shaped (like containsRec) with one write per key at the node
-// whose Rep holds it — but on a publishing tree even a value write
-// copies out-of-generation nodes, so the path to every written slot
-// is returned upward like the insertion path. Each batch key is live,
-// so it is found exactly once along its root-to-leaf path, at a live
-// slot.
-func (t *Tree[K, V]) updateRec(v *node[K, V], keys []K, vals []V, l, r int) *node[K, V] {
+// read-shaped (like containsRec, whose walker sc and depth are) with
+// one write per key at the node whose Rep holds it — but on a
+// publishing tree even a value write copies out-of-generation nodes,
+// so the path to every written slot is returned upward like the
+// insertion path. Each batch key is live, so it is found exactly once
+// along its root-to-leaf path, at a live slot.
+func (t *Tree[K, V]) updateRec(v *node[K, V], keys []K, vals []V, l, r int, sc *scratch, depth int) *node[K, V] {
 	if v == nil {
 		return nil
 	}
-	seg := r - l
-	if seg <= seqSegCutoff || t.pool.Workers() == 1 {
-		sc := t.newScratch()
-		root := t.updateSeq(v, keys, vals, l, r, sc, 0)
-		sc.release()
-		return root
-	}
 	v = t.owned(v)
-	t.ownSlots(v)
-	pf := t.ar.i32s.Get(seg)
-	defer t.ar.i32s.Put(pf)
-	t.findPositions(v, keys, l, r, pf)
-	vv := v.vals
-	parallel.For(t.pool, seg, 0, func(i int) {
-		if pf[i]&1 == 1 {
-			vv[pf[i]>>1] = vals[l+i]
+	seg := r - l
+	if sc == nil && !t.sequential(seg) {
+		pf := t.ar.i32s.Get(seg)
+		defer t.ar.i32s.Put(pf)
+		t.findPositions(v, keys[l:r], pf, nil)
+		t.ownSlots(v)
+		vv := v.vals
+		parallel.For(t.pool, seg, 0, func(i int) {
+			if pf[i]&1 == 1 {
+				vv[pf[i]>>1] = vals[l+i]
+			}
+		})
+		if !v.isLeaf() {
+			children := v.children
+			t.forEachChildRun(pf, func(lo, hi int, child int) {
+				children[child] = t.updateRec(children[child], keys, vals, l+lo, l+hi, nil, 0)
+			})
 		}
-	})
+		return v
+	}
+	if sc == nil {
+		sc = t.newScratch()
+		defer sc.release()
+	}
+	pf := sc.buf(depth, seg)
+	t.findPositions(v, keys[l:r], pf, sc)
+	for i, p := range pf {
+		if p&1 == 1 {
+			t.ownSlots(v)
+			v.vals[p>>1] = vals[l+i]
+		}
+	}
 	if v.isLeaf() {
 		return v
 	}
-	t.forEachChildRun(pf, func(lo, hi int, child int) {
-		v.children[child] = t.updateRec(v.children[child], keys, vals, l+lo, l+hi)
-	})
+	for i, j := 0, 0; i < seg; i = j {
+		j = runEnd(pf, i)
+		if pf[i]&1 == 0 {
+			c := pf[i] >> 1
+			v.children[c] = t.updateRec(v.children[c], keys, vals, l+i, l+j, sc, depth+1)
+		}
+	}
 	return v
 }

@@ -29,7 +29,7 @@ import (
 //     so nodes reachable from a published Version are never written
 //     again. One epoch copies one children array per inner level
 //     below the root on the path, the vals/exists slots at a node
-//     whose slot it writes or that takes the parallel path
+//     whose slot it writes or where the recursion forks
 //     (ownSlots), and the leaf arrays with room for the merge. The
 //     √n-wide root is the exception: its copy is a graced spare root
 //     (see Reclamation) synced to the frozen root by diff, so a
@@ -345,39 +345,14 @@ func (t *Tree[K, V]) SnapshotLen() int {
 	return t.mv.pub.Load().Len()
 }
 
-// lookupVersion is a sequential root-to-leaf interpolation walk over an
-// immutable version: the single-key form of the §4.2 traversal, with no
-// batch machinery and no scratch. A key found in a rep array resolves
-// there (live or logically removed — §6 guarantees a key occupies at
-// most one slot); an absent key descends the lower-bound child.
+// lookupVersion is lookup over an immutable version's root.
 //
 //pbist:noalloc
 func lookupVersion[K iindex.Numeric, V any](ver *Version[K, V], key K) (val V, ok bool) {
-	var zero V
 	if ver == nil {
-		return zero, false
+		return val, false
 	}
-	v := ver.root
-	for v != nil {
-		var pos int
-		var found bool
-		if v.children == nil {
-			pos, found = iindex.InterpolationSearch(v.rep, key)
-		} else {
-			pos, found = iindex.Find(v.rep, &v.idx, key)
-		}
-		if found {
-			if v.exists[pos] {
-				return v.vals[pos], true
-			}
-			return zero, false
-		}
-		if v.children == nil {
-			return zero, false
-		}
-		v = v.children[pos]
-	}
-	return zero, false
+	return lookup(ver.root, key)
 }
 
 // SnapshotNow returns a new Tree handle over the latest published
@@ -437,10 +412,10 @@ func (t *Tree[K, V]) VersionGetBatched(v *Version[K, V], keys []K, vals []V, fou
 		return
 	}
 	if vals == nil {
-		t.containsRec(v.root, keys, 0, len(keys), found)
+		t.containsRec(v.root, keys, 0, len(keys), found, nil, 0)
 		return
 	}
-	t.getRec(v.root, keys, 0, len(keys), vals, found)
+	t.getRec(v.root, keys, 0, len(keys), vals, found, nil, 0)
 }
 
 // VersionItems flattens a pinned Version into freshly allocated sorted
@@ -487,15 +462,15 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 //     aliases the frozen original's rep and interpolation index
 //     (immutable between rebuilds) and its vals/exists slots, and
 //     sets sharedSlots; ownSlots copies the slots just before the
-//     first slot write at this node. The sequential paths call it
-//     only when the node's rep holds a batch key, so a small epoch
-//     whose keys live deeper never copies them; the parallel paths
+//     first slot write at this node. The recursions' sequential form
+//     calls it only when the node's rep holds a batch key, so a small
+//     epoch whose keys live deeper never copies them; where they fork
 //     (more than seqSegCutoff keys at the node, which almost always
-//     include one in its rep) call it right after owned.
+//     include one in its rep) they call it before the parallel loop.
 //   - A leaf copy duplicates rep/vals/exists, because leaf reps mutate
 //     on insertion, with capacity for one more key plus LeafSlack
 //     headroom, so the insert that triggered the copy merges in place
-//     (mergeLeafPF) instead of allocating a second time.
+//     (mergeLeaf) instead of allocating a second time.
 //
 // The chunk handle rides along (see chunkHandle). On a tree that never
 // published, writeGen and every node generation are zero and this is

@@ -118,7 +118,7 @@ func (t *Tree[K, V]) buildIdeal(keys []K, vals []V) *node[K, V] {
 		return nil
 	}
 	ch := t.newChunk(m)
-	root := t.buildInto(ch, 0, keys, vals)
+	root := t.buildInto(ch, nil, 0, keys, vals)
 	// The build root carries the chunk handle so a rebuild of an
 	// enclosing subtree can retire the storage (mvcc.go).
 	root.chunk = &chunkHandle[K, V]{ch: ch, born: t.writeGen}
@@ -138,8 +138,8 @@ func idealFanout(m int) int {
 // idealChild returns the key range [lo, hi) of child i of an ideal
 // inner node over m keys with fanout k; for i < k, position hi holds
 // rep slot i. This is the single definition of the ideal split:
-// buildInto, buildSeqInto, and countIdeal must agree exactly, because
-// countIdeal sizes the node slabs buildSeqInto consumes.
+// buildInto and countIdeal must agree exactly, because countIdeal
+// sizes the node slabs buildInto consumes.
 func idealChild(m, k, i int) (lo, hi int) {
 	lo = 0
 	if i > 0 {
@@ -153,57 +153,64 @@ func idealChild(m, k, i int) (lo, hi int) {
 }
 
 // buildInto builds the ideal subtree over keys/vals with its node
-// storage carved from ch at [base, base+len(keys)). Subtrees at or
-// below buildSeqCutoff build sequentially through a node slab: their
-// exact node and child-pointer counts are precomputed (the ideal
-// split is deterministic in m), so the whole subtree's node headers
-// and children arrays come from two bulk allocations instead of one
-// or two per node.
+// storage carved from ch at [base, base+len(keys)). slab is nil while
+// the subtree is built in parallel: its node headers and children
+// arrays are allocated one by one and the k+1 children build in
+// parallel. The first subtree at or below buildSeqCutoff draws a node
+// slab and builds sequentially from there down: its exact node and
+// child-pointer counts are precomputed (the ideal split is
+// deterministic in m), so the whole subtree's node headers and
+// children arrays come from two bulk allocations instead of one or
+// two per node.
 //
 //pbist:owner
-func (t *Tree[K, V]) buildInto(ch arena.Chunk[K, V], base int, keys []K, vals []V) *node[K, V] {
+func (t *Tree[K, V]) buildInto(ch arena.Chunk[K, V], slab *buildSlab[K, V], base int, keys []K, vals []V) *node[K, V] {
 	m := len(keys)
 	if m == 0 {
-		return nil // empty child range
+		return nil // empty child range; countIdeal counted no node
 	}
-	if m <= t.cfg.LeafCap {
-		v := &node[K, V]{}
-		t.fillLeaf(v, ch, base, keys, vals)
-		return v
-	}
-	if m <= buildSeqCutoff {
+	if slab == nil && m <= buildSeqCutoff {
 		nn, nc := countIdeal(m, t.cfg.LeafCap)
-		slab := buildSlab[K, V]{
+		slab = &buildSlab[K, V]{
 			nodes: make([]node[K, V], nn),
 			kids:  make([]*node[K, V], nc),
 		}
-		return t.buildSeqInto(ch, &slab, base, keys, vals)
+	}
+	v := slab.node()
+	if m <= t.cfg.LeafCap {
+		t.fillLeaf(v, ch, base, keys, vals)
+		return v
 	}
 	k := idealFanout(m)
 	rep, vv, ex := ch.Carve(base, k)
 	for i := range ex {
-		ex[i] = true
+		_, hi := idealChild(m, k, i)
+		rep[i], vv[i], ex[i] = keys[hi], vals[hi], true
 	}
-	v := &node[K, V]{
+	children := slab.children(k + 1)
+	*v = node[K, V]{
 		rep:      rep,
 		vals:     vv,
 		exists:   ex,
-		children: make([]*node[K, V], k+1),
+		children: children,
 		size:     m,
 		initSize: m,
 		gen:      t.writeGen,
 	}
-	parallel.For(t.pool, k+1, 1, func(i int) {
-		lo, hi := idealChild(m, k, i)
-		if i < k {
-			rep[i] = keys[hi]
-			vv[i] = vals[hi]
+	// Child i's chunk window starts after this node's k rep slots and
+	// the slots of its left siblings: lo keys precede position lo, of
+	// which i are rep keys, so the siblings hold lo−i.
+	if slab == nil {
+		parallel.For(t.pool, k+1, 1, func(i int) {
+			lo, hi := idealChild(m, k, i)
+			children[i] = t.buildInto(ch, nil, base+k+lo-i, keys[lo:hi], vals[lo:hi])
+		})
+	} else {
+		for i := range children {
+			lo, hi := idealChild(m, k, i)
+			children[i] = t.buildInto(ch, slab, base+k+lo-i, keys[lo:hi], vals[lo:hi])
 		}
-		// Child i's chunk window starts after this node's k rep slots
-		// and the slots of its left siblings: lo keys precede position
-		// lo, of which i are rep keys, so the siblings hold lo−i.
-		v.children[i] = t.buildInto(ch, base+k+lo-i, keys[lo:hi], vals[lo:hi])
-	})
+	}
 	v.idx = iindex.Build(v.rep, t.cfg.IndexSizeFactor)
 	return v
 }
@@ -226,19 +233,26 @@ func (t *Tree[K, V]) fillLeaf(v *node[K, V], ch arena.Chunk[K, V], base int, key
 // buildSlab doles out node headers and children arrays for one
 // sequentially built subtree from two exact-size bulk allocations.
 // Like a Chunk, the slab's memory is retained while any node built
-// from it is alive.
+// from it is alive. A nil slab allocates each header and array on its
+// own, for the nodes buildInto builds in parallel.
 type buildSlab[K iindex.Numeric, V any] struct {
 	nodes []node[K, V]
 	kids  []*node[K, V]
 }
 
 func (s *buildSlab[K, V]) node() *node[K, V] {
+	if s == nil {
+		return new(node[K, V])
+	}
 	v := &s.nodes[0]
 	s.nodes = s.nodes[1:]
 	return v
 }
 
 func (s *buildSlab[K, V]) children(k int) []*node[K, V] {
+	if s == nil {
+		return make([]*node[K, V], k)
+	}
 	c := s.kids[:k:k]
 	s.kids = s.kids[k:]
 	return c
@@ -246,7 +260,7 @@ func (s *buildSlab[K, V]) children(k int) []*node[K, V] {
 
 // countIdeal walks the deterministic ideal-split recursion without
 // building anything and returns the node and child-pointer counts of
-// the subtree buildSeqInto will produce for m keys.
+// the subtree buildInto builds for m keys from one slab.
 func countIdeal(m, leafCap int) (nodes, kids int) {
 	if m == 0 {
 		return 0, 0
@@ -263,44 +277,4 @@ func countIdeal(m, leafCap int) (nodes, kids int) {
 		kids += ck
 	}
 	return nodes, kids
-}
-
-// buildSeqInto is buildInto below the parallel cutoff: same splits,
-// node storage from the slab, no forking.
-//
-//pbist:owner
-func (t *Tree[K, V]) buildSeqInto(ch arena.Chunk[K, V], slab *buildSlab[K, V], base int, keys []K, vals []V) *node[K, V] {
-	m := len(keys)
-	if m == 0 {
-		return nil // empty child range; countIdeal counted no node
-	}
-	v := slab.node()
-	if m <= t.cfg.LeafCap {
-		t.fillLeaf(v, ch, base, keys, vals)
-		return v
-	}
-	k := idealFanout(m)
-	rep, vv, ex := ch.Carve(base, k)
-	for i := range ex {
-		ex[i] = true
-	}
-	*v = node[K, V]{
-		rep:      rep,
-		vals:     vv,
-		exists:   ex,
-		children: slab.children(k + 1),
-		size:     m,
-		initSize: m,
-		gen:      t.writeGen,
-	}
-	for i := 0; i <= k; i++ {
-		lo, hi := idealChild(m, k, i)
-		if i < k {
-			rep[i] = keys[hi]
-			vv[i] = vals[hi]
-		}
-		v.children[i] = t.buildSeqInto(ch, slab, base+k+lo-i, keys[lo:hi], vals[lo:hi])
-	}
-	v.idx = iindex.Build(v.rep, t.cfg.IndexSizeFactor)
-	return v
 }

@@ -30,46 +30,63 @@ func (t *Tree[K, V]) RemoveBatched(keys []K) int {
 }
 
 // removeRec removes keys[l:r) — all logically present — from subtree v
-// and returns the possibly replaced subtree root.
-func (t *Tree[K, V]) removeRec(v *node[K, V], keys []K, l, r int) *node[K, V] {
-	if r-l <= seqSegCutoff || t.pool.Workers() == 1 {
-		sc := t.newScratch()
-		root := t.removeSeq(v, keys, l, r, sc, 0)
-		sc.release()
-		return root
-	}
-	k := r - l
-	if t.rebuildDue(v, k) {
+// and returns the possibly replaced subtree root. sc and depth are
+// containsRec's walker.
+func (t *Tree[K, V]) removeRec(v *node[K, V], keys []K, l, r int, sc *scratch, depth int) *node[K, V] {
+	seg := r - l
+	if t.rebuildDue(v, seg) {
 		// §7.1 step 2b: the recursion stops here for this subtree.
 		root := t.rebuildSubtracted(v, keys, l, r)
 		t.retireSubtree(v)
 		return root
 	}
 	v = t.owned(v)
-	t.ownSlots(v)
-	v.modCnt += k
-	v.size -= k
-
-	seg := r - l
-	pf := t.ar.i32s.Get(seg)
-	defer t.ar.i32s.Put(pf)
-	t.findPositions(v, keys, l, r, pf)
+	v.modCnt += seg
+	v.size -= seg
 
 	// Mark keys found in this rep as logically removed (§6). Every
 	// batch key is live in the tree, so each is found exactly once
-	// along its root-to-leaf path.
-	exists := v.exists
-	parallel.For(t.pool, seg, 0, func(i int) {
-		if pf[i]&1 == 1 {
-			exists[pf[i]>>1] = false
+	// along its root-to-leaf path; at a leaf all of them are.
+	if sc == nil && !t.sequential(seg) {
+		pf := t.ar.i32s.Get(seg)
+		defer t.ar.i32s.Put(pf)
+		t.findPositions(v, keys[l:r], pf, nil)
+		t.ownSlots(v)
+		exists := v.exists
+		parallel.For(t.pool, seg, 0, func(i int) {
+			if pf[i]&1 == 1 {
+				exists[pf[i]>>1] = false
+			}
+		})
+		if !v.isLeaf() {
+			children := v.children
+			t.forEachChildRun(pf, func(lo, hi int, child int) {
+				children[child] = t.removeRec(children[child], keys, l+lo, l+hi, nil, 0)
+			})
 		}
-	})
-
-	if v.isLeaf() {
-		return v // all segment keys were necessarily found here
+		return v
 	}
-	t.forEachChildRun(pf, func(lo, hi int, child int) {
-		v.children[child] = t.removeRec(v.children[child], keys, l+lo, l+hi)
-	})
+	if sc == nil {
+		sc = t.newScratch()
+		defer sc.release()
+	}
+	pf := sc.buf(depth, seg)
+	t.findPositions(v, keys[l:r], pf, sc)
+	for _, p := range pf {
+		if p&1 == 1 {
+			t.ownSlots(v)
+			v.exists[p>>1] = false
+		}
+	}
+	if v.isLeaf() {
+		return v
+	}
+	for i, j := 0, 0; i < seg; i = j {
+		j = runEnd(pf, i)
+		if pf[i]&1 == 0 {
+			c := pf[i] >> 1
+			v.children[c] = t.removeRec(v.children[c], keys, l+i, l+j, sc, depth+1)
+		}
+	}
 	return v
 }

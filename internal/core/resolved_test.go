@@ -22,20 +22,32 @@ import (
 // end each published version of the two trees is read under one pin
 // per tree, taken before the first publish, and compared.
 //
-// The cases cover the sequential path (batches of at most 512 keys on
-// a 1-worker pool) and the parallel one (larger batches on a 2-worker
-// pool). RebuildFactor 1 makes rebuilds fire in every case.
+// The cases cover the sequential loop form (batches of at most 512
+// keys on a 1-worker pool, and of at most seqSegCutoff+1 keys on a
+// 2-worker pool, which walks a segment sequentially from the cutoff
+// down) and the parallel one above it (larger batches on a 2-worker
+// pool), with both traversal modes. RebuildFactor 1 makes rebuilds
+// fire in every case.
 func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 	for _, tc := range []struct {
 		workers, maxBatch int
+		traverse          TraverseMode
 		publish           bool
 	}{
-		{1, 512, false},
-		{1, 512, true},
-		{2, 4096, false},
-		{2, 4096, true},
+		{1, 512, TraverseInterpolation, false},
+		{1, 512, TraverseInterpolation, true},
+		{2, 4096, TraverseInterpolation, false},
+		{2, 4096, TraverseInterpolation, true},
+		{2, seqSegCutoff + 1, TraverseInterpolation, false},
+		{2, seqSegCutoff + 1, TraverseInterpolation, true},
+		{2, 4096, TraverseRank, false},
+		{2, 4096, TraverseRank, true},
 	} {
-		name := fmt.Sprintf("workers%d_batch%d_publish%v", tc.workers, tc.maxBatch, tc.publish)
+		name := fmt.Sprintf("workers%d_batch%d", tc.workers, tc.maxBatch)
+		if tc.traverse == TraverseRank {
+			name += "_rank"
+		}
+		name += fmt.Sprintf("_publish%v", tc.publish)
 		t.Run(name, func(t *testing.T) {
 			const span, rounds = 1 << 15, 40
 			r := rand.New(rand.NewSource(int64(tc.maxBatch) + int64(tc.workers)))
@@ -48,8 +60,8 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 				baseV[i] = r.Int63()
 				model[k] = baseV[i]
 			}
-			resolved := NewFromSortedKV(Config{RebuildFactor: 1, Metrics: reg}, pool, base, baseV)
-			filtered := NewFromSortedKV(Config{RebuildFactor: 1}, pool, base, baseV)
+			resolved := NewFromSortedKV(Config{RebuildFactor: 1, Traverse: tc.traverse, Metrics: reg}, pool, base, baseV)
+			filtered := NewFromSortedKV(Config{RebuildFactor: 1, Traverse: tc.traverse}, pool, base, baseV)
 			startRebuilds := reg.Snapshot().Counters["core.rebuild.count"]
 
 			var versions [][2]*Version[int64, int64]

@@ -16,7 +16,7 @@ func (t *Tree[K, V]) ContainsBatched(keys []K) []bool {
 	if len(keys) == 0 {
 		return result
 	}
-	t.containsRec(t.root, keys, 0, len(keys), result)
+	t.containsRec(t.root, keys, 0, len(keys), result, nil, 0)
 	return result
 }
 
@@ -28,7 +28,7 @@ func (t *Tree[K, V]) containsInto(keys []K, result []bool) {
 	if len(keys) == 0 {
 		return
 	}
-	t.containsRec(t.root, keys, 0, len(keys), result)
+	t.containsRec(t.root, keys, 0, len(keys), result, nil, 0)
 }
 
 // ContainsBatchedInto is ContainsBatched writing into a caller-provided
@@ -51,116 +51,200 @@ func (t *Tree[K, V]) GetBatched(keys []K) (vals []V, found []bool) {
 	if len(keys) == 0 {
 		return vals, found
 	}
-	t.getRec(t.root, keys, 0, len(keys), vals, found)
+	t.getRec(t.root, keys, 0, len(keys), vals, found, nil, 0)
 	return vals, found
+}
+
+// lookup is a sequential root-to-leaf interpolation walk from v for
+// one key: the single-key form of the §4.2 traversal, with no batch
+// machinery and no scratch. A key found in a rep array resolves there
+// (live or logically removed — §6 guarantees a key occupies at most
+// one slot); an absent key descends the lower-bound child. The live
+// tree's Contains/Get and every published-version point read use it.
+//
+//pbist:noalloc
+func lookup[K iindex.Numeric, V any](v *node[K, V], key K) (val V, ok bool) {
+	for v != nil {
+		var pos int
+		var found bool
+		if v.isLeaf() {
+			pos, found = iindex.InterpolationSearch(v.rep, key)
+		} else {
+			pos, found = iindex.Find(v.rep, &v.idx, key)
+		}
+		if found {
+			if v.exists[pos] {
+				return v.vals[pos], true
+			}
+			return val, false
+		}
+		if v.isLeaf() {
+			return val, false
+		}
+		v = v.children[pos]
+	}
+	return val, false
 }
 
 // containsRec is BatchedTraverse (§4.1, §4.2): it resolves membership
 // of keys[l:r) within the subtree of v, writing into result at global
-// batch positions. Position buffers come from the tree arena; a
-// node's buffer stays borrowed until its whole child fan-out returns,
-// then recycles.
-func (t *Tree[K, V]) containsRec(v *node[K, V], keys []K, l, r int, result []bool) {
+// batch positions. sc is the walker of the sequential segment the
+// call belongs to, nil while the segment is walked in parallel. A
+// parallel segment takes its position buffer from the tree arena and
+// holds it until its whole child fan-out returns; the first segment
+// small enough to walk sequentially borrows a walker, and its subtree
+// runs plain loops on the walker's per-depth buffers.
+func (t *Tree[K, V]) containsRec(v *node[K, V], keys []K, l, r int, result []bool, sc *scratch, depth int) {
 	if v == nil {
 		return // result entries stay false
 	}
 	seg := r - l
-	if seg <= seqSegCutoff || t.pool.Workers() == 1 {
-		sc := t.newScratch()
-		t.containsSeq(v, keys, l, r, result, sc, 0)
-		sc.release()
+	if sc == nil && !t.sequential(seg) {
+		pf := t.ar.i32s.Get(seg)
+		defer t.ar.i32s.Put(pf)
+		t.findPositions(v, keys[l:r], pf, nil)
+		// Keys found in rep resolve here: present iff not logically
+		// removed (§6).
+		exists := v.exists
+		parallel.For(t.pool, seg, 0, func(i int) {
+			if pf[i]&1 == 1 {
+				result[l+i] = exists[pf[i]>>1]
+			}
+		})
+		if !v.isLeaf() { // leaves are the last possible location (§4.1)
+			t.forEachChildRun(pf, func(lo, hi int, child int) {
+				t.containsRec(v.children[child], keys, l+lo, l+hi, result, nil, 0)
+			})
+		}
 		return
 	}
-	pf := t.ar.i32s.Get(seg)
-	defer t.ar.i32s.Put(pf)
-	t.findPositions(v, keys, l, r, pf)
-	// Keys found in rep resolve here: present iff not logically
-	// removed (§6).
-	exists := v.exists
-	parallel.For(t.pool, seg, 0, func(i int) {
-		if pf[i]&1 == 1 {
-			result[l+i] = exists[pf[i]>>1]
-		}
-	})
-	if v.isLeaf() {
-		return // leaves are the last possible location (§4.1)
+	if sc == nil {
+		sc = t.newScratch()
+		defer sc.release()
 	}
-	t.forEachChildRun(pf, func(lo, hi int, child int) {
-		t.containsRec(v.children[child], keys, l+lo, l+hi, result)
-	})
+	pf := sc.buf(depth, seg)
+	t.findPositions(v, keys[l:r], pf, sc)
+	for i, p := range pf {
+		if p&1 == 1 {
+			result[l+i] = v.exists[p>>1]
+		}
+	}
+	if v.isLeaf() {
+		return
+	}
+	for i, j := 0, 0; i < seg; i = j {
+		j = runEnd(pf, i)
+		if pf[i]&1 == 0 {
+			t.containsRec(v.children[pf[i]>>1], keys, l+i, l+j, result, sc, depth+1)
+		}
+	}
 }
 
 // getRec is containsRec with a value read: keys found live in v's rep
 // resolve here with their stored value, the rest descend.
-func (t *Tree[K, V]) getRec(v *node[K, V], keys []K, l, r int, vals []V, found []bool) {
+func (t *Tree[K, V]) getRec(v *node[K, V], keys []K, l, r int, vals []V, found []bool, sc *scratch, depth int) {
 	if v == nil {
 		return // found entries stay false
 	}
 	seg := r - l
-	if seg <= seqSegCutoff || t.pool.Workers() == 1 {
-		sc := t.newScratch()
-		t.getSeq(v, keys, l, r, vals, found, sc, 0)
-		sc.release()
+	if sc == nil && !t.sequential(seg) {
+		pf := t.ar.i32s.Get(seg)
+		defer t.ar.i32s.Put(pf)
+		t.findPositions(v, keys[l:r], pf, nil)
+		exists, vv := v.exists, v.vals
+		parallel.For(t.pool, seg, 0, func(i int) {
+			if pf[i]&1 == 1 && exists[pf[i]>>1] {
+				found[l+i] = true
+				vals[l+i] = vv[pf[i]>>1]
+			}
+		})
+		if !v.isLeaf() {
+			t.forEachChildRun(pf, func(lo, hi int, child int) {
+				t.getRec(v.children[child], keys, l+lo, l+hi, vals, found, nil, 0)
+			})
+		}
 		return
 	}
-	pf := t.ar.i32s.Get(seg)
-	defer t.ar.i32s.Put(pf)
-	t.findPositions(v, keys, l, r, pf)
-	exists, vv := v.exists, v.vals
-	parallel.For(t.pool, seg, 0, func(i int) {
-		if pf[i]&1 == 1 && exists[pf[i]>>1] {
+	if sc == nil {
+		sc = t.newScratch()
+		defer sc.release()
+	}
+	pf := sc.buf(depth, seg)
+	t.findPositions(v, keys[l:r], pf, sc)
+	for i, p := range pf {
+		if p&1 == 1 && v.exists[p>>1] {
 			found[l+i] = true
-			vals[l+i] = vv[pf[i]>>1]
+			vals[l+i] = v.vals[p>>1]
 		}
-	})
+	}
 	if v.isLeaf() {
 		return
 	}
-	t.forEachChildRun(pf, func(lo, hi int, child int) {
-		t.getRec(v.children[child], keys, l+lo, l+hi, vals, found)
-	})
+	for i, j := 0, 0; i < seg; i = j {
+		j = runEnd(pf, i)
+		if pf[i]&1 == 0 {
+			t.getRec(v.children[pf[i]>>1], keys, l+i, l+j, vals, found, sc, depth+1)
+		}
+	}
 }
 
-// findPositions locates each key of keys[l:r) in v.rep and packs the
-// result into pf: pf[i] = pos<<1 | found, where pos is the lower-bound
-// position of keys[l+i] (which doubles as the child index to descend
-// into when the key is absent from rep, §3.3). Every pf entry is
-// written, so dirty recycled buffers are fine here.
-func (t *Tree[K, V]) findPositions(v *node[K, V], keys []K, l, r int, pf []int32) {
+// findPositions locates each key in v.rep and packs the result into
+// pf: pf[i] = pos<<1 | found, where pos is the lower-bound position of
+// keys[i] (which doubles as the child index to descend into when the
+// key is absent from rep, §3.3). Every pf entry is written, so dirty
+// recycled buffers are fine here. With a walker (sc != nil) it runs
+// plain loops; without one, the parallel forms.
+func (t *Tree[K, V]) findPositions(v *node[K, V], keys []K, pf []int32, sc *scratch) {
+	rep := v.rep
 	if t.cfg.Traverse == TraverseRank {
-		// §4.1: one merge-based Rank of the whole sub-batch against
-		// rep. ranks[i] = #elements of rep <= key.
-		ranks := parallel.Rank(t.pool, v.rep, keys[l:r])
-		rep := v.rep
-		parallel.For(t.pool, r-l, 0, func(i int) {
-			ub := ranks[i]
-			if ub > 0 && rep[ub-1] == keys[l+i] {
-				pf[i] = int32(ub-1)<<1 | 1
-			} else {
-				pf[i] = int32(ub) << 1
+		// §4.1: rank the sub-batch against rep, ub = #elements of
+		// rep <= key — in parallel, one merge-based Rank of the whole
+		// sub-batch.
+		if sc != nil {
+			for i, k := range keys {
+				pf[i] = rankPos(rep, k, parallel.UpperBound(rep, k))
 			}
+			return
+		}
+		ranks := parallel.Rank(t.pool, rep, keys)
+		parallel.For(t.pool, len(keys), 0, func(i int) {
+			pf[i] = rankPos(rep, keys[i], ranks[i])
 		})
 		return
 	}
-	// §4.2, Listing 1.4: per-key interpolation search in a parallel
-	// loop. Inner nodes use the prebuilt index; leaf reps mutate, so
-	// they interpolate on the fly.
-	rep, idx := v.rep, &v.idx
-	leaf := v.isLeaf()
-	parallel.For(t.pool, r-l, 0, func(i int) {
-		var pos int
-		var found bool
-		if leaf {
-			pos, found = iindex.InterpolationSearch(rep, keys[l+i])
-		} else {
-			pos, found = iindex.Find(rep, idx, keys[l+i])
-		}
-		if found {
-			pf[i] = int32(pos)<<1 | 1
-		} else {
-			pf[i] = int32(pos) << 1
-		}
+	// §4.2, Listing 1.4: per-key interpolation search, in parallel
+	// blocks without a walker.
+	if sc != nil {
+		searchInto(v, keys, pf)
+		return
+	}
+	parallel.ForRange(t.pool, len(keys), 0, func(lo, hi int) {
+		searchInto(v, keys[lo:hi], pf[lo:hi])
 	})
+}
+
+// rankPos packs the position of key given ub, its rank in rep.
+func rankPos[K iindex.Numeric](rep []K, key K, ub int) int32 {
+	if ub > 0 && rep[ub-1] == key {
+		return pack(ub-1, true)
+	}
+	return pack(ub, false)
+}
+
+// searchInto is the §4.2 per-key search of keys against v.rep. Inner
+// nodes use the prebuilt index; leaf reps mutate, so they interpolate
+// on the fly.
+func searchInto[K iindex.Numeric, V any](v *node[K, V], keys []K, pf []int32) {
+	rep := v.rep
+	if v.isLeaf() {
+		for i, k := range keys {
+			pf[i] = pack(iindex.InterpolationSearch(rep, k))
+		}
+		return
+	}
+	for i, k := range keys {
+		pf[i] = pack(iindex.Find(rep, &v.idx, k))
+	}
 }
 
 // forEachChildRun partitions the sub-batch into maximal runs of keys

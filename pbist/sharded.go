@@ -45,16 +45,13 @@ type ShardedOptions struct {
 	Shards int
 	// Partition selects the key-to-shard policy; see the constants.
 	Partition PartitionPolicy
-	// PointFilter enables a per-shard Bloom filter that answers point
-	// lookup misses without walking the shard's published version: keys
-	// are added on every insert (never removed), so a filter miss
-	// proves the key was never inserted into that shard. Worth it for
-	// miss-heavy point workloads; off by default.
+	// PointFilter enables a per-shard Bloom filter of filterBits bits
+	// that answers point lookup misses without walking the shard's
+	// published version: keys are added on every insert (never
+	// removed), so a filter miss proves the key was never inserted into
+	// that shard. Worth it for miss-heavy point workloads; off by
+	// default.
 	PointFilter bool
-	// FilterBits is the Bloom filter size per shard in bits (rounded
-	// up to a power of two). Default 1<<21 (256 KiB per shard);
-	// size at roughly 8 bits per expected key per shard.
-	FilterBits int
 	// PrivateArenas is ignored: every shard tree always owns its
 	// scratch arena, and every combiner its per-epoch arrays.
 	//
@@ -66,11 +63,12 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 	if o.Shards <= 0 {
 		o.Shards = 8
 	}
-	if o.FilterBits <= 0 {
-		o.FilterBits = 1 << 21
-	}
 	return o
 }
+
+// filterBits is the size of a shard's Bloom filter in bits (256 KiB),
+// about 8 bits per key for shards of up to 2^18 keys.
+const filterBits = 1 << 21
 
 // Sharded is the concurrent frontend: a Map[K, V] engine served to
 // arbitrarily many goroutines. It runs N independent core trees
@@ -202,7 +200,7 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 	if opts.PointFilter {
 		s.filters = make([]*shard.Bloom, p.N())
 		for i := range s.filters {
-			s.filters[i] = shard.NewBloom(opts.FilterBits)
+			s.filters[i] = shard.NewBloom(filterBits)
 		}
 	}
 	var parts [][]K
