@@ -225,7 +225,7 @@ func runMap(w bench.Workload, workers []int, reps int) ([]string, [][]string) {
 func runConcurrent(w bench.Workload, clients []int, reps int) ([]string, [][]string) {
 	rows := bench.RunConcurrentWorkload(w, clients, reps)
 	header := []string{"clients", "combine_mops", "rwmutex_map_mops", "sync_map_mops", "epoch_ops",
-		"epoch_keys", "size_flushes", "mean_wait_us"}
+		"epoch_keys", "mean_wait_us"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -235,7 +235,6 @@ func runConcurrent(w bench.Workload, clients []int, reps int) ([]string, [][]str
 			fmt.Sprintf("%.3f", r.SyncMapMops),
 			fmt.Sprintf("%.1f", r.EpochOps),
 			fmt.Sprintf("%.1f", r.EpochKeys),
-			strconv.FormatInt(r.SizeFlushes, 10),
 			fmt.Sprintf("%.1f", r.MeanWaitUS),
 		})
 	}

@@ -90,6 +90,6 @@ func wave(c *pbist.Concurrent[int64, uint64], clients int) time.Duration {
 }
 
 func summarize(st pbist.ConcurrentStats) string {
-	return fmt.Sprintf("%d writes combined into %d epochs (mean %.1f writes, %d size-triggered)",
-		st.Ops, st.Epochs, st.MeanOps, st.SizeFlushes)
+	return fmt.Sprintf("%d writes combined into %d epochs (mean %.1f writes)",
+		st.Ops, st.Epochs, st.MeanOps)
 }

@@ -178,8 +178,8 @@ func TestSingleClientOracle(t *testing.T) {
 
 // TestMiniBatchSemantics pins the atomic mini-batch write contract:
 // last-wins for duplicate keys in one PutBatch, per-op counts for
-// duplicated input, and an engine state after Flush that reflects the
-// batch.
+// duplicated input, an engine state after Flush that reflects the
+// batch, and one epoch for a lone client's whole mini-batch.
 func TestMiniBatchSemantics(t *testing.T) {
 	c, eng := newCoreCombiner(t, Options{})
 	ins, err := c.PutBatch([]int64{5, 5, 7}, []uint64{1, 2, 3})
@@ -213,6 +213,20 @@ func TestMiniBatchSemantics(t *testing.T) {
 	}
 	if ks := eng.Keys(); !slices.Equal(ks, []int64{7}) {
 		t.Fatalf("Keys = %v; want [7]", ks)
+	}
+
+	keys := make([]int64, 32)
+	vals := make([]uint64, 32)
+	for i := range keys {
+		keys[i], vals[i] = int64(100+i), uint64(i)
+	}
+	before := c.Stats()
+	if _, err := c.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	after := c.Stats()
+	if e, k := after.Epochs-before.Epochs, after.Keys-before.Keys; e != 1 || k != 32 {
+		t.Fatalf("a 32-key PutBatch ran as %d epochs of %d keys, want 1 of 32", e, k)
 	}
 }
 
@@ -273,9 +287,6 @@ func TestCombinesConcurrentOps(t *testing.T) {
 	st := c.Stats()
 	if st.Epochs != 2 || st.Ops != n+1 {
 		t.Fatalf("stats = %d epochs / %d ops, want 2 / %d", st.Epochs, st.Ops, n+1)
-	}
-	if st.SizeFlushes != 0 {
-		t.Fatalf("SizeFlushes = %d, want 0 (both epochs were latency/drain flushed)", st.SizeFlushes)
 	}
 }
 
@@ -391,27 +402,6 @@ func TestRacingWritersAgree(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("%d of %d racing Deletes reported removed, want exactly 1", count, n)
-	}
-}
-
-// TestSizeTriggerFlush submits one mini-batch larger than MaxBatch
-// and expects a size-triggered epoch.
-func TestSizeTriggerFlush(t *testing.T) {
-	c, _ := newCoreCombiner(t, Options{MaxBatch: 8})
-	keys := make([]int64, 32)
-	vals := make([]uint64, 32)
-	for i := range keys {
-		keys[i], vals[i] = int64(i), uint64(i)
-	}
-	if _, err := c.PutBatch(keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.SizeFlushes < 1 {
-		t.Fatalf("SizeFlushes = %d, want >= 1", st.SizeFlushes)
-	}
-	if st.MeanKeys != 32 {
-		t.Fatalf("MeanKeys = %v, want 32", st.MeanKeys)
 	}
 }
 

@@ -31,12 +31,12 @@ const (
 	remove                 // live before, absent after
 )
 
-// retainFactor bounds what the per-epoch arrays keep between epochs:
-// when an epoch ends, an array whose capacity exceeds retainFactor ×
-// MaxBatch elements is dropped, so one huge PutBatch does not pin its
-// high-water mark. The size trigger flushes at MaxBatch keys, so
-// ordinary epochs stay under the bound and reuse their arrays.
-const retainFactor = 2
+// retainElems bounds what the per-epoch arrays keep between epochs:
+// when an epoch ends, an array whose capacity exceeds retainElems
+// elements is dropped, so one huge PutBatch does not pin its
+// high-water mark. Epochs of single-key and mini-batch writes stay far
+// under the bound and reuse their arrays.
+const retainElems = 16384
 
 // epochBufs holds the arrays one epoch fills. The combiner owns them:
 // runEpoch regrows each to its epoch's size, and the next epoch reuses
@@ -97,11 +97,10 @@ func resized[T any](s []T, n int) []T {
 // presence of every distinct key with at most one batched contains
 // traversal, replays each key's events in linearization order to fill
 // per-op results, and hands the surviving last-wins writes, split by
-// that presence, to one ApplyResolved call. keyCount and sized feed
-// the statistics.
+// that presence, to one ApplyResolved call.
 //
 //pbist:combiner
-func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
+func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 	start := time.Now()
 	pr := c.probe
 	buf := &c.buf
@@ -234,7 +233,7 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	// Nothing below reads the epoch's arrays. They stay for the next
 	// epoch, except any a huge epoch grew past the retention bound; an
 	// observed combiner reports what it keeps to its gauges.
-	buf.trim(retainFactor * c.opts.MaxBatch)
+	buf.trim(retainElems)
 	if pr != nil {
 		bufs, elems := buf.retained()
 		c.retBufs.Store(bufs)
@@ -251,15 +250,12 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V], keyCount int, sized bool) {
 	c.smu.Lock()
 	c.st.epochs++
 	c.st.ops += int64(len(ops))
-	c.st.keys += int64(keyCount)
-	if sized {
-		c.st.sizeFlushes++
-	}
+	c.st.keys += int64(nev)
 	c.st.waitTotal += waitSum
 	c.smu.Unlock()
 
 	if pr != nil {
-		c.traceEpoch(ops, keyCount, sized, rebuildKeys, start, tSort, tRead, tReplay, tWrite, time.Now())
+		c.traceEpoch(ops, nev, rebuildKeys, start, tSort, tRead, tReplay, tWrite, time.Now())
 	}
 
 	for _, o := range ops {

@@ -20,10 +20,9 @@ type probe struct {
 	id   int
 	ring *obs.TraceRing
 
-	epochs      *obs.Counter
-	epochOps    *obs.Counter
-	epochKeys   *obs.Counter
-	sizeFlushes *obs.Counter
+	epochs    *obs.Counter
+	epochOps  *obs.Counter
+	epochKeys *obs.Counter
 
 	opLatency  *obs.Histogram // client-observed: submit to wakeup, ns
 	gatherWait *obs.Histogram // first op's queue wait per epoch, ns
@@ -48,7 +47,6 @@ func newProbe(r *obs.Registry, traceDepth, id int) *probe {
 		epochs:       r.Counter("combine.epochs"),
 		epochOps:     r.Counter("combine.ops"),
 		epochKeys:    r.Counter("combine.keys"),
-		sizeFlushes:  r.Counter("combine.size_flushes"),
 		opLatency:    r.Histogram("combine.op_latency_ns"),
 		gatherWait:   r.Histogram("combine.epoch.gather_wait_ns"),
 		epochSize:    r.Histogram("combine.epoch.keys"),
@@ -68,9 +66,6 @@ func (p *probe) record(tr *obs.EpochTrace) {
 	p.epochs.Add(1)
 	p.epochOps.Add(int64(tr.Ops))
 	p.epochKeys.Add(int64(tr.Keys))
-	if tr.Sized {
-		p.sizeFlushes.Add(1)
-	}
 	p.gatherWait.Record(int64(tr.GatherWait))
 	p.epochSize.Record(int64(tr.Keys))
 	for _, ph := range tr.Phases() {
@@ -127,7 +122,7 @@ func (c *Combiner[K, V]) observeRetained(r *obs.Registry) {
 // rebuildKeys carries; the publish span starts at PublishVersion.
 //
 //pbist:combiner
-func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount int, sized bool, rebuildKeys int, start, tSort, tRead, tReplay, tWrite, end time.Time) {
+func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount, rebuildKeys int, start, tSort, tRead, tReplay, tWrite, end time.Time) {
 	pr := c.probe
 	var tr obs.EpochTrace
 	tr.Shard = pr.id
@@ -136,7 +131,6 @@ func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount int, sized bool, r
 	tr.GatherWait = start.Sub(ops[0].enq)
 	tr.Ops = len(ops)
 	tr.Keys = keyCount
-	tr.Sized = sized
 	tr.RebuildKeys = rebuildKeys
 	tr.AddPhase("sort", tSort.Sub(start))
 	tr.AddPhase("read", tRead.Sub(tSort))

@@ -135,17 +135,16 @@ func TestTraceWithoutRegistry(t *testing.T) {
 // TestRetainedArraysBounded checks the combine.scratch.* gauges, which
 // report what the combiner's per-epoch arrays keep between epochs.
 // Ordinary epochs keep their arrays, so the gauges read nonzero. An
-// epoch larger than retainFactor × MaxBatch keys drops every array it
+// epoch larger than retainElems keys drops every array it
 // grew past that bound. A second goroutine snapshots the registry
 // while epochs run; under -race that checks the gauges never read the
 // combiner's arrays themselves.
 func TestRetainedArraysBounded(t *testing.T) {
-	const maxBatch = 64
-	const bound = 8 * retainFactor * maxBatch // eight arrays at the bound
+	const bound = 8 * retainElems // eight arrays at the bound
 	pool := parallel.NewPool(2)
 	eng := core.New[int64, uint64](core.Config{}, pool)
 	reg := obs.NewRegistry()
-	c := New[int64, uint64](eng, pool, Options{MaxBatch: maxBatch, Metrics: reg})
+	c := New[int64, uint64](eng, pool, Options{Metrics: reg})
 	defer c.Close()
 
 	stop := make(chan struct{})
@@ -180,7 +179,7 @@ func TestRetainedArraysBounded(t *testing.T) {
 	if bufs, elems := retained(); bufs == 0 || elems == 0 || elems > bound {
 		t.Fatalf("after a small epoch: %d arrays of %d elements, want some, at most %d", bufs, elems, bound)
 	}
-	huge := make([]int64, 50*maxBatch)
+	huge := make([]int64, 2*retainElems)
 	for i := range huge {
 		huge[i] = int64(i)
 	}

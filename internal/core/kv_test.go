@@ -83,7 +83,7 @@ func TestGetBatchedAbsentAndDead(t *testing.T) {
 
 // TestMapDifferentialWithRebuilds drives the KV tree through a churn
 // profile aggressive enough to exercise every rebuild path (flatten +
-// MergeKV / DifferenceKV + buildIdeal) and checks values never detach
+// MergeKVInto / DifferenceKVInto + buildIdeal) and checks values never detach
 // from their keys.
 func TestMapDifferentialWithRebuilds(t *testing.T) {
 	for name, p := range corePools() {

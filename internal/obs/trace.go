@@ -17,8 +17,8 @@ type PhaseSpan struct {
 }
 
 // EpochTrace is the structured record of one combining epoch: when it
-// started, how long it ran, how long its first client waited for the
-// gather window, what it carried, and how the wall time decomposes
+// started, how long it ran, how long its first client waited in the
+// queue, what it carried, and how the wall time decomposes
 // into named phases. Phases tile the epoch — their durations sum to
 // Wall up to clock-read granularity — so a trace answers "where did
 // this epoch's time go" without a profiler.
@@ -34,14 +34,13 @@ type EpochTrace struct {
 	Start time.Time
 	Wall  time.Duration
 	// GatherWait is how long the epoch's first operation sat enqueued
-	// before execution began — the batching latency the adaptive
-	// gather window traded for throughput.
+	// before execution began: the rest of the previous epoch plus the
+	// combiner's one yield before it takes the queue.
 	GatherWait time.Duration
 	// Ops and Keys are the operation and key counts combined into the
-	// epoch; Sized reports whether a size-triggered flush closed it.
-	Ops   int
-	Keys  int
-	Sized bool
+	// epoch.
+	Ops  int
+	Keys int
 	// RebuildKeys is the keys the epoch's inline §7.1 rebuilds laid
 	// down, inside its write phase; 0 when no subtree was due.
 	RebuildKeys int

@@ -3,7 +3,7 @@ package parallel
 // Whole-set algebra kernels over sorted key-value sequences: union,
 // intersection, and symmetric difference of two sorted duplicate-free
 // key slices, each with a position-aligned value slice riding along.
-// Together with DifferenceKV they are the combine step of the tree's
+// Together with DifferenceKVInto they are the combine step of the tree's
 // tree-to-tree set operations (flatten both operands, combine here,
 // rebuild ideally balanced).
 //
@@ -48,39 +48,27 @@ func UnionKVInto[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V, dstK
 	return algebraKV(p, ak, av, bk, bv, opUnion, dstK, dstV)
 }
 
-// IntersectKV returns the (key, value) pairs whose key occurs in both
-// sorted duplicate-free inputs, sorted. The value comes from the FIRST
-// sequence (ak/av); swap the arguments for the other policy.
-func IntersectKV[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V) ([]K, []V) {
-	checkKV("IntersectKV", ak, av, bk, bv)
-	return algebraKV(p, ak, av, bk, bv, opIntersect, nil, nil)
-}
-
-// IntersectKVInto is IntersectKV under the destination contract of
-// UnionKVInto (output at most min(len(ak), len(bk))).
+// IntersectKVInto returns the (key, value) pairs whose key occurs in
+// both sorted duplicate-free inputs, sorted, under the destination
+// contract of UnionKVInto (output at most min(len(ak), len(bk))). The
+// value comes from the FIRST sequence (ak/av); swap the arguments for
+// the other policy.
 //
 //pbist:noalloc
 func IntersectKVInto[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V, dstK []K, dstV []V) ([]K, []V) {
-	checkKV("IntersectKV", ak, av, bk, bv)
+	checkKV("IntersectKVInto", ak, av, bk, bv)
 	return algebraKV(p, ak, av, bk, bv, opIntersect, dstK, dstV)
 }
 
-// SymmetricDifferenceKV returns the (key, value) pairs whose key
+// SymmetricDifferenceKVInto returns the (key, value) pairs whose key
 // occurs in exactly one of the two sorted duplicate-free inputs,
-// sorted. Each surviving pair keeps the value of the input it came
-// from, so the operation is symmetric.
-func SymmetricDifferenceKV[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V) ([]K, []V) {
-	checkKV("SymmetricDifferenceKV", ak, av, bk, bv)
-	return algebraKV(p, ak, av, bk, bv, opSymDiff, nil, nil)
-}
-
-// SymmetricDifferenceKVInto is SymmetricDifferenceKV under the
-// destination contract of UnionKVInto (output at most
-// len(ak)+len(bk)).
+// sorted, under the destination contract of UnionKVInto (output at
+// most len(ak)+len(bk)). Each surviving pair keeps the value of the
+// input it came from, so the operation is symmetric.
 //
 //pbist:noalloc
 func SymmetricDifferenceKVInto[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V, dstK []K, dstV []V) ([]K, []V) {
-	checkKV("SymmetricDifferenceKV", ak, av, bk, bv)
+	checkKV("SymmetricDifferenceKVInto", ak, av, bk, bv)
 	return algebraKV(p, ak, av, bk, bv, opSymDiff, dstK, dstV)
 }
 

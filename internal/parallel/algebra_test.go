@@ -88,9 +88,9 @@ func TestAlgebraKVAgainstOracle(t *testing.T) {
 					case opUnion:
 						gotK, gotV = UnionKV(p, ak, av, bk, bv)
 					case opIntersect:
-						gotK, gotV = IntersectKV(p, ak, av, bk, bv)
+						gotK, gotV = IntersectKVInto(p, ak, av, bk, bv, nil, nil)
 					default:
-						gotK, gotV = SymmetricDifferenceKV(p, ak, av, bk, bv)
+						gotK, gotV = SymmetricDifferenceKVInto(p, ak, av, bk, bv, nil, nil)
 					}
 					if !slices.Equal(gotK, wantK) {
 						t.Fatalf("%s/%s |a|=%d |b|=%d span=%d: keys diverge (got %d, want %d)",
@@ -126,18 +126,18 @@ func TestUnionKVPolicyByArgumentOrder(t *testing.T) {
 		t.Fatalf("UnionKV(b, a) values = %v", v)
 	}
 	// Intersection values come from the first argument.
-	k, v = IntersectKV[int64, uint64](nil, ak, av, bk, bv)
+	k, v = IntersectKVInto[int64, uint64](nil, ak, av, bk, bv, nil, nil)
 	if !slices.Equal(k, []int64{2, 3}) || !slices.Equal(v, []uint64{20, 30}) {
-		t.Fatalf("IntersectKV(a, b) = %v %v", k, v)
+		t.Fatalf("IntersectKVInto(a, b) = %v %v", k, v)
 	}
-	_, v = IntersectKV[int64, uint64](nil, bk, bv, ak, av)
+	_, v = IntersectKVInto[int64, uint64](nil, bk, bv, ak, av, nil, nil)
 	if !slices.Equal(v, []uint64{200, 300}) {
-		t.Fatalf("IntersectKV(b, a) values = %v", v)
+		t.Fatalf("IntersectKVInto(b, a) values = %v", v)
 	}
 	// Symmetric difference keeps each survivor's own value.
-	k, v = SymmetricDifferenceKV[int64, uint64](nil, ak, av, bk, bv)
+	k, v = SymmetricDifferenceKVInto[int64, uint64](nil, ak, av, bk, bv, nil, nil)
 	if !slices.Equal(k, []int64{1, 4}) || !slices.Equal(v, []uint64{10, 400}) {
-		t.Fatalf("SymmetricDifferenceKV = %v %v", k, v)
+		t.Fatalf("SymmetricDifferenceKVInto = %v %v", k, v)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestAlgebraKVDoesNotAliasInputs(t *testing.T) {
 // overshoot: a pool large enough that blocks² exceeds the bigger
 // operand makes ceil-rounded block starts pass the end of a, which
 // must yield empty segments, not a slice-bounds panic. The blocked
-// Difference/Intersect/DifferenceKV kernels share the pattern.
+// Difference/Intersect/DifferenceKVInto kernels share the pattern.
 func TestAlgebraKVManyBlocksTinyOperand(t *testing.T) {
 	p := NewPool(256)
 	r := rand.New(rand.NewSource(13))
@@ -174,23 +174,23 @@ func TestAlgebraKVManyBlocksTinyOperand(t *testing.T) {
 	if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
 		t.Fatal("union with oversubscribed pool diverges from oracle")
 	}
-	if ik, _ := IntersectKV(p, ak, av, ak, av); len(ik) != len(ak) {
+	if ik, _ := IntersectKVInto(p, ak, av, ak, av, nil, nil); len(ik) != len(ak) {
 		t.Fatal("self-intersection with oversubscribed pool lost keys")
 	}
 	if got := Difference(p, ak, bk); len(got) < len(ak)-1 {
 		t.Fatal("Difference with oversubscribed pool lost keys")
 	}
-	keptK, _ := DifferenceKV(p, ak, av, bk)
+	keptK, _ := DifferenceKVInto(p, ak, av, bk, nil, nil)
 	if len(keptK) < len(ak)-1 {
-		t.Fatal("DifferenceKV with oversubscribed pool lost keys")
+		t.Fatal("DifferenceKVInto with oversubscribed pool lost keys")
 	}
 }
 
 func TestAlgebraKVLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"union":     func() { UnionKV[int64, uint64](nil, []int64{1}, nil, nil, nil) },
-		"intersect": func() { IntersectKV[int64, uint64](nil, nil, nil, []int64{1}, nil) },
-		"symdiff":   func() { SymmetricDifferenceKV[int64, uint64](nil, []int64{1}, nil, nil, nil) },
+		"intersect": func() { IntersectKVInto[int64, uint64](nil, nil, nil, []int64{1}, nil, nil, nil) },
+		"symdiff":   func() { SymmetricDifferenceKVInto[int64, uint64](nil, []int64{1}, nil, nil, nil, nil, nil) },
 	} {
 		func() {
 			defer func() {

@@ -1,60 +1,13 @@
 package parallel
 
-// Filter returns the elements of arr that satisfy pred, preserving
-// order (§2.4). O(n) work, O(log n) span for O(1) predicates: per-block
-// match counts are computed in parallel, scanned into output offsets,
-// and matching elements are scattered block-by-block.
-func Filter[T any](p *Pool, arr []T, pred func(T) bool) []T {
-	n := len(arr)
-	if n == 0 {
-		return nil
-	}
-	blocks := scanBlocks(p, n)
-	if blocks == 1 {
-		return filterSeq(arr, pred)
-	}
-	bs := (n + blocks - 1) / blocks
-
-	counts := make([]int, blocks)
-	For(p, blocks, 1, func(b int) {
-		lo, hi := b*bs, min((b+1)*bs, n)
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(arr[i]) {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	total := ScanInPlace(nil, counts) // counts is small; sequential scan
-	out := make([]T, total)
-	For(p, blocks, 1, func(b int) {
-		lo, hi := b*bs, min((b+1)*bs, n)
-		w := counts[b]
-		for i := lo; i < hi; i++ {
-			if pred(arr[i]) {
-				out[w] = arr[i]
-				w++
-			}
-		}
-	})
-	return out
-}
-
-func filterSeq[T any](arr []T, pred func(T) bool) []T {
-	var out []T
-	for _, v := range arr {
-		if pred(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // FilterIndex returns the elements arr[i] whose index satisfies
-// pred(i). It is Filter keyed by position rather than value, which the
-// batched operations use to select sub-batches by a parallel-computed
-// boolean side array without first zipping values and flags together.
+// pred(i), preserving order: the Filter of §2.4 keyed by position
+// rather than value, which the batched operations use to select
+// sub-batches by a parallel-computed boolean side array without first
+// zipping values and flags together. O(n) work, O(log n) span for O(1)
+// predicates: per-block match counts are computed in parallel,
+// scanned into output offsets, and matching elements are scattered
+// block-by-block.
 func FilterIndex[T any](p *Pool, arr []T, pred func(i int) bool) []T {
 	return FilterIndexInto(p, arr, nil, pred)
 }
@@ -124,15 +77,11 @@ func predCounts(p *Pool, n, bs, blocks int, pred func(i int) bool) []int {
 	return counts
 }
 
-// FilterIndices returns, in ascending order, the indices i in [0, n)
-// that satisfy pred. The batched tree uses it to find run boundaries in
-// a position array with O(n) work and O(log n) span.
-func FilterIndices(p *Pool, n int, pred func(i int) bool) []int {
-	return FilterIndicesInto(p, n, nil, pred)
-}
-
-// FilterIndicesInto is FilterIndices writing into dst under the same
-// capacity-reuse contract as FilterIndexInto.
+// FilterIndicesInto returns, in ascending order, the indices i in
+// [0, n) that satisfy pred, writing into dst under the same
+// capacity-reuse contract as FilterIndexInto. The batched tree uses it
+// to find run boundaries in a position array with O(n) work and
+// O(log n) span.
 //
 //pbist:noalloc
 func FilterIndicesInto(p *Pool, n int, dst []int, pred func(i int) bool) []int {

@@ -6,27 +6,21 @@ package parallel
 // them to keep values attached to keys through flatten-merge-rebuild
 // cycles without zipping pairs into a temporary struct slice.
 
-// MergeKV merges two sorted key sequences — each with a value slice of
-// the same length riding alongside — into freshly allocated key and
-// value slices: O(n) work and O(log² n) span, exactly like Merge. The
-// relative order of equal keys drawn from the two inputs is
-// unspecified; all callers in this repository merge disjoint
-// duplicate-free key sets.
-func MergeKV[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V) ([]K, []V) {
-	return MergeKVInto(p, ak, av, bk, bv, nil, nil)
-}
-
-// MergeKVInto is MergeKV writing into dstK/dstV: each destination's
-// backing array is reused when its capacity covers the output
-// (len(ak)+len(bk); destination lengths are ignored) and freshly
-// allocated otherwise. The tree's rebuild paths pass recycled scratch
+// MergeKVInto merges two sorted key sequences — each with a value
+// slice of the same length riding alongside — into dstK/dstV: O(n)
+// work and O(log² n) span, exactly like Merge. The relative order of
+// equal keys drawn from the two inputs is unspecified; all callers in
+// this repository merge disjoint duplicate-free key sets. Each
+// destination's backing array is reused when its capacity covers the
+// output (len(ak)+len(bk); destination lengths are ignored) and
+// freshly allocated otherwise. The tree's rebuild paths pass recycled scratch
 // buffers here so a flatten-merge-rebuild cycle allocates no merge
 // temporaries.
 //
 //pbist:noalloc
 func MergeKVInto[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V, dstK []K, dstV []V) ([]K, []V) {
 	if len(ak) != len(av) || len(bk) != len(bv) {
-		panic("parallel: MergeKV keys/vals length mismatch")
+		panic("parallel: MergeKVInto keys/vals length mismatch")
 	}
 	n := len(ak) + len(bk)
 	outK := sized(dstK, n)
@@ -111,16 +105,11 @@ func mergeKVSeq[K Ordered, V any](ak []K, av []V, bk []K, bv []V, dstK []K, dstV
 	}
 }
 
-// DifferenceKV returns the (key, value) pairs of the sorted sequence
-// ak/av whose key does not occur in sorted b, preserving order. Inputs
-// must be duplicate-free. Same blocked two-pass algorithm as
-// Difference: per-block survivor counts, a scan into offsets, then a
-// parallel scatter.
-func DifferenceKV[K Ordered, V any](p *Pool, ak []K, av []V, b []K) ([]K, []V) {
-	return DifferenceKVInto(p, ak, av, b, nil, nil)
-}
-
-// DifferenceKVInto is DifferenceKV writing into dstK/dstV under the
+// DifferenceKVInto returns the (key, value) pairs of the sorted
+// sequence ak/av whose key does not occur in sorted b, preserving
+// order. Inputs must be duplicate-free. Same blocked two-pass
+// algorithm as Difference: per-block survivor counts, a scan into
+// offsets, then a parallel scatter. It writes into dstK/dstV under the
 // same capacity-reuse contract as MergeKVInto (worst-case output size
 // is len(ak)). Its own body is allocation-free: with sufficient dst
 // capacity, only diffKVPar's blocked bookkeeping allocates, and that
@@ -129,7 +118,7 @@ func DifferenceKV[K Ordered, V any](p *Pool, ak []K, av []V, b []K) ([]K, []V) {
 //pbist:noalloc
 func DifferenceKVInto[K Ordered, V any](p *Pool, ak []K, av []V, b []K, dstK []K, dstV []V) ([]K, []V) {
 	if len(ak) != len(av) {
-		panic("parallel: DifferenceKV keys/vals length mismatch")
+		panic("parallel: DifferenceKVInto keys/vals length mismatch")
 	}
 	n := len(ak)
 	if n == 0 {

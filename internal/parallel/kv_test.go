@@ -73,9 +73,9 @@ func TestMergeKVMatchesReference(t *testing.T) {
 		for _, n := range []int{0, 1, 100, 20000} {
 			ak, av, bk, bv := disjointSortedKV(r, n)
 			wantK, wantV := kvMergeRef(ak, av, bk, bv)
-			gotK, gotV := MergeKV(p, ak, av, bk, bv)
+			gotK, gotV := MergeKVInto(p, ak, av, bk, bv, nil, nil)
 			if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
-				t.Fatalf("workers=%d n=%d: MergeKV mismatch", workers, n)
+				t.Fatalf("workers=%d n=%d: MergeKVInto mismatch", workers, n)
 			}
 			// Values must still be derivable from their key: alignment
 			// survived the parallel split.
@@ -100,7 +100,7 @@ func TestDifferenceKVMatchesReference(t *testing.T) {
 				sub = append(sub, ak[i])
 			}
 			slices.Sort(sub)
-			gotK, gotV := DifferenceKV(p, ak, av, sub)
+			gotK, gotV := DifferenceKVInto(p, ak, av, sub, nil, nil)
 			wantK := Difference(p, ak, sub)
 			if !slices.Equal(gotK, wantK) {
 				t.Fatalf("workers=%d n=%d: key sets differ from Difference", workers, n)
@@ -118,15 +118,15 @@ func TestDifferenceKVEmptySubtrahend(t *testing.T) {
 	p := NewPool(4)
 	ak := []int64{1, 5, 9}
 	av := []string{"x", "y", "z"}
-	gotK, gotV := DifferenceKV(p, ak, av, nil)
+	gotK, gotV := DifferenceKVInto(p, ak, av, nil, nil, nil)
 	if !slices.Equal(gotK, ak) || !slices.Equal(gotV, av) {
 		t.Fatalf("empty subtrahend must copy input: %v %v", gotK, gotV)
 	}
 	gotK[0] = 42 // the copy must not alias the input
 	if ak[0] != 1 {
-		t.Fatal("DifferenceKV aliased its input")
+		t.Fatal("DifferenceKVInto aliased its input")
 	}
-	if k, v := DifferenceKV[int64, string](p, nil, nil, ak); k != nil || v != nil {
+	if k, v := DifferenceKVInto[int64, string](p, nil, nil, ak, nil, nil); k != nil || v != nil {
 		t.Fatal("empty minuend must return nil")
 	}
 }

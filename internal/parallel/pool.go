@@ -137,8 +137,3 @@ func (p *Pool) Do(f, g func()) {
 		pv.repanic()
 	}
 }
-
-// Do3 runs three tasks with the same semantics as Do.
-func (p *Pool) Do3(f, g, h func()) {
-	p.Do(f, func() { p.Do(g, h) })
-}

@@ -32,11 +32,11 @@ func BenchmarkScan(b *testing.B) {
 
 func BenchmarkFilter(b *testing.B) {
 	arr := randInts(2, benchN, 1000)
-	pred := func(v int) bool { return v%2 == 0 }
+	pred := func(i int) bool { return arr[i]%2 == 0 }
 	for _, p := range benchPools() {
 		b.Run(poolName(p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Filter(p, arr, pred)
+				FilterIndex(p, arr, pred)
 			}
 			b.SetBytes(int64(benchN * 8))
 		})

@@ -185,8 +185,14 @@ func (h *Hashed[K]) Ordered() bool { return false }
 // HashKey mixes a key into a 64-bit hash (splitmix64 finalizer over
 // the key's float64 image — deterministic, stateless, and identical
 // for equal keys, which is all partitioning and filtering need).
+// The float zeros compare equal but differ in their sign bit, so -0
+// hashes as +0.
 func HashKey[K Key](key K) uint64 {
-	x := math.Float64bits(float64(key))
+	f := float64(key)
+	if f == 0 {
+		f = 0
+	}
+	x := math.Float64bits(f)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -178,6 +179,18 @@ func TestSplitPairsAlignment(t *testing.T) {
 		if !slices.Equal(parts[s], wantK) || !slices.Equal(vparts[s], wantV) {
 			t.Fatalf("shard %d: pairs %v/%v, want %v/%v", s, parts[s], vparts[s], wantK, wantV)
 		}
+	}
+}
+
+// TestHashKeySignedZero checks that the two float zeros, which every
+// tree compares equal, hash alike and so land in one shard.
+func TestHashKeySignedZero(t *testing.T) {
+	if a, b := HashKey(0.0), HashKey(math.Copysign(0, -1)); a != b {
+		t.Fatalf("HashKey(0) = %#x, HashKey(-0) = %#x, want equal", a, b)
+	}
+	p := NewHashed[float64](8)
+	if a, b := p.Shard(0.0), p.Shard(math.Copysign(0, -1)); a != b {
+		t.Fatalf("0 in shard %d, -0 in shard %d", a, b)
 	}
 }
 

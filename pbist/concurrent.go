@@ -7,23 +7,17 @@ import (
 )
 
 // ConcurrentOptions configures one combiner of a Sharded frontend:
-// the engine Options plus the combining flush policy. A Concurrent
+// the engine Options plus the combiner's epoch tracing. A Concurrent
 // takes it directly; a multi-shard Sharded embeds it in
 // ShardedOptions and applies it to every shard. The zero value gives
 // sensible defaults.
+//
+// Once writes are queued, a combiner yields the processor once and
+// takes everything queued as one epoch, so whatever arrives while one
+// epoch runs forms the next. A lone client is not delayed, and n
+// active clients coalesce into epochs of up to n writes.
 type ConcurrentOptions struct {
 	Options
-	// MaxBatch is the size trigger of the combiner: an epoch is
-	// flushed as soon as the queued operations carry at least this
-	// many keys. Default 8192.
-	MaxBatch int
-	// MaxWait bounds the latency trigger: an epoch is flushed once its
-	// oldest operation has waited this long. Below the bound the
-	// combiner adapts to observed concurrency — it keeps an epoch open
-	// only while submissions are still arriving, so a lone client is
-	// not delayed and n active clients coalesce into n-op epochs.
-	// Default 200µs.
-	MaxWait time.Duration
 	// TraceDepth bounds the per-combiner ring of recent epoch traces
 	// readable through Trace. 0 keeps a default-depth ring when
 	// Options.Metrics is set and disables tracing otherwise; setting
@@ -33,8 +27,6 @@ type ConcurrentOptions struct {
 
 func (o ConcurrentOptions) combineOptions() combine.Options {
 	return combine.Options{
-		MaxBatch:   o.MaxBatch,
-		MaxWait:    o.MaxWait,
 		Metrics:    o.Metrics,
 		TraceDepth: o.TraceDepth,
 	}
@@ -77,9 +69,6 @@ type ConcurrentStats struct {
 	// the number of keys they carried (mini-batches carry several).
 	Ops  int64
 	Keys int64
-	// SizeFlushes counts epochs flushed by the MaxBatch size trigger;
-	// the rest were flushed by the latency trigger or by Close.
-	SizeFlushes int64
 	// MeanOps and MeanKeys are the mean combined batch size per epoch.
 	MeanOps  float64
 	MeanKeys float64

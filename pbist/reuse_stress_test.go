@@ -3,7 +3,6 @@ package pbist
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // Race-mode stress for the recycled epoch buffers of the Concurrent
@@ -22,10 +21,6 @@ func stressConcurrent(t *testing.T, reuseOff bool) {
 	)
 	c := NewConcurrent[int64, int64](ConcurrentOptions{
 		Options: Options{Workers: 4, disableReuse: reuseOff},
-		// Tiny epochs + near-zero wait: maximize epoch count so
-		// buffers recycle as often as possible.
-		MaxBatch: 64,
-		MaxWait:  50 * time.Microsecond,
 	})
 	defer c.Close()
 
@@ -101,8 +96,7 @@ func TestTwoConcurrentFrontends(t *testing.T) {
 			vals[i] = k ^ tag
 		}
 		return NewConcurrentFromItems(ConcurrentOptions{
-			Options:  Options{Workers: 2},
-			MaxBatch: 128,
+			Options: Options{Workers: 2},
 		}, keys, vals)
 	}
 	a, b := mk(1), mk(2)

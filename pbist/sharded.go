@@ -826,8 +826,8 @@ func (s *Sharded[K, V]) Shards() int { return s.part.N() }
 // by the summed core.arena.* (tree scratch) and combine.scratch.*
 // (combiner per-epoch arrays) gauges of Options.Metrics.
 type ShardedStats struct {
-	// ConcurrentStats aggregates PerShard: Epochs, Ops, Keys, and
-	// SizeFlushes are summed over the shards, MeanOps and MeanKeys are
+	// ConcurrentStats aggregates PerShard: Epochs, Ops and Keys are
+	// summed over the shards, MeanOps and MeanKeys are
 	// computed from those sums, and MeanWait is the mean of the
 	// per-shard waits weighted by each shard's op count. With one
 	// shard it equals PerShard[0].
@@ -882,7 +882,6 @@ func (s *Sharded[K, V]) Stats() ShardedStats {
 		st.Epochs += cs.Epochs
 		st.Ops += cs.Ops
 		st.Keys += cs.Keys
-		st.SizeFlushes += cs.SizeFlushes
 		wait += cs.MeanWait * time.Duration(cs.Ops)
 	}
 	if st.Epochs > 0 {

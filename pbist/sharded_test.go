@@ -1,6 +1,7 @@
 package pbist_test
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -421,6 +422,38 @@ func TestShardedPointFilter(t *testing.T) {
 	}
 }
 
+// TestShardedSignedZero checks that hash partitioning treats 0 and -0,
+// which the trees compare equal, as one key, with and without the
+// point filter: the Put/Get/Len sequence answers as it does on a Map.
+func TestShardedSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, filter := range []bool{false, true} {
+		s := pbist.NewSharded[float64, int](pbist.ShardedOptions{
+			Shards: 8, Partition: pbist.PartitionHash, PointFilter: filter,
+		})
+		m := pbist.NewMap[float64, int](pbist.Options{})
+		for _, step := range []struct {
+			key float64
+			val int
+		}{{0, 7}, {negZero, 9}} {
+			if got, want := s.Put(step.key, step.val), m.Put(step.key, step.val); got != want {
+				t.Fatalf("filter=%v: Put(%v, %d) inserted = %v, Map says %v", filter, step.key, step.val, got, want)
+			}
+			for _, k := range []float64{0, negZero} {
+				gv, gok := s.Get(k)
+				wv, wok := m.Get(k)
+				if gv != wv || gok != wok {
+					t.Fatalf("filter=%v: Get(%v) = %d,%v, Map says %d,%v", filter, k, gv, gok, wv, wok)
+				}
+			}
+			if got, want := s.Len(), m.Len(); got != want {
+				t.Fatalf("filter=%v: Len = %d, Map says %d", filter, got, want)
+			}
+		}
+		s.Close()
+	}
+}
+
 // TestShardedConstructorsAndStats covers the remaining surface:
 // constructor policy resolution (and panics), per-shard epoch stats,
 // Snapshot, DeleteBatch/ContainsBatch counts, Close semantics.
@@ -486,10 +519,9 @@ func TestShardedConstructorsAndStats(t *testing.T) {
 		sum.Epochs += ps.Epochs
 		sum.Ops += ps.Ops
 		sum.Keys += ps.Keys
-		sum.SizeFlushes += ps.SizeFlushes
 		wait += ps.MeanWait * time.Duration(ps.Ops)
 	}
-	if sum.Epochs != st.Epochs || sum.Ops != st.Ops || sum.Keys != st.Keys || sum.SizeFlushes != st.SizeFlushes {
+	if sum.Epochs != st.Epochs || sum.Ops != st.Ops || sum.Keys != st.Keys {
 		t.Fatalf("aggregate %+v != per-shard sums %+v", st.ConcurrentStats, sum)
 	}
 	if st.MeanOps != float64(st.Ops)/float64(st.Epochs) ||
