@@ -34,8 +34,9 @@ type EpochTrace struct {
 	Start time.Time
 	Wall  time.Duration
 	// GatherWait is how long the epoch's first operation sat enqueued
-	// before execution began: the rest of the previous epoch plus the
-	// combiner's one yield before it takes the queue.
+	// before execution began: what remained of the previous epoch (or
+	// the idle combiner's wakeup), plus the one yield the combiner
+	// makes before it takes the queue.
 	GatherWait time.Duration
 	// Ops and Keys are the operation and key counts combined into the
 	// epoch.
