@@ -51,23 +51,32 @@ func TestDoRunsBothTasks(t *testing.T) {
 	}
 }
 
-// TestDoNested forks a depth-10 recursion of Do calls on every pool
-// shape: each leaf must run exactly once, however the forks fall.
 func TestDoNested(t *testing.T) {
+	p := NewPool(4)
+	var n atomic.Int32
+	var rec func(depth int)
+	rec = func(depth int) {
+		if depth == 0 {
+			n.Add(1)
+			return
+		}
+		p.Do(func() { rec(depth - 1) }, func() { rec(depth - 1) })
+	}
+	rec(10)
+	if got := n.Load(); got != 1024 {
+		t.Fatalf("nested Do reached %d leaves, want 1024", got)
+	}
+}
+
+// TestDo3 runs a three-way fork, written as a Do nested in the second
+// task of another: each task must run exactly once on every pool shape.
+func TestDo3(t *testing.T) {
 	for name, p := range testPools() {
 		t.Run(name, func(t *testing.T) {
 			var n atomic.Int32
-			var rec func(depth int)
-			rec = func(depth int) {
-				if depth == 0 {
-					n.Add(1)
-					return
-				}
-				p.Do(func() { rec(depth - 1) }, func() { rec(depth - 1) })
-			}
-			rec(10)
-			if got := n.Load(); got != 1024 {
-				t.Fatalf("nested Do reached %d leaves, want 1024", got)
+			p.Do(func() { n.Add(1) }, func() { p.Do(func() { n.Add(10) }, func() { n.Add(100) }) })
+			if n.Load() != 111 {
+				t.Fatalf("three-way Do total = %d, want 111", n.Load())
 			}
 		})
 	}
