@@ -122,7 +122,8 @@ func BenchmarkSeqCompareISTBatched(b *testing.B) {
 
 func BenchmarkSeqCompareISTScalar(b *testing.B) {
 	base, bat := fixtures()
-	tree := iseq.NewFromSorted(iseq.Config{}, base)
+	// The batched benchmark's H, not iseq's own default.
+	tree := iseq.NewFromSorted(iseq.Config{LeafCap: core.DefaultLeafCap}, base)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range bat[i%len(bat)] {
@@ -420,7 +421,7 @@ func BenchmarkShardedGetBatch(b *testing.B) {
 	defer s.Close()
 	keys := slices.Clone(bat[0])
 	rand.New(rand.NewPCG(1, 2)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	for _, m := range []int{8, 4096, 16384, 100_000} {
+	for _, m := range []int{8, 16384, 65536, 100_000} {
 		b.Run("keys_"+itoa(m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				off := i * m % (len(keys) - m + 1)

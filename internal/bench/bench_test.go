@@ -141,6 +141,22 @@ func TestRunSeqCompareShape(t *testing.T) {
 	}
 }
 
+// TestSeqConfigLeafCap checks that the §9 comparison builds the scalar
+// IST with the batched tree's H: the resolved default when cfg leaves
+// it zero, and cfg's own H otherwise.
+func TestSeqConfigLeafCap(t *testing.T) {
+	for _, c := range []struct{ cfg, want int }{
+		{0, core.DefaultLeafCap},
+		{8, 8},
+		{512, 512},
+	} {
+		got := seqConfig(core.Config{LeafCap: c.cfg}).LeafCap
+		if got != c.want {
+			t.Errorf("LeafCap %d: scalar IST runs H = %d, want %d", c.cfg, got, c.want)
+		}
+	}
+}
+
 func TestRunAblationTraverseShape(t *testing.T) {
 	rows := RunAblationTraverse(tiny(), 2, 1)
 	if len(rows) != 4 {

@@ -23,6 +23,22 @@ type SeqCompareResult struct {
 	SpeedupScalar float64 // RBTreeMS / ISTScalarMS
 }
 
+// seqConfig is the scalar IST's config for a comparison against a
+// batched tree built from cfg. The leaf capacity is resolved here, so
+// both trees run the same H even where the two packages' defaults
+// differ.
+func seqConfig(cfg core.Config) iseq.Config {
+	h := cfg.LeafCap
+	if h <= 0 {
+		h = core.DefaultLeafCap
+	}
+	return iseq.Config{
+		LeafCap:         h,
+		RebuildFactor:   cfg.RebuildFactor,
+		IndexSizeFactor: cfg.IndexSizeFactor,
+	}
+}
+
 // RunSeqCompare runs the §9 sequential-throughput comparison,
 // averaging reps repetitions with distinct query batches.
 func RunSeqCompare(w Workload, cfg core.Config, reps int) SeqCompareResult {
@@ -30,11 +46,7 @@ func RunSeqCompare(w Workload, cfg core.Config, reps int) SeqCompareResult {
 	base := w.BaseKeys()
 
 	ist := core.NewFromSorted(cfg, nil, base) // nil pool: one worker
-	seq := iseq.NewFromSorted(iseq.Config{
-		LeafCap:         cfg.LeafCap,
-		RebuildFactor:   cfg.RebuildFactor,
-		IndexSizeFactor: cfg.IndexSizeFactor,
-	}, base)
+	seq := iseq.NewFromSorted(seqConfig(cfg), base)
 	rb := rbtree.New[int64]()
 	for _, k := range base {
 		rb.Insert(k)

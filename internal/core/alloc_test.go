@@ -245,10 +245,10 @@ func TestCloneEmpty(t *testing.T) {
 // the vals/exists slots only at the node whose slot it writes, and
 // the leaf arrays with merge headroom, so the insert merges in place.
 // In steady state the root allocates nothing: its copy reuses a
-// graced spare root. The ceilings are the measured counts; a fresh
-// root copy on every epoch costs 12 (update), 14 (insert) and 11
-// (remove), and copying every inner node's vals and exists as well
-// 17, 23 and 16.
+// graced spare root. The ceilings are the measured counts at the
+// default H; a fresh root copy on every epoch costs 10 (update), 11
+// (insert) and 9 (remove), and copying every inner node's vals and
+// exists as well 14, 15 and 13.
 func TestPublishedEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings are checked in the non-race run")
@@ -280,9 +280,9 @@ func TestPublishedEpochAllocs(t *testing.T) {
 		run     func()
 		ceiling float64
 	}{
-		{"update", update, 10},
-		{"insert", insert, 11},
-		{"remove", remove, 9},
+		{"update", update, 9},
+		{"insert", insert, 9},
+		{"remove", remove, 7},
 	} {
 		for i := 0; i < 8; i++ {
 			c.run() // warm the arena's free lists

@@ -74,11 +74,16 @@ const (
 	TraverseRank
 )
 
+// DefaultLeafCap is the H that a zero Config.LeafCap selects.
+const DefaultLeafCap = 64
+
 // Config carries the tuning constants of the tree; the zero value
 // selects defaults matching the paper's suggestions.
 type Config struct {
 	// LeafCap is H (§3.4): subtrees of at most this many keys are
-	// stored as leaf arrays. Default 16.
+	// stored as leaf arrays. Default 64 (DefaultLeafCap): at 16, trees
+	// of 2^17 to 2^20 keys grew an extra level of 4-rep inner nodes
+	// over leaves of about 4 keys (BENCH_leafcap.json).
 	LeafCap int
 	// RebuildFactor is C (§7.1): a subtree is rebuilt when the number
 	// of modifications since its construction exceeds C times its size
@@ -115,7 +120,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.LeafCap <= 0 {
-		c.LeafCap = 16
+		c.LeafCap = DefaultLeafCap
 	}
 	if c.RebuildFactor <= 0 {
 		c.RebuildFactor = 2

@@ -32,6 +32,21 @@ func sortedUniqueKeys(seed int64, n int, span int64) []int64 {
 	return out
 }
 
+// TestDefaultIdealHeight pins the shape the default H gives the ideal
+// tree at a benchmark shard's size (2^17 keys) and at the paper's
+// (2^20): three levels. At H = 16 both grew a fourth level of 4-rep
+// inner nodes over leaves of about 4 keys.
+func TestDefaultIdealHeight(t *testing.T) {
+	for _, n := range []int{1 << 17, 1 << 20} {
+		keys := sortedUniqueKeys(int64(n), n, 1<<40)
+		s := NewFromSorted(Config{}, nil, keys).Stats()
+		t.Logf("n = %d: height %d, %d nodes, %d leaves", n, s.Height, s.Nodes, s.Leaves)
+		if s.Height != 3 {
+			t.Errorf("n = %d: ideal tree has height %d, want 3", n, s.Height)
+		}
+	}
+}
+
 func TestEmptyTreeBatches(t *testing.T) {
 	for name, p := range corePools() {
 		t.Run(name, func(t *testing.T) {

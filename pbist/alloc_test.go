@@ -39,9 +39,9 @@ func TestCombinedEpochAllocs(t *testing.T) {
 		run     func()
 		ceiling float64
 	}{
-		{"update", func() { s.Put(pick(), 1) }, 11},
-		{"insert", func() { s.Put(pick()+1, 1) }, 12},
-		{"delete", func() { s.Delete(pick()) }, 11},
+		{"update", func() { s.Put(pick(), 1) }, 9},
+		{"insert", func() { s.Put(pick()+1, 1) }, 10},
+		{"delete", func() { s.Delete(pick()) }, 9},
 	} {
 		for i := 0; i < 8; i++ {
 			c.run() // warm the combiner's arrays and the tree's arena

@@ -174,7 +174,8 @@ type Options struct {
 	// GOMAXPROCS; 1 makes every operation sequential.
 	Workers int
 	// LeafCap is the paper's H: subtrees at most this large are stored
-	// as plain sorted arrays. Default 16.
+	// as plain sorted arrays. Default 64: at 16, trees of 2^17 to 2^20
+	// keys grew an extra level of leaves of about 4 keys.
 	LeafCap int
 	// RebuildFactor is the paper's C: a subtree is rebuilt once it has
 	// absorbed more than C times its built size in modifications.

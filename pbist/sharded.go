@@ -403,9 +403,10 @@ const cutGrain = 256
 // while sorted keys share their node visits; below the cut the sort,
 // the split and the pool tasks cost more than that saves.
 // BenchmarkShardedGetBatch measures both sides (1M keys, 8 shards, 2
-// vCPUs): key by key ran faster up to 8k keys, sorted from 16k on, and
-// 1.75x faster at 100k.
-const cutSortMin = 16384
+// vCPUs): at the default H, key by key ran 15% faster at 16k keys and
+// 6% at 32k, and the two tied within 3% at 64k and 100k. (At H = 16,
+// with one more level to walk per key, they tied at 32k.)
+const cutSortMin = 65536
 
 // GetBatch fetches the value for every element of keys: vals[i] and
 // found[i] answer keys[i], whatever the input order or duplication.

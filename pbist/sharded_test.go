@@ -37,7 +37,7 @@ func newShardedForTest(cfg pbist.ShardedOptions, keys []int64, vals []uint64) *p
 // under -race in CI. Finally the merged oracles must equal the
 // cross-shard snapshot and the answers of batched reads over every key:
 // one of a thousand keys, looked up key by key in parallel, and one of
-// about twenty thousand, answered by a sorted batched traversal.
+// about eighty thousand, answered by a sorted batched traversal.
 func TestShardedDifferentialStress(t *testing.T) {
 	for name, cfg := range shardedConfigs() {
 		cfg := cfg
@@ -154,10 +154,13 @@ func TestShardedDifferentialStress(t *testing.T) {
 				t.Fatalf("Len = %d, snapshot %d", n, len(ks))
 			}
 			// One batch over the whole span and past both ends, shuffled,
-			// with every key six times: past 16k keys even with -short.
+			// with every key 24 times: past cutSortMin (64k keys) even
+			// with -short.
 			var probe []int64
 			for k := int64(-stride); k < int64(clients+1)*stride; k++ {
-				probe = append(probe, k, k, k, k, k, k)
+				for range 24 {
+					probe = append(probe, k)
+				}
 			}
 			r := dist.NewRNG(0xba7c4)
 			for i := len(probe) - 1; i > 0; i-- {
