@@ -411,17 +411,18 @@ func BenchmarkConcurrentGet(b *testing.B) {
 
 // Sharded batched reads: one GetBatch of unsorted keys against an
 // 8-shard frontend holding the ≈10⁶-key fixture tree. Each iteration
-// reads the next window of one shuffled fixture batch, so the small
-// batches do not hit the same cache lines every time. Two sizes fall on
-// each side of the switch from per-key walks to sorted per-shard
-// traversals in Sharded.GetBatch (cutSortMin).
+// reads the next window of two shuffled fixture batches, so the small
+// batches do not hit the same cache lines every time. Four sizes fall
+// below the switch from grouped per-key walks to sorted per-shard
+// traversals in Sharded.GetBatch (cutSortMin, 2^18 keys) and two at or
+// above it; 8 keys is one walk group (core.GroupSize), 64 keys eight.
 func BenchmarkShardedGetBatch(b *testing.B) {
 	base, bat := fixtures()
 	s := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 8}, base, bench.MapPayloads(base))
 	defer s.Close()
-	keys := slices.Clone(bat[0])
+	keys := slices.Concat(bat[0], bat[1])
 	rand.New(rand.NewPCG(1, 2)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	for _, m := range []int{8, 16384, 65536, 100_000} {
+	for _, m := range []int{8, 64, 16384, 100_000, 262_144, 400_000} {
 		b.Run("keys_"+itoa(m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				off := i * m % (len(keys) - m + 1)

@@ -402,6 +402,73 @@ func (t *Tree[K, V]) VersionGet(v *Version[K, V], key K) (V, bool) {
 	return lookupVersion(v, key)
 }
 
+// GroupSize is the most keys one VersionGetGroup call walks together.
+// BENCH_groupread.json sweeps 4, 8 and 16 on the sharded frontend's
+// small batches.
+const GroupSize = 8
+
+// VersionGetGroup is VersionGet for up to GroupSize keys at once, each
+// against its own pinned Version: keys[i] is looked up in vers[i],
+// writing found[i], and vals[i] unless vals is nil (the zero value for
+// a missing key). Both destinations must have len(keys) entries; a nil
+// version reads as empty. The walks run level-synchronously: every
+// round moves each unfinished key one level down, so the cache misses
+// of independent walks (node header, index bucket, rep slot, child
+// pointer) are in flight together instead of one after another. Each
+// step is lookup's step, so every answer is VersionGet's. The pin
+// contract is VersionItems'.
+//
+//pbist:noalloc
+func VersionGetGroup[K iindex.Numeric, V any](vers []*Version[K, V], keys []K, vals []V, found []bool) {
+	var cur [GroupSize]*node[K, V]
+	n := len(keys)
+	if n > GroupSize {
+		panic("core: VersionGetGroup group larger than GroupSize")
+	}
+	clear(found[:n])
+	if vals != nil {
+		clear(vals[:n])
+	}
+	live := 0
+	for i, v := range vers[:n] {
+		if v != nil && v.root != nil {
+			cur[i] = v.root
+			live++
+		}
+	}
+	for live > 0 {
+		for i := range n {
+			v := cur[i]
+			if v == nil {
+				continue
+			}
+			var pos int
+			var hit bool
+			leaf := v.isLeaf()
+			if leaf {
+				pos, hit = iindex.InterpolationSearch(v.rep, keys[i])
+			} else {
+				pos, hit = iindex.Find(v.rep, &v.idx, keys[i])
+			}
+			var next *node[K, V]
+			if hit {
+				if v.exists[pos] {
+					found[i] = true
+					if vals != nil {
+						vals[i] = v.vals[pos]
+					}
+				}
+			} else if !leaf {
+				next = v.children[pos]
+			}
+			cur[i] = next
+			if next == nil {
+				live--
+			}
+		}
+	}
+}
+
 // VersionGetBatched is GetBatched over a pinned Version, writing into
 // caller-provided destinations: one §4 batched traversal of v for the
 // sorted, duplicate-free keys, writing found[i], and vals[i] unless

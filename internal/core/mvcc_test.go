@@ -401,6 +401,87 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 }
 
+// TestVersionGetGroupDifferential: a grouped walk answers every key as
+// VersionGet does, for groups of 0 to GroupSize keys whose versions
+// mix an empty tree, a nil version, and several rounds of two churned
+// publishing trees (one with tiny leaves, so paths are deep), and
+// whose keys mix live, logically removed and never-inserted keys.
+func TestVersionGetGroupDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	const span = 1 << 13
+	empty := New[int64, int64](Config{}, nil)
+	empty.EnablePublish()
+	vers := []*Version[int64, int64]{nil, empty.CurrentVersion()}
+	var removed, nilKids int
+	for _, cfg := range []Config{{}, {LeafCap: 4}} {
+		tr := New[int64, int64](cfg, nil)
+		tr.EnablePublish()
+		// Held to the end of the test: no version loaded after it can
+		// have its chunk storage recycled.
+		pin := tr.PinReader()
+		defer pin.Release()
+		for round := 0; round < 12; round++ {
+			put := sortedBatch(r, 400, span)
+			pv := make([]int64, len(put))
+			for i := range pv {
+				pv[i] = int64(round)<<20 | int64(i)
+			}
+			tr.PutBatched(put, pv)
+			tr.RemoveBatched(sortedBatch(r, 250, span))
+			tr.PublishVersion()
+			if round%3 == 2 {
+				v := tr.CurrentVersion()
+				vers = append(vers, v)
+				removed += countNodes(v.root, func(v *node[int64, int64]) bool { return slices.Contains(v.exists, false) })
+				nilKids += countNodes(v.root, func(v *node[int64, int64]) bool { return slices.Contains(v.children, nil) })
+			}
+		}
+	}
+	if removed == 0 || nilKids == 0 {
+		t.Fatalf("versions lack removed slots (%d nodes) or nil children (%d nodes)", removed, nilKids)
+	}
+	var (
+		gv    [GroupSize]*Version[int64, int64]
+		gk    [GroupSize]int64
+		vals  [GroupSize]int64
+		found [GroupSize]bool
+		cont  [GroupSize]bool
+	)
+	for trial := 0; trial < 3000; trial++ {
+		n := trial % (GroupSize + 1)
+		for i := range n {
+			gv[i] = vers[r.Intn(len(vers))]
+			gk[i] = r.Int63n(span+64) - 32
+			// Stale answers must be overwritten.
+			vals[i], found[i], cont[i] = -1, true, true
+		}
+		VersionGetGroup(gv[:n], gk[:n], vals[:n], found[:n])
+		VersionGetGroup(gv[:n], gk[:n], nil, cont[:n])
+		for i := range n {
+			wantV, want := empty.VersionGet(gv[i], gk[i])
+			if found[i] != want || vals[i] != wantV || cont[i] != want {
+				t.Fatalf("trial %d key %d of %d (%d): group (%d, %v, contains %v), VersionGet (%d, %v)",
+					trial, i, n, gk[i], vals[i], found[i], cont[i], wantV, want)
+			}
+		}
+	}
+}
+
+// countNodes counts the nodes of v's subtree that satisfy pred.
+func countNodes(v *node[int64, int64], pred func(*node[int64, int64]) bool) int {
+	if v == nil {
+		return 0
+	}
+	c := 0
+	if pred(v) {
+		c++
+	}
+	for _, ch := range v.children {
+		c += countNodes(ch, pred)
+	}
+	return c
+}
+
 // TestReadIntoAllocs is the satellite AllocsPerRun ceiling: warmed
 // steady-state batched reads into caller-provided destinations
 // (VersionGetBatched, ContainsBatchedInto) must not allocate at all —

@@ -39,7 +39,6 @@ package shard
 import (
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Key is the numeric key constraint, mirroring pbist.Key: ordered
@@ -139,10 +138,22 @@ func NewRangeQuantiles[K Key](n int, sorted []K) *Ranges[K] {
 func (r *Ranges[K]) N() int { return len(r.bounds) + 1 }
 
 // Shard returns the owning shard: the number of boundaries at or
-// below key.
+// below key. It is sort.Search for the first boundary strictly greater
+// than key, with the same probe order (so the same answer, NaN keys
+// and bounds included), written out because every point operation and
+// every batched key routes through it and the closure call of
+// sort.Search is a measurable share of a short read.
 func (r *Ranges[K]) Shard(key K) int {
-	// First boundary strictly greater than key; all before it are <= key.
-	return sort.Search(len(r.bounds), func(i int) bool { return key < r.bounds[i] })
+	lo, hi := 0, len(r.bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if key < r.bounds[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Ordered reports true: range partitioning refines key order.

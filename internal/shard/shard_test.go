@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dist"
@@ -30,6 +31,59 @@ func TestRangesShardAssignment(t *testing.T) {
 			t.Errorf("Shard(%d) = %d, want %d", c.key, got, c.want)
 		}
 	}
+}
+
+// TestRangesShardMatchesSortSearch checks the routing loop against the
+// sort.Search form it replaced, for keys at, just below and just above
+// every bound, over integer bounds with repeats and float bounds with
+// infinities, signed zeros and NaN.
+func TestRangesShardMatchesSortSearch(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, bounds := range [][]float64{
+		nil,
+		{0},
+		{math.Copysign(0, -1)},
+		{-inf, 0, inf},
+		{-1.5, -1.5, 0, 2, 2, 2, 1e300},
+		{-3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+		{nan},
+		{-1, nan, 1},
+		{0, 1, nan, nan, 4, 5, 6},
+	} {
+		r := NewRanges(bounds)
+		probes := []float64{-inf, inf, nan, 0, math.Copysign(0, -1), -1e308, 1e308}
+		for _, b := range bounds {
+			probes = append(probes, b, math.Nextafter(b, -inf), math.Nextafter(b, inf))
+		}
+		for _, k := range probes {
+			if got, want := r.Shard(k), searchShard(bounds, k); got != want {
+				t.Errorf("bounds %v: Shard(%v) = %d, sort.Search = %d", bounds, k, got, want)
+			}
+		}
+	}
+	rng := dist.NewRNG(3)
+	for n := 1; n <= 17; n++ {
+		bounds := make([]int64, n-1)
+		for i := range bounds {
+			bounds[i] = rng.InRange(-20, 20)
+		}
+		slices.Sort(bounds)
+		r := NewRanges(bounds)
+		probes := []int64{math.MinInt64, math.MaxInt64}
+		for _, b := range bounds {
+			probes = append(probes, b, b-1, b+1)
+		}
+		for _, k := range probes {
+			if got, want := r.Shard(k), searchShard(bounds, k); got != want {
+				t.Errorf("bounds %v: Shard(%d) = %d, sort.Search = %d", bounds, k, got, want)
+			}
+		}
+	}
+}
+
+// searchShard is the sort.Search form of Ranges.Shard.
+func searchShard[K Key](bounds []K, key K) int {
+	return sort.Search(len(bounds), func(i int) bool { return key < bounds[i] })
 }
 
 func TestRangesOrderRefinement(t *testing.T) {

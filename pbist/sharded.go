@@ -390,23 +390,26 @@ func forEachShard[K Key](parts [][]K, f func(sh int)) {
 	wg.Wait()
 }
 
-// cutGrain is the parallel.For grain of the per-key batched reads. A
-// version lookup is one root-to-leaf walk of a few hundred nanoseconds,
-// so a batch of up to cutGrain keys runs inline on the caller's
-// goroutine and a larger one spreads over the pool in tasks of tens of
-// microseconds.
+// cutGrain is the parallel.ForRange grain of the grouped batched
+// reads. A version walk takes a few hundred nanoseconds, less when
+// GroupSize of them overlap, so a batch of up to cutGrain keys runs
+// inline on the caller's goroutine and a larger one spreads over the
+// pool in tasks of tens of microseconds.
 const cutGrain = 256
 
 // cutSortMin is the batch size from which the batched reads sort the
 // batch and run the paper's batched traversal over each shard's version
-// instead of one walk per key. Each walk misses the cache on its own,
-// while sorted keys share their node visits; below the cut the sort,
-// the split and the pool tasks cost more than that saves.
-// BenchmarkShardedGetBatch measures both sides (1M keys, 8 shards, 2
-// vCPUs): at the default H, key by key ran 15% faster at 16k keys and
-// 6% at 32k, and the two tied within 3% at 64k and 100k. (At H = 16,
-// with one more level to walk per key, they tied at 32k.)
-const cutSortMin = 65536
+// instead of grouped walks per key. Sorted keys share their node
+// visits, but the sort, the split and the per-shard copies cost more
+// than that saves until the batch is a large share of the tree.
+// BenchmarkShardedGetBatch measures both sides (1M keys, 8 shards,
+// BENCH_groupread.json): on 2 vCPUs the sorted path took 1.06–1.41×
+// the grouped walks' time at every size measured, 16k to 3.2M keys;
+// on one CPU it took 1.25× at 16k and 1.13× at 100k, tied within 3% at
+// 200k, and took 0.85–0.93× from 400k to 1.6M. The cut sits at the
+// one-CPU crossover. (Before the walks were grouped, the two tied at
+// 64k keys.)
+const cutSortMin = 262144
 
 // GetBatch fetches the value for every element of keys: vals[i] and
 // found[i] answer keys[i], whatever the input order or duplication.
@@ -416,10 +419,11 @@ const cutSortMin = 65536
 // held the state it reports, and every operation that completed before
 // the call. It never enters a combining queue — wait-free apart from
 // cut retries — and keeps answering after Close. Batches below
-// cutSortMin keys look each key up on its own, routed as in Get;
-// larger ones are sorted and answered with one batched traversal per
-// shard. Both run on the pool once the batch exceeds a few hundred
-// keys.
+// cutSortMin keys route each key as Get does and walk the keys in
+// groups of core.GroupSize, one tree level per round, so the cache
+// misses of a group's walks overlap; larger ones are sorted and
+// answered with one batched traversal per shard. Both run on the pool
+// once the batch exceeds a few hundred keys.
 func (s *Sharded[K, V]) GetBatch(keys []K) (vals []V, found []bool) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -444,24 +448,64 @@ func (s *Sharded[K, V]) ContainsBatch(keys []K) []bool {
 // getCut answers keys[i] into found[i], and into vals[i] unless vals
 // is nil, from one atomic cut of all shards.
 func (s *Sharded[K, V]) getCut(keys []K, vals []V, found []bool) {
-	vers, release := collectCut(s.trees, s.obs)
-	defer release()
-	if len(keys) >= cutSortMin {
-		s.getCutSorted(vers, keys, vals, found)
+	var pinBuf [cutShards]core.ReaderPin
+	var verBuf [cutShards]*core.Version[K, V]
+	pins, vers := collectCut(s.trees, s.obs, pinBuf[:0], verBuf[:0])
+	defer releasePins(pins)
+	if len(keys) <= cutGrain {
+		s.getGroups(vers, keys, vals, found, 0, len(keys))
 		return
 	}
-	parallel.For(s.pool, len(keys), cutGrain, func(i int) {
-		k := keys[i]
-		sh := s.shardOf(k)
-		if s.filterMiss(sh, k) {
-			return
-		}
-		v, ok := s.trees[sh].VersionGet(vers[sh], k)
-		found[i] = ok
-		if vals != nil {
-			vals[i] = v
-		}
+	// The pool's tasks capture the versions; a heap copy keeps verBuf
+	// on the stack for the small batches.
+	shared := slices.Clone(vers)
+	if len(keys) >= cutSortMin {
+		s.getCutSorted(shared, keys, vals, found)
+		return
+	}
+	parallel.ForRange(s.pool, len(keys), cutGrain, func(lo, hi int) {
+		s.getGroups(shared, keys, vals, found, lo, hi)
 	})
+}
+
+// getGroups answers keys[lo:hi] as getCut does, GroupSize keys at a
+// time: each key is routed to its shard, and every key the shard's
+// filter does not answer joins the group that core.VersionGetGroup
+// walks level by level over the shards' cut versions.
+func (s *Sharded[K, V]) getGroups(vers []*core.Version[K, V], keys []K, vals []V, found []bool, lo, hi int) {
+	var (
+		gk  [core.GroupSize]K
+		gv  [core.GroupSize]*core.Version[K, V]
+		gat [core.GroupSize]int
+		gvs [core.GroupSize]V
+		gfs [core.GroupSize]bool
+	)
+	for i := lo; i < hi; {
+		n := 0
+		for ; i < hi && n < core.GroupSize; i++ {
+			k := keys[i]
+			sh := s.shardOf(k)
+			if s.filterMiss(sh, k) {
+				continue
+			}
+			gk[n], gv[n], gat[n] = k, vers[sh], i
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		var outV []V // nil for ContainsBatch
+		if vals != nil {
+			outV = gvs[:n]
+		}
+		core.VersionGetGroup(gv[:n], gk[:n], outV, gfs[:n])
+		for j, at := range gat[:n] {
+			found[at] = gfs[j]
+			if vals != nil {
+				vals[at] = gvs[j]
+			}
+		}
+	}
 }
 
 // getCutSorted is getCut for large batches, answered the way a
@@ -577,6 +621,11 @@ func (s *Sharded[K, V]) DeleteBatch(keys []K) int {
 	return int(removed.Load())
 }
 
+// cutShards is the shard count up to which the cut readers keep the
+// cut's pins and versions in stack arrays (the default is 8); past it
+// collectCut's appends move them to the heap.
+const cutShards = 8
+
 // collectCut captures a mutually atomic cut across trees: it pins
 // every tree as a reader, then loads each tree's published version
 // repeatedly until one full pass observes no change against the
@@ -584,10 +633,12 @@ func (s *Sharded[K, V]) DeleteBatch(keys []K) int {
 // double-collect proves no tree published between the first and last
 // load of the final pass — the version pointers coexisted at one
 // instant. For a single tree the first load already is such an
-// instant and the second pass only confirms it. The returned release
-// must be called once every walk over the versions' shared storage is
-// done; until then the pins keep retired chunk storage out of the
-// recycler.
+// instant and the second pass only confirms it. The pins and versions
+// are appended to the caller's pins and vers (passed empty, so that
+// small stack arrays can back them) and returned in tree order; pass
+// the pins to releasePins once every walk over the versions' shared
+// storage is done. Until then they keep retired chunk storage out of
+// the recycler.
 //
 // The retry loop terminates quickly in practice: a pass takes
 // nanoseconds per tree while a publish happens at most once per
@@ -595,19 +646,12 @@ func (s *Sharded[K, V]) DeleteBatch(keys []K) int {
 // sustained write storm on distinct combiners. With o set each retry
 // is counted (shard.cut.retries), so a pathological workload is
 // visible.
-func collectCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs) (vers []*core.Version[K, V], release func()) {
-	pins := make([]core.ReaderPin, len(trees))
-	for i, t := range trees {
-		pins[i] = t.PinReader()
+func collectCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs, pins []core.ReaderPin, vers []*core.Version[K, V]) ([]core.ReaderPin, []*core.Version[K, V]) {
+	for _, t := range trees {
+		pins = append(pins, t.PinReader())
 	}
-	release = func() {
-		for _, p := range pins {
-			p.Release()
-		}
-	}
-	vers = make([]*core.Version[K, V], len(trees))
-	for i, t := range trees {
-		vers[i] = t.CurrentVersion()
+	for _, t := range trees {
+		vers = append(vers, t.CurrentVersion())
 	}
 	for {
 		stable := true
@@ -618,11 +662,18 @@ func collectCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs) (vers []*c
 			}
 		}
 		if stable {
-			return vers, release
+			return pins, vers
 		}
 		if o != nil {
 			o.CutRetries.Add(1)
 		}
+	}
+}
+
+// releasePins releases the reader pins of a cut.
+func releasePins(pins []core.ReaderPin) {
+	for _, p := range pins {
+		p.Release()
 	}
 }
 
@@ -680,8 +731,10 @@ func (s *Sharded[K, V]) mergeShardKV(ks [][]K, vs [][]V) ([]K, []V) {
 // shard's state before a cross-shard batch with another shard's state
 // after it. Wait-free apart from cut retries; no combiner round trips.
 func (s *Sharded[K, V]) Len() int {
-	vers, release := collectCut(s.trees, s.obs)
-	release() // sizes live in the version headers, not chunk storage
+	var pinBuf [cutShards]core.ReaderPin
+	var verBuf [cutShards]*core.Version[K, V]
+	pins, vers := collectCut(s.trees, s.obs, pinBuf[:0], verBuf[:0])
+	releasePins(pins) // sizes live in the version headers, not chunk storage
 	n := 0
 	for _, v := range vers {
 		n += v.Len()
@@ -713,8 +766,10 @@ func (s *Sharded[K, V]) Flush() {
 // and duplicate-free, ready for mergeShardKV. Large flattens already
 // run in parallel on the pool inside each tree.
 func readCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs, read func(*core.Tree[K, V], *core.Version[K, V]) ([]K, []V)) ([][]K, [][]V) {
-	vers, release := collectCut(trees, o)
-	defer release()
+	var pinBuf [cutShards]core.ReaderPin
+	var verBuf [cutShards]*core.Version[K, V]
+	pins, vers := collectCut(trees, o, pinBuf[:0], verBuf[:0])
+	defer releasePins(pins)
 	ks := make([][]K, len(trees))
 	vs := make([][]V, len(trees))
 	for i, t := range trees {

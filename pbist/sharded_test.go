@@ -36,8 +36,8 @@ func newShardedForTest(cfg pbist.ShardedOptions, keys []int64, vals []uint64) *p
 // shard boundaries (stripe width and shard width are unrelated). Runs
 // under -race in CI. Finally the merged oracles must equal the
 // cross-shard snapshot and the answers of batched reads over every key:
-// one of a thousand keys, looked up key by key in parallel, and one of
-// about eighty thousand, answered by a sorted batched traversal.
+// one of a thousand keys, walked key by key in parallel, and one of
+// about 270 thousand, answered by a sorted batched traversal.
 func TestShardedDifferentialStress(t *testing.T) {
 	for name, cfg := range shardedConfigs() {
 		cfg := cfg
@@ -154,11 +154,11 @@ func TestShardedDifferentialStress(t *testing.T) {
 				t.Fatalf("Len = %d, snapshot %d", n, len(ks))
 			}
 			// One batch over the whole span and past both ends, shuffled,
-			// with every key 24 times: past cutSortMin (64k keys) even
+			// with every key 80 times: past cutSortMin (256k keys) even
 			// with -short.
 			var probe []int64
 			for k := int64(-stride); k < int64(clients+1)*stride; k++ {
-				for range 24 {
+				for range 80 {
 					probe = append(probe, k)
 				}
 			}
@@ -175,6 +175,53 @@ func TestShardedDifferentialStress(t *testing.T) {
 					if gotF[i] != had || gotC[i] != had || (had && gotV[i] != wv) {
 						t.Fatalf("batched read of %d keys: key %d = %d,%v, contains %v; want %d,%v",
 							len(batch), k, gotV[i], gotF[i], gotC[i], wv, had)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardedGroupedBatchReads compares GetBatch and ContainsBatch
+// with Get key by key on a quiescent frontend, at batch sizes around
+// one walk group (8 keys) and around the inline limit (256 keys),
+// with the point filter on and off and on one shard. Batches mix live
+// keys, deleted keys and keys never inserted (filter misses), with
+// repeats.
+func TestShardedGroupedBatchReads(t *testing.T) {
+	cfgs := shardedConfigs()
+	cfgs["single"] = pbist.ShardedOptions{Shards: 1}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			r := dist.NewRNG(0x9b)
+			const span = 1 << 14
+			keys := dist.UniformSet(r, 4000, 0, span)
+			vals := make([]uint64, len(keys))
+			for i := range vals {
+				vals[i] = r.Uint64()
+			}
+			s := newShardedForTest(cfg, keys, vals)
+			defer s.Close()
+			s.DeleteBatch(keys[:len(keys)/3])
+			for _, m := range []int{1, 7, 8, 9, 255, 256, 257, 1000} {
+				batch := make([]int64, m)
+				for i := range batch {
+					switch r.Uint64n(3) {
+					case 0:
+						batch[i] = keys[r.Uint64n(uint64(len(keys)))]
+					case 1:
+						batch[i] = r.InRange(-span, 2*span)
+					default:
+						batch[i] = batch[r.Uint64n(uint64(i+1))]
+					}
+				}
+				gotV, gotF := s.GetBatch(batch)
+				gotC := s.ContainsBatch(batch)
+				for i, k := range batch {
+					wv, want := s.Get(k)
+					if gotF[i] != want || gotC[i] != want || gotV[i] != wv {
+						t.Fatalf("%d keys: key %d = %d,%v, contains %v; Get says %d,%v",
+							m, k, gotV[i], gotF[i], gotC[i], wv, want)
 					}
 				}
 			}
