@@ -412,10 +412,10 @@ func BenchmarkConcurrentGet(b *testing.B) {
 // Sharded batched reads: one GetBatch of unsorted keys against an
 // 8-shard frontend holding the ≈10⁶-key fixture tree. Each iteration
 // reads the next window of two shuffled fixture batches, so the small
-// batches do not hit the same cache lines every time. Four sizes fall
-// below the switch from grouped per-key walks to sorted per-shard
-// traversals in Sharded.GetBatch (cutSortMin, 2^18 keys) and two at or
-// above it; 8 keys is one walk group (core.GroupSize), 64 keys eight.
+// batches do not hit the same cache lines every time. Every size is
+// walked in groups of core.GroupSize keys: 8 keys is one group and 64
+// keys eight, both inline; the larger sizes run on the pool in tasks
+// of 256 keys.
 func BenchmarkShardedGetBatch(b *testing.B) {
 	base, bat := fixtures()
 	s := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 8}, base, bench.MapPayloads(base))

@@ -335,16 +335,6 @@ func (t *Tree[K, V]) SnapshotContains(key K) bool {
 	return ok
 }
 
-// SnapshotLen reports the key count of the latest published Version.
-// No pin needed: Version headers are GC-managed, only chunk storage is
-// recycled.
-func (t *Tree[K, V]) SnapshotLen() int {
-	if t.mv == nil {
-		panic("core: SnapshotLen before EnablePublish")
-	}
-	return t.mv.pub.Load().Len()
-}
-
 // lookupVersion is lookup over an immutable version's root.
 //
 //pbist:noalloc
@@ -467,22 +457,6 @@ func VersionGetGroup[K iindex.Numeric, V any](vers []*Version[K, V], keys []K, v
 			}
 		}
 	}
-}
-
-// VersionGetBatched is GetBatched over a pinned Version, writing into
-// caller-provided destinations: one §4 batched traversal of v for the
-// sorted, duplicate-free keys, writing found[i], and vals[i] unless
-// vals is nil. Both destinations must have len(keys) and be
-// zero-initialized. The pin contract is VersionItems'.
-func (t *Tree[K, V]) VersionGetBatched(v *Version[K, V], keys []K, vals []V, found []bool) {
-	if v == nil || len(keys) == 0 {
-		return
-	}
-	if vals == nil {
-		t.containsRec(v.root, keys, 0, len(keys), found, nil, 0)
-		return
-	}
-	t.getRec(v.root, keys, 0, len(keys), vals, found, nil, 0)
 }
 
 // VersionItems flattens a pinned Version into freshly allocated sorted

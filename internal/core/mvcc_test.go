@@ -36,8 +36,8 @@ func sortedBatch(r *rand.Rand, n int, span int64) []int64 {
 func TestPublishGating(t *testing.T) {
 	tr := New[int64, int64](Config{}, nil)
 	tr.EnablePublish()
-	if n := tr.SnapshotLen(); n != 0 {
-		t.Fatalf("fresh published tree: SnapshotLen = %d, want 0", n)
+	if n := tr.CurrentVersion().Len(); n != 0 {
+		t.Fatalf("fresh published tree: version Len = %d, want 0", n)
 	}
 	tr.PutBatched([]int64{1, 2, 3}, []int64{10, 20, 30})
 	if tr.SnapshotContains(2) {
@@ -50,8 +50,8 @@ func TestPublishGating(t *testing.T) {
 	if v, ok := tr.SnapshotGet(2); !ok || v != 20 {
 		t.Fatalf("after publish: SnapshotGet(2) = (%d, %v), want (20, true)", v, ok)
 	}
-	if n := tr.SnapshotLen(); n != 3 {
-		t.Fatalf("after publish: SnapshotLen = %d, want 3", n)
+	if n := tr.CurrentVersion().Len(); n != 3 {
+		t.Fatalf("after publish: version Len = %d, want 3", n)
 	}
 	// Value overwrite alone must also republish (dirty tracking).
 	tr.PutBatched([]int64{2}, []int64{99})
@@ -145,26 +145,6 @@ func TestVersionImmutability(t *testing.T) {
 	}
 	if _, ok := tr.VersionGet(nil, oracleK[0]); ok {
 		t.Fatal("VersionGet on a nil version found a key")
-	}
-	// The batched traversal of the version agrees with the per-key
-	// walks, over the loaded keys and the keys just below them.
-	var probe []int64
-	for x, k := range oracleK {
-		if x == 0 || k-oracleK[x-1] > 1 {
-			probe = append(probe, k-1)
-		}
-		probe = append(probe, k)
-	}
-	bv := make([]int64, len(probe))
-	bf := make([]bool, len(probe))
-	bc := make([]bool, len(probe))
-	tr.VersionGetBatched(ver, probe, bv, bf)
-	tr.VersionGetBatched(ver, probe, nil, bc)
-	for x, k := range probe {
-		v, ok := tr.VersionGet(ver, k)
-		if bf[x] != ok || bc[x] != ok || bv[x] != v {
-			t.Fatalf("VersionGetBatched(%d) = %d,%v (contains %v), VersionGet = %d,%v", k, bv[x], bf[x], bc[x], v, ok)
-		}
 	}
 }
 
@@ -350,8 +330,8 @@ func TestMVCCDifferential(t *testing.T) {
 					delete(oracle, k)
 				}
 				tr.PublishVersion()
-				if got := tr.SnapshotLen(); got != len(oracle) {
-					t.Fatalf("round %d: SnapshotLen = %d, oracle %d", round, got, len(oracle))
+				if got := tr.CurrentVersion().Len(); got != len(oracle) {
+					t.Fatalf("round %d: version Len = %d, oracle %d", round, got, len(oracle))
 				}
 				for i := 0; i < 200; i++ {
 					k := r.Int63n(span)
@@ -367,10 +347,9 @@ func TestMVCCDifferential(t *testing.T) {
 	}
 }
 
-// TestIntoVariantsMatchAllocating: the read variants writing into
-// caller-provided destinations (ContainsBatchedInto, and
-// VersionGetBatched over the latest version) agree with their
-// allocating counterparts.
+// TestIntoVariantsMatchAllocating: the read variant writing into a
+// caller-provided destination (ContainsBatchedInto) agrees with its
+// allocating counterpart.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tr := New[int64, int64](Config{}, nil)
@@ -382,16 +361,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	tr.PutBatched(keys, vals)
 	tr.EnablePublish()
 	probe := sortedBatch(r, 2000, 1<<16)
-
-	wantV, wantF := tr.GetBatched(probe)
-	gotV := make([]int64, len(probe))
-	gotF := make([]bool, len(probe))
-	pin := tr.PinReader()
-	tr.VersionGetBatched(tr.CurrentVersion(), probe, gotV, gotF)
-	pin.Release()
-	if !slices.Equal(gotF, wantF) || !slices.Equal(gotV, wantV) {
-		t.Fatal("VersionGetBatched disagrees with GetBatched")
-	}
 
 	wantC := tr.ContainsBatched(probe)
 	gotC := make([]bool, len(probe))
@@ -482,11 +451,10 @@ func countNodes(v *node[int64, int64], pred func(*node[int64, int64]) bool) int 
 	return c
 }
 
-// TestReadIntoAllocs is the satellite AllocsPerRun ceiling: warmed
-// steady-state batched reads into caller-provided destinations
-// (VersionGetBatched, ContainsBatchedInto) must not allocate at all —
-// destinations are caller-recycled and the traversal scratch comes
-// from the arena.
+// TestReadIntoAllocs is the satellite AllocsPerRun ceiling: a warmed
+// steady-state batched read into a caller-provided destination
+// (ContainsBatchedInto) must not allocate at all — the destination is
+// caller-recycled and the traversal scratch comes from the arena.
 func TestReadIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceiling is checked in the non-race run")
@@ -495,22 +463,11 @@ func TestReadIntoAllocs(t *testing.T) {
 	tr := New[int64, int64](Config{}, nil)
 	tr.PutBatched(seqKeys(20000, 0, 3), make([]int64, 20000))
 	tr.EnablePublish()
-	ver := tr.CurrentVersion()
 	probe := sortedBatch(r, 1000, 60000)
-	vals := make([]int64, len(probe))
-	found := make([]bool, len(probe))
 	res := make([]bool, len(probe))
 	// Warm the walker pool and the arena.
-	tr.VersionGetBatched(ver, probe, vals, found)
 	tr.ContainsBatchedInto(probe, res)
 
-	if avg := testing.AllocsPerRun(20, func() {
-		clear(vals)
-		clear(found)
-		tr.VersionGetBatched(ver, probe, vals, found)
-	}); avg > 0 {
-		t.Fatalf("VersionGetBatched allocates %.1f/op in steady state, want 0", avg)
-	}
 	if avg := testing.AllocsPerRun(20, func() {
 		clear(res)
 		tr.ContainsBatchedInto(probe, res)

@@ -86,14 +86,6 @@ func (t *Tree[K, V]) RangeKV(lo, hi K) ([]K, []V) {
 	return t.AppendRangeKV(nil, nil, lo, hi)
 }
 
-// AppendRange appends the live keys in [lo, hi], ascending, to dst and
-// returns the extended slice; values are not materialized (for the
-// set instantiation the value slice is zero-byte anyway).
-func (t *Tree[K, V]) AppendRange(dst []K, lo, hi K) []K {
-	dst, _ = t.AppendRangeKV(dst, nil, lo, hi)
-	return dst
-}
-
 // AppendRangeKV appends the live keys in [lo, hi], ascending, to dstK
 // and their values to dstV, returning the extended slices. It shares
 // the bounded walk of the Ascend iterator (iter.go): only the two

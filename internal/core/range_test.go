@@ -117,9 +117,9 @@ func TestRangeBoundsInclusive(t *testing.T) {
 func TestAppendRangeReusesBuffer(t *testing.T) {
 	tr := NewFromSorted(Config{}, nil, []int64{1, 2, 3})
 	buf := make([]int64, 0, 16)
-	out := tr.AppendRange(buf, 1, 3)
+	out, _ := tr.AppendRangeKV(buf, nil, 1, 3)
 	if &out[0] != &buf[:1][0] {
-		t.Fatal("AppendRange reallocated despite sufficient capacity")
+		t.Fatal("AppendRangeKV reallocated despite sufficient capacity")
 	}
 }
 

@@ -159,10 +159,6 @@ func (r *Ranges[K]) Shard(key K) int {
 // Ordered reports true: range partitioning refines key order.
 func (r *Ranges[K]) Ordered() bool { return true }
 
-// Bounds returns the boundary keys (ascending, length N-1). The
-// returned slice is the partitioner's own; callers must not mutate it.
-func (r *Ranges[K]) Bounds() []K { return r.bounds }
-
 // Hashed is the hash partitioner: shard = mix(key) mapped onto [0, n)
 // by multiply-shift. Balance is distribution-independent, but shard
 // order says nothing about key order (Ordered reports false), so

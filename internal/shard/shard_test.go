@@ -128,11 +128,14 @@ func TestRangeQuantilesBalance(t *testing.T) {
 
 func TestNewRangeUniform(t *testing.T) {
 	p := NewRangeUniform(4, int64(0), int64(100))
-	want := []int64{25, 50, 75}
-	if !slices.Equal(p.Bounds(), want) {
-		t.Fatalf("bounds = %v, want %v", p.Bounds(), want)
+	// The bounds are 25, 50 and 75: each opens the next shard.
+	for i, b := range []int64{25, 50, 75} {
+		if p.Shard(b-1) != i || p.Shard(b) != i+1 {
+			t.Fatalf("bound %d: Shard(%d) = %d, Shard(%d) = %d, want %d and %d",
+				b, b-1, p.Shard(b-1), b, p.Shard(b), i, i+1)
+		}
 	}
-	if p.Shard(int64(24)) != 0 || p.Shard(int64(25)) != 1 || p.Shard(int64(99)) != 3 {
+	if p.N() != 4 || p.Shard(int64(-99)) != 0 || p.Shard(int64(99)) != 3 {
 		t.Fatal("uniform bounds misroute")
 	}
 	// n=1 degenerates to a single shard taking everything.

@@ -1,7 +1,6 @@
 package pbist
 
 import (
-	"cmp"
 	"iter"
 	"slices"
 	"sync"
@@ -397,20 +396,6 @@ func forEachShard[K Key](parts [][]K, f func(sh int)) {
 // pool in tasks of tens of microseconds.
 const cutGrain = 256
 
-// cutSortMin is the batch size from which the batched reads sort the
-// batch and run the paper's batched traversal over each shard's version
-// instead of grouped walks per key. Sorted keys share their node
-// visits, but the sort, the split and the per-shard copies cost more
-// than that saves until the batch is a large share of the tree.
-// BenchmarkShardedGetBatch measures both sides (1M keys, 8 shards,
-// BENCH_groupread.json): on 2 vCPUs the sorted path took 1.06–1.41×
-// the grouped walks' time at every size measured, 16k to 3.2M keys;
-// on one CPU it took 1.25× at 16k and 1.13× at 100k, tied within 3% at
-// 200k, and took 0.85–0.93× from 400k to 1.6M. The cut sits at the
-// one-CPU crossover. (Before the walks were grouped, the two tied at
-// 64k keys.)
-const cutSortMin = 262144
-
 // GetBatch fetches the value for every element of keys: vals[i] and
 // found[i] answer keys[i], whatever the input order or duplication.
 //
@@ -418,12 +403,11 @@ const cutSortMin = 262144
 // version (collectCut): it reflects one instant at which all shards
 // held the state it reports, and every operation that completed before
 // the call. It never enters a combining queue — wait-free apart from
-// cut retries — and keeps answering after Close. Batches below
-// cutSortMin keys route each key as Get does and walk the keys in
-// groups of core.GroupSize, one tree level per round, so the cache
-// misses of a group's walks overlap; larger ones are sorted and
-// answered with one batched traversal per shard. Both run on the pool
-// once the batch exceeds a few hundred keys.
+// cut retries — and keeps answering after Close. Every key is routed
+// as Get routes it, and the keys are walked in groups of
+// core.GroupSize, one tree level per round, so the cache misses of a
+// group's walks overlap. A batch of more than cutGrain keys runs its
+// groups on the pool.
 func (s *Sharded[K, V]) GetBatch(keys []K) (vals []V, found []bool) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -459,10 +443,6 @@ func (s *Sharded[K, V]) getCut(keys []K, vals []V, found []bool) {
 	// The pool's tasks capture the versions; a heap copy keeps verBuf
 	// on the stack for the small batches.
 	shared := slices.Clone(vers)
-	if len(keys) >= cutSortMin {
-		s.getCutSorted(shared, keys, vals, found)
-		return
-	}
 	parallel.ForRange(s.pool, len(keys), cutGrain, func(lo, hi int) {
 		s.getGroups(shared, keys, vals, found, lo, hi)
 	})
@@ -506,52 +486,6 @@ func (s *Sharded[K, V]) getGroups(vers []*core.Version[K, V], keys []K, vals []V
 			}
 		}
 	}
-}
-
-// getCutSorted is getCut for large batches, answered the way a
-// combining epoch answers its batch: each shard sorts its keys tagged
-// with their input positions, looks the distinct ones up with one
-// batched traversal of its cut version, and writes every answer back
-// to the positions that asked for it.
-func (s *Sharded[K, V]) getCutSorted(vers []*core.Version[K, V], keys []K, vals []V, found []bool) {
-	tagged := make([]keyAt[K], len(keys))
-	for i, k := range keys {
-		tagged[i] = keyAt[K]{k, int32(i)}
-	}
-	// Each shard overwrites its part of parts with its distinct keys.
-	parts, tparts := shard.SplitPairs(s.part, keys, tagged)
-	parallel.For(s.pool, len(parts), 1, func(sh int) {
-		ev := tparts[sh]
-		slices.SortFunc(ev, func(a, b keyAt[K]) int { return cmp.Compare(a.k, b.k) })
-		ks := parts[sh][:0]
-		for j, e := range ev {
-			if j == 0 || e.k != ev[j-1].k {
-				ks = append(ks, e.k)
-			}
-		}
-		var vs []V
-		if vals != nil {
-			vs = make([]V, len(ks))
-		}
-		fs := make([]bool, len(ks))
-		s.trees[sh].VersionGetBatched(vers[sh], ks, vs, fs)
-		d := -1
-		for j, e := range ev {
-			if j == 0 || e.k != ev[j-1].k {
-				d++
-			}
-			found[e.at] = fs[d]
-			if vals != nil {
-				vals[e.at] = vs[d]
-			}
-		}
-	})
-}
-
-// keyAt is one key of a batch with its input position.
-type keyAt[K Key] struct {
-	k  K
-	at int32
 }
 
 // PutBatch upserts every (keys[i], vals[i]) pair, returning how many

@@ -36,8 +36,8 @@ func newShardedForTest(cfg pbist.ShardedOptions, keys []int64, vals []uint64) *p
 // shard boundaries (stripe width and shard width are unrelated). Runs
 // under -race in CI. Finally the merged oracles must equal the
 // cross-shard snapshot and the answers of batched reads over every key:
-// one of a thousand keys, walked key by key in parallel, and one of
-// about 270 thousand, answered by a sorted batched traversal.
+// one of a thousand keys and one of 20 to 40 thousand, both walked
+// in groups on the pool.
 func TestShardedDifferentialStress(t *testing.T) {
 	for name, cfg := range shardedConfigs() {
 		cfg := cfg
@@ -154,13 +154,11 @@ func TestShardedDifferentialStress(t *testing.T) {
 				t.Fatalf("Len = %d, snapshot %d", n, len(ks))
 			}
 			// One batch over the whole span and past both ends, shuffled,
-			// with every key 80 times: past cutSortMin (256k keys) even
-			// with -short.
+			// with every key six times: about 80 pool tasks of cutGrain
+			// (256) keys even with -short.
 			var probe []int64
 			for k := int64(-stride); k < int64(clients+1)*stride; k++ {
-				for range 80 {
-					probe = append(probe, k)
-				}
+				probe = append(probe, k, k, k, k, k, k)
 			}
 			r := dist.NewRNG(0xba7c4)
 			for i := len(probe) - 1; i > 0; i-- {
