@@ -339,8 +339,8 @@ func BenchmarkSweepBatchSize(b *testing.B) {
 
 // Map workload: the value-carrying batched operations through the
 // public Map view with 8-byte payloads. PutBatch mixes fresh inserts
-// with value overwrites (batches share the base key range), so both
-// the updateRec and insertRec paths execute; GetBatch exercises the
+// with value overwrites (batches share the base key range), so the
+// write traversal both overwrites and inserts; GetBatch exercises the
 // value-fetching traversal. AssumeSorted skips facade normalization:
 // the workload generator emits sorted duplicate-free batches, so the
 // timings measure the batched core, not the sort.

@@ -3,9 +3,10 @@
 // goroutines submit single-key and mini-batch operations, a single
 // combiner goroutine coalesces everything queued into an epoch —
 // whatever arrives while one epoch runs forms the next — and each
-// epoch executes as at most one batched presence traversal plus
-// the batched write traversals that presence already splits (no second
-// presence check), with full intra-batch parallelism.
+// epoch executes as at most one batched presence traversal plus one
+// batched write traversal that applies the epoch's updates, inserts
+// and removes together (no second presence check), with full
+// intra-batch parallelism.
 //
 // This inverts the usual lock-based recipe: instead of serializing
 // clients around a structure that handles one key at a time, clients
@@ -52,17 +53,18 @@ import (
 // combiner can reuse the array of one epoch as the array of the next
 // instead of allocating per epoch.
 //
-// ApplyResolved applies the epoch's surviving writes, split by that
-// same presence: updK are live keys whose values it overwrites with
-// updV, insK absent keys it inserts with insV, delK live keys it
-// removes. The three batches are pairwise disjoint. The engine trusts
-// the split and runs no presence traversal of its own, so an epoch
+// ApplyResolved applies the epoch's surviving writes in one batched
+// write traversal: keys are the distinct keys that write, found their
+// presence before the epoch (as the read above resolved it), live
+// their presence after it, and vals the last-wins values of the keys
+// live after. Every key has found or live set. The engine trusts the
+// presence and runs no presence traversal of its own, so an epoch
 // walks the tree once to read and once to write. It never retains a
 // batch slice. It returns the keys its inline rebuilds laid down,
 // which the epoch trace records as RebuildKeys.
 type Engine[K cmp.Ordered, V any] interface {
 	ContainsBatchedInto(keys []K, found []bool)
-	ApplyResolved(updK []K, updV []V, insK []K, insV []V, delK []K) (rebuildKeys int)
+	ApplyResolved(keys []K, vals []V, found, live []bool) (rebuildKeys int)
 
 	// PublishVersion is called at the end of every epoch, after the
 	// epoch's writes and before its clients are woken, so by the time

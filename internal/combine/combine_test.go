@@ -62,27 +62,23 @@ func (e *gatedEngine) ContainsBatchedInto(keys []int64, found []bool) {
 	}
 }
 
-// ApplyResolved trusts the combiner's split as a core tree does, but
-// checks it first: a key filed under the wrong presence panics the
-// combiner goroutine, which fails the test binary loudly.
-func (e *gatedEngine) ApplyResolved(updK []int64, updV []uint64, insK []int64, insV []uint64, delK []int64) int {
-	for i, k := range updK {
-		if _, ok := e.m[k]; !ok {
-			panic("gatedEngine: update of an absent key")
+// ApplyResolved trusts the combiner's presence as a core tree does,
+// but checks it first: a key whose found flag disagrees with the map,
+// or that neither was nor becomes live, panics the combiner goroutine,
+// which fails the test binary loudly.
+func (e *gatedEngine) ApplyResolved(keys []int64, vals []uint64, found, live []bool) int {
+	for i, k := range keys {
+		if _, ok := e.m[k]; ok != found[i] {
+			panic("gatedEngine: found disagrees with the engine's contents")
 		}
-		e.m[k] = updV[i]
-	}
-	for i, k := range insK {
-		if _, ok := e.m[k]; ok {
-			panic("gatedEngine: insert of a live key")
+		switch {
+		case live[i]:
+			e.m[k] = vals[i]
+		case found[i]:
+			delete(e.m, k)
+		default:
+			panic("gatedEngine: a key that writes nothing")
 		}
-		e.m[k] = insV[i]
-	}
-	for _, k := range delK {
-		if _, ok := e.m[k]; !ok {
-			panic("gatedEngine: remove of an absent key")
-		}
-		delete(e.m, k)
 	}
 	return 0
 }

@@ -20,17 +20,6 @@ type event[K cmp.Ordered] struct {
 	sub int32
 }
 
-// verdict is what an epoch writes for one distinct key, decided by
-// replaying the key's events from its pre-epoch presence.
-type verdict uint8
-
-const (
-	noWrite verdict = iota // absent before the epoch and after it
-	update                 // live before and after: overwrite the value
-	insert                 // absent before, live after
-	remove                 // live before, absent after
-)
-
 // retainElems bounds what the per-epoch arrays keep between epochs:
 // when an epoch ends, an array whose capacity exceeds retainElems
 // elements is dropped, so one huge PutBatch does not pin its
@@ -42,14 +31,12 @@ const retainElems = 16384
 // runEpoch regrows each to its epoch's size, and the next epoch reuses
 // them. Their contents are dead between epochs.
 type epochBufs[K cmp.Ordered, V any] struct {
-	events   []event[K]
-	keys     []K       // distinct keys, sorted
-	runs     []int32   // start of each key's event run, plus the end
-	found    []bool    // pre-epoch presence per distinct key
-	verdicts []verdict // what the epoch writes per distinct key
-	winVal   []V       // the value a surviving Put installs
-	wk       []K       // write batches: updates, inserts, then removes
-	wv       []V       // values of the updates, then of the inserts
+	events []event[K]
+	keys   []K     // distinct keys, sorted
+	runs   []int32 // start of each key's event run, plus the end
+	found  []bool  // pre-epoch presence per distinct key
+	live   []bool  // post-epoch presence per distinct key
+	winVal []V     // the value a surviving Put installs
 }
 
 // trim drops every array whose capacity exceeds maxCap elements.
@@ -58,10 +45,8 @@ func (b *epochBufs[K, V]) trim(maxCap int) {
 	b.keys = trimmed(b.keys, maxCap)
 	b.runs = trimmed(b.runs, maxCap)
 	b.found = trimmed(b.found, maxCap)
-	b.verdicts = trimmed(b.verdicts, maxCap)
+	b.live = trimmed(b.live, maxCap)
 	b.winVal = trimmed(b.winVal, maxCap)
-	b.wk = trimmed(b.wk, maxCap)
-	b.wv = trimmed(b.wv, maxCap)
 }
 
 // retained reports how many arrays b holds and their summed capacity
@@ -69,7 +54,7 @@ func (b *epochBufs[K, V]) trim(maxCap int) {
 func (b *epochBufs[K, V]) retained() (bufs, elems int64) {
 	for _, n := range [...]int{
 		cap(b.events), cap(b.keys), cap(b.runs), cap(b.found),
-		cap(b.verdicts), cap(b.winVal), cap(b.wk), cap(b.wv),
+		cap(b.live), cap(b.winVal),
 	} {
 		if n > 0 {
 			bufs++
@@ -96,8 +81,9 @@ func resized[T any](s []T, n int) []T {
 // runEpoch executes one combined batch: it resolves the pre-epoch
 // presence of every distinct key with at most one batched contains
 // traversal, replays each key's events in linearization order to fill
-// per-op results, and hands the surviving last-wins writes, split by
-// that presence, to one ApplyResolved call.
+// per-op results and the key's post-epoch presence, and hands the keys
+// that write, with both presences and the last-wins values, to one
+// ApplyResolved call.
 //
 //pbist:combiner
 func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
@@ -153,8 +139,8 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 
 	// One batched contains traversal resolves the pre-epoch presence of
 	// every key the epoch touches. The writes' return values need it,
-	// and so does the split of the write batches below, which is why
-	// the engine's writes run no presence check of their own.
+	// and so does the write itself, which is why the engine runs no
+	// presence check of its own.
 	preFound := resized(buf.found, nruns)
 	clear(preFound) // the *Into engine contract wants it zeroed
 	buf.found = preFound
@@ -168,56 +154,36 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 	// Replay every key's events in linearization order, in parallel
 	// across keys: presence (and value) evolve per event, each event
 	// writes its op's answer at its own position, and the key's final
-	// state against its pre-epoch presence is its verdict. Distinct
-	// keys never share a result position, so the scatter is race-free.
-	verdicts := resized(buf.verdicts, nruns)
+	// presence and value are what the epoch writes. Distinct keys never
+	// share a result position, so the scatter is race-free.
+	live := resized(buf.live, nruns)
 	winVal := resized(buf.winVal, nruns)
-	buf.verdicts, buf.winVal = verdicts, winVal
+	buf.live, buf.winVal = live, winVal
 	if pr != nil {
 		parallel.WithLabel(true, "combine-replay", func() {
-			c.replayRuns(ops, events, runStart, preFound, verdicts, winVal, nruns)
+			c.replayRuns(ops, events, runStart, preFound, live, winVal, nruns)
 		})
 		tReplay = time.Now()
 	} else {
-		c.replayRuns(ops, events, runStart, preFound, verdicts, winVal, nruns)
+		c.replayRuns(ops, events, runStart, preFound, live, winVal, nruns)
 	}
 
-	// Split the surviving writes by verdict, in run order — readKeys is
-	// sorted, so each batch is sorted and duplicate-free as the engine
-	// requires — into three regions of one key array and two of one
-	// value array, and apply them with one call. The engine never
+	// Keep, in key order, the runs that write: a key live before or
+	// after the epoch. readKeys is sorted, so the batch is sorted and
+	// duplicate-free as the engine requires. The compaction runs in
+	// place; nothing below reads the arrays by run, and the engine never
 	// retains a batch slice (writes copy into tree-owned storage).
-	var nUpd, nIns, nDel int
-	for _, v := range verdicts {
-		switch v {
-		case update:
-			nUpd++
-		case insert:
-			nIns++
-		case remove:
-			nDel++
-		}
-	}
-	wk := resized(buf.wk, nUpd+nIns+nDel)
-	wv := resized(buf.wv, nUpd+nIns)
-	buf.wk, buf.wv = wk, wv
-	updK, insK, delK := wk[:0:nUpd], wk[nUpd:nUpd:nUpd+nIns], wk[nUpd+nIns:nUpd+nIns]
-	updV, insV := wv[:0:nUpd], wv[nUpd:nUpd]
-	for r, v := range verdicts {
-		switch v {
-		case update:
-			updK = append(updK, readKeys[r])
-			updV = append(updV, winVal[r])
-		case insert:
-			insK = append(insK, readKeys[r])
-			insV = append(insV, winVal[r])
-		case remove:
-			delK = append(delK, readKeys[r])
+	w := 0
+	for r := range nruns {
+		if preFound[r] || live[r] {
+			readKeys[w], winVal[w] = readKeys[r], winVal[r]
+			preFound[w], live[w] = preFound[r], live[r]
+			w++
 		}
 	}
 	rebuildKeys := 0
-	if len(wk) > 0 {
-		rebuildKeys = c.eng.ApplyResolved(updK, updV, insK, insV, delK)
+	if w > 0 {
+		rebuildKeys = c.eng.ApplyResolved(readKeys[:w], winVal[:w], preFound[:w], live[:w])
 	}
 	if pr != nil {
 		tWrite = time.Now()
@@ -267,7 +233,7 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 // observed path can run it under a pprof label without forcing a
 // closure allocation on the unobserved path. It touches no
 // combiner-confined state — everything it needs arrives as arguments.
-func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, preFound []bool, verdicts []verdict, winVal []V, nruns int) {
+func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, preFound, live []bool, winVal []V, nruns int) {
 	parallel.For(c.pool, nruns, 256, func(r int) {
 		present := preFound[r]
 		var val V
@@ -287,15 +253,6 @@ func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart
 		// A key live after the epoch ends in a Put, whose value is
 		// installed (also when the key pre-existed, since the value may
 		// differ).
-		switch {
-		case present && preFound[r]:
-			verdicts[r], winVal[r] = update, val
-		case present:
-			verdicts[r], winVal[r] = insert, val
-		case preFound[r]:
-			verdicts[r] = remove
-		default:
-			verdicts[r] = noWrite
-		}
+		live[r], winVal[r] = present, val
 	})
 }

@@ -240,15 +240,15 @@ func TestCloneEmpty(t *testing.T) {
 
 // TestPublishedEpochAllocs pins the path-copy cost of one publishing
 // epoch: a single-key update, insert or remove on a 2^17-key
-// publishing tree, followed by PublishVersion. Each epoch copies one
+// publishing tree, or one of each in a single ApplyResolved (mixed),
+// followed by PublishVersion. Each epoch copies one
 // children array per inner level below the root on the key's path,
 // the vals/exists slots only at the node whose slot it writes, and
 // the leaf arrays with merge headroom, so the insert merges in place.
 // In steady state the root allocates nothing: its copy reuses a
-// graced spare root. The ceilings are the measured counts at the
-// default H; a fresh root copy on every epoch costs 10 (update), 11
-// (insert) and 9 (remove), and copying every inner node's vals and
-// exists as well 14, 15 and 13.
+// graced spare root. The update and insert ceilings (9 and 9) sit
+// above their measured counts at the default H, 6 and 7; the remove
+// and mixed ceilings are their measured counts.
 func TestPublishedEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings are checked in the non-race run")
@@ -275,6 +275,25 @@ func TestPublishedEpochAllocs(t *testing.T) {
 		tr.PutBatched(key[:], val[:])
 	})
 	remove := epoch(func() { tr.RemoveBatched(key[:]) })
+	// mixed updates key k, inserts k+1 and removes the key the previous
+	// mixed epoch inserted, all in one ApplyResolved call.
+	var mk, mv [3]int64
+	var mf, ml [3]bool
+	prev := int64(1) // odd, so absent until this Put
+	tr.PutBatched([]int64{prev}, []int64{0})
+	mixed := epoch(func() {
+		k := key[0]
+		upd, ins, rem := 0, 1, 2
+		if prev < k {
+			upd, ins, rem = 1, 2, 0
+		}
+		mk[upd], mk[ins], mk[rem] = k, k+1, prev
+		mv[upd], mv[ins] = val[0], val[0]
+		mf[upd], mf[ins], mf[rem] = true, false, true
+		ml[upd], ml[ins], ml[rem] = true, true, false
+		tr.ApplyResolved(mk[:], mv[:], mf[:], ml[:])
+		prev = k + 1
+	})
 	for _, c := range []struct {
 		name    string
 		run     func()
@@ -283,6 +302,7 @@ func TestPublishedEpochAllocs(t *testing.T) {
 		{"update", update, 9},
 		{"insert", insert, 9},
 		{"remove", remove, 7},
+		{"mixed", mixed, 13},
 	} {
 		for i := 0; i < 8; i++ {
 			c.run() // warm the arena's free lists

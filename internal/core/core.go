@@ -10,8 +10,9 @@
 //   - InsertBatched (§5) adds a sorted batch (set union),
 //   - PutBatched (§5) upserts a sorted batch of key-value pairs,
 //   - RemoveBatched (§6) deletes a sorted batch (set difference),
-//   - ApplyResolved runs the write traversals of the three above for
-//     batches whose presence the caller already resolved,
+//   - ApplyResolved applies a batch of updates, inserts and removes
+//     whose presence the caller already resolved, in the one write
+//     traversal the three above share,
 //
 // each in expected O(m·log log n) work for a batch of m keys against a
 // tree of n keys drawn from a smooth distribution, and polylogarithmic
@@ -156,6 +157,12 @@ type Tree[K iindex.Numeric, V any] struct {
 	// laid down (recordRebuild). Rebuilds fire inside the parallel
 	// recursion, hence the atomic; ApplyResolved reports its delta.
 	rebuiltKeys atomic.Int64
+
+	// wb is the batch the running ApplyResolved applies, set for the
+	// length of that one call. Held here rather than passed down, the
+	// write recursion and its parallel closures reach it through t and
+	// the call allocates nothing to carry it.
+	wb writeBatch[K, V]
 }
 
 // node is one IST node (§3.1 plus the bookkeeping of §6–§7). Leaves

@@ -11,41 +11,49 @@ import (
 )
 
 // TestApplyResolvedMatchesFilteredWrites is the differential test of
-// ApplyResolved. Each round draws a random batch, makes each key a Put
-// or a Delete, and splits the batch by the presence a model reports:
-// Puts of live keys are updates, Puts of absent keys inserts, Deletes
-// of live keys removals, and Deletes of absent keys are dropped. One
-// tree takes the split through ApplyResolved; its twin takes the same
-// Puts and Deletes through PutBatched + RemoveBatched, which resolve
-// presence themselves. After every round both must hold the model's
-// items. On publishing trees every round also publishes, and at the
-// end each published version of the two trees is read under one pin
-// per tree, taken before the first publish, and compared.
+// ApplyResolved. Each round draws a random batch and makes each key a
+// Put or a Delete. A model resolves each key's presence before and
+// after: Puts of live keys are updates, Puts of absent keys inserts,
+// Deletes of live keys removals, and Deletes of absent keys are
+// dropped. One tree takes the whole mixed batch in one ApplyResolved
+// call; its twin takes the same Puts and Deletes through PutBatched +
+// RemoveBatched, which resolve presence themselves. After every round
+// both must hold the model's items. On publishing trees every round
+// also publishes, and at the end each published version of the two
+// trees is read under one pin per tree, taken before the first
+// publish, and compared.
 //
 // The cases cover the sequential loop form (batches of at most 512
 // keys on a 1-worker pool, and of at most seqSegCutoff+1 keys on a
 // 2-worker pool, which walks a segment sequentially from the cutoff
 // down) and the parallel one above it (larger batches on a 2-worker
 // pool), with both traversal modes. RebuildFactor 1 makes rebuilds
-// fire in every case.
+// fire in every case; at LeafCap 4 they fire on small subtrees whose
+// segments hold updates, inserts and removes together.
 func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 	for _, tc := range []struct {
 		workers, maxBatch int
 		traverse          TraverseMode
+		leafCap           int
 		publish           bool
 	}{
-		{1, 512, TraverseInterpolation, false},
-		{1, 512, TraverseInterpolation, true},
-		{2, 4096, TraverseInterpolation, false},
-		{2, 4096, TraverseInterpolation, true},
-		{2, seqSegCutoff + 1, TraverseInterpolation, false},
-		{2, seqSegCutoff + 1, TraverseInterpolation, true},
-		{2, 4096, TraverseRank, false},
-		{2, 4096, TraverseRank, true},
+		{1, 512, TraverseInterpolation, 0, false},
+		{1, 512, TraverseInterpolation, 0, true},
+		{2, 4096, TraverseInterpolation, 0, false},
+		{2, 4096, TraverseInterpolation, 0, true},
+		{2, seqSegCutoff + 1, TraverseInterpolation, 0, false},
+		{2, seqSegCutoff + 1, TraverseInterpolation, 0, true},
+		{2, 4096, TraverseRank, 0, false},
+		{2, 4096, TraverseRank, 0, true},
+		{2, 4096, TraverseInterpolation, 4, false},
+		{2, 4096, TraverseInterpolation, 4, true},
 	} {
 		name := fmt.Sprintf("workers%d_batch%d", tc.workers, tc.maxBatch)
 		if tc.traverse == TraverseRank {
 			name += "_rank"
+		}
+		if tc.leafCap != 0 {
+			name += fmt.Sprintf("_leafcap%d", tc.leafCap)
 		}
 		name += fmt.Sprintf("_publish%v", tc.publish)
 		t.Run(name, func(t *testing.T) {
@@ -60,8 +68,10 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 				baseV[i] = r.Int63()
 				model[k] = baseV[i]
 			}
-			resolved := NewFromSortedKV(Config{RebuildFactor: 1, Traverse: tc.traverse, Metrics: reg}, pool, base, baseV)
-			filtered := NewFromSortedKV(Config{RebuildFactor: 1, Traverse: tc.traverse}, pool, base, baseV)
+			cfg := Config{LeafCap: tc.leafCap, RebuildFactor: 1, Traverse: tc.traverse}
+			filtered := NewFromSortedKV(cfg, pool, base, baseV)
+			cfg.Metrics = reg
+			resolved := NewFromSortedKV(cfg, pool, base, baseV)
 			startRebuilds := reg.Snapshot().Counters["core.rebuild.count"]
 
 			var versions [][2]*Version[int64, int64]
@@ -78,33 +88,37 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 
 			for round := 0; round < rounds; round++ {
 				keys := randomBatch(r, tc.maxBatch, span)
-				var putK, delK, updK, insK, remK []int64
-				var putV, updV, insV []int64
+				var putK, delK, resK []int64
+				var putV, resV []int64
+				var found, live []bool
+				var nIns, nRem int
 				for _, k := range keys {
-					_, live := model[k]
+					_, had := model[k]
 					if r.Intn(2) == 0 {
 						v := r.Int63()
 						putK, putV = append(putK, k), append(putV, v)
-						if live {
-							updK, updV = append(updK, k), append(updV, v)
-						} else {
-							insK, insV = append(insK, k), append(insV, v)
+						resK, resV = append(resK, k), append(resV, v)
+						found, live = append(found, had), append(live, true)
+						if !had {
+							nIns++
 						}
 						model[k] = v
 						continue
 					}
 					delK = append(delK, k)
-					if live {
-						remK = append(remK, k)
+					if had {
+						resK, resV = append(resK, k), append(resV, 0)
+						found, live = append(found, true), append(live, false)
+						nRem++
 						delete(model, k)
 					}
 				}
-				resolved.ApplyResolved(updK, updV, insK, insV, remK)
-				if got := filtered.PutBatched(putK, putV); got != len(insK) {
-					t.Fatalf("round %d: PutBatched inserted %d, want %d", round, got, len(insK))
+				resolved.ApplyResolved(resK, resV, found, live)
+				if got := filtered.PutBatched(putK, putV); got != nIns {
+					t.Fatalf("round %d: PutBatched inserted %d, want %d", round, got, nIns)
 				}
-				if got := filtered.RemoveBatched(delK); got != len(remK) {
-					t.Fatalf("round %d: RemoveBatched removed %d, want %d", round, got, len(remK))
+				if got := filtered.RemoveBatched(delK); got != nRem {
+					t.Fatalf("round %d: RemoveBatched removed %d, want %d", round, got, nRem)
 				}
 
 				mk, mv := modelItems(model)

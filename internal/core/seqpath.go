@@ -84,22 +84,22 @@ func runEnd(pf []int32, i int) int {
 
 // mergeLeaf merges the batch pairs that pf marks physically absent
 // into leaf v's rep/vals/exists triple (Fig. 11); entries with the
-// found bit set were revived in place and are skipped.
+// found bit set were written in place and are skipped.
 //
-// When the leaf's arrays have spare capacity the merge runs in place
-// (backward, so sources are consumed before being overwritten);
-// otherwise fresh arrays are allocated with slack·n capacity
+// The merge runs in place, backward, so sources are consumed before
+// being overwritten. When the leaf's arrays lack the capacity, the
+// leaf is first copied into fresh arrays with slack·n capacity
 // (Config.LeafSlack), so the next few merges into the same leaf cost
 // nothing — that reallocation feeds the leaf-growth counter the
 // leafslack experiment sweeps. Chunk-carved arrays are
-// capacity-clamped and therefore always take the allocating path on
-// their first merge, which is what keeps leaf growth out of shared
-// chunk storage. On a publishing tree the leaf is a path copy of this
-// epoch (owned), whose private arrays already hold one more key plus
-// the same slack, so a single-key insert merges in place; a frozen
-// leaf's spare capacity is never written, because the merge only ever
-// runs on the copy. The arrays are leaf-retained either way, so they
-// never come from recycled scratch.
+// capacity-clamped and therefore always reallocate on their first
+// merge, which is what keeps leaf growth out of shared chunk storage.
+// On a publishing tree the leaf is a path copy of this epoch (owned),
+// whose private arrays already hold one more key plus the same slack,
+// so a single-key insert merges without reallocating; a frozen leaf's
+// spare capacity is never written, because the merge only ever runs
+// on the copy. The arrays are leaf-retained either way, so they never
+// come from recycled scratch.
 func (t *Tree[K, V]) mergeLeaf(v *node[K, V], batchK []K, batchV []V, pf []int32) {
 	absent := 0
 	for _, p := range pf {
@@ -112,66 +112,33 @@ func (t *Tree[K, V]) mergeLeaf(v *node[K, V], batchK []K, batchV []V, pf []int32
 	}
 	rep, vals, exists := v.rep, v.vals, v.exists
 	n := len(rep) + absent
-	if cap(rep) >= n && cap(vals) >= n && cap(exists) >= n {
-		i := len(rep) - 1
-		rep, vals, exists = rep[:n], vals[:n], exists[:n]
-		w := n - 1
-		for j := len(batchK) - 1; j >= 0; j-- {
-			if pf[j]&1 == 1 {
-				continue // revived in place; already present in rep
-			}
-			for i >= 0 && rep[i] > batchK[j] {
-				rep[w] = rep[i]
-				vals[w] = vals[i]
-				exists[w] = exists[i]
-				i--
-				w--
-			}
-			rep[w] = batchK[j]
-			vals[w] = batchV[j]
-			exists[w] = true
+	if cap(rep) < n || cap(vals) < n || cap(exists) < n {
+		t.ar.leafGrows.Add(1)
+		c := leafGrowCap(n, t.cfg.LeafSlack) // headroom for in-place follow-up merges
+		rep = append(make([]K, 0, c), rep...)
+		vals = append(make([]V, 0, c), vals...)
+		exists = append(make([]bool, 0, c), exists...)
+	}
+	i := len(rep) - 1
+	rep, vals, exists = rep[:n], vals[:n], exists[:n]
+	w := n - 1
+	for j := len(batchK) - 1; j >= 0; j-- {
+		if pf[j]&1 == 1 {
+			continue // written in place; already present in rep
+		}
+		for i >= 0 && rep[i] > batchK[j] {
+			rep[w] = rep[i]
+			vals[w] = vals[i]
+			exists[w] = exists[i]
+			i--
 			w--
 		}
-		v.rep, v.vals, v.exists = rep, vals, exists
-		return
+		rep[w] = batchK[j]
+		vals[w] = batchV[j]
+		exists[w] = true
+		w--
 	}
-	t.ar.leafGrows.Add(1)
-	grown := leafGrowCap(n, t.cfg.LeafSlack) // headroom for in-place follow-up merges
-	nr := make([]K, 0, grown)
-	nv := make([]V, 0, grown)
-	ne := make([]bool, 0, grown)
-	i, j := 0, 0
-	for i < len(rep) && j < len(batchK) {
-		if pf[j]&1 == 1 {
-			j++ // revived in place; already present in rep
-			continue
-		}
-		if rep[i] < batchK[j] {
-			nr = append(nr, rep[i])
-			nv = append(nv, vals[i])
-			ne = append(ne, exists[i])
-			i++
-		} else {
-			nr = append(nr, batchK[j])
-			nv = append(nv, batchV[j])
-			ne = append(ne, true)
-			j++
-		}
-	}
-	for ; i < len(rep); i++ {
-		nr = append(nr, rep[i])
-		nv = append(nv, vals[i])
-		ne = append(ne, exists[i])
-	}
-	for ; j < len(batchK); j++ {
-		if pf[j]&1 == 1 {
-			continue
-		}
-		nr = append(nr, batchK[j])
-		nv = append(nv, batchV[j])
-		ne = append(ne, true)
-	}
-	v.rep, v.vals, v.exists = nr, nv, ne
+	v.rep, v.vals, v.exists = rep, vals, exists
 }
 
 // leafGrowCap is the capacity of freshly allocated leaf arrays for n

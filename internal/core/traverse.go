@@ -9,35 +9,25 @@ import (
 // duplicate-free batch: result[i] is true iff keys[i] is in the tree
 // (§4, Listing 1.2). Expected O(m·log log n) work and polylog span.
 // The result is freshly allocated (it escapes to the caller); the
-// write paths reuse the traversal through containsInto with a scratch
-// destination instead.
+// write paths use ContainsBatchedInto with a scratch destination
+// instead.
 func (t *Tree[K, V]) ContainsBatched(keys []K) []bool {
 	result := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return result
-	}
-	t.containsRec(t.root, keys, 0, len(keys), result, nil, 0)
+	t.ContainsBatchedInto(keys, result)
 	return result
-}
-
-// containsInto resolves membership into the caller-provided result
-// slice (len(keys), zero-initialized: entries of absent keys are left
-// untouched). It is the arena-friendly entry the batched write paths
-// use with recycled buffers.
-func (t *Tree[K, V]) containsInto(keys []K, result []bool) {
-	if len(keys) == 0 {
-		return
-	}
-	t.containsRec(t.root, keys, 0, len(keys), result, nil, 0)
 }
 
 // ContainsBatchedInto is ContainsBatched writing into a caller-provided
 // destination instead of allocating one: result must have len(keys) and
 // be zero-initialized — entries of absent keys are left untouched. It
-// exists so per-epoch callers (the combining frontend) can recycle
-// result arrays through an arena instead of allocating each epoch.
+// is getRec without the value read. It exists so the write paths and
+// per-epoch callers (the combining frontend) can recycle result arrays
+// through an arena instead of allocating each call.
 func (t *Tree[K, V]) ContainsBatchedInto(keys []K, result []bool) {
-	t.containsInto(keys, result)
+	if len(keys) == 0 {
+		return
+	}
+	t.getRec(t.root, keys, 0, len(keys), nil, result, nil, 0)
 }
 
 // GetBatched fetches the value stored under every key of the sorted
@@ -86,62 +76,17 @@ func lookup[K iindex.Numeric, V any](v *node[K, V], key K) (val V, ok bool) {
 	return val, false
 }
 
-// containsRec is BatchedTraverse (§4.1, §4.2): it resolves membership
-// of keys[l:r) within the subtree of v, writing into result at global
-// batch positions. sc is the walker of the sequential segment the
-// call belongs to, nil while the segment is walked in parallel. A
-// parallel segment takes its position buffer from the tree arena and
-// holds it until its whole child fan-out returns; the first segment
-// small enough to walk sequentially borrows a walker, and its subtree
-// runs plain loops on the walker's per-depth buffers.
-func (t *Tree[K, V]) containsRec(v *node[K, V], keys []K, l, r int, result []bool, sc *scratch, depth int) {
-	if v == nil {
-		return // result entries stay false
-	}
-	seg := r - l
-	if sc == nil && !t.sequential(seg) {
-		pf := t.ar.i32s.Get(seg)
-		defer t.ar.i32s.Put(pf)
-		t.findPositions(v, keys[l:r], pf, nil)
-		// Keys found in rep resolve here: present iff not logically
-		// removed (§6).
-		exists := v.exists
-		parallel.For(t.pool, seg, 0, func(i int) {
-			if pf[i]&1 == 1 {
-				result[l+i] = exists[pf[i]>>1]
-			}
-		})
-		if !v.isLeaf() { // leaves are the last possible location (§4.1)
-			t.forEachChildRun(pf, func(lo, hi int, child int) {
-				t.containsRec(v.children[child], keys, l+lo, l+hi, result, nil, 0)
-			})
-		}
-		return
-	}
-	if sc == nil {
-		sc = t.newScratch()
-		defer sc.release()
-	}
-	pf := sc.buf(depth, seg)
-	t.findPositions(v, keys[l:r], pf, sc)
-	for i, p := range pf {
-		if p&1 == 1 {
-			result[l+i] = v.exists[p>>1]
-		}
-	}
-	if v.isLeaf() {
-		return
-	}
-	for i, j := 0, 0; i < seg; i = j {
-		j = runEnd(pf, i)
-		if pf[i]&1 == 0 {
-			t.containsRec(v.children[pf[i]>>1], keys, l+i, l+j, result, sc, depth+1)
-		}
-	}
-}
-
-// getRec is containsRec with a value read: keys found live in v's rep
-// resolve here with their stored value, the rest descend.
+// getRec is BatchedTraverse (§4.1, §4.2): it resolves the keys[l:r)
+// within the subtree of v, writing found (and, when vals is non-nil,
+// the stored value) at global batch positions. A key found in v's rep
+// resolves here: present iff not logically removed (§6); the rest
+// descend, and leaves are the last possible location (§4.1). sc is the
+// walker of the sequential segment the call belongs to, nil while the
+// segment is walked in parallel. A parallel segment takes its position
+// buffer from the tree arena and holds it until its whole child
+// fan-out returns; the first segment small enough to walk sequentially
+// borrows a walker, and its subtree runs plain loops on the walker's
+// per-depth buffers.
 func (t *Tree[K, V]) getRec(v *node[K, V], keys []K, l, r int, vals []V, found []bool, sc *scratch, depth int) {
 	if v == nil {
 		return // found entries stay false
@@ -155,7 +100,9 @@ func (t *Tree[K, V]) getRec(v *node[K, V], keys []K, l, r int, vals []V, found [
 		parallel.For(t.pool, seg, 0, func(i int) {
 			if pf[i]&1 == 1 && exists[pf[i]>>1] {
 				found[l+i] = true
-				vals[l+i] = vv[pf[i]>>1]
+				if vals != nil {
+					vals[l+i] = vv[pf[i]>>1]
+				}
 			}
 		})
 		if !v.isLeaf() {
@@ -174,7 +121,9 @@ func (t *Tree[K, V]) getRec(v *node[K, V], keys []K, l, r int, vals []V, found [
 	for i, p := range pf {
 		if p&1 == 1 && v.exists[p>>1] {
 			found[l+i] = true
-			vals[l+i] = v.vals[p>>1]
+			if vals != nil {
+				vals[l+i] = v.vals[p>>1]
+			}
 		}
 	}
 	if v.isLeaf() {
