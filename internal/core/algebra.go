@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/parallel"
+import (
+	"repro/internal/iindex"
+	"repro/internal/parallel"
+)
 
 // Whole-tree set algebra (§2.2 taken to its conclusion): where
 // InsertBatched/RemoveBatched combine a tree with a *slice*, the
@@ -8,11 +11,12 @@ import "repro/internal/parallel"
 // bulk route of Akhremtsev & Sanders ("Fast Parallel Operations on
 // Search Trees") adapted to the IST's rebuild machinery, every
 // operation is flatten–combine–rebuild: both operands flatten in
-// parallel (§7.2), a shard-parallel merge kernel combines the sorted
-// key/value arrays, and buildIdeal (§7.3) rebuilds an ideally balanced
-// result — O(n₁+n₂) work and polylogarithmic span, which matches the
-// cost of the rebuild any sufficiently large batch triggers anyway,
-// and leaves the result in the best possible shape for later batches.
+// parallel (§7.2), parallel's one set-algebra kernel combines the
+// sorted key/value arrays, and buildIdeal (§7.3) rebuilds an ideally
+// balanced result — O(n₁+n₂) work and polylogarithmic span, which
+// matches the cost of the rebuild any sufficiently large batch
+// triggers anyway, and leaves the result in the best possible shape
+// for later batches.
 //
 // All operations are non-mutating: the operands survive untouched and
 // the result is a fresh tree carrying the receiver's configuration and
@@ -56,14 +60,6 @@ func (t *Tree[K, V]) flattenPairScratch(other *Tree[K, V]) (ak []K, av []V, bk [
 	return ak, av, bk, bv
 }
 
-// combineDst borrows a combine destination large enough for any result
-// over operands of combined size n.
-//
-//pbist:owner
-func (t *Tree[K, V]) combineDst(n int) ([]K, []V) {
-	return t.ar.keys.Get(n), t.ar.vals.Get(n)
-}
-
 // rebuiltFrom wraps sorted duplicate-free keys/vals into a fresh
 // ideally balanced tree with the receiver's configuration and pool.
 func (t *Tree[K, V]) rebuiltFrom(keys []K, vals []V) *Tree[K, V] {
@@ -72,76 +68,57 @@ func (t *Tree[K, V]) rebuiltFrom(keys []K, vals []V) *Tree[K, V] {
 	return res
 }
 
-// Union returns a new tree holding every key of t and other. On keys
-// present in both, the value comes from other when otherWins is true
-// and from t otherwise (for the set instantiation V = struct{} the
-// flag is irrelevant). Neither operand is modified.
-func (t *Tree[K, V]) Union(other *Tree[K, V], otherWins bool) *Tree[K, V] {
+// combineKernel is the signature of parallel's set-algebra entry
+// points.
+type combineKernel[K iindex.Numeric, V any] func(p *parallel.Pool, ak []K, av []V, bk []K, bv []V, dstK []K, dstV []V) ([]K, []V)
+
+// combine is every tree-to-tree set operation: flatten t and other,
+// combine the pairs with kernel — t's as the first operand, or
+// other's when otherFirst — and rebuild the result ideally. The
+// combine destination, dstLen pairs (the kernel's worst case), is
+// receiver-arena scratch like the flattens.
+func (t *Tree[K, V]) combine(other *Tree[K, V], kernel combineKernel[K, V], otherFirst bool, dstLen int) *Tree[K, V] {
 	ak, av, bk, bv := t.flattenPairScratch(other)
-	p := t.algebraPool(len(ak) + len(bk))
-	dstK, dstV := t.combineDst(len(ak) + len(bk))
-	var mk []K
-	var mv []V
-	if otherWins {
-		mk, mv = parallel.UnionKVInto(p, ak, av, bk, bv, dstK, dstV)
-	} else {
-		mk, mv = parallel.UnionKVInto(p, bk, bv, ak, av, dstK, dstV)
+	xk, xv, yk, yv := ak, av, bk, bv
+	if otherFirst {
+		xk, xv, yk, yv = bk, bv, ak, av
 	}
+	dstK, dstV := t.ar.keys.Get(dstLen), t.ar.vals.Get(dstLen)
+	mk, mv := kernel(t.algebraPool(len(ak)+len(bk)), xk, xv, yk, yv, dstK, dstV)
 	res := t.rebuiltFrom(mk, mv)
 	t.ar.putKV(ak, av)
 	t.ar.putKV(bk, bv)
 	t.ar.putKV(dstK, dstV)
 	return res
+}
+
+// Union returns a new tree holding every key of t and other. On keys
+// present in both, the value comes from other when otherWins is true
+// and from t otherwise (for the set instantiation V = struct{} the
+// flag is irrelevant). Neither operand is modified.
+func (t *Tree[K, V]) Union(other *Tree[K, V], otherWins bool) *Tree[K, V] {
+	return t.combine(other, parallel.UnionKVInto[K, V], !otherWins, t.Len()+other.Len())
 }
 
 // Intersect returns a new tree holding the keys present in both t and
 // other, with values from other when otherWins is true and from t
 // otherwise. Neither operand is modified.
 func (t *Tree[K, V]) Intersect(other *Tree[K, V], otherWins bool) *Tree[K, V] {
-	ak, av, bk, bv := t.flattenPairScratch(other)
-	p := t.algebraPool(len(ak) + len(bk))
-	dstK, dstV := t.combineDst(min(len(ak), len(bk)))
-	xk, xv := ak, av
-	yk, yv := bk, bv
-	if otherWins {
-		xk, xv, yk, yv = bk, bv, ak, av
-	}
-	mk, mv := parallel.IntersectKVInto(p, xk, xv, yk, yv, dstK, dstV)
-	res := t.rebuiltFrom(mk, mv)
-	t.ar.putKV(ak, av)
-	t.ar.putKV(bk, bv)
-	t.ar.putKV(dstK, dstV)
-	return res
+	return t.combine(other, parallel.IntersectKVInto[K, V], otherWins, min(t.Len(), other.Len()))
 }
 
 // DifferenceTree returns a new tree holding the keys of t that are not
 // in other, keeping t's values. Neither operand is modified. (The name
 // leaves Difference free for slice-operand helpers in the public API.)
 func (t *Tree[K, V]) DifferenceTree(other *Tree[K, V]) *Tree[K, V] {
-	ak, av, bk, bv := t.flattenPairScratch(other)
-	p := t.algebraPool(len(ak) + len(bk))
-	dstK, dstV := t.combineDst(len(ak))
-	mk, mv := parallel.DifferenceKVInto(p, ak, av, bk, dstK, dstV)
-	res := t.rebuiltFrom(mk, mv)
-	t.ar.putKV(ak, av)
-	t.ar.putKV(bk, bv)
-	t.ar.putKV(dstK, dstV)
-	return res
+	return t.combine(other, parallel.DifferenceKVInto[K, V], false, t.Len())
 }
 
 // SymmetricDifference returns a new tree holding the keys present in
 // exactly one of t and other, each key keeping the value of the
 // operand it came from. Neither operand is modified.
 func (t *Tree[K, V]) SymmetricDifference(other *Tree[K, V]) *Tree[K, V] {
-	ak, av, bk, bv := t.flattenPairScratch(other)
-	p := t.algebraPool(len(ak) + len(bk))
-	dstK, dstV := t.combineDst(len(ak) + len(bk))
-	mk, mv := parallel.SymmetricDifferenceKVInto(p, ak, av, bk, bv, dstK, dstV)
-	res := t.rebuiltFrom(mk, mv)
-	t.ar.putKV(ak, av)
-	t.ar.putKV(bk, bv)
-	t.ar.putKV(dstK, dstV)
-	return res
+	return t.combine(other, parallel.SymmetricDifferenceKVInto[K, V], false, t.Len()+other.Len())
 }
 
 // Split partitions t by key into two new ideally balanced trees: left
@@ -173,7 +150,7 @@ func (t *Tree[K, V]) Join(other *Tree[K, V]) *Tree[K, V] {
 		}
 	}
 	ak, av, bk, bv := t.flattenPairScratch(other)
-	keys, vals := t.combineDst(len(ak) + len(bk))
+	keys, vals := t.ar.keys.Get(len(ak)+len(bk)), t.ar.vals.Get(len(ak)+len(bk))
 	t.pool.Do(
 		func() { copy(keys, ak); copy(vals, av) },
 		func() { copy(keys[len(ak):], bk); copy(vals[len(av):], bv) },

@@ -236,9 +236,10 @@ func TestSetAlgebraIdentities(t *testing.T) {
 	a := sortedUniqueKeys(41, 20000, 1<<24)
 	b := sortedUniqueKeys(42, 20000, 1<<24)
 
-	union := parallel.Merge(p, a, parallel.Difference(p, b, a))
-	diff := parallel.Difference(p, a, b)
-	inter := parallel.Intersect(p, a, b)
+	none := func(k []int64) []struct{} { return make([]struct{}, len(k)) }
+	union, _ := parallel.UnionKVInto(p, a, none(a), b, none(b), nil, nil)
+	diff, _ := parallel.DifferenceKVInto(p, a, none(a), b, none(b), nil, nil)
+	inter, _ := parallel.IntersectKVInto(p, a, none(a), b, none(b), nil, nil)
 
 	tr := NewFromSorted(Config{}, p, a)
 	tr.InsertBatched(b)

@@ -83,7 +83,7 @@ func TestGetBatchedAbsentAndDead(t *testing.T) {
 
 // TestMapDifferentialWithRebuilds drives the KV tree through a churn
 // profile aggressive enough to exercise every rebuild path (flatten +
-// MergeKVInto / DifferenceKVInto + buildIdeal) and checks values never detach
+// DifferenceKVInto / UnionKVInto + buildIdeal) and checks values never detach
 // from their keys.
 func TestMapDifferentialWithRebuilds(t *testing.T) {
 	for name, p := range corePools() {

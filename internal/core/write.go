@@ -9,20 +9,58 @@ import (
 
 // writeBatch is the batch one ApplyResolved call applies. keys is
 // sorted and duplicate-free; live[i] is the presence of keys[i] after
-// the write, and vals[i] its value, read only where live[i]. ins and
-// rem are the exclusive prefix counts of the batch's inserts (absent
-// before, live after) and removes (live before, absent after), so any
-// segment's counts cost two subtractions; the presence before the
-// write is needed for nothing else.
+// the write, and vals[i] its value, read only where live[i]. A batch
+// whose keys all write alike (every key an update, an insert or a
+// remove) says so in kind, and its counts need no arrays. Otherwise
+// ins and rem are the exclusive prefix counts of the batch's inserts
+// (absent before, live after) and removes (live before, absent after),
+// so any segment's counts cost two subtractions; the presence before
+// the write is needed for nothing else.
 type writeBatch[K iindex.Numeric, V any] struct {
 	keys     []K
 	vals     []V
 	live     []bool
+	kind     batchKind
 	ins, rem []int
+}
+
+// batchKind says whether a write batch holds one kind of write.
+type batchKind uint8
+
+const (
+	mixedWrites batchKind = iota // counts from ins/rem
+	onlyUpdates
+	onlyInserts
+	onlyRemoves
+)
+
+// kindOf is the kind of a resolved batch: mixedWrites as soon as one
+// key writes unlike the first.
+func kindOf(found, live []bool) batchKind {
+	for i := range found {
+		if found[i] != found[0] || live[i] != live[0] {
+			return mixedWrites
+		}
+	}
+	switch {
+	case found[0] == live[0]:
+		return onlyUpdates
+	case live[0]:
+		return onlyInserts
+	}
+	return onlyRemoves
 }
 
 // counts returns the inserts and removes among keys[l:r).
 func (b *writeBatch[K, V]) counts(l, r int) (ins, rem int) {
+	switch b.kind {
+	case onlyUpdates:
+		return 0, 0
+	case onlyInserts:
+		return r - l, 0
+	case onlyRemoves:
+		return 0, r - l
+	}
 	return b.ins[r] - b.ins[l], b.rem[r] - b.rem[l]
 }
 
@@ -63,10 +101,12 @@ func writeKind(found, live bool) (ins, rem int) {
 // keys the §7.1 rebuilds it triggered laid down, which the combining
 // frontend records in its epoch trace.
 //
-// It is the one place the write order lives: PutBatched, InsertBatched
-// and RemoveBatched are each their presence filter plus a call to it,
-// and the combining frontend calls it directly with the presence its
-// epoch's read phase resolved.
+// PutBatched is its presence filter plus a call to it, and the
+// combining frontend calls it directly with the presence its epoch's
+// read phase resolved. Only a batch that mixes kinds of write borrows
+// prefix counts. InsertBatched and RemoveBatched, whose filtered
+// batches hold one kind of write, call the same traversal through
+// applyWrites without building presence flags.
 func (t *Tree[K, V]) ApplyResolved(keys []K, vals []V, found, live []bool) (rebuildKeys int) {
 	m := len(keys)
 	if len(vals) != m || len(found) != m || len(live) != m {
@@ -75,7 +115,9 @@ func (t *Tree[K, V]) ApplyResolved(keys []K, vals []V, found, live []bool) (rebu
 	if m == 0 {
 		return 0
 	}
-	before := t.rebuiltKeys.Load()
+	if kind := kindOf(found, live); kind != mixedWrites {
+		return t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live, kind: kind})
+	}
 	// One exclusive scan over both halves: the remove half comes out
 	// offset by the insert total, which every difference cancels.
 	cnt := t.ar.ints.Get(2 * (m + 1))
@@ -91,13 +133,25 @@ func (t *Tree[K, V]) ApplyResolved(keys []K, vals []V, found, live []bool) (rebu
 	}
 	ins[m], rem[m] = 0, 0
 	parallel.ScanInPlace(t.pool, cnt)
-	// t.wb holds the counts only until it is cleared below, before cnt
-	// returns to the arena.
-	t.wb = writeBatch[K, V]{keys: keys, vals: vals, live: live, ins: ins, rem: rem} //pbist:owner
-	t.dirty = true
-	t.root = t.writeRec(t.root, 0, m, nil, 0)
-	t.wb = writeBatch[K, V]{}
+	// The batch holds the counts only until applyWrites returns, before
+	// cnt returns to the arena.
+	n := t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live, ins: ins, rem: rem}) //pbist:owner
 	t.ar.ints.Put(cnt)
+	return n
+}
+
+// applyWrites runs the one §5–§6 traversal of ApplyResolved over b and
+// returns the keys the rebuilds it triggered laid down. t.wb holds b
+// only for the traversal.
+func (t *Tree[K, V]) applyWrites(b writeBatch[K, V]) (rebuildKeys int) {
+	if len(b.keys) == 0 {
+		return 0
+	}
+	before := t.rebuiltKeys.Load()
+	t.wb = b
+	t.dirty = true
+	t.root = t.writeRec(t.root, 0, len(b.keys), nil, 0)
+	t.wb = writeBatch[K, V]{}
 	return int(t.rebuiltKeys.Load() - before)
 }
 
@@ -126,11 +180,9 @@ func (t *Tree[K, V]) InsertBatched(keys []K) int {
 	t.ar.bools.Put(present)
 	n := len(fresh)
 	zeroV := t.ar.vals.GetZero(n)
-	found := t.ar.bools.GetZero(n)
 	live := t.trues(n)
-	t.ApplyResolved(fresh, zeroV, found, live)
+	t.applyWrites(writeBatch[K, V]{keys: fresh, vals: zeroV, live: live, kind: onlyInserts}) //pbist:owner
 	t.ar.vals.Put(zeroV)
-	t.ar.bools.Put(found)
 	t.ar.bools.Put(live)
 	t.ar.keys.Put(freshBuf)
 	return n
@@ -185,11 +237,9 @@ func (t *Tree[K, V]) RemoveBatched(keys []K) int {
 	t.ar.bools.Put(present)
 	n := len(doomed)
 	unread := t.ar.vals.Get(n) // no key is live after: values are never read
-	found := t.trues(n)
 	live := t.ar.bools.GetZero(n)
-	t.ApplyResolved(doomed, unread, found, live)
+	t.applyWrites(writeBatch[K, V]{keys: doomed, vals: unread, live: live, kind: onlyRemoves}) //pbist:owner
 	t.ar.vals.Put(unread)
-	t.ar.bools.Put(found)
 	t.ar.bools.Put(live)
 	t.ar.keys.Put(doomedBuf)
 	return n
@@ -311,7 +361,7 @@ func (t *Tree[K, V]) rebuildWith(v *node[K, V], l, r, ins, rem int) *node[K, V] 
 	if ins < seg {
 		dk, dv := t.ar.keys.Get(len(outK)), t.ar.vals.Get(len(outV))
 		defer t.ar.putKV(dk, dv)
-		outK, outV = parallel.DifferenceKVInto(t.pool, outK, outV, keys, dk, dv)
+		outK, outV = parallel.DifferenceKVInto(t.pool, outK, outV, keys, vals, dk, dv)
 	}
 	if rem < seg {
 		addK, addV := keys, vals
@@ -324,7 +374,7 @@ func (t *Tree[K, V]) rebuildWith(v *node[K, V], l, r, ins, rem int) *node[K, V] 
 		}
 		mk, mv := t.ar.keys.Get(len(outK)+len(addK)), t.ar.vals.Get(len(outV)+len(addV))
 		defer t.ar.putKV(mk, mv)
-		outK, outV = parallel.MergeKVInto(t.pool, outK, outV, addK, addV, mk, mv)
+		outK, outV = parallel.UnionKVInto(t.pool, outK, outV, addK, addV, mk, mv)
 	}
 	root := t.labeledBuild(outK, outV)
 	t.ar.putKV(flatK, flatV)

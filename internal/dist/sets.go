@@ -59,7 +59,7 @@ func distinctSet(r *RNG, n int, lo, hi int64, draw func(*RNG) int64) []int64 {
 	for round := 0; len(keys) < n && round < 64; round++ {
 		extra := drawShards(r, n-len(keys), draw)
 		extra = parallel.SortedDedup(pool, extra)
-		keys = parallel.Dedup(pool, parallel.Merge(pool, keys, extra))
+		keys = union(keys, extra)
 	}
 	if len(keys) < n {
 		keys = fillAbsent(keys, n, lo, hi)
@@ -104,7 +104,14 @@ func fillAbsent(keys []int64, n int, lo, hi int64) []int64 {
 		}
 		fills = append(fills, next)
 	}
-	return parallel.Merge(pool, keys, fills)
+	return union(keys, fills)
+}
+
+// union returns the sorted union of two sorted duplicate-free key
+// sets on the package pool.
+func union(a, b []int64) []int64 {
+	out, _ := parallel.UnionKVInto(pool, a, make([]struct{}, len(a)), b, make([]struct{}, len(b)), nil, nil)
+	return out
 }
 
 // HalfDense returns every integer of [lo, hi] independently with

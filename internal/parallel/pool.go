@@ -1,6 +1,7 @@
 // Package parallel implements the fork-join runtime and the standard
 // parallel primitives the paper assumes (§2.4): parallel loops, Scan,
-// Filter, Merge, Difference, Rank, and parallel sorting.
+// Filter, Rank, one two-sequence kernel for merge, difference and set
+// algebra, and parallel sorting.
 //
 // The paper's reference implementation uses OpenCilk; here a Pool plays
 // the role of the Cilk worker set. A Pool with W workers never runs more

@@ -49,7 +49,7 @@ func BenchmarkMerge(b *testing.B) {
 	for _, p := range benchPools() {
 		b.Run(poolName(p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Merge(p, x, y)
+				UnionKVInto(p, x, none(x), y, none(y), nil, nil)
 			}
 			b.SetBytes(int64(benchN * 8))
 		})
@@ -62,7 +62,7 @@ func BenchmarkDifference(b *testing.B) {
 	for _, p := range benchPools() {
 		b.Run(poolName(p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Difference(p, x, y)
+				DifferenceKVInto(p, x, none(x), y, none(y), nil, nil)
 			}
 			b.SetBytes(int64(benchN * 8))
 		})
@@ -92,7 +92,7 @@ func BenchmarkSort(b *testing.B) {
 				b.StopTimer()
 				copy(buf, src)
 				b.StartTimer()
-				Sort(p, buf)
+				SortedDedup(p, buf)
 			}
 			b.SetBytes(int64(benchN * 8))
 		})

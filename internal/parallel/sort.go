@@ -2,49 +2,50 @@ package parallel
 
 import "slices"
 
-// sortCutoff is the size below which Sort falls back to the standard
-// library's pattern-defeating quicksort.
+// sortCutoff is the size below which SortedDedup falls back to the
+// standard library's pattern-defeating quicksort.
 const sortCutoff = 4096
 
-// Sort sorts a in place using a parallel merge sort: O(n log n) work and
-// O(log³ n) span. It is used to pre-sort key batches, since every
-// batched operation of the paper assumes its input batch is sorted.
-func Sort[K Ordered](p *Pool, a []K) {
+// SortedDedup sorts a and removes duplicates, returning the distinct
+// keys as a prefix of a. It is the standard batch normalization step
+// for callers that cannot guarantee sorted duplicate-free input, since
+// every batched operation of the paper assumes its input batch is
+// sorted. A parallel merge sort whose merge is UnionKVInto: each half
+// comes back sorted and duplicate-free, so their union is too.
+// O(n log n) work.
+func SortedDedup[K Ordered](p *Pool, a []K) []K {
 	if len(a) <= sortCutoff || p.sequential() {
 		slices.Sort(a)
-		return
+		return slices.Compact(a)
 	}
 	buf := make([]K, len(a))
-	sortInto(p, a, buf, false)
+	return a[:sortDedupInto(p, a, buf, false)]
 }
 
-// SortedDedup sorts a and removes duplicates, returning the compacted
-// slice. It is the standard batch normalization step for callers that
-// cannot guarantee sorted duplicate-free input.
-func SortedDedup[K Ordered](p *Pool, a []K) []K {
-	Sort(p, a)
-	return Dedup(p, a)
-}
-
-// sortInto sorts src; if toBuf is false the sorted data ends in src,
-// otherwise in buf. The two buffers ping-pong across recursion levels so
-// each merge copies once.
-func sortInto[K Ordered](p *Pool, src, buf []K, toBuf bool) {
-	if len(src) <= sortCutoff || p.sequential() {
+// sortDedupInto sorts and deduplicates src and returns the number n of
+// distinct keys, left in src[:n] if toBuf is false and in buf[:n]
+// otherwise. The two buffers ping-pong across recursion levels so each
+// merge copies once.
+func sortDedupInto[K Ordered](p *Pool, src, buf []K, toBuf bool) int {
+	if len(src) <= sortCutoff {
 		slices.Sort(src)
+		n := len(slices.Compact(src))
 		if toBuf {
-			copy(buf, src)
+			copy(buf, src[:n])
 		}
-		return
+		return n
 	}
 	mid := len(src) / 2
+	var l, r int
 	p.Do(
-		func() { sortInto(p, src[:mid], buf[:mid], !toBuf) },
-		func() { sortInto(p, src[mid:], buf[mid:], !toBuf) },
+		func() { l = sortDedupInto(p, src[:mid], buf[:mid], !toBuf) },
+		func() { r = sortDedupInto(p, src[mid:], buf[mid:], !toBuf) },
 	)
+	from, to := buf, src
 	if toBuf {
-		mergeInto(p, src[:mid], src[mid:], buf)
-	} else {
-		mergeInto(p, buf[:mid], buf[mid:], src)
+		from, to = src, buf
 	}
+	none := make([]struct{}, len(src)) // zero-size elements: no allocation
+	out, _ := UnionKVInto(p, from[:l], none[:l], from[mid:mid+r], none[:r], to, none)
+	return len(out)
 }

@@ -7,16 +7,21 @@ import (
 	"testing/quick"
 )
 
+// sortedSet is the reference for SortedDedup: a sorted, compacted
+// copy.
+func sortedSet[K Ordered](arr []K) []K {
+	want := slices.Clone(arr)
+	slices.Sort(want)
+	return slices.Compact(want)
+}
+
 func TestSortMatchesStdlib(t *testing.T) {
 	for name, p := range testPools() {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range []int{0, 1, 2, 100, sortCutoff, sortCutoff + 1, 100000} {
 				arr := randInts(int64(n)*3+1, n, 1<<30)
-				want := slices.Clone(arr)
-				slices.Sort(want)
-				Sort(p, arr)
-				if !slices.Equal(arr, want) {
-					t.Fatalf("n=%d: Sort mismatch", n)
+				if got, want := SortedDedup(p, slices.Clone(arr)), sortedSet(arr); !slices.Equal(got, want) {
+					t.Fatalf("n=%d: SortedDedup mismatch", n)
 				}
 			}
 		})
@@ -32,12 +37,10 @@ func TestSortAlreadySortedAndReversed(t *testing.T) {
 		asc[i] = i
 		desc[i] = n - i
 	}
-	Sort(p, asc)
-	if !slices.IsSorted(asc) {
+	if got := SortedDedup(p, slices.Clone(asc)); !slices.Equal(got, asc) {
 		t.Fatal("ascending input broken")
 	}
-	Sort(p, desc)
-	if !slices.IsSorted(desc) {
+	if got := SortedDedup(p, desc); !slices.Equal(got, sortedSet(desc)) || len(got) != n {
 		t.Fatal("descending input not sorted")
 	}
 }
@@ -48,11 +51,8 @@ func TestSortManyDuplicates(t *testing.T) {
 	for i := range arr {
 		arr[i] = r.Intn(10)
 	}
-	want := slices.Clone(arr)
-	slices.Sort(want)
-	Sort(NewPool(8), arr)
-	if !slices.Equal(arr, want) {
-		t.Fatal("duplicate-heavy sort mismatch")
+	if got := SortedDedup(NewPool(8), slices.Clone(arr)); !slices.Equal(got, sortedSet(arr)) {
+		t.Fatalf("duplicate-heavy sort mismatch: %v", got)
 	}
 }
 
@@ -60,9 +60,7 @@ func TestSortedDedup(t *testing.T) {
 	for name, p := range testPools() {
 		t.Run(name, func(t *testing.T) {
 			arr := randInts(99, 30000, 1000)
-			want := slices.Clone(arr)
-			slices.Sort(want)
-			want = slices.Compact(want)
+			want := sortedSet(arr)
 			got := SortedDedup(p, arr)
 			if !slices.Equal(got, want) {
 				t.Fatalf("SortedDedup mismatch: %d vs %d elements", len(got), len(want))
@@ -78,10 +76,7 @@ func TestSortQuickProperty(t *testing.T) {
 		for i, v := range arr {
 			ints[i] = int(v)
 		}
-		want := slices.Clone(ints)
-		slices.Sort(want)
-		Sort(p, ints)
-		return slices.Equal(ints, want)
+		return slices.Equal(SortedDedup(p, slices.Clone(ints)), sortedSet(ints))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -94,10 +89,7 @@ func TestSortFloatKeys(t *testing.T) {
 	for i := range arr {
 		arr[i] = r.NormFloat64()
 	}
-	want := slices.Clone(arr)
-	slices.Sort(want)
-	Sort(NewPool(4), arr)
-	if !slices.Equal(arr, want) {
+	if got := SortedDedup(NewPool(4), slices.Clone(arr)); !slices.Equal(got, sortedSet(arr)) {
 		t.Fatal("float sort mismatch")
 	}
 }

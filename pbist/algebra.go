@@ -5,7 +5,7 @@ import "repro/internal/core"
 // Whole-tree set algebra: Union, Intersect, DiffTree, SymDiff, Split,
 // and Join combine two trees (or maps) into new ones, never mutating
 // an operand. Each operation flattens both operands in parallel,
-// combines the sorted arrays with a shard-parallel merge kernel, and
+// combines the sorted arrays with one blocked set-algebra kernel, and
 // rebuilds an ideally balanced result — O(n₁+n₂) work, polylogarithmic
 // span, and a result in the best shape for subsequent batches. Results
 // carry the receiver's configuration, worker pool, and normalization

@@ -38,14 +38,14 @@ func TestSetQueriesSortedFastPathAllocations(t *testing.T) {
 		unsorted[len(unsorted)-1-i] = k
 	}
 
-	intersectSorted := testing.AllocsPerRun(20, func() { tr.Intersection(sorted) })
-	intersectUnsorted := testing.AllocsPerRun(20, func() { tr.Intersection(unsorted) })
+	intersectSorted := leastAllocs(func() { tr.Intersection(sorted) })
+	intersectUnsorted := leastAllocs(func() { tr.Intersection(unsorted) })
 	if intersectSorted >= intersectUnsorted {
 		t.Fatalf("Intersection sorted input allocates %.0f, unsorted %.0f: fast path not taken",
 			intersectSorted, intersectUnsorted)
 	}
-	diffSorted := testing.AllocsPerRun(20, func() { tr.Difference(sorted) })
-	diffUnsorted := testing.AllocsPerRun(20, func() { tr.Difference(unsorted) })
+	diffSorted := leastAllocs(func() { tr.Difference(sorted) })
+	diffUnsorted := leastAllocs(func() { tr.Difference(unsorted) })
 	if diffSorted >= diffUnsorted {
 		t.Fatalf("Difference sorted input allocates %.0f, unsorted %.0f: fast path not taken",
 			diffSorted, diffUnsorted)
@@ -61,6 +61,19 @@ func TestSetQueriesSortedFastPathAllocations(t *testing.T) {
 	if diffSorted > 2000 {
 		t.Fatalf("Difference sorted fast path allocates %.0f times", diffSorted)
 	}
+}
+
+// leastAllocs is the fewest allocations any of 50 single runs of f
+// makes. The unsorted path costs exactly one allocation more, the
+// clone, and the race detector's sync.Pool drops cached scratch at
+// random, which only ever adds allocations to a run: the least count
+// is the path's own.
+func leastAllocs(f func()) float64 {
+	least := testing.AllocsPerRun(1, f)
+	for range 49 {
+		least = min(least, testing.AllocsPerRun(1, f))
+	}
+	return least
 }
 
 func TestSetQueriesAgreeAcrossInputOrder(t *testing.T) {

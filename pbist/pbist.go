@@ -436,7 +436,9 @@ func (tr *Tree[K]) Difference(keys []K) []K {
 	if len(keys) == 0 || tr.Len() == 0 {
 		return tr.Keys()
 	}
-	return parallel.Difference(tr.pool, tr.Keys(), tr.normalize(keys))
+	a, b := tr.Keys(), tr.normalize(keys)
+	out, _ := parallel.DifferenceKVInto(tr.pool, a, make([]struct{}, len(a)), b, make([]struct{}, len(b)), nil, nil)
+	return out
 }
 
 // Min returns the smallest key in the set; ok is false when empty.

@@ -625,7 +625,7 @@ func pairs[K Key, V any](ks []K, vs []V) iter.Seq2[K, V] {
 // mergeShardKV combines per-shard sorted sequences into one globally
 // sorted sequence: a concatenation under an order-preserving
 // partitioner, an N-way merge (folded pairwise on the shared pool)
-// under hashing. Shard key sets are disjoint, so UnionKV never has to
+// under hashing. Shard key sets are disjoint, so the union never has to
 // pick a winner. A single part is returned as it is: the version
 // readers hand back fresh slices, so nothing is aliased.
 func (s *Sharded[K, V]) mergeShardKV(ks [][]K, vs [][]V) ([]K, []V) {
@@ -655,7 +655,7 @@ func (s *Sharded[K, V]) mergeShardKV(ks [][]K, vs [][]V) ([]K, []V) {
 			outK, outV = ks[i], vs[i]
 			continue
 		}
-		outK, outV = parallel.UnionKV(s.pool, outK, outV, ks[i], vs[i])
+		outK, outV = parallel.UnionKVInto(s.pool, outK, outV, ks[i], vs[i], nil, nil)
 	}
 	return outK, outV
 }
