@@ -317,7 +317,7 @@ func runLeafSlack(w bench.Workload, workers, rounds int) ([]string, [][]string) 
 func runSharded(w bench.Workload, clients int, shards []int, batchKeys, reps int) ([]string, [][]string) {
 	rows := bench.RunShardedWorkload(w, clients, shards, batchKeys, reps)
 	header := []string{"shards", "mkeys_s", "speedup", "epochs", "epoch_keys",
-		"min_shard_keys", "max_shard_keys", "filter_short_circuits", "mean_wait_us"}
+		"min_shard_keys", "max_shard_keys", "mean_wait_us"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		shardCell := strconv.Itoa(r.Shards)
@@ -332,7 +332,6 @@ func runSharded(w bench.Workload, clients int, shards []int, batchKeys, reps int
 			fmt.Sprintf("%.1f", r.EpochKeys),
 			strconv.FormatInt(r.MinShardKeys, 10),
 			strconv.FormatInt(r.MaxShardKeys, 10),
-			strconv.FormatInt(r.FilterShorts, 10),
 			fmt.Sprintf("%.1f", r.MeanWaitUS),
 		})
 	}

@@ -22,7 +22,6 @@ type ShardedRow struct {
 	EpochKeys    float64 // mean keys per epoch (combining quality)
 	MinShardKeys int64   // lightest shard's key count (balance floor)
 	MaxShardKeys int64   // heaviest shard's key count (balance ceiling)
-	FilterShorts int64   // point lookups answered by a Bloom filter alone
 	MeanWaitUS   float64 // ops-weighted mean µs an op queued before its epoch
 }
 
@@ -172,7 +171,6 @@ func RunShardedWorkload(w Workload, clients int, shards []int, batchKeys, reps i
 			Epochs:       st.Epochs,
 			EpochKeys:    st.MeanKeys,
 			MinShardKeys: st.PerShard[0].Keys,
-			FilterShorts: st.FilterShortCircuits,
 			MeanWaitUS:   float64(st.MeanWait.Nanoseconds()) / 1e3,
 		}
 		for _, ps := range st.PerShard {

@@ -133,7 +133,7 @@ func setKV[K Ordered, V any](p *Pool, op setOp, ak []K, av []V, bk []K, bv []V, 
 	n := r.bound(len(ak), len(bk))
 	outK, outV := sized(dstK, n), sized(dstV, n)
 	var w int
-	if blocks := min(scanBlocks(p, len(ak)+len(bk)), len(ak)); blocks > 1 && !p.sequential() {
+	if blocks := min(scanBlocks(p, len(ak)+len(bk)), len(ak)); blocks > 1 {
 		w = setKVPar(p, r, ak, av, bk, bv, outK, outV, blocks)
 	} else {
 		w = walk(r, ak, av, bk, bv, outK, outV)

@@ -130,11 +130,3 @@ func sized[T any](dst []T, n int) []T {
 	}
 	return make([]T, n)
 }
-
-// Dedup returns sorted arr with duplicate elements removed, preserving
-// one representative per run of equal values. arr must be sorted.
-func Dedup[K Ordered](p *Pool, arr []K) []K {
-	return FilterIndex(p, arr, func(i int) bool {
-		return i == 0 || arr[i] != arr[i-1]
-	})
-}

@@ -78,6 +78,20 @@ func TestFilterIndicesInto(t *testing.T) {
 			}
 		})
 	}
+	// A pool that cannot fork takes the one-block path past 512
+	// elements too: given destinations of worst-case capacity, the
+	// filters and the in-place scan allocate nothing.
+	arr := randInts(7, 2000, 1<<20)
+	pred := func(i int) bool { return arr[i]%3 == 0 }
+	dstI, dstV, sums := make([]int, len(arr)), make([]int, len(arr)), make([]int, len(arr))
+	if n := testing.AllocsPerRun(10, func() {
+		FilterIndicesInto(nil, len(arr), dstI, pred)
+		FilterIndexInto(nil, arr, dstV, pred)
+		copy(sums, arr)
+		ScanInPlace(nil, sums)
+	}); n != 0 {
+		t.Fatalf("nil pool at %d elements: filters and scan allocated %.0f times", len(arr), n)
+	}
 }
 
 func TestFilterIndexSelectsByPosition(t *testing.T) {
@@ -97,37 +111,6 @@ func TestFilterIndexSelectsByPosition(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestDedup(t *testing.T) {
-	for name, p := range testPools() {
-		t.Run(name, func(t *testing.T) {
-			cases := [][]int{
-				{},
-				{1},
-				{1, 1, 1, 1},
-				{1, 2, 3},
-				{1, 1, 2, 2, 2, 3, 9, 9},
-			}
-			for _, c := range cases {
-				want := slices.Compact(slices.Clone(c))
-				got := Dedup(p, c)
-				if !slices.Equal(got, want) {
-					t.Fatalf("Dedup(%v) = %v, want %v", c, got, want)
-				}
-			}
-		})
-	}
-}
-
-func TestDedupLargeRandom(t *testing.T) {
-	arr := randInts(42, 200000, 5000)
-	slices.Sort(arr)
-	want := slices.Compact(slices.Clone(arr))
-	got := Dedup(NewPool(8), arr)
-	if !slices.Equal(got, want) {
-		t.Fatalf("large Dedup mismatch: got %d, want %d elements", len(got), len(want))
 	}
 }
 

@@ -87,8 +87,13 @@ func ScanInPlace(p *Pool, arr []int) (total int) {
 
 // scanBlocks picks the number of blocks used by the two-pass scan: at
 // most one block per worker times a small oversubscription factor, and
-// never so many that blocks degenerate below a useful size.
+// never so many that blocks degenerate below a useful size. A pool
+// that cannot fork gets one block, so the blocked passes and their
+// bookkeeping run only where they can spread over workers.
 func scanBlocks(p *Pool, n int) int {
+	if p.sequential() {
+		return 1
+	}
 	blocks := p.Workers() * 4
 	if maxUseful := (n + 511) / 512; blocks > maxUseful {
 		blocks = maxUseful

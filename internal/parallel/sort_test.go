@@ -56,14 +56,18 @@ func TestSortManyDuplicates(t *testing.T) {
 	}
 }
 
+// TestSortedDedup covers unsorted input and already sorted input with
+// runs of duplicates, small and past sortCutoff.
 func TestSortedDedup(t *testing.T) {
 	for name, p := range testPools() {
 		t.Run(name, func(t *testing.T) {
 			arr := randInts(99, 30000, 1000)
-			want := sortedSet(arr)
-			got := SortedDedup(p, arr)
-			if !slices.Equal(got, want) {
-				t.Fatalf("SortedDedup mismatch: %d vs %d elements", len(got), len(want))
+			runs := slices.Sorted(slices.Values(arr))
+			for _, in := range [][]int{arr, runs, {}, {1}, {1, 1, 1, 1}, {1, 1, 2, 2, 2, 3, 9, 9}} {
+				want := sortedSet(in)
+				if got := SortedDedup(p, slices.Clone(in)); !slices.Equal(got, want) {
+					t.Fatalf("SortedDedup of %d keys: %d distinct, want %d", len(in), len(got), len(want))
+				}
 			}
 		})
 	}

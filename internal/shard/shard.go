@@ -27,13 +27,6 @@
 // duplicate keys of one write batch reach their shard in the order the
 // caller gave them and resolve last-wins there, exactly as the
 // unsharded engine promises.
-//
-// Bloom provides the optional per-shard point-lookup filter: a
-// fixed-size, lock-free (atomic word array) Bloom filter that answers
-// "definitely absent" without touching the shard's tree. It is
-// one-sided by construction — keys are added on insert and never
-// removed, so a hit may be stale after a delete (the lookup proceeds
-// and answers correctly) but a miss is always authoritative.
 package shard
 
 import (
@@ -191,7 +184,7 @@ func (h *Hashed[K]) Ordered() bool { return false }
 
 // HashKey mixes a key into a 64-bit hash (splitmix64 finalizer over
 // the key's float64 image — deterministic, stateless, and identical
-// for equal keys, which is all partitioning and filtering need).
+// for equal keys, which is all partitioning needs).
 // The float zeros compare equal but differ in their sign bit, so -0
 // hashes as +0.
 func HashKey[K Key](key K) uint64 {

@@ -274,9 +274,8 @@ func TestFastReadStressAcrossClose(t *testing.T) {
 }
 
 // TestShardedFastReads checks Get/Contains against the oracle across
-// the shard configurations (including filtered ones, where a Bloom
-// miss answers without touching the shard tree), and that the point
-// reads keep serving after Close.
+// the shard configurations, and that the point reads keep serving
+// after Close.
 func TestShardedFastReads(t *testing.T) {
 	for name, cfg := range shardedConfigs() {
 		t.Run(name, func(t *testing.T) {

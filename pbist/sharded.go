@@ -13,44 +13,17 @@ import (
 	"repro/internal/shard"
 )
 
-// PartitionPolicy selects how Sharded assigns keys to shards.
-type PartitionPolicy int8
-
-const (
-	// PartitionDefault picks range partitioning wherever boundaries
-	// are derivable (NewShardedFromItems fits quantile boundaries,
-	// NewShardedRange takes an explicit span) and hash partitioning
-	// from the boundless NewSharded constructor.
-	PartitionDefault PartitionPolicy = iota
-	// PartitionRange assigns each shard a contiguous key interval.
-	// Shard order then refines key order, so Range, Ascend, Keys,
-	// Items, and Snapshot concatenate per-shard results instead of
-	// merging. Balance is only as good as the boundaries; skewed
-	// inserts outside the fitted span pile onto the edge shards.
-	PartitionRange
-	// PartitionHash assigns shards by a mixed 64-bit hash of the key:
-	// balance is immune to key-space skew, but ordered reads pay an
-	// N-way merge.
-	PartitionHash
-)
-
 // ShardedOptions configures a Sharded frontend: the per-shard engine
-// and combiner settings (ConcurrentOptions) plus the shard layout.
-// The zero value gives sensible defaults.
+// and combiner settings (ConcurrentOptions) plus the shard count. The
+// zero value gives sensible defaults. The constructor picks the
+// partitioning: NewSharded hashes keys, NewShardedRange splits an
+// explicit span, and NewShardedFromItems fits range boundaries to the
+// quantiles of the loaded keys.
 type ShardedOptions struct {
 	ConcurrentOptions
 	// Shards is the number of independent trees (each with its own
 	// combiner goroutine). Default 8.
 	Shards int
-	// Partition selects the key-to-shard policy; see the constants.
-	Partition PartitionPolicy
-	// PointFilter enables a per-shard Bloom filter of filterBits bits
-	// that answers point lookup misses without walking the shard's
-	// published version: keys are added on every insert (never
-	// removed), so a filter miss proves the key was never inserted into
-	// that shard. Worth it for miss-heavy point workloads; off by
-	// default.
-	PointFilter bool
 	// PrivateArenas is ignored: every shard tree always owns its
 	// scratch arena, and every combiner its per-epoch arrays.
 	//
@@ -64,10 +37,6 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 	}
 	return o
 }
-
-// filterBits is the size of a shard's Bloom filter in bits (256 KiB),
-// about 8 bits per key for shards of up to 2^18 keys.
-const filterBits = 1 << 21
 
 // Sharded is the concurrent frontend: a Map[K, V] engine served to
 // arbitrarily many goroutines. It runs N independent core trees
@@ -84,8 +53,8 @@ const filterBits = 1 << 21
 // tree (full intra-batch parallelism), and the per-operation results
 // are routed back to the blocked callers. Under many clients this
 // recovers the batched O(m·log log n) economics for writes that arrive
-// one key at a time. A partition policy routes every key to exactly
-// one shard, so point writes go straight to the owning shard's
+// one key at a time. The partitioner routes every key to exactly one
+// shard, so point writes go straight to the owning shard's
 // combiner, and batched writes are split into per-shard sub-batches
 // that execute as concurrent epochs — up to N in flight at once.
 //
@@ -124,46 +93,39 @@ type Sharded[K Key, V any] struct {
 	// read paths: per-shard wait-free point reads (Get) and the
 	// cross-shard atomic cut (collectCut) both read the versions the
 	// shard's combiner publishes, never the combining queue.
-	trees   []*core.Tree[K, V]
-	filters []*shard.Bloom // per shard; nil when PointFilter is off
-	pool    *parallel.Pool
-	opts    ShardedOptions
-
-	short atomic.Int64 // point lookups answered by a filter
-	obs   *shard.Obs   // nil unless Options.Metrics was set
+	trees []*core.Tree[K, V]
+	pool  *parallel.Pool
+	opts  ShardedOptions
+	obs   *shard.Obs // nil unless Options.Metrics was set
 }
 
-// NewSharded returns an empty sharded frontend. With no data and no
-// span to fit range boundaries to, PartitionDefault selects hash
-// partitioning; PartitionRange panics here — use NewShardedRange
-// (explicit span) or NewShardedFromItems (fitted quantiles) instead.
+// NewSharded returns an empty sharded frontend that partitions keys by
+// a mixed 64-bit hash: with no data and no span to fit range
+// boundaries to, balance that is immune to key-space skew, at the
+// price of an N-way merge in the ordered reads (Range, Ascend, Keys,
+// Items, Snapshot).
 func NewSharded[K Key, V any](opts ShardedOptions) *Sharded[K, V] {
 	opts = opts.withDefaults()
-	if opts.Partition == PartitionRange {
-		panic("pbist: NewSharded cannot derive range boundaries; use NewShardedRange or NewShardedFromItems")
-	}
 	return newSharded[K, V](opts, shard.NewHashed[K](opts.Shards), nil, nil)
 }
 
 // NewShardedRange returns an empty sharded frontend that partitions
 // [lo, hi] into equal-width key intervals — the right construction
 // when keys are roughly uniform over a known span. Keys outside the
-// span are owned by the edge shards. Panics if opts.Partition is
-// PartitionHash (the explicit span would be silently ignored).
+// span are owned by the edge shards. Shard order refines key order, so
+// the ordered reads concatenate per-shard results instead of merging.
 func NewShardedRange[K Key, V any](opts ShardedOptions, lo, hi K) *Sharded[K, V] {
 	opts = opts.withDefaults()
-	if opts.Partition == PartitionHash {
-		panic("pbist: NewShardedRange conflicts with PartitionHash; use NewSharded")
-	}
 	return newSharded[K, V](opts, shard.NewRangeUniform(opts.Shards, lo, hi), nil, nil)
 }
 
 // NewShardedFromItems returns a sharded frontend bulk-loaded with the
 // (keys[i], vals[i]) pairs (last occurrence of a duplicated key wins,
-// as in NewMapFromItems; neither slice is retained). Under the
-// default range policy the shard boundaries are the quantiles of the
-// loaded keys, so every shard starts with an equal share whatever the
-// distribution.
+// as in NewMapFromItems; neither slice is retained). The shards
+// partition the key range at the quantiles of the loaded keys, so
+// every shard starts with an equal share whatever the distribution,
+// and the ordered reads concatenate as under NewShardedRange. Inserts
+// outside the loaded span pile onto the edge shards.
 func NewShardedFromItems[K Key, V any](opts ShardedOptions, keys []K, vals []V) *Sharded[K, V] {
 	if len(keys) != len(vals) {
 		panic("pbist: NewShardedFromItems keys/vals length mismatch")
@@ -173,13 +135,7 @@ func NewShardedFromItems[K Key, V any](opts ShardedOptions, keys []K, vals []V) 
 	m.pool = opts.pool()
 	m.assumeSorted = opts.AssumeSorted
 	nk, nv := m.normalizePairs(keys, vals)
-	var p shard.Partitioner[K]
-	if opts.Partition == PartitionHash {
-		p = shard.NewHashed[K](opts.Shards)
-	} else {
-		p = shard.NewRangeQuantiles(opts.Shards, nk)
-	}
-	return newSharded(opts, p, nk, nv)
+	return newSharded(opts, shard.NewRangeQuantiles(opts.Shards, nk), nk, nv)
 }
 
 // newSharded builds the shard group: one core tree per shard loaded
@@ -195,12 +151,6 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 		pool:  pool,
 		opts:  opts,
 		obs:   shard.NewObs(opts.Metrics),
-	}
-	if opts.PointFilter {
-		s.filters = make([]*shard.Bloom, p.N())
-		for i := range s.filters {
-			s.filters[i] = shard.NewBloom(filterBits)
-		}
 	}
 	var parts [][]K
 	var vparts [][]V
@@ -220,11 +170,6 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 			pk, pv = parts[i], vparts[i]
 		}
 		t := core.NewFromSortedKV(cfg, pool, pk, pv)
-		if s.filters != nil {
-			for _, k := range pk {
-				s.filters[i].Add(shard.HashKey(k))
-			}
-		}
 		// Publishing must be on before the combiner exists: from the
 		// first epoch, every epoch ends with a version publish the read
 		// paths below depend on.
@@ -277,31 +222,10 @@ func (s *Sharded[K, V]) shardOf(key K) int {
 	return s.part.Shard(key)
 }
 
-// filterMiss reports whether the owning shard's filter proves key was
-// never inserted, letting a lookup answer "absent" without walking the
-// shard's version. Always false when PointFilter is off.
-func (s *Sharded[K, V]) filterMiss(sh int, key K) bool {
-	if s.filters == nil {
-		return false
-	}
-	if s.filters[sh].MayContain(shard.HashKey(key)) {
-		if s.obs != nil {
-			s.obs.FilterPass.Add(1)
-		}
-		return false
-	}
-	s.short.Add(1)
-	if s.obs != nil {
-		s.obs.FilterShort.Add(1)
-	}
-	return true
-}
-
 // Get returns the value stored under key; ok is false when absent. It
 // reads the owning shard's latest published version and never enters
 // the combining queue: wait-free (one atomic load, one interpolation
-// walk, no blocking on any writer) and allocation-free. With
-// PointFilter on, the shard's Bloom filter may answer a miss first.
+// walk, no blocking on any writer) and allocation-free.
 //
 // Get is linearizable with the combined writes: a version is published
 // after an epoch's writes and before its clients wake, so Get observes
@@ -310,21 +234,13 @@ func (s *Sharded[K, V]) filterMiss(sh int, key K) bool {
 // invisible until their epoch publishes. Get keeps answering after
 // Close, from the final published version.
 func (s *Sharded[K, V]) Get(key K) (val V, ok bool) {
-	sh := s.shardOf(key)
-	if s.filterMiss(sh, key) {
-		return val, false
-	}
-	return s.trees[sh].SnapshotGet(key)
+	return s.trees[s.shardOf(key)].SnapshotGet(key)
 }
 
 // Contains reports whether key is present; the membership-only form of
 // Get, with the same guarantees.
 func (s *Sharded[K, V]) Contains(key K) bool {
-	sh := s.shardOf(key)
-	if s.filterMiss(sh, key) {
-		return false
-	}
-	return s.trees[sh].SnapshotContains(key)
+	return s.trees[s.shardOf(key)].SnapshotContains(key)
 }
 
 // GetFast is Get.
@@ -335,20 +251,12 @@ func (s *Sharded[K, V]) GetFast(key K) (V, bool) { return s.Get(key) }
 // Put stores val under key, inserting or overwriting; it reports
 // whether the key was absent at the operation's linearization point.
 func (s *Sharded[K, V]) Put(key K, val V) bool {
-	sh := s.shardOf(key)
-	if s.filters != nil {
-		// Before the submit: once Put returns, every later point
-		// lookup must see the filter bit.
-		s.filters[sh].Add(shard.HashKey(key))
-	}
-	inserted, err := s.cbs[sh].Put(key, val)
+	inserted, err := s.cbs[s.shardOf(key)].Put(key, val)
 	check(err)
 	return inserted
 }
 
-// Delete removes key, reporting whether it was present. Deletes do
-// not clear filter bits (a stale positive only costs the version walk
-// a filterless lookup always pays).
+// Delete removes key, reporting whether it was present.
 func (s *Sharded[K, V]) Delete(key K) bool {
 	removed, err := s.cbs[s.shardOf(key)].Delete(key)
 	check(err)
@@ -449,42 +357,21 @@ func (s *Sharded[K, V]) getCut(keys []K, vals []V, found []bool) {
 }
 
 // getGroups answers keys[lo:hi] as getCut does, GroupSize keys at a
-// time: each key is routed to its shard, and every key the shard's
-// filter does not answer joins the group that core.VersionGetGroup
-// walks level by level over the shards' cut versions.
+// time: each run of GroupSize consecutive keys is routed to its shards
+// and core.VersionGetGroup walks it level by level over the shards' cut
+// versions, writing the answers in place.
 func (s *Sharded[K, V]) getGroups(vers []*core.Version[K, V], keys []K, vals []V, found []bool, lo, hi int) {
-	var (
-		gk  [core.GroupSize]K
-		gv  [core.GroupSize]*core.Version[K, V]
-		gat [core.GroupSize]int
-		gvs [core.GroupSize]V
-		gfs [core.GroupSize]bool
-	)
-	for i := lo; i < hi; {
-		n := 0
-		for ; i < hi && n < core.GroupSize; i++ {
-			k := keys[i]
-			sh := s.shardOf(k)
-			if s.filterMiss(sh, k) {
-				continue
-			}
-			gk[n], gv[n], gat[n] = k, vers[sh], i
-			n++
-		}
-		if n == 0 {
-			continue
+	var gv [core.GroupSize]*core.Version[K, V]
+	for i := lo; i < hi; i += core.GroupSize {
+		j := min(i+core.GroupSize, hi)
+		for g, k := range keys[i:j] {
+			gv[g] = vers[s.shardOf(k)]
 		}
 		var outV []V // nil for ContainsBatch
 		if vals != nil {
-			outV = gvs[:n]
+			outV = vals[i:j]
 		}
-		core.VersionGetGroup(gv[:n], gk[:n], outV, gfs[:n])
-		for j, at := range gat[:n] {
-			found[at] = gfs[j]
-			if vals != nil {
-				vals[at] = gvs[j]
-			}
-		}
+		core.VersionGetGroup(gv[:j-i], keys[i:j], outV, found[i:j])
 	}
 }
 
@@ -511,11 +398,6 @@ func (s *Sharded[K, V]) PutBatch(keys []K, vals []V) int {
 	var inserted atomic.Int64
 	var ferr firstError
 	forEachShard(parts, func(sh int) {
-		if s.filters != nil {
-			for _, k := range parts[sh] {
-				s.filters[sh].Add(shard.HashKey(k))
-			}
-		}
 		n, err := s.cbs[sh].PutBatch(parts[sh], vparts[sh])
 		if err != nil {
 			ferr.set(err)
@@ -810,9 +692,8 @@ func (s *Sharded[K, V]) Closed() bool {
 func (s *Sharded[K, V]) Shards() int { return s.part.N() }
 
 // ShardedStats is a snapshot of the whole shard group's combining
-// behavior plus the group-level counters: group and per-shard epoch
-// statistics (the evidence that N combiners really do run N
-// concurrent epochs) and filter effectiveness. Retention is reported
+// behavior: group and per-shard epoch statistics (the evidence that N
+// combiners really do run N concurrent epochs). Retention is reported
 // by the summed core.arena.* (tree scratch) and combine.scratch.*
 // (combiner per-epoch arrays) gauges of Options.Metrics.
 type ShardedStats struct {
@@ -829,10 +710,6 @@ type ShardedStats struct {
 	// PerShard holds each shard's combining statistics — epochs,
 	// ops, keys, mean batch size, mean combine wait — in shard order.
 	PerShard []ConcurrentStats
-	// FilterShortCircuits counts point lookups answered "absent" by a
-	// per-shard filter without a version walk (0 with PointFilter
-	// off).
-	FilterShortCircuits int64
 }
 
 // Trace returns up to n recent epoch traces across all shards, newest
@@ -860,10 +737,9 @@ func (s *Sharded[K, V]) Trace(n int) []EpochTrace {
 // Stats returns a snapshot of the shard group's combining behavior.
 func (s *Sharded[K, V]) Stats() ShardedStats {
 	st := ShardedStats{
-		Shards:              len(s.cbs),
-		Ordered:             s.part.Ordered(),
-		PerShard:            make([]ConcurrentStats, len(s.cbs)),
-		FilterShortCircuits: s.short.Load(),
+		Shards:   len(s.cbs),
+		Ordered:  s.part.Ordered(),
+		PerShard: make([]ConcurrentStats, len(s.cbs)),
 	}
 	var wait time.Duration
 	for i, cb := range s.cbs {

@@ -11,22 +11,38 @@ import (
 	"repro/pbist"
 )
 
+// shardedConfig is one Sharded configuration of the differential
+// tests: a shard count and the constructor that picks the
+// partitioning.
+type shardedConfig struct {
+	shards int
+	hash   bool // NewSharded (hash partitioning), not NewShardedFromItems (fitted ranges)
+}
+
 // shardedConfigs enumerates the Sharded configurations the
-// differential tests sweep: both partition policies, with and without
-// the point filter, shard counts around and past GOMAXPROCS.
-func shardedConfigs() map[string]pbist.ShardedOptions {
-	return map[string]pbist.ShardedOptions{
-		"range4":       {Shards: 4, Partition: pbist.PartitionRange},
-		"hash4":        {Shards: 4, Partition: pbist.PartitionHash},
-		"range3filter": {Shards: 3, Partition: pbist.PartitionRange, PointFilter: true},
-		"hash7filter":  {Shards: 7, Partition: pbist.PartitionHash, PointFilter: true},
+// differential tests sweep: both partitionings, at shard counts around
+// and past GOMAXPROCS.
+func shardedConfigs() map[string]shardedConfig {
+	return map[string]shardedConfig{
+		"range4": {shards: 4},
+		"hash4":  {shards: 4, hash: true},
+		"range3": {shards: 3},
+		"hash7":  {shards: 7, hash: true},
 	}
 }
 
-// newShardedForTest builds a Sharded under cfg, bulk-loading seed
-// items so range boundaries are fitted rather than degenerate.
-func newShardedForTest(cfg pbist.ShardedOptions, keys []int64, vals []uint64) *pbist.Sharded[int64, uint64] {
-	return pbist.NewShardedFromItems(cfg, keys, vals)
+// newShardedForTest builds a Sharded under cfg holding the seed items.
+// A range configuration bulk-loads them, so its boundaries are fitted
+// rather than degenerate; a hash configuration starts empty and takes
+// them through one PutBatch.
+func newShardedForTest(cfg shardedConfig, keys []int64, vals []uint64) *pbist.Sharded[int64, uint64] {
+	opts := pbist.ShardedOptions{Shards: cfg.shards}
+	if !cfg.hash {
+		return pbist.NewShardedFromItems(opts, keys, vals)
+	}
+	s := pbist.NewSharded[int64, uint64](opts)
+	s.PutBatch(keys, vals)
+	return s
 }
 
 // TestShardedDifferentialStress is the sharded twin of
@@ -91,7 +107,7 @@ func TestShardedDifferentialStress(t *testing.T) {
 								return
 							}
 							delete(oracle, k)
-						case 3, 4: // Get (filter short-circuit path included)
+						case 3, 4: // Get
 							k := key()
 							wv, had := oracle[k]
 							v, ok := s.Get(k)
@@ -183,12 +199,11 @@ func TestShardedDifferentialStress(t *testing.T) {
 // TestShardedGroupedBatchReads compares GetBatch and ContainsBatch
 // with Get key by key on a quiescent frontend, at batch sizes around
 // one walk group (8 keys) and around the inline limit (256 keys),
-// with the point filter on and off and on one shard. Batches mix live
-// keys, deleted keys and keys never inserted (filter misses), with
-// repeats.
+// under both partitionings and on one shard. Batches mix live keys,
+// deleted keys and keys never inserted, with repeats.
 func TestShardedGroupedBatchReads(t *testing.T) {
 	cfgs := shardedConfigs()
-	cfgs["single"] = pbist.ShardedOptions{Shards: 1}
+	cfgs["single"] = shardedConfig{shards: 1}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			r := dist.NewRNG(0x9b)
@@ -229,7 +244,7 @@ func TestShardedGroupedBatchReads(t *testing.T) {
 
 // TestShardedRangeOrdering checks the cross-shard ordered reads —
 // Range, Ascend, Keys, Items — against a Map oracle, under both the
-// concatenating (range) and merging (hash) policies, with query
+// concatenating (range) and merging (hash) partitionings, with query
 // windows chosen to straddle shard boundaries.
 func TestShardedRangeOrdering(t *testing.T) {
 	r := dist.NewRNG(0xbeef)
@@ -243,7 +258,7 @@ func TestShardedRangeOrdering(t *testing.T) {
 
 	for name, cfg := range shardedConfigs() {
 		t.Run(name, func(t *testing.T) {
-			s := pbist.NewShardedFromItems(cfg, keys, vals)
+			s := newShardedForTest(cfg, keys, vals)
 			defer s.Close()
 
 			if got := s.Keys(); !slices.Equal(got, keys) {
@@ -440,90 +455,47 @@ func TestShardedBatchSoak(t *testing.T) {
 	t.Logf("%d keys after soak (%d base)", len(ks), baseN)
 }
 
-// TestShardedPointFilter checks the Bloom router: misses short-circuit
-// (counted in Stats), hits are always forwarded, and a Put immediately
-// followed by a Get on the same goroutine is never short-circuited —
-// the linearizability property Add-before-acknowledge provides.
-func TestShardedPointFilter(t *testing.T) {
-	s := pbist.NewSharded[int64, uint64](pbist.ShardedOptions{Shards: 4, PointFilter: true})
-	defer s.Close()
-	for i := int64(0); i < 1000; i++ {
-		s.Put(i, uint64(i))
-		if v, ok := s.Get(i); !ok || v != uint64(i) {
-			t.Fatalf("Get(%d) after Put = %d,%v", i, v, ok)
-		}
-	}
-	// Far-away keys: mostly filter misses.
-	for i := int64(0); i < 1000; i++ {
-		if s.Contains(1_000_000_000 + i*7919) {
-			t.Fatalf("Contains(%d) true for never-inserted key", 1_000_000_000+i*7919)
-		}
-	}
-	st := s.Stats()
-	if st.FilterShortCircuits == 0 {
-		t.Fatal("expected some filter short-circuits for distant misses")
-	}
-	// Deleted keys read as stale positives: must still answer correctly.
-	s.Delete(5)
-	if s.Contains(5) {
-		t.Fatal("Contains(5) true after delete")
-	}
-}
-
 // TestShardedSignedZero checks that hash partitioning treats 0 and -0,
-// which the trees compare equal, as one key, with and without the
-// point filter: the Put/Get/Len sequence answers as it does on a Map.
+// which the trees compare equal, as one key: the Put/Get/Len sequence
+// answers as it does on a Map.
 func TestShardedSignedZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	for _, filter := range []bool{false, true} {
-		s := pbist.NewSharded[float64, int](pbist.ShardedOptions{
-			Shards: 8, Partition: pbist.PartitionHash, PointFilter: filter,
-		})
-		m := pbist.NewMap[float64, int](pbist.Options{})
-		for _, step := range []struct {
-			key float64
-			val int
-		}{{0, 7}, {negZero, 9}} {
-			if got, want := s.Put(step.key, step.val), m.Put(step.key, step.val); got != want {
-				t.Fatalf("filter=%v: Put(%v, %d) inserted = %v, Map says %v", filter, step.key, step.val, got, want)
-			}
-			for _, k := range []float64{0, negZero} {
-				gv, gok := s.Get(k)
-				wv, wok := m.Get(k)
-				if gv != wv || gok != wok {
-					t.Fatalf("filter=%v: Get(%v) = %d,%v, Map says %d,%v", filter, k, gv, gok, wv, wok)
-				}
-			}
-			if got, want := s.Len(), m.Len(); got != want {
-				t.Fatalf("filter=%v: Len = %d, Map says %d", filter, got, want)
+	s := pbist.NewSharded[float64, int](pbist.ShardedOptions{Shards: 8})
+	defer s.Close()
+	m := pbist.NewMap[float64, int](pbist.Options{})
+	for _, step := range []struct {
+		key float64
+		val int
+	}{{0, 7}, {negZero, 9}} {
+		if got, want := s.Put(step.key, step.val), m.Put(step.key, step.val); got != want {
+			t.Fatalf("Put(%v, %d) inserted = %v, Map says %v", step.key, step.val, got, want)
+		}
+		for _, k := range []float64{0, negZero} {
+			gv, gok := s.Get(k)
+			wv, wok := m.Get(k)
+			if gv != wv || gok != wok {
+				t.Fatalf("Get(%v) = %d,%v, Map says %d,%v", k, gv, gok, wv, wok)
 			}
 		}
-		s.Close()
+		if got, want := s.Len(), m.Len(); got != want {
+			t.Fatalf("Len = %d, Map says %d", got, want)
+		}
 	}
 }
 
 // TestShardedConstructorsAndStats covers the remaining surface:
-// constructor policy resolution (and panics), per-shard epoch stats,
+// the partitioning each constructor picks, per-shard epoch stats,
 // Snapshot, DeleteBatch/ContainsBatch counts, Close semantics.
 func TestShardedConstructorsAndStats(t *testing.T) {
-	// NewSharded + PartitionRange must panic (no bounds derivable).
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewSharded with PartitionRange did not panic")
-			}
-		}()
-		pbist.NewSharded[int64, uint64](pbist.ShardedOptions{Partition: pbist.PartitionRange})
-	}()
-	// NewShardedRange + PartitionHash must panic (span ignored).
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewShardedRange with PartitionHash did not panic")
-			}
-		}()
-		pbist.NewShardedRange[int64, uint64](pbist.ShardedOptions{Partition: pbist.PartitionHash}, 0, 100)
-	}()
+	// Only the boundless NewSharded hashes; NewShardedFromItems fits
+	// ranges (NewShardedRange's are checked through Stats below).
+	h := pbist.NewSharded[int64, uint64](pbist.ShardedOptions{Shards: 4})
+	q := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 4}, []int64{1, 2, 3}, []uint64{1, 2, 3})
+	if h.Stats().Ordered || !q.Stats().Ordered {
+		t.Fatalf("Ordered: NewSharded %v, NewShardedFromItems %v; want false, true", h.Stats().Ordered, q.Stats().Ordered)
+	}
+	h.Close()
+	q.Close()
 
 	s := pbist.NewShardedRange[int64, uint64](pbist.ShardedOptions{Shards: 4}, 0, 1<<20)
 	if s.Shards() != 4 {
