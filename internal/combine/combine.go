@@ -3,10 +3,9 @@
 // goroutines submit single-key and mini-batch operations, a single
 // combiner goroutine coalesces everything queued into an epoch —
 // whatever arrives while one epoch runs forms the next — and each
-// epoch executes as at most one batched presence traversal plus one
-// batched write traversal that applies the epoch's updates, inserts
-// and removes together (no second presence check), with full
-// intra-batch parallelism.
+// epoch executes as one batched write traversal that applies the
+// epoch's updates, inserts and removes together and finds each key's
+// presence on the way down, with full intra-batch parallelism.
 //
 // This inverts the usual lock-based recipe: instead of serializing
 // clients around a structure that handles one key at a time, clients
@@ -47,24 +46,17 @@ import (
 // always sorted and duplicate-free. The Combiner is the only caller,
 // so the Engine itself need not be safe for concurrent use.
 //
-// ContainsBatchedInto resolves the pre-epoch presence every write
-// reports. Its destination is caller-provided, len(keys),
-// zero-initialized (entries of absent keys are left untouched), so the
-// combiner can reuse the array of one epoch as the array of the next
-// instead of allocating per epoch.
-//
-// ApplyResolved applies the epoch's surviving writes in one batched
-// write traversal: keys are the distinct keys that write, found their
-// presence before the epoch (as the read above resolved it), live
-// their presence after it, and vals the last-wins values of the keys
-// live after. Every key has found or live set. The engine trusts the
-// presence and runs no presence traversal of its own, so an epoch
-// walks the tree once to read and once to write. It never retains a
-// batch slice. It returns the keys its inline rebuilds laid down,
+// ApplyResolved applies an epoch in one batched write traversal: keys
+// are the distinct keys the epoch wrote, live their presence after it,
+// and vals the last-wins values of the keys live after. The engine
+// finds each key's presence before the epoch on the way down and
+// writes it into found (every entry), the array the epoch's answers
+// replay from, so an epoch walks the tree once. found is the
+// combiner's own, reused by the next epoch. The engine never retains
+// a batch slice. It returns the keys its inline rebuilds laid down,
 // which the epoch trace records as RebuildKeys.
 type Engine[K cmp.Ordered, V any] interface {
-	ContainsBatchedInto(keys []K, found []bool)
-	ApplyResolved(keys []K, vals []V, found, live []bool) (rebuildKeys int)
+	ApplyResolved(keys []K, vals []V, live, found []bool) (rebuildKeys int)
 
 	// PublishVersion is called at the end of every epoch, after the
 	// epoch's writes and before its clients are woken, so by the time

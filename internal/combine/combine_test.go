@@ -32,13 +32,13 @@ func queued(c *Combiner[int64, uint64]) int {
 	return len(c.pending)
 }
 
-// gatedEngine is a map-backed Engine whose presence traversal blocks
-// on a rendezvous, so tests can hold an epoch open while submissions
+// gatedEngine is a map-backed Engine whose write traversal blocks on
+// a rendezvous, so tests can hold an epoch open while submissions
 // queue behind it. Only the combiner goroutine calls it, so the plain
 // map is safe.
 type gatedEngine struct {
 	m       map[int64]uint64
-	entered chan struct{} // receives one token when a presence traversal starts
+	entered chan struct{} // receives one token when a write traversal starts
 	release chan struct{} // the traversal proceeds after a token arrives
 }
 
@@ -55,29 +55,23 @@ func (e *gatedEngine) gate() {
 	<-e.release
 }
 
-func (e *gatedEngine) ContainsBatchedInto(keys []int64, found []bool) {
+// ApplyResolved writes each key's presence before the epoch into found,
+// as a core tree does, and panics the combiner goroutine, which fails
+// the test binary loudly, when a found it writes would disagree with
+// the map before the epoch: a key repeated in the batch would read
+// the write of its first occurrence. So would an unsorted batch, which
+// the core engine's contract forbids as well.
+func (e *gatedEngine) ApplyResolved(keys []int64, vals []uint64, live, found []bool) int {
 	e.gate()
 	for i, k := range keys {
-		_, found[i] = e.m[k]
-	}
-}
-
-// ApplyResolved trusts the combiner's presence as a core tree does,
-// but checks it first: a key whose found flag disagrees with the map,
-// or that neither was nor becomes live, panics the combiner goroutine,
-// which fails the test binary loudly.
-func (e *gatedEngine) ApplyResolved(keys []int64, vals []uint64, found, live []bool) int {
-	for i, k := range keys {
-		if _, ok := e.m[k]; ok != found[i] {
-			panic("gatedEngine: found disagrees with the engine's contents")
+		if i > 0 && keys[i-1] >= k {
+			panic("gatedEngine: found would disagree with the map: batch not sorted and duplicate-free")
 		}
-		switch {
-		case live[i]:
+		_, found[i] = e.m[k]
+		if live[i] {
 			e.m[k] = vals[i]
-		case found[i]:
+		} else {
 			delete(e.m, k)
-		default:
-			panic("gatedEngine: a key that writes nothing")
 		}
 	}
 	return 0
@@ -270,7 +264,7 @@ func TestCombinesConcurrentOps(t *testing.T) {
 	}
 
 	eng.release <- struct{}{} // finish epoch 1
-	<-eng.entered             // epoch 2 (the ten Puts) starts its presence traversal
+	<-eng.entered             // epoch 2 (the ten Puts) starts its write traversal
 	eng.release <- struct{}{}
 	wg.Wait()
 	<-firstDone

@@ -72,18 +72,12 @@ func trimmed[T any](s []T, maxCap int) []T {
 	return s
 }
 
-// resized returns s with length n, reusing its array when the capacity
-// suffices. The contents are arbitrary.
-func resized[T any](s []T, n int) []T {
-	return slices.Grow(s[:0], n)[:n]
-}
-
-// runEpoch executes one combined batch: it resolves the pre-epoch
-// presence of every distinct key with at most one batched contains
-// traversal, replays each key's events in linearization order to fill
-// per-op results and the key's post-epoch presence, and hands the keys
-// that write, with both presences and the last-wins values, to one
-// ApplyResolved call.
+// runEpoch executes one combined batch: it sorts the epoch's events by
+// key, reads each distinct key's post-epoch presence and last-wins
+// value off the last event of its run, hands every distinct key to one
+// ApplyResolved call, which reports the pre-epoch presences, and
+// replays each key's events from that presence to fill the per-op
+// results.
 //
 //pbist:combiner
 func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
@@ -116,78 +110,68 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 		return int(a.sub - b.sub)
 	})
 
-	// Distinct keys and their event runs.
-	readKeys := slices.Grow(buf.keys[:0], nev)
-	runStart := slices.Grow(buf.runs[:0], nev+1)
+	// Distinct keys and their event runs. Only writes carry keys, so a
+	// run's last event decides the key: live after the epoch iff it is
+	// a Put, whose value is installed (also when the key pre-existed,
+	// since the value may differ). keys is sorted and duplicate-free,
+	// as the engine requires.
+	keys := slices.Grow(buf.keys[:0], nev)
+	live := slices.Grow(buf.live[:0], nev)
+	winVal := slices.Grow(buf.winVal[:0], nev)
+	runStart := append(slices.Grow(buf.runs[:0], nev+1), 0)
 	for i := range events {
-		if i == 0 || events[i].key != events[i-1].key {
-			runStart = append(runStart, int32(i))
-			readKeys = append(readKeys, events[i].key)
+		e := events[i]
+		if i+1 < len(events) && events[i+1].key == e.key {
+			continue
 		}
+		o := ops[e.op]
+		put := o.kind == kindPut
+		var val V
+		if put {
+			val = o.vals[e.sub]
+		}
+		keys = append(keys, e.key)
+		live = append(live, put)
+		winVal = append(winVal, val)
+		runStart = append(runStart, int32(i+1))
 	}
-	runStart = append(runStart, int32(len(events)))
-	buf.keys, buf.runs = readKeys, runStart
-	nruns := len(readKeys)
+	buf.keys, buf.live, buf.winVal, buf.runs = keys, live, winVal, runStart
+	nruns := len(keys)
 
 	// The phase stamps below are taken only when the combiner is
 	// observed; together with start and end they tile the epoch into
-	// the sort/read/replay/write/publish spans of its trace.
-	var tSort, tRead, tReplay, tWrite time.Time
+	// the sort/write/replay/publish spans of its trace.
+	var tSort, tWrite, tReplay time.Time
 	if pr != nil {
 		tSort = time.Now()
 	}
 
-	// One batched contains traversal resolves the pre-epoch presence of
-	// every key the epoch touches. The writes' return values need it,
-	// and so does the write itself, which is why the engine runs no
-	// presence check of its own.
-	preFound := resized(buf.found, nruns)
-	clear(preFound) // the *Into engine contract wants it zeroed
-	buf.found = preFound
-	if nruns > 0 {
-		c.eng.ContainsBatchedInto(readKeys, preFound)
-	}
-	if pr != nil {
-		tRead = time.Now()
-	}
-
-	// Replay every key's events in linearization order, in parallel
-	// across keys: presence (and value) evolve per event, each event
-	// writes its op's answer at its own position, and the key's final
-	// presence and value are what the epoch writes. Distinct keys never
-	// share a result position, so the scatter is race-free.
-	live := resized(buf.live, nruns)
-	winVal := resized(buf.winVal, nruns)
-	buf.live, buf.winVal = live, winVal
-	if pr != nil {
-		parallel.WithLabel(true, "combine-replay", func() {
-			c.replayRuns(ops, events, runStart, preFound, live, winVal, nruns)
-		})
-		tReplay = time.Now()
-	} else {
-		c.replayRuns(ops, events, runStart, preFound, live, winVal, nruns)
-	}
-
-	// Keep, in key order, the runs that write: a key live before or
-	// after the epoch. readKeys is sorted, so the batch is sorted and
-	// duplicate-free as the engine requires. The compaction runs in
-	// place; nothing below reads the arrays by run, and the engine never
-	// retains a batch slice (writes copy into tree-owned storage).
-	w := 0
-	for r := range nruns {
-		if preFound[r] || live[r] {
-			readKeys[w], winVal[w] = readKeys[r], winVal[r]
-			preFound[w], live[w] = preFound[r], live[r]
-			w++
-		}
-	}
+	// One write traversal applies the epoch and reports every key's
+	// pre-epoch presence, which the answers replay from. The engine
+	// never retains a batch slice (writes copy into tree-owned storage).
+	found := slices.Grow(buf.found[:0], nruns)[:nruns] // the engine writes every entry
+	buf.found = found
 	rebuildKeys := 0
-	if w > 0 {
-		rebuildKeys = c.eng.ApplyResolved(readKeys[:w], winVal[:w], preFound[:w], live[:w])
+	if nruns > 0 {
+		rebuildKeys = c.eng.ApplyResolved(keys, winVal, live, found)
 	}
 	if pr != nil {
 		tWrite = time.Now()
 	}
+
+	// Replay every key's events in linearization order, in parallel
+	// across keys: each event writes its op's answer at its own
+	// position. Distinct keys never share a result position, so the
+	// scatter is race-free.
+	if pr != nil {
+		parallel.WithLabel(true, "combine-replay", func() {
+			c.replayRuns(ops, events, runStart, found)
+		})
+		tReplay = time.Now()
+	} else {
+		c.replayRuns(ops, events, runStart, found)
+	}
+
 	// Publish the post-epoch state for version readers before any
 	// client of this epoch wakes: an operation that has completed is
 	// then always visible to the wait-free version reads, which is what
@@ -221,7 +205,7 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 	c.smu.Unlock()
 
 	if pr != nil {
-		c.traceEpoch(ops, nev, rebuildKeys, start, tSort, tRead, tReplay, tWrite, time.Now())
+		c.traceEpoch(ops, nev, rebuildKeys, start, tSort, tWrite, tReplay, time.Now())
 	}
 
 	for _, o := range ops {
@@ -233,26 +217,21 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 // observed path can run it under a pprof label without forcing a
 // closure allocation on the unobserved path. It touches no
 // combiner-confined state — everything it needs arrives as arguments.
-func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, preFound, live []bool, winVal []V, nruns int) {
-	parallel.For(c.pool, nruns, 256, func(r int) {
-		present := preFound[r]
-		var val V
-		// Only writes carry keys, so every run ends in a write.
+// Run r holds the events runStart[r]:runStart[r+1] of one key, whose
+// pre-epoch presence is found[r].
+func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, found []bool) {
+	parallel.For(c.pool, len(found), 256, func(r int) {
+		present := found[r]
 		for i := runStart[r]; i < runStart[r+1]; i++ {
 			e := events[i]
 			o := ops[e.op]
 			if o.kind == kindPut {
 				o.rfound[e.sub] = !present
 				present = true
-				val = o.vals[e.sub]
 			} else {
 				o.rfound[e.sub] = present
 				present = false
 			}
 		}
-		// A key live after the epoch ends in a Put, whose value is
-		// installed (also when the key pre-existed, since the value may
-		// differ).
-		live[r], winVal[r] = present, val
 	})
 }

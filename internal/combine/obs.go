@@ -29,9 +29,8 @@ type probe struct {
 	epochSize  *obs.Histogram // keys per epoch
 
 	phaseSort    *obs.Histogram
-	phaseRead    *obs.Histogram
-	phaseReplay  *obs.Histogram
 	phaseWrite   *obs.Histogram
+	phaseReplay  *obs.Histogram
 	phasePublish *obs.Histogram
 }
 
@@ -51,9 +50,8 @@ func newProbe(r *obs.Registry, traceDepth, id int) *probe {
 		gatherWait:   r.Histogram("combine.epoch.gather_wait_ns"),
 		epochSize:    r.Histogram("combine.epoch.keys"),
 		phaseSort:    r.Histogram("combine.epoch.sort_ns"),
-		phaseRead:    r.Histogram("combine.epoch.read_ns"),
-		phaseReplay:  r.Histogram("combine.epoch.replay_ns"),
 		phaseWrite:   r.Histogram("combine.epoch.write_ns"),
+		phaseReplay:  r.Histogram("combine.epoch.replay_ns"),
 		phasePublish: r.Histogram("combine.epoch.publish_ns"),
 	}
 }
@@ -73,12 +71,10 @@ func (p *probe) record(tr *obs.EpochTrace) {
 		switch ph.Name {
 		case "sort":
 			h = p.phaseSort
-		case "read":
-			h = p.phaseRead
-		case "replay":
-			h = p.phaseReplay
 		case "write":
 			h = p.phaseWrite
+		case "replay":
+			h = p.phaseReplay
 		case "publish":
 			h = p.phasePublish
 		}
@@ -116,13 +112,13 @@ func (c *Combiner[K, V]) observeRetained(r *obs.Registry) {
 
 // traceEpoch assembles and records the trace of the epoch that just
 // ran. The phase stamps are the clock reads runEpoch took at each
-// stage boundary, so the five spans tile [start, end] exactly: their
+// stage boundary, so the four spans tile [start, end] exactly: their
 // sum equals Wall by construction, up to the clock's own granularity.
 // The write span holds the epoch's inline rebuilds, whose keys
 // rebuildKeys carries; the publish span starts at PublishVersion.
 //
 //pbist:combiner
-func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount, rebuildKeys int, start, tSort, tRead, tReplay, tWrite, end time.Time) {
+func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount, rebuildKeys int, start, tSort, tWrite, tReplay, end time.Time) {
 	pr := c.probe
 	var tr obs.EpochTrace
 	tr.Shard = pr.id
@@ -133,10 +129,9 @@ func (c *Combiner[K, V]) traceEpoch(ops []*op[K, V], keyCount, rebuildKeys int, 
 	tr.Keys = keyCount
 	tr.RebuildKeys = rebuildKeys
 	tr.AddPhase("sort", tSort.Sub(start))
-	tr.AddPhase("read", tRead.Sub(tSort))
-	tr.AddPhase("replay", tReplay.Sub(tRead))
-	tr.AddPhase("write", tWrite.Sub(tReplay))
-	tr.AddPhase("publish", end.Sub(tWrite))
+	tr.AddPhase("write", tWrite.Sub(tSort))
+	tr.AddPhase("replay", tReplay.Sub(tWrite))
+	tr.AddPhase("publish", end.Sub(tReplay))
 	pr.record(&tr)
 	// Client-observed latency: enqueue to wakeup. Recorded before the
 	// done sends so no op is touched after its client may reuse it.

@@ -10,8 +10,9 @@
 //   - InsertBatched (§5) adds a sorted batch (set union),
 //   - PutBatched (§5) upserts a sorted batch of key-value pairs,
 //   - RemoveBatched (§6) deletes a sorted batch (set difference),
-//   - ApplyResolved applies a batch of updates, inserts and removes
-//     whose presence the caller already resolved, in the one write
+//   - ApplyResolved applies a batch of keys whose state after the
+//     write the caller knows (updates, inserts and removes at once),
+//     reporting each key's presence before it, in the one write
 //     traversal the three above share,
 //
 // each in expected O(m·log log n) work for a batch of m keys against a
@@ -158,7 +159,7 @@ type Tree[K iindex.Numeric, V any] struct {
 	// recursion, hence the atomic; ApplyResolved reports its delta.
 	rebuiltKeys atomic.Int64
 
-	// wb is the batch the running ApplyResolved applies, set for the
+	// wb is the batch the running write traversal applies, set for the
 	// length of that one call. Held here rather than passed down, the
 	// write recursion and its parallel closures reach it through t and
 	// the call allocates nothing to carry it.

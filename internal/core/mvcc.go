@@ -504,10 +504,13 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 //     (immutable between rebuilds) and its vals/exists slots, and
 //     sets sharedSlots; ownSlots copies the slots just before the
 //     first slot write at this node. The recursions' sequential form
-//     calls it only when the node's rep holds a batch key, so a small
-//     epoch whose keys live deeper never copies them; where they fork
-//     (more than seqSegCutoff keys at the node, which almost always
-//     include one in its rep) they call it before the parallel loop.
+//     calls it only when a batch key writes a slot of the node's rep,
+//     so a small epoch whose keys live deeper never copies them; where
+//     they fork (more than seqSegCutoff keys at the node, which almost
+//     always include one in its rep) they call it before the parallel
+//     loop. The write's sequential form also copies a node only once a
+//     write reaches it or its subtree, so keys that write nothing (a
+//     Delete of an absent key) copy no node at all.
 //   - A leaf copy duplicates rep/vals/exists, because leaf reps mutate
 //     on insertion, with capacity for one more key plus LeafSlack
 //     headroom, so the insert that triggered the copy merges in place

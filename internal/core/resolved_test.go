@@ -12,16 +12,21 @@ import (
 
 // TestApplyResolvedMatchesFilteredWrites is the differential test of
 // ApplyResolved. Each round draws a random batch and makes each key a
-// Put or a Delete. A model resolves each key's presence before and
-// after: Puts of live keys are updates, Puts of absent keys inserts,
-// Deletes of live keys removals, and Deletes of absent keys are
-// dropped. One tree takes the whole mixed batch in one ApplyResolved
-// call; its twin takes the same Puts and Deletes through PutBatched +
-// RemoveBatched, which resolve presence themselves. After every round
-// both must hold the model's items. On publishing trees every round
-// also publishes, and at the end each published version of the two
-// trees is read under one pin per tree, taken before the first
-// publish, and compared.
+// Put or a Delete; a model knows each key's presence before and after.
+// One tree takes the whole batch in one ApplyResolved call, Deletes of
+// absent keys included, and must report every key's presence before
+// the write as the model has it. Its twin takes the same Puts and
+// Deletes through PutBatched + RemoveBatched. After every round both
+// must hold the model's items. On publishing trees every round also
+// publishes, and at the end each published version of the two trees
+// is read under one pin per tree, taken before the first publish, and
+// compared.
+//
+// Besides the random keys, each round deletes keys that sit logically
+// removed in inner reps of the ApplyResolved tree and keys that route
+// to its nil children, and puts one more key into each such nil child
+// when its range has room, so an empty child takes live and dead keys
+// in one segment.
 //
 // The cases cover the sequential loop form (batches of at most 512
 // keys on a 1-worker pool, and of at most seqSegCutoff+1 keys on a
@@ -29,7 +34,9 @@ import (
 // down) and the parallel one above it (larger batches on a 2-worker
 // pool), with both traversal modes. RebuildFactor 1 makes rebuilds
 // fire in every case; at LeafCap 4 they fire on small subtrees whose
-// segments hold updates, inserts and removes together.
+// segments hold updates, inserts and removes together, and a subtree
+// rebuilt in a batch whose rebuild of an ancestor follows (a nested
+// rebuild) must occur.
 func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 	for _, tc := range []struct {
 		workers, maxBatch int
@@ -85,35 +92,74 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 			}
 			var wantK [][]int64 // the model's keys after each published round
 			var wantV [][]int64
+			var removedDeletes, nilDeletes, nilPuts, nested int
 
 			for round := 0; round < rounds; round++ {
-				keys := randomBatch(r, tc.maxBatch, span)
-				var putK, delK, resK []int64
-				var putV, resV []int64
-				var found, live []bool
+				// op[k] is true for a Put: the random keys draw, the
+				// probes of resolved's shape are forced.
+				op := make(map[int64]bool)
+				for _, k := range randomBatch(r, tc.maxBatch, span) {
+					op[k] = r.Intn(2) == 0
+				}
+				removed, empty := absentProbes(resolved.root, span)
+				for _, k := range removed[:min(len(removed), 8)] {
+					op[k] = false
+					removedDeletes++
+				}
+				for _, g := range empty[:min(len(empty), 8)] {
+					op[g[0]] = false
+					nilDeletes++
+					if g[1] > g[0] {
+						op[g[1]] = true
+						nilPuts++
+					}
+				}
+				keys := make([]int64, 0, len(op))
+				for k := range op {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+
+				var putK, delK, resV []int64
+				var putV []int64
+				var had, live []bool
 				var nIns, nRem int
 				for _, k := range keys {
-					_, had := model[k]
-					if r.Intn(2) == 0 {
+					_, h := model[k]
+					had = append(had, h)
+					if op[k] {
 						v := r.Int63()
 						putK, putV = append(putK, k), append(putV, v)
-						resK, resV = append(resK, k), append(resV, v)
-						found, live = append(found, had), append(live, true)
-						if !had {
+						resV, live = append(resV, v), append(live, true)
+						if !h {
 							nIns++
 						}
 						model[k] = v
 						continue
 					}
 					delK = append(delK, k)
-					if had {
-						resK, resV = append(resK, k), append(resV, 0)
-						found, live = append(found, true), append(live, false)
+					resV, live = append(resV, 0), append(live, false)
+					if h {
 						nRem++
 						delete(model, k)
 					}
 				}
-				resolved.ApplyResolved(resK, resV, found, live)
+				found := make([]bool, len(keys))
+				for i := range found {
+					found[i] = !had[i] // every entry must be overwritten
+				}
+				rebuilt := resolved.ApplyResolved(keys, resV, live, found)
+				for i := range keys {
+					if found[i] != had[i] {
+						t.Fatalf("round %d: found[%d] (key %d) = %v, want %v", round, i, keys[i], found[i], had[i])
+					}
+				}
+				if rebuilt > resolved.Len() {
+					// Rebuilds of disjoint subtrees lay down at most the
+					// live keys once; more means one rebuilt subtree was
+					// inside another.
+					nested++
+				}
 				if got := filtered.PutBatched(putK, putV); got != nIns {
 					t.Fatalf("round %d: PutBatched inserted %d, want %d", round, got, nIns)
 				}
@@ -138,6 +184,8 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 					wantK, wantV = append(wantK, mk), append(wantV, mv)
 				}
 			}
+			t.Logf("deletes of removed inner slots %d, of nil-child keys %d; nil-child puts %d; nested rebuilds %d",
+				removedDeletes, nilDeletes, nilPuts, nested)
 
 			for i, vs := range versions {
 				for j, tr := range []*Tree[int64, int64]{resolved, filtered} {
@@ -151,8 +199,48 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 			if reg.Snapshot().Counters["core.rebuild.count"] == startRebuilds {
 				t.Fatal("no rebuild fired; the case does not cover the rebuild paths")
 			}
+			if removedDeletes == 0 {
+				t.Fatal("no delete hit a logically removed inner slot")
+			}
+			if tc.leafCap == 4 && (nilDeletes == 0 || nilPuts == 0 || nested == 0) {
+				t.Fatal("the case does not cover nil children or nested rebuilds")
+			}
 		})
 	}
+}
+
+// absentProbes walks subtree v and returns the keys that sit logically
+// removed in inner reps, and for each nil child up to two absent keys
+// of its range (the second equal to the first when the range holds
+// one key). Keys lie in [0, span).
+func absentProbes(v *node[int64, int64], span int64) (removed []int64, empty [][2]int64) {
+	var walk func(v *node[int64, int64])
+	walk = func(v *node[int64, int64]) {
+		if v == nil || v.isLeaf() {
+			return
+		}
+		for i, c := range v.children {
+			if i < len(v.rep) && !v.exists[i] {
+				removed = append(removed, v.rep[i])
+			}
+			if c != nil {
+				walk(c)
+				continue
+			}
+			lo, hi := int64(0), span // child i holds (rep[i-1], rep[i])
+			if i > 0 {
+				lo = v.rep[i-1] + 1
+			}
+			if i < len(v.rep) {
+				hi = v.rep[i]
+			}
+			if lo < hi {
+				empty = append(empty, [2]int64{lo, min(lo+1, hi-1)})
+			}
+		}
+	}
+	walk(v)
+	return removed, empty
 }
 
 // modelItems returns the model's pairs in key order.

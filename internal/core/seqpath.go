@@ -82,9 +82,12 @@ func runEnd(pf []int32, i int) int {
 	return j
 }
 
-// mergeLeaf merges the batch pairs that pf marks physically absent
-// into leaf v's rep/vals/exists triple (Fig. 11); entries with the
-// found bit set were written in place and are skipped.
+// mergeLeaf merges the live batch keys that pf marks physically
+// absent from leaf v, batch positions l, l+1, …, into its
+// rep/vals/exists triple (Fig. 11); entries with the found bit set
+// were resolved in place and are skipped, as are absent keys that stay
+// absent. It returns v, copied first if it was frozen and a key
+// merges, and the number of keys merged.
 //
 // The merge runs in place, backward, so sources are consumed before
 // being overwritten. When the leaf's arrays lack the capacity, the
@@ -100,18 +103,20 @@ func runEnd(pf []int32, i int) int {
 // spare capacity is never written, because the merge only ever runs
 // on the copy. The arrays are leaf-retained either way, so they never
 // come from recycled scratch.
-func (t *Tree[K, V]) mergeLeaf(v *node[K, V], batchK []K, batchV []V, pf []int32) {
-	absent := 0
-	for _, p := range pf {
-		if p&1 == 0 {
-			absent++
+func (t *Tree[K, V]) mergeLeaf(v *node[K, V], l int, pf []int32) (*node[K, V], int) {
+	batchK, batchV, live := t.wb.keys[l:], t.wb.vals[l:], t.wb.live[l:]
+	fresh := 0
+	for j, p := range pf {
+		if p&1 == 0 && live[j] {
+			fresh++
 		}
 	}
-	if absent == 0 {
-		return
+	if fresh == 0 {
+		return v, 0
 	}
+	v = t.owned(v)
 	rep, vals, exists := v.rep, v.vals, v.exists
-	n := len(rep) + absent
+	n := len(rep) + fresh
 	if cap(rep) < n || cap(vals) < n || cap(exists) < n {
 		t.ar.leafGrows.Add(1)
 		c := leafGrowCap(n, t.cfg.LeafSlack) // headroom for in-place follow-up merges
@@ -122,9 +127,9 @@ func (t *Tree[K, V]) mergeLeaf(v *node[K, V], batchK []K, batchV []V, pf []int32
 	i := len(rep) - 1
 	rep, vals, exists = rep[:n], vals[:n], exists[:n]
 	w := n - 1
-	for j := len(batchK) - 1; j >= 0; j-- {
-		if pf[j]&1 == 1 {
-			continue // written in place; already present in rep
+	for j := len(pf) - 1; j >= 0; j-- {
+		if pf[j]&1 == 1 || !live[j] {
+			continue // resolved in place, or absent and staying absent
 		}
 		for i >= 0 && rep[i] > batchK[j] {
 			rep[w] = rep[i]
@@ -139,6 +144,7 @@ func (t *Tree[K, V]) mergeLeaf(v *node[K, V], batchK []K, batchV []V, pf []int32
 		w--
 	}
 	v.rep, v.vals, v.exists = rep, vals, exists
+	return v, fresh
 }
 
 // leafGrowCap is the capacity of freshly allocated leaf arrays for n

@@ -20,8 +20,8 @@ func (t *Tree[K, V]) ContainsBatched(keys []K) []bool {
 // ContainsBatchedInto is ContainsBatched writing into a caller-provided
 // destination instead of allocating one: result must have len(keys) and
 // be zero-initialized — entries of absent keys are left untouched. It
-// is getRec without the value read. It exists so the write paths and
-// per-epoch callers (the combining frontend) can recycle result arrays
+// is getRec without the value read. It exists so the filtering write
+// paths (InsertBatched, RemoveBatched) can recycle result arrays
 // through an arena instead of allocating each call.
 func (t *Tree[K, V]) ContainsBatchedInto(keys []K, result []bool) {
 	if len(keys) == 0 {

@@ -1,156 +1,71 @@
 package core
 
 import (
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/iindex"
 	"repro/internal/parallel"
 )
 
-// writeBatch is the batch one ApplyResolved call applies. keys is
-// sorted and duplicate-free; live[i] is the presence of keys[i] after
-// the write, and vals[i] its value, read only where live[i]. A batch
-// whose keys all write alike (every key an update, an insert or a
-// remove) says so in kind, and its counts need no arrays. Otherwise
-// ins and rem are the exclusive prefix counts of the batch's inserts
-// (absent before, live after) and removes (live before, absent after),
-// so any segment's counts cost two subtractions; the presence before
-// the write is needed for nothing else.
+// writeBatch is the batch one write traversal applies. keys is sorted
+// and duplicate-free; live[i] is the presence of keys[i] after the
+// write, and vals[i] its value, read only where live[i]. found, when
+// non-nil, receives each key's presence before the write.
 type writeBatch[K iindex.Numeric, V any] struct {
-	keys     []K
-	vals     []V
-	live     []bool
-	kind     batchKind
-	ins, rem []int
+	keys  []K
+	vals  []V
+	live  []bool
+	found []bool
 }
 
-// batchKind says whether a write batch holds one kind of write.
-type batchKind uint8
-
-const (
-	mixedWrites batchKind = iota // counts from ins/rem
-	onlyUpdates
-	onlyInserts
-	onlyRemoves
-)
-
-// kindOf is the kind of a resolved batch: mixedWrites as soon as one
-// key writes unlike the first.
-func kindOf(found, live []bool) batchKind {
-	for i := range found {
-		if found[i] != found[0] || live[i] != live[0] {
-			return mixedWrites
-		}
-	}
-	switch {
-	case found[0] == live[0]:
-		return onlyUpdates
-	case live[0]:
-		return onlyInserts
-	}
-	return onlyRemoves
-}
-
-// counts returns the inserts and removes among keys[l:r).
-func (b *writeBatch[K, V]) counts(l, r int) (ins, rem int) {
-	switch b.kind {
-	case onlyUpdates:
-		return 0, 0
-	case onlyInserts:
-		return r - l, 0
-	case onlyRemoves:
-		return 0, r - l
-	}
-	return b.ins[r] - b.ins[l], b.rem[r] - b.rem[l]
-}
-
-// writeSlot gives rep slot s of v the post-write state of batch key
-// i: an update overwrites the value, an insert revives a logically
-// removed slot (§6, Fig. 13), a remove marks the slot removed (§6,
-// Fig. 12). The value slot of a removed key is reclaimed by the next
-// rebuild (§7).
-func (b *writeBatch[K, V]) writeSlot(v *node[K, V], s int32, i int) {
-	v.exists[s] = b.live[i]
-	if b.live[i] {
-		v.vals[s] = b.vals[i]
+// report records the presence batch key i had before the write.
+func (b *writeBatch[K, V]) report(i int, had bool) {
+	if b.found != nil {
+		b.found[i] = had
 	}
 }
 
-// writeKind is the contribution of one key to the insert and remove
-// counts.
-func writeKind(found, live bool) (ins, rem int) {
-	switch {
-	case found == live:
-		return 0, 0
-	case live:
-		return 1, 0
-	default:
-		return 0, 1
-	}
-}
-
-// ApplyResolved applies a batch of writes whose presence the caller
-// has already resolved: keys is sorted and duplicate-free, found[i]
-// says whether keys[i] is live before the write and live[i] whether
-// it is live after, with value vals[i] (read only where live[i]).
-// Every key must write, found[i] || live[i]; the caller drops the keys
-// that need none. One §5–§6 traversal (writeRec) applies updates,
-// inserts and removes together. It runs no membership traversal of
-// its own, so the caller's presence is trusted: a wrong one corrupts
-// the size accounting. It never retains a batch slice. It returns the
-// keys the §7.1 rebuilds it triggered laid down, which the combining
-// frontend records in its epoch trace.
+// ApplyResolved writes a batch of keys whose state after the write the
+// caller knows: keys is sorted and duplicate-free, live[i] says
+// whether keys[i] is live after the write, with value vals[i] (read
+// only where live[i]). One §5–§6 traversal (writeRec) applies the
+// updates, inserts and removes together and resolves each key's
+// presence on the way down: when found is non-nil, found[i] receives
+// whether keys[i] was live before the write (every entry is written).
+// A key that was absent and stays absent writes nothing. It never
+// retains a batch slice. It returns the keys the §7.1 rebuilds it
+// triggered laid down, which the combining frontend records in its
+// epoch trace.
 //
-// PutBatched is its presence filter plus a call to it, and the
-// combining frontend calls it directly with the presence its epoch's
-// read phase resolved. Only a batch that mixes kinds of write borrows
-// prefix counts. InsertBatched and RemoveBatched, whose filtered
-// batches hold one kind of write, call the same traversal through
-// applyWrites without building presence flags.
-func (t *Tree[K, V]) ApplyResolved(keys []K, vals []V, found, live []bool) (rebuildKeys int) {
+// The combining frontend calls it once per epoch with every distinct
+// key the epoch wrote, and PutBatched is one call with every key live.
+// InsertBatched and RemoveBatched filter their batches against the
+// current contents first (§5–§6) and then run the same traversal.
+func (t *Tree[K, V]) ApplyResolved(keys []K, vals []V, live, found []bool) (rebuildKeys int) {
 	m := len(keys)
-	if len(vals) != m || len(found) != m || len(live) != m {
-		panic("core: ApplyResolved keys/vals/found/live length mismatch")
+	if len(vals) != m || len(live) != m || (found != nil && len(found) != m) {
+		panic("core: ApplyResolved keys/vals/live/found length mismatch")
 	}
-	if m == 0 {
-		return 0
-	}
-	if kind := kindOf(found, live); kind != mixedWrites {
-		return t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live, kind: kind})
-	}
-	// One exclusive scan over both halves: the remove half comes out
-	// offset by the insert total, which every difference cancels.
-	cnt := t.ar.ints.Get(2 * (m + 1))
-	ins, rem := cnt[:m+1], cnt[m+1:]
-	if t.sequential(m) {
-		for i := range m {
-			ins[i], rem[i] = writeKind(found[i], live[i])
-		}
-	} else {
-		parallel.For(t.pool, m, 0, func(i int) {
-			ins[i], rem[i] = writeKind(found[i], live[i])
-		})
-	}
-	ins[m], rem[m] = 0, 0
-	parallel.ScanInPlace(t.pool, cnt)
-	// The batch holds the counts only until applyWrites returns, before
-	// cnt returns to the arena.
-	n := t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live, ins: ins, rem: rem}) //pbist:owner
-	t.ar.ints.Put(cnt)
-	return n
+	return t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live, found: found})
 }
 
-// applyWrites runs the one §5–§6 traversal of ApplyResolved over b and
-// returns the keys the rebuilds it triggered laid down. t.wb holds b
-// only for the traversal.
+// applyWrites runs the one §5–§6 traversal over b and returns the keys
+// the rebuilds it triggered laid down. t.wb holds b only for the
+// traversal. On a publishing tree the first write after a publish
+// copies the root, so a call that leaves the root in place either
+// wrote nothing or follows one that already marked the tree dirty.
 func (t *Tree[K, V]) applyWrites(b writeBatch[K, V]) (rebuildKeys int) {
 	if len(b.keys) == 0 {
 		return 0
 	}
 	before := t.rebuiltKeys.Load()
 	t.wb = b
-	t.dirty = true
-	t.root = t.writeRec(t.root, 0, len(b.keys), nil, 0)
+	root, _, _ := t.writeRec(t.root, 0, len(b.keys), nil, 0)
+	if root != t.root {
+		t.root, t.dirty = root, true
+	}
 	t.wb = writeBatch[K, V]{}
 	return int(t.rebuiltKeys.Load() - before)
 }
@@ -181,7 +96,7 @@ func (t *Tree[K, V]) InsertBatched(keys []K) int {
 	n := len(fresh)
 	zeroV := t.ar.vals.GetZero(n)
 	live := t.trues(n)
-	t.applyWrites(writeBatch[K, V]{keys: fresh, vals: zeroV, live: live, kind: onlyInserts}) //pbist:owner
+	t.applyWrites(writeBatch[K, V]{keys: fresh, vals: zeroV, live: live}) //pbist:owner
 	t.ar.vals.Put(zeroV)
 	t.ar.bools.Put(live)
 	t.ar.keys.Put(freshBuf)
@@ -190,12 +105,12 @@ func (t *Tree[K, V]) InsertBatched(keys []K) int {
 
 // PutBatched upserts every (keys[i], vals[i]) pair of the sorted
 // duplicate-free batch and returns the number of keys that were newly
-// inserted (as opposed to overwritten). One membership traversal
-// resolves each key's presence, and every key is live after the
-// write, so the whole batch goes to ApplyResolved unfiltered: live
-// keys take their new value in place, absent ones the §5 insertion
-// path with their values riding alongside. The presence and liveness
-// flags are arena scratch scoped to this call.
+// inserted (as opposed to overwritten). Every key is live after the
+// write, so the whole batch goes to the write traversal unfiltered,
+// with no membership traversal first: a key the traversal finds in a
+// rep takes its new value in place, an absent one the §5 insertion
+// path with its value riding alongside. The liveness flags are arena
+// scratch scoped to this call.
 func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 	if len(keys) != len(vals) {
 		panic("core: PutBatched keys/vals length mismatch")
@@ -204,11 +119,8 @@ func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 		return 0
 	}
 	before := t.Len()
-	present := t.ar.bools.GetZero(len(keys))
-	t.ContainsBatchedInto(keys, present)
 	live := t.trues(len(keys))
-	t.ApplyResolved(keys, vals, present, live)
-	t.ar.bools.Put(present)
+	t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live}) //pbist:owner
 	t.ar.bools.Put(live)
 	return t.Len() - before
 }
@@ -220,9 +132,9 @@ func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 // logically removed in the Exists array of the node whose Rep holds it
 // (Fig. 12). Space — including the value slots — is reclaimed by the
 // next rebuild of an enclosing subtree (§7). The filter is one
-// membership traversal; the removal is ApplyResolved's. The membership
-// side array, the filtered batch and its flags are arena scratch with
-// this call's lifetime.
+// membership traversal; the removal is the write traversal's. The
+// membership side array, the filtered batch and its flags are arena
+// scratch with this call's lifetime.
 //
 // RemoveBatched(B) is set difference: A.RemoveBatched(B) makes
 // A = A \ B (§2.2).
@@ -238,7 +150,7 @@ func (t *Tree[K, V]) RemoveBatched(keys []K) int {
 	n := len(doomed)
 	unread := t.ar.vals.Get(n) // no key is live after: values are never read
 	live := t.ar.bools.GetZero(n)
-	t.applyWrites(writeBatch[K, V]{keys: doomed, vals: unread, live: live, kind: onlyRemoves}) //pbist:owner
+	t.applyWrites(writeBatch[K, V]{keys: doomed, vals: unread, live: live}) //pbist:owner
 	t.ar.vals.Put(unread)
 	t.ar.bools.Put(live)
 	t.ar.keys.Put(doomedBuf)
@@ -266,118 +178,187 @@ func (t *Tree[K, V]) trues(n int) []bool {
 
 // writeRec applies the batch segment [l, r) of t.wb to subtree v
 // (Listing 1.2, in its §5 and §6 forms at once) and returns the
-// possibly replaced subtree root. A key found in a node's rep takes
-// its post-write state in that slot (writeSlot); keys routed to a
-// child descend; at a leaf, the keys its rep lacks are all inserts and
-// merge in (Fig. 11). The segment's insert and remove counts drive
-// size, modCnt and the §7.1 rebuild check before anything below v is
-// touched. sc is the walker of the sequential segment the call
-// belongs to, nil while the segment is walked in parallel; see
-// getRec.
-func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) *node[K, V] {
-	b := &t.wb
+// possibly replaced subtree root with the segment's insert and remove
+// counts. A key found in a node's rep resolves in that slot
+// (writeSlots); keys routed to a child descend; at a leaf, the live
+// keys its rep lacks are inserts and merge in (Fig. 11). Each key's
+// presence before the write is reported where it resolves. The counts
+// fix up size and modCnt once the children return, and drive the
+// §7.1 rebuild check there (settle). A frozen node is copied only
+// when a write reaches it or its subtree, so keys that write nothing
+// copy nothing; a segment walked in parallel copies v up front. sc is
+// the walker of the sequential segment the call belongs to, nil while
+// the segment is walked in parallel; see getRec.
+func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (*node[K, V], int, int) {
 	if v == nil {
-		// Empty range: every key routed here is absent, so an insert;
-		// the segment becomes a fresh ideal subtree.
-		return t.buildIdeal(b.keys[l:r], b.vals[l:r])
+		return t.buildLive(l, r)
 	}
 	seg := r - l
-	ins, rem := b.counts(l, r)
-	if t.rebuildDue(v, ins+rem) {
-		// §7.1 step 2: the recursion stops here for this subtree.
-		root := t.rebuildWith(v, l, r, ins, rem)
-		t.retireSubtree(v)
-		return root
-	}
-	v = t.owned(v)
-	v.modCnt += ins + rem
-	v.size += ins - rem
-
 	if sc == nil && !t.sequential(seg) {
-		pf := t.ar.i32s.Get(seg)
-		defer t.ar.i32s.Put(pf)
-		t.findPositions(v, b.keys[l:r], pf, nil)
-		t.ownSlots(v)
-		parallel.For(t.pool, seg, 0, func(i int) {
-			if pf[i]&1 == 1 {
-				b.writeSlot(v, pf[i]>>1, l+i)
-			}
-		})
-		if v.isLeaf() {
-			t.mergeLeaf(v, b.keys[l:r], b.vals[l:r], pf)
-			return v
-		}
-		children := v.children
-		t.forEachChildRun(pf, func(lo, hi int, child int) {
-			children[child] = t.writeRec(children[child], l+lo, l+hi, nil, 0)
-		})
-		return v
+		return t.writePar(v, l, r)
 	}
 	if sc == nil {
 		sc = t.newScratch()
 		defer sc.release()
 	}
 	pf := sc.buf(depth, seg)
-	t.findPositions(v, b.keys[l:r], pf, sc)
-	for i, p := range pf {
-		if p&1 == 1 {
-			t.ownSlots(v)
-			b.writeSlot(v, p>>1, l+i)
-		}
-	}
+	t.findPositions(v, t.wb.keys[l:r], pf, sc)
+	v, ins, rem := t.writeSlots(v, pf, l)
 	if v.isLeaf() {
-		t.mergeLeaf(v, b.keys[l:r], b.vals[l:r], pf)
-		return v
+		v, n := t.mergeLeaf(v, l, pf)
+		return t.settle(v, ins+n, rem)
 	}
 	for i, j := 0, 0; i < seg; i = j {
 		j = runEnd(pf, i)
-		if pf[i]&1 == 0 {
-			c := pf[i] >> 1
-			v.children[c] = t.writeRec(v.children[c], l+i, l+j, sc, depth+1)
+		if pf[i]&1 == 1 {
+			continue
 		}
+		c := pf[i] >> 1
+		child, ci, cr := t.writeRec(v.children[c], l+i, l+j, sc, depth+1)
+		if child != v.children[c] {
+			v = t.owned(v)
+			v.children[c] = child
+		}
+		ins, rem = ins+ci, rem+cr
 	}
-	return v
+	return t.settle(v, ins, rem)
 }
 
-// rebuildWith is §7.1 step 2 for the batch segment [l, r) of t.wb,
-// which holds ins inserts and rem removes: flatten v, subtract the
-// segment's keys (those live before are its updates and removes; the
-// rest are absent and subtract nothing), merge in the keys live after
-// (updates and inserts), and rebuild ideally. A step whose side is
-// empty is skipped, so a segment of inserts only does one merge and a
-// segment of removes only one difference. Every temporary is arena
-// scratch, returned once buildIdeal has copied the result into chunk
-// storage, so consecutive rebuilds cycle the same backing arrays.
-func (t *Tree[K, V]) rebuildWith(v *node[K, V], l, r, ins, rem int) *node[K, V] {
+// writePar is writeRec's parallel form, for a segment too large to
+// walk sequentially: it copies v up front, resolves the rep keys in
+// parallel blocks and fans out over the child runs, summing the
+// counts as they return. Its position buffer is arena scratch held
+// until the fan-out returns. It is a function of its own because its
+// closures capture the node: in writeRec, which reassigns v, that
+// capture would move v to the heap on every call, sequential ones
+// included.
+func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
+	pf := t.ar.i32s.Get(r - l)
+	defer t.ar.i32s.Put(pf)
+	t.findPositions(v, t.wb.keys[l:r], pf, nil)
+	w := t.owned(v)
+	t.ownSlots(w)
+	var ins, rem atomic.Int64
+	parallel.ForRange(t.pool, r-l, 0, func(lo, hi int) {
+		_, di, dr := t.writeSlots(w, pf[lo:hi], l+lo)
+		ins.Add(int64(di))
+		rem.Add(int64(dr))
+	})
+	if w.isLeaf() {
+		_, n := t.mergeLeaf(w, l, pf)
+		ins.Add(int64(n))
+	} else {
+		children := w.children
+		t.forEachChildRun(pf, func(lo, hi int, child int) {
+			c, di, dr := t.writeRec(children[child], l+lo, l+hi, nil, 0)
+			children[child] = c
+			ins.Add(int64(di))
+			rem.Add(int64(dr))
+		})
+	}
+	return t.settle(w, int(ins.Load()), int(rem.Load()))
+}
+
+// writeSlots resolves the batch keys at positions l, l+1, … whose
+// positions pf packs, against the rep of v: a key found in a slot
+// reports the slot's liveness and, unless it was and stays absent,
+// gives the slot its post-write state — an update overwrites the
+// value, an insert revives a logically removed slot (§6, Fig. 13), a
+// remove marks the slot removed (§6, Fig. 12). A key a leaf's rep
+// lacks reports absent. It returns v, copied before its first write
+// if it was frozen, and the inserts and removes it applied. The value
+// slot of a removed key is reclaimed by the next rebuild (§7). The
+// parallel walk calls it per block on a v it already owns, so no call
+// copies anything there.
+func (t *Tree[K, V]) writeSlots(v *node[K, V], pf []int32, l int) (*node[K, V], int, int) {
+	b := &t.wb
+	leaf := v.isLeaf()
+	var ins, rem int
+	for i, p := range pf {
+		if p&1 == 0 {
+			if leaf {
+				b.report(l+i, false)
+			}
+			continue
+		}
+		s := p >> 1
+		had, live := v.exists[s], b.live[l+i]
+		b.report(l+i, had)
+		if !had && !live {
+			continue
+		}
+		v = t.owned(v)
+		t.ownSlots(v)
+		v.exists[s] = live
+		if live {
+			v.vals[s] = b.vals[l+i]
+		}
+		switch {
+		case had == live:
+		case live:
+			ins++
+		default:
+			rem++
+		}
+	}
+	return v, ins, rem
+}
+
+// buildLive is writeRec at an empty child: every key routed there is
+// absent, so the live ones are inserts and become a fresh ideal
+// subtree, and the rest write nothing.
+func (t *Tree[K, V]) buildLive(l, r int) (*node[K, V], int, int) {
+	b := &t.wb
+	if b.found != nil {
+		clear(b.found[l:r])
+	}
+	keys, vals, live := b.keys[l:r], b.vals[l:r], b.live[l:r]
+	if slices.Contains(live, false) {
+		lk, lv := t.ar.keys.Get(len(keys)), t.ar.vals.Get(len(keys))
+		defer t.ar.putKV(lk, lv)
+		isLive := func(i int) bool { return live[i] }
+		keys = parallel.FilterIndexInto(t.pool, keys, lk, isLive)
+		vals = parallel.FilterIndexInto(t.pool, vals, lv, isLive)
+	}
+	return t.buildIdeal(keys, vals), len(keys), 0
+}
+
+// settle fixes up the size and modification count of v after its
+// subtree took ins inserts and rem removes, and runs the §7.1 check on
+// those exact counts: a subtree over its budget is rebuilt from its
+// post-write contents (rebuild). It returns v or its replacement,
+// with the counts passed through.
+func (t *Tree[K, V]) settle(v *node[K, V], ins, rem int) (*node[K, V], int, int) {
+	if ins+rem == 0 {
+		return v, 0, 0
+	}
+	v = t.owned(v)
+	v.size += ins - rem
+	if t.rebuildDue(v, ins+rem) {
+		return t.rebuild(v), ins, rem
+	}
+	v.modCnt += ins + rem
+	return v, ins, rem
+}
+
+// rebuild is §7.1 step 2 for a subtree whose writes are applied:
+// flatten v and rebuild its live keys ideally, then retire v's chunks.
+// The result is the ideal subtree a check before the descent would
+// build over the same contents; checking after costs one descent into
+// a subtree that is then rebuilt, which the O(s) rebuild absorbs, and
+// a subtree below v that tripped in the same batch is rebuilt twice.
+// The flatten buffers are arena scratch, returned once buildIdeal has
+// copied the result into chunk storage, so consecutive rebuilds cycle
+// the same backing arrays.
+func (t *Tree[K, V]) rebuild(v *node[K, V]) *node[K, V] {
 	var t0 time.Time
 	if t.obs != nil {
 		t0 = time.Now()
 	}
-	b := &t.wb
-	seg := r - l
-	keys, vals, live := b.keys[l:r], b.vals[l:r], b.live[l:r]
 	flatK, flatV := t.flattenScratch(v)
-	outK, outV := flatK, flatV
-	if ins < seg {
-		dk, dv := t.ar.keys.Get(len(outK)), t.ar.vals.Get(len(outV))
-		defer t.ar.putKV(dk, dv)
-		outK, outV = parallel.DifferenceKVInto(t.pool, outK, outV, keys, vals, dk, dv)
-	}
-	if rem < seg {
-		addK, addV := keys, vals
-		if rem > 0 {
-			lk, lv := t.ar.keys.Get(seg-rem), t.ar.vals.Get(seg-rem)
-			defer t.ar.putKV(lk, lv)
-			isLive := func(i int) bool { return live[i] }
-			addK = parallel.FilterIndexInto(t.pool, keys, lk, isLive)
-			addV = parallel.FilterIndexInto(t.pool, vals, lv, isLive)
-		}
-		mk, mv := t.ar.keys.Get(len(outK)+len(addK)), t.ar.vals.Get(len(outV)+len(addV))
-		defer t.ar.putKV(mk, mv)
-		outK, outV = parallel.UnionKVInto(t.pool, outK, outV, addK, addV, mk, mv)
-	}
-	root := t.labeledBuild(outK, outV)
+	root := t.labeledBuild(flatK, flatV)
 	t.ar.putKV(flatK, flatV)
-	t.recordRebuild(t0, len(outK))
+	t.recordRebuild(t0, len(flatK))
+	t.retireSubtree(v)
 	return root
 }

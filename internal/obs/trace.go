@@ -6,7 +6,7 @@ import (
 )
 
 // maxPhases bounds the named phases one EpochTrace can carry. The
-// combiner records five (sort, read, replay, write, publish); the
+// combiner records four (sort, write, replay, publish); the
 // headroom is for future phases without a layout change.
 const maxPhases = 8
 

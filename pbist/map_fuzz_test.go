@@ -130,9 +130,12 @@ func TestMapDifferential(t *testing.T) {
 }
 
 // FuzzMapOps decodes an operation stream from raw fuzz bytes and
-// differentially checks Map against the oracle. Seeds double as
-// regression tests under plain `go test`; run
-// `go test -fuzz=FuzzMapOps ./pbist` for open-ended exploration.
+// differentially checks Map against the oracle. A one-shard
+// Concurrent at the same shape replays the stream's writes too, so
+// every combining epoch's single write walk — Deletes of absent keys
+// included — is checked through PutBatch and DeleteBatch counts, Len
+// and Items. Seeds double as regression tests under plain `go test`;
+// run `go test -fuzz=FuzzMapOps ./pbist` for open-ended exploration.
 func FuzzMapOps(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 2, 3, 4, 5, 2, 3, 1, 2, 3})
 	f.Add([]byte{3, 8, 255, 254, 1, 1, 1, 0})
@@ -140,7 +143,10 @@ func FuzzMapOps(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := NewMap[int64, uint64](Options{Workers: 2, LeafCap: 4, RebuildFactor: 1})
+		opts := Options{Workers: 2, LeafCap: 4, RebuildFactor: 1}
+		m := NewMap[int64, uint64](opts)
+		c := NewConcurrent[int64, uint64](ConcurrentOptions{Options: opts})
+		defer c.Close()
 		ref := mapOracle{}
 		for i := 0; i < len(data); {
 			op := data[i] % 4
@@ -163,10 +169,16 @@ func FuzzMapOps(f *testing.F) {
 				if got := m.PutBatch(batch, vals); got != want {
 					t.Fatalf("PutBatch(%v) = %d, want %d", batch, got, want)
 				}
+				if got := c.PutBatch(batch, vals); got != want {
+					t.Fatalf("Concurrent.PutBatch(%v) = %d, want %d", batch, got, want)
+				}
 			case 2:
 				want := ref.deleteBatch(dedupKeys(batch))
 				if got := m.DeleteBatch(batch); got != want {
 					t.Fatalf("DeleteBatch(%v) = %d, want %d", batch, got, want)
+				}
+				if got := c.DeleteBatch(batch); got != want {
+					t.Fatalf("Concurrent.DeleteBatch(%v) = %d, want %d", batch, got, want)
 				}
 			default:
 				gv, gf := m.GetBatch(batch)
@@ -180,14 +192,19 @@ func FuzzMapOps(f *testing.F) {
 			if m.Len() != len(ref) {
 				t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
 			}
+			if c.Len() != len(ref) {
+				t.Fatalf("Concurrent.Len = %d, want %d", c.Len(), len(ref))
+			}
 		}
-		gotK, gotV := m.Items()
-		if !slices.Equal(gotK, ref.sortedKeys()) {
-			t.Fatalf("final keys %v, want %v", gotK, ref.sortedKeys())
-		}
-		for i, k := range gotK {
-			if gotV[i] != ref[k] {
-				t.Fatalf("final value misaligned at key %d", k)
+		for name, items := range map[string]func() ([]int64, []uint64){"Map": m.Items, "Concurrent": c.Items} {
+			gotK, gotV := items()
+			if !slices.Equal(gotK, ref.sortedKeys()) {
+				t.Fatalf("%s: final keys %v, want %v", name, gotK, ref.sortedKeys())
+			}
+			for i, k := range gotK {
+				if gotV[i] != ref[k] {
+					t.Fatalf("%s: final value misaligned at key %d", name, k)
+				}
 			}
 		}
 	})

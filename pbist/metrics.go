@@ -36,7 +36,7 @@ type MetricsSnapshot = obs.Snapshot
 // EpochTrace is the structured record of one combining epoch, returned
 // by Sharded.Trace: start time, wall time, the
 // gather wait its first operation paid, operation and key counts, and
-// the named phase spans (sort, read, replay, write, publish) that tile
+// the named phase spans (sort, write, replay, publish) that tile
 // the epoch's wall time.
 type EpochTrace = obs.EpochTrace
 

@@ -66,9 +66,9 @@
 // issuing individual operations. Every method is safe for concurrent
 // use, and every single-key operation is linearizable. Each shard's
 // combiner goroutine coalesces every write submitted concurrently into
-// an epoch, executes the epoch as one batched presence traversal plus
-// one batched write traversal (with full intra-batch parallelism), and
-// routes each result back to its caller. The more writing clients, the
+// an epoch, executes the epoch as one batched write traversal that
+// finds each key's presence on the way down (with full intra-batch
+// parallelism), and routes each result back to its caller. The more writing clients, the
 // bigger the epochs, so throughput grows where a lock around a Map
 // would collapse — while a single isolated writer pays queue latency
 // for no batching benefit. Reads never queue (see below). Rule of
@@ -128,7 +128,7 @@
 // Setting Options.Metrics to a Metrics registry (NewMetrics) turns on
 // engine-wide instrumentation: combining-epoch counters and
 // client-observed latency histograms, core rebuild events, arena
-// retention gauges, and shard scatter/filter/cut metrics, exported
+// retention gauges, and shard scatter/cut metrics, exported
 // point-in-time via Snapshot, WriteJSON, or PublishExpvar. Like a
 // Sharded Stats call, a Snapshot is gathered without stopping the
 // engine: consistent per metric, not linearized across metrics. A nil

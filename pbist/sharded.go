@@ -48,10 +48,10 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 //
 // The combining queues serve writes only. Each shard's combiner
 // goroutine drains its queue in epochs: everything submitted while the
-// previous epoch executed is coalesced, resolved with one batched
-// presence traversal plus one batched write traversal on the shard's
-// tree (full intra-batch parallelism), and the per-operation results
-// are routed back to the blocked callers. Under many clients this
+// previous epoch executed is coalesced, applied with one batched write
+// traversal on the shard's tree that finds each key's presence on the
+// way down (full intra-batch parallelism), and the per-operation
+// results are routed back to the blocked callers. Under many clients this
 // recovers the batched O(m·log log n) economics for writes that arrive
 // one key at a time. The partitioner routes every key to exactly one
 // shard, so point writes go straight to the owning shard's
