@@ -312,7 +312,7 @@ func TestPublishedEpochAllocs(t *testing.T) {
 	}{
 		{"update", update, 6},
 		{"insert", insert, 7},
-		{"remove", remove, 7},
+		{"remove", remove, 6},
 		{"mixed", mixed, 13},
 		{"miss", miss, 0},
 	} {

@@ -11,7 +11,7 @@ import (
 // treeArena is the tree-owned memory pool: one recycled-scratch free
 // list per element type the batched operations need, plus counters for
 // the chunked rebuilds. Every temporary the write and read paths
-// allocate — position buffers, membership side arrays, sub-batch
+// allocate — position buffers, liveness flags, sub-batch
 // filters, flatten and merge buffers — is drawn from here and returned
 // when the operation that needed it completes, so a tree in steady
 // state stops producing short-lived garbage: retired flatten buffers

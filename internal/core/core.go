@@ -12,13 +12,15 @@
 //   - RemoveBatched (§6) deletes a sorted batch (set difference),
 //   - ApplyResolved applies a batch of keys whose state after the
 //     write the caller knows (updates, inserts and removes at once),
-//     reporting each key's presence before it, in the one write
-//     traversal the three above share,
+//     reporting each key's presence before it,
 //
 // each in expected O(m·log log n) work for a batch of m keys against a
 // tree of n keys drawn from a smooth distribution, and polylogarithmic
 // span (§8). Balance and space are maintained by amortized parallel
-// subtree rebuilding (§7).
+// subtree rebuilding (§7). The four writes are one call each of the
+// same write traversal, which finds each key's presence on its way
+// down; the paper's §5–§6 filter the batch with a membership walk
+// first.
 //
 // Each batched operation is one recursion (§4, Listing 1.2). While a
 // node's segment of the batch is large it runs parallel loops and a
@@ -36,7 +38,7 @@
 // node, and sibling leaves end up adjacent in memory — the
 // cache-friendly layout interpolation search trees are designed
 // around. Every temporary a batched operation needs (position buffers,
-// membership side arrays, flatten/merge buffers) is drawn from a
+// liveness flags, flatten/merge buffers) is drawn from a
 // tree-owned recycled-scratch arena and returned when the operation
 // completes, so steady-state batches allocate almost nothing
 // (Config.DisableBufferReuse turns this off for tests).
@@ -279,7 +281,8 @@ func (t *Tree[K, V]) Get(key K) (val V, ok bool) {
 	return lookup(t.root, key)
 }
 
-// Insert adds key with a zero value, reporting whether it was absent.
+// Insert is InsertBatched of one key: it stores the zero value under
+// key, reporting whether the key was absent.
 func (t *Tree[K, V]) Insert(key K) bool {
 	return t.InsertBatched([]K{key}) == 1
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -126,6 +127,15 @@ func TestInsertBatchedSkipsDuplicates(t *testing.T) {
 	}
 }
 
+// TestRemoveBatchedSkipsAbsent checks §6's example, then churns a
+// publishing tree (LeafCap 4, RebuildFactor 1) on a 1-worker and a
+// 2-worker pool. Each round's RemoveBatched mixes random keys with
+// keys that sit logically removed in inner reps and keys that route to
+// nil children (absentProbes), and must remove exactly the keys the
+// model holds. A batch of only such keys writes nothing, so publishing
+// after it keeps the current version; that batch stays below
+// seqSegCutoff keys, since a segment walked in parallel copies its
+// node up front.
 func TestRemoveBatchedSkipsAbsent(t *testing.T) {
 	tr := NewFromSorted(Config{}, parallel.NewPool(4), []int64{1, 3, 5, 7, 9})
 	// §6's example: removing [2 3 6 7 9] from {1 3 5 7 9} removes
@@ -136,6 +146,79 @@ func TestRemoveBatchedSkipsAbsent(t *testing.T) {
 	want := []int64{1, 5}
 	if !slices.Equal(tr.Keys(), want) {
 		t.Fatalf("Keys() = %v, want %v", tr.Keys(), want)
+	}
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("publish_workers%d", workers), func(t *testing.T) {
+			const span, rounds = 1 << 14, 30
+			r := rand.New(rand.NewSource(int64(workers)))
+			base := randomBatch(r, span/2, span)
+			model := make(map[int64]int64, len(base))
+			for _, k := range base {
+				model[k] = 0
+			}
+			tr := NewFromSortedKV(Config{LeafCap: 4, RebuildFactor: 1}, parallel.NewPool(workers), base, make([]int64, len(base)))
+			tr.EnablePublish()
+			var removedProbes, nilProbes int
+			for round := 0; round < rounds; round++ {
+				removed, empty := absentProbes(tr.root, span)
+				absent := slices.Clone(removed[:min(len(removed), 8)])
+				removedProbes += len(absent)
+				for _, g := range empty[:min(len(empty), 8)] {
+					absent = append(absent, g[0], g[1])
+					nilProbes++
+				}
+				slices.Sort(absent)
+				absent = slices.Compact(absent)
+				seq := tr.CurrentVersion().Seq()
+				if n := tr.RemoveBatched(absent); n != 0 {
+					t.Fatalf("round %d: removing %d absent keys removed %d", round, len(absent), n)
+				}
+				tr.PublishVersion()
+				if got := tr.CurrentVersion().Seq(); got != seq {
+					t.Fatalf("round %d: a batch of absent keys published version %d over %d", round, got, seq)
+				}
+
+				del := randomBatch(r, 2000, span)
+				del = append(del, removed...)
+				for _, g := range empty {
+					del = append(del, g[0], g[1])
+				}
+				slices.Sort(del)
+				del = slices.Compact(del)
+				want := 0
+				for _, k := range del {
+					if _, ok := model[k]; ok {
+						want++
+						delete(model, k)
+					}
+				}
+				if n := tr.RemoveBatched(del); n != want {
+					t.Fatalf("round %d: RemoveBatched removed %d, want %d", round, n, want)
+				}
+				ins := randomBatch(r, 2000, span)
+				want = 0
+				for _, k := range ins {
+					if _, ok := model[k]; !ok {
+						want++
+						model[k] = 0
+					}
+				}
+				if n := tr.InsertBatched(ins); n != want {
+					t.Fatalf("round %d: InsertBatched inserted %d, want %d", round, n, want)
+				}
+				tr.PublishVersion()
+				mk, _ := modelItems(model)
+				if gk := tr.Keys(); tr.Len() != len(mk) || !slices.Equal(gk, mk) {
+					t.Fatalf("round %d: tree holds %d keys (Len %d), model %d, or they differ",
+						round, len(gk), tr.Len(), len(mk))
+				}
+			}
+			t.Logf("absent probes: %d removed inner slots, %d nil children", removedProbes, nilProbes)
+			if removedProbes == 0 || nilProbes == 0 {
+				t.Fatal("no probe hit a logically removed inner slot or a nil child")
+			}
+		})
 	}
 }
 

@@ -11,16 +11,19 @@ import (
 )
 
 // TestApplyResolvedMatchesFilteredWrites is the differential test of
-// ApplyResolved. Each round draws a random batch and makes each key a
-// Put or a Delete; a model knows each key's presence before and after.
-// One tree takes the whole batch in one ApplyResolved call, Deletes of
-// absent keys included, and must report every key's presence before
-// the write as the model has it. Its twin takes the same Puts and
-// Deletes through PutBatched + RemoveBatched. After every round both
+// ApplyResolved and of the batched entry points that share its write
+// walk. Each round draws a random batch and makes each key a Put or a
+// Delete; a map model knows each key's presence before and after, and
+// is the reference. One tree takes the whole batch in one
+// ApplyResolved call, Deletes of absent keys included, and must report
+// every key's presence before the write as the model has it. Its twin
+// takes the same Puts through PutBatched and the same Deletes, absent
+// keys included, through RemoveBatched, and both calls must return
+// the model's insert and remove counts. After every round both trees
 // must hold the model's items. On publishing trees every round also
 // publishes, and at the end each published version of the two trees
 // is read under one pin per tree, taken before the first publish, and
-// compared.
+// compared with the model's items of that round.
 //
 // Besides the random keys, each round deletes keys that sit logically
 // removed in inner reps of the ApplyResolved tree and keys that route
@@ -76,7 +79,7 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 				model[k] = baseV[i]
 			}
 			cfg := Config{LeafCap: tc.leafCap, RebuildFactor: 1, Traverse: tc.traverse}
-			filtered := NewFromSortedKV(cfg, pool, base, baseV)
+			twin := NewFromSortedKV(cfg, pool, base, baseV)
 			cfg.Metrics = reg
 			resolved := NewFromSortedKV(cfg, pool, base, baseV)
 			startRebuilds := reg.Snapshot().Counters["core.rebuild.count"]
@@ -85,8 +88,8 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 			var pins [2]ReaderPin
 			if tc.publish {
 				resolved.EnablePublish()
-				filtered.EnablePublish()
-				pins = [2]ReaderPin{resolved.PinReader(), filtered.PinReader()}
+				twin.EnablePublish()
+				pins = [2]ReaderPin{resolved.PinReader(), twin.PinReader()}
 				defer pins[0].Release()
 				defer pins[1].Release()
 			}
@@ -160,15 +163,15 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 					// inside another.
 					nested++
 				}
-				if got := filtered.PutBatched(putK, putV); got != nIns {
+				if got := twin.PutBatched(putK, putV); got != nIns {
 					t.Fatalf("round %d: PutBatched inserted %d, want %d", round, got, nIns)
 				}
-				if got := filtered.RemoveBatched(delK); got != nRem {
+				if got := twin.RemoveBatched(delK); got != nRem {
 					t.Fatalf("round %d: RemoveBatched removed %d, want %d", round, got, nRem)
 				}
 
 				mk, mv := modelItems(model)
-				for _, tr := range []*Tree[int64, int64]{resolved, filtered} {
+				for _, tr := range []*Tree[int64, int64]{resolved, twin} {
 					gk, gv := tr.Items()
 					if tr.Len() != len(mk) || !slices.Equal(gk, mk) || !slices.Equal(gv, mv) {
 						t.Fatalf("round %d: tree holds %d items (Len %d), model %d, or they differ",
@@ -177,9 +180,9 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 				}
 				if tc.publish {
 					resolved.PublishVersion()
-					filtered.PublishVersion()
+					twin.PublishVersion()
 					versions = append(versions, [2]*Version[int64, int64]{
-						resolved.CurrentVersion(), filtered.CurrentVersion(),
+						resolved.CurrentVersion(), twin.CurrentVersion(),
 					})
 					wantK, wantV = append(wantK, mk), append(wantV, mv)
 				}
@@ -188,7 +191,7 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 				removedDeletes, nilDeletes, nilPuts, nested)
 
 			for i, vs := range versions {
-				for j, tr := range []*Tree[int64, int64]{resolved, filtered} {
+				for j, tr := range []*Tree[int64, int64]{resolved, twin} {
 					gk, gv := tr.VersionItems(vs[j])
 					if vs[j].Len() != len(wantK[i]) || !slices.Equal(gk, wantK[i]) || !slices.Equal(gv, wantV[i]) {
 						t.Fatalf("version %d of tree %d: %d items (Len %d), want %d, or they differ",
@@ -214,8 +217,9 @@ func TestApplyResolvedMatchesFilteredWrites(t *testing.T) {
 // of its range (the second equal to the first when the range holds
 // one key). Keys lie in [0, span).
 func absentProbes(v *node[int64, int64], span int64) (removed []int64, empty [][2]int64) {
-	var walk func(v *node[int64, int64])
-	walk = func(v *node[int64, int64]) {
+	// walk visits v, whose keys lie in [lo, hi).
+	var walk func(v *node[int64, int64], lo, hi int64)
+	walk = func(v *node[int64, int64], lo, hi int64) {
 		if v == nil || v.isLeaf() {
 			return
 		}
@@ -223,23 +227,23 @@ func absentProbes(v *node[int64, int64], span int64) (removed []int64, empty [][
 			if i < len(v.rep) && !v.exists[i] {
 				removed = append(removed, v.rep[i])
 			}
-			if c != nil {
-				walk(c)
-				continue
-			}
-			lo, hi := int64(0), span // child i holds (rep[i-1], rep[i])
+			clo, chi := lo, hi // child i holds (rep[i-1], rep[i])
 			if i > 0 {
-				lo = v.rep[i-1] + 1
+				clo = v.rep[i-1] + 1
 			}
 			if i < len(v.rep) {
-				hi = v.rep[i]
+				chi = v.rep[i]
 			}
-			if lo < hi {
-				empty = append(empty, [2]int64{lo, min(lo+1, hi-1)})
+			if c != nil {
+				walk(c, clo, chi)
+				continue
+			}
+			if clo < chi {
+				empty = append(empty, [2]int64{clo, min(clo+1, chi-1)})
 			}
 		}
 	}
-	walk(v)
+	walk(v, 0, span)
 	return removed, empty
 }
 

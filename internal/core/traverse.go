@@ -7,27 +7,16 @@ import (
 
 // ContainsBatched reports membership for every key of the sorted
 // duplicate-free batch: result[i] is true iff keys[i] is in the tree
-// (§4, Listing 1.2). Expected O(m·log log n) work and polylog span.
-// The result is freshly allocated (it escapes to the caller); the
-// write paths use ContainsBatchedInto with a scratch destination
-// instead.
+// (§4, Listing 1.2). Expected O(m·log log n) work and polylog span. It
+// is getRec without the value read; the result is freshly allocated
+// (it escapes to the caller), and the traversal's scratch comes from
+// the arena.
 func (t *Tree[K, V]) ContainsBatched(keys []K) []bool {
 	result := make([]bool, len(keys))
-	t.ContainsBatchedInto(keys, result)
-	return result
-}
-
-// ContainsBatchedInto is ContainsBatched writing into a caller-provided
-// destination instead of allocating one: result must have len(keys) and
-// be zero-initialized — entries of absent keys are left untouched. It
-// is getRec without the value read. It exists so the filtering write
-// paths (InsertBatched, RemoveBatched) can recycle result arrays
-// through an arena instead of allocating each call.
-func (t *Tree[K, V]) ContainsBatchedInto(keys []K, result []bool) {
-	if len(keys) == 0 {
-		return
+	if len(keys) > 0 {
+		t.getRec(t.root, keys, 0, len(keys), nil, result, nil, 0)
 	}
-	t.getRec(t.root, keys, 0, len(keys), nil, result, nil, 0)
+	return result
 }
 
 // GetBatched fetches the value stored under every key of the sorted

@@ -40,47 +40,46 @@ func (b *writeBatch[K, V]) report(i int, had bool) {
 // epoch trace.
 //
 // The combining frontend calls it once per epoch with every distinct
-// key the epoch wrote, and PutBatched is one call with every key live.
-// InsertBatched and RemoveBatched filter their batches against the
-// current contents first (§5–§6) and then run the same traversal.
+// key the epoch wrote. PutBatched, InsertBatched and RemoveBatched are
+// the same traversal with every key live, or every key dead.
 func (t *Tree[K, V]) ApplyResolved(keys []K, vals []V, live, found []bool) (rebuildKeys int) {
 	m := len(keys)
 	if len(vals) != m || len(live) != m || (found != nil && len(found) != m) {
 		panic("core: ApplyResolved keys/vals/live/found length mismatch")
 	}
-	return t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live, found: found})
+	_, _, rebuildKeys = t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live, found: found})
+	return rebuildKeys
 }
 
-// applyWrites runs the one §5–§6 traversal over b and returns the keys
-// the rebuilds it triggered laid down. t.wb holds b only for the
-// traversal. On a publishing tree the first write after a publish
-// copies the root, so a call that leaves the root in place either
-// wrote nothing or follows one that already marked the tree dirty.
-func (t *Tree[K, V]) applyWrites(b writeBatch[K, V]) (rebuildKeys int) {
+// applyWrites runs the one §5–§6 traversal over b and returns the
+// inserts and removes it applied and the keys the rebuilds it
+// triggered laid down. t.wb holds b only for the traversal. On a
+// publishing tree the first write after a publish copies the root, so
+// a call that leaves the root in place either wrote nothing or follows
+// one that already marked the tree dirty.
+func (t *Tree[K, V]) applyWrites(b writeBatch[K, V]) (ins, rem, rebuildKeys int) {
 	if len(b.keys) == 0 {
-		return 0
+		return 0, 0, 0
 	}
 	before := t.rebuiltKeys.Load()
 	t.wb = b
-	root, _, _ := t.writeRec(t.root, 0, len(b.keys), nil, 0)
+	root, ins, rem := t.writeRec(t.root, 0, len(b.keys), nil, 0)
 	if root != t.root {
 		t.root, t.dirty = root, true
 	}
 	t.wb = writeBatch[K, V]{}
-	return int(t.rebuiltKeys.Load() - before)
+	return ins, rem, int(t.rebuiltKeys.Load() - before)
 }
 
-// InsertBatched adds every key of the sorted duplicate-free batch with
-// a zero value and returns the number of keys actually inserted (keys
-// already present are skipped, keeping their stored value). It
-// implements §5: the batch is first filtered against the current
-// contents with one batched membership traversal, then the surviving
-// keys traverse to their target leaves, reviving logically removed
-// slots on the way (§6, Fig. 13) and merging into leaf Rep arrays
-// (Fig. 11). Subtrees whose modification budget is exceeded are
-// rebuilt ideally en route (§7.1). The membership side array, the
-// filtered sub-batch and its flags are arena scratch with this call's
-// lifetime.
+// InsertBatched adds every key of the sorted duplicate-free batch and
+// returns the number of keys that were absent. It is the set's batched
+// insert (§5), PutBatched with zero values: the write traversal
+// revives logically removed slots (§6, Fig. 13) and merges fresh keys
+// into leaf Rep arrays (Fig. 11), and a key already present is
+// rewritten with the zero value, which a set (V = struct{}) cannot
+// tell apart from skipping it. A tree whose values matter writes
+// through PutBatched. The zero values are arena scratch scoped to this
+// call.
 //
 // InsertBatched(B) is set union: A.InsertBatched(B) makes A = A ∪ B
 // (§2.2).
@@ -88,29 +87,19 @@ func (t *Tree[K, V]) InsertBatched(keys []K) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	present := t.ar.bools.GetZero(len(keys))
-	t.ContainsBatchedInto(keys, present)
-	freshBuf := t.ar.keys.Get(len(keys))
-	fresh := parallel.FilterIndexInto(t.pool, keys, freshBuf, func(i int) bool { return !present[i] })
-	t.ar.bools.Put(present)
-	n := len(fresh)
-	zeroV := t.ar.vals.GetZero(n)
-	live := t.trues(n)
-	t.applyWrites(writeBatch[K, V]{keys: fresh, vals: zeroV, live: live}) //pbist:owner
-	t.ar.vals.Put(zeroV)
-	t.ar.bools.Put(live)
-	t.ar.keys.Put(freshBuf)
+	zero := t.ar.vals.GetZero(len(keys))
+	n := t.PutBatched(keys, zero)
+	t.ar.vals.Put(zero)
 	return n
 }
 
 // PutBatched upserts every (keys[i], vals[i]) pair of the sorted
 // duplicate-free batch and returns the number of keys that were newly
 // inserted (as opposed to overwritten). Every key is live after the
-// write, so the whole batch goes to the write traversal unfiltered,
-// with no membership traversal first: a key the traversal finds in a
-// rep takes its new value in place, an absent one the §5 insertion
-// path with its value riding alongside. The liveness flags are arena
-// scratch scoped to this call.
+// write, so the whole batch goes to the one write traversal: a key it
+// finds in a rep takes its new value in place, an absent one the §5
+// insertion path with its value riding alongside. The liveness flags
+// are arena scratch scoped to this call.
 func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 	if len(keys) != len(vals) {
 		panic("core: PutBatched keys/vals length mismatch")
@@ -118,23 +107,21 @@ func (t *Tree[K, V]) PutBatched(keys []K, vals []V) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	before := t.Len()
 	live := t.trues(len(keys))
-	t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live}) //pbist:owner
+	ins, _, _ := t.applyWrites(writeBatch[K, V]{keys: keys, vals: vals, live: live}) //pbist:owner
 	t.ar.bools.Put(live)
-	return t.Len() - before
+	return ins
 }
 
 // RemoveBatched deletes every key of the sorted duplicate-free batch
-// from the tree and returns the number of keys actually removed (absent
-// keys are skipped). It implements §6: the batch is filtered to the
-// keys currently present, then the traversal marks each of them
-// logically removed in the Exists array of the node whose Rep holds it
-// (Fig. 12). Space — including the value slots — is reclaimed by the
-// next rebuild of an enclosing subtree (§7). The filter is one
-// membership traversal; the removal is the write traversal's. The
-// membership side array, the filtered batch and its flags are arena
-// scratch with this call's lifetime.
+// from the tree and returns the number of keys actually removed. It is
+// §6 in one write traversal with every key dead after the write: a key
+// found live in a rep is marked logically removed in that node's
+// Exists array (Fig. 12), and an absent key writes nothing, so the
+// batch needs no membership filter first. Space — including the value
+// slots — is reclaimed by the next rebuild of an enclosing subtree
+// (§7). The flags and the unread value array are arena scratch scoped
+// to this call.
 //
 // RemoveBatched(B) is set difference: A.RemoveBatched(B) makes
 // A = A \ B (§2.2).
@@ -142,19 +129,12 @@ func (t *Tree[K, V]) RemoveBatched(keys []K) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	present := t.ar.bools.GetZero(len(keys))
-	t.ContainsBatchedInto(keys, present)
-	doomedBuf := t.ar.keys.Get(len(keys))
-	doomed := parallel.FilterIndexInto(t.pool, keys, doomedBuf, func(i int) bool { return present[i] })
-	t.ar.bools.Put(present)
-	n := len(doomed)
-	unread := t.ar.vals.Get(n) // no key is live after: values are never read
-	live := t.ar.bools.GetZero(n)
-	t.applyWrites(writeBatch[K, V]{keys: doomed, vals: unread, live: live}) //pbist:owner
+	unread := t.ar.vals.Get(len(keys)) // no key is live after: values are never read
+	live := t.ar.bools.GetZero(len(keys))
+	_, rem, _ := t.applyWrites(writeBatch[K, V]{keys: keys, vals: unread, live: live}) //pbist:owner
 	t.ar.vals.Put(unread)
 	t.ar.bools.Put(live)
-	t.ar.keys.Put(doomedBuf)
-	return n
+	return rem
 }
 
 // trues borrows an arena array of n true flags; the caller returns it.

@@ -160,7 +160,7 @@ type Key interface {
 // defaults; the same Options value works for both views.
 //
 // Every tree owns a scratch arena that recycles its internal
-// temporaries (position buffers, membership side arrays, flatten and
+// temporaries (position buffers, liveness flags, flatten and
 // merge buffers) across batched operations and rebuilds, which keeps
 // steady-state batches nearly allocation-free. The arena never affects
 // results or aliasing: slices passed in are never retained (bulk loads
@@ -331,8 +331,9 @@ func (vw *view[K, V]) normalize(keys []K) []K {
 }
 
 // removeBatch deletes every element of keys, returning how many were
-// actually present. Tree.RemoveBatch and Map.DeleteBatch are its
-// public names.
+// actually present, in one write walk of the tree
+// (core.Tree.RemoveBatched). Tree.RemoveBatch and Map.DeleteBatch are
+// its public names.
 func (vw *view[K, V]) removeBatch(keys []K) int {
 	if len(keys) == 0 {
 		return 0
