@@ -163,13 +163,15 @@ type counters struct {
 	waitTotal time.Duration
 }
 
-// Stats is a snapshot of combining behavior since construction.
+// Stats is a snapshot of combining behavior since construction: how
+// well a combiner is turning concurrent single-key writes into
+// batches. Reads never enter a combiner and are not counted.
 type Stats struct {
 	// Epochs is the number of combined batches executed.
 	Epochs int64
-	// Ops is the number of client operations served.
-	Ops int64
-	// Keys is the number of keys those operations carried.
+	// Ops is the number of client writes and Flush fences served; Keys
+	// the number of keys they carried (mini-batches carry several).
+	Ops  int64
 	Keys int64
 	// MeanOps and MeanKeys are the mean combined batch size per epoch,
 	// in operations and in keys.

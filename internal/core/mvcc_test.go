@@ -67,6 +67,56 @@ func TestPublishGating(t *testing.T) {
 	}
 }
 
+// TestAllMissBatchPublishesNothing: a batch in which no key writes
+// leaves the root in place, so the next PublishVersion publishes
+// nothing, at the sizes walked sequentially (512 keys) and in parallel
+// (513 and 4096 keys on 2 workers). A batch of the same size that
+// only updates values writes, and must publish.
+func TestAllMissBatchPublishesNothing(t *testing.T) {
+	const n = 1 << 16
+	keys := make([]int64, n) // the even keys; odd keys are absent
+	for i := range keys {
+		keys[i] = 2 * int64(i)
+	}
+	tr := NewFromSortedKV(Config{}, parallel.NewPool(2), keys, make([]int64, n))
+	tr.EnablePublish()
+	for _, m := range []int{512, 513, 4096} {
+		absent := make([]int64, m)
+		for i := range absent {
+			absent[i] = keys[i*(n/m)] + 1
+		}
+		seq := tr.CurrentVersion().Seq()
+		if got := tr.RemoveBatched(absent); got != 0 {
+			t.Fatalf("%d keys: removing absent keys removed %d", m, got)
+		}
+		tr.PublishVersion()
+		if got := tr.CurrentVersion().Seq(); got != seq {
+			t.Fatalf("%d keys: a batch of absent keys published version %d over %d", m, got, seq)
+		}
+	}
+	upd := make([]int64, 4096)
+	for i := range upd {
+		upd[i] = keys[i*(n/len(upd))]
+	}
+	vals := make([]int64, len(upd))
+	for i := range vals {
+		vals[i] = int64(i) + 1
+	}
+	seq := tr.CurrentVersion().Seq()
+	if got := tr.PutBatched(upd, vals); got != 0 {
+		t.Fatalf("updating present keys inserted %d", got)
+	}
+	tr.PublishVersion()
+	if got := tr.CurrentVersion().Seq(); got == seq {
+		t.Fatalf("an all-update batch published nothing (version %d)", got)
+	}
+	for i, k := range upd {
+		if v, ok := tr.SnapshotGet(k); !ok || v != vals[i] {
+			t.Fatalf("after the update: SnapshotGet(%d) = %d,%v, want %d", k, v, ok, vals[i])
+		}
+	}
+}
+
 // TestVersionImmutability: a version handle taken at the fence keeps
 // reading the state it was published with, across arbitrary later
 // churn — including the rebuilds and chunk retirements that churn

@@ -2,33 +2,36 @@ package core
 
 import "repro/internal/iindex"
 
-// Stats summarizes tree shape for inspection tools and balance tests,
-// plus the arena counters that track the memory behavior of the
-// rebuild engine.
+// Stats summarizes the structure of a tree, for inspection tools and
+// balance tests, plus the counters of its scratch arena, which track
+// the memory behavior of the rebuild engine. pbist exports it as the
+// Stats of a Tree or Map.
 type Stats struct {
-	LiveKeys   int // keys logically in the tree
+	LiveKeys   int // keys logically stored
 	DeadKeys   int // logically removed keys awaiting a rebuild
 	Nodes      int // total nodes, leaves included
 	Leaves     int // leaf nodes
 	Height     int // nodes on the longest root-to-leaf path; 0 when empty
-	RootRepLen int // length of the root's Rep array
-	MaxLeafLen int // longest leaf Rep
+	RootRepLen int // length of the root's Rep array (Θ(√n) when balanced)
+	MaxLeafLen int // longest leaf array
 	IndexBytes int // memory held by interpolation indexes
 
-	// Arena counters, cumulative since construction. ScratchReuses /
-	// ScratchGets is the recycling hit rate of the tree's internal
-	// temporaries; it climbs toward 1 as the tree reaches steady
-	// state (and stays 0 with buffer reuse disabled). ChunkBuilds
-	// counts chunked subtree (re)builds and ChunkKeys the key slots
-	// they laid out contiguously.
+	// ScratchGets counts internal scratch-buffer requests since
+	// construction and ScratchReuses how many were served by a
+	// recycled buffer; their ratio is the arena hit rate, which climbs
+	// toward 1 as the tree reaches steady state (and stays 0 with
+	// buffer reuse disabled). ChunkBuilds counts chunked subtree
+	// (re)builds and ChunkKeys the key slots those builds laid out
+	// contiguously.
 	ScratchGets   int64
 	ScratchReuses int64
 	ChunkBuilds   int64
 	ChunkKeys     int64
 
 	// LeafGrows counts leaf merges that outgrew their arrays and
-	// reallocated with LeafSlack headroom — the realloc-rate axis of
-	// the leafslack experiment.
+	// reallocated, each with Config.LeafSlack (default 1.5) times its
+	// key count in capacity: the realloc-rate axis of pbench's
+	// leafslack experiment.
 	LeafGrows int64
 }
 

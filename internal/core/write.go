@@ -166,7 +166,8 @@ func (t *Tree[K, V]) trues(n int) []bool {
 // fix up size and modCnt once the children return, and drive the
 // §7.1 rebuild check there (settle). A frozen node is copied only
 // when a write reaches it or its subtree, so keys that write nothing
-// copy nothing; a segment walked in parallel copies v up front. sc is
+// copy nothing; a segment walked in parallel copies v up front and
+// drops the copy if no key wrote. sc is
 // the walker of the sequential segment the call belongs to, nil while
 // the segment is walked in parallel; see getRec.
 func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (*node[K, V], int, int) {
@@ -183,7 +184,7 @@ func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (
 	}
 	pf := sc.buf(depth, seg)
 	t.findPositions(v, t.wb.keys[l:r], pf, sc)
-	v, ins, rem := t.writeSlots(v, pf, l)
+	v, ins, rem, _ := t.writeSlots(v, pf, l)
 	if v.isLeaf() {
 		v, n := t.mergeLeaf(v, l, pf)
 		return t.settle(v, ins+n, rem)
@@ -207,11 +208,14 @@ func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (
 // writePar is writeRec's parallel form, for a segment too large to
 // walk sequentially: it copies v up front, resolves the rep keys in
 // parallel blocks and fans out over the child runs, summing the
-// counts as they return. Its position buffer is arena scratch held
-// until the fan-out returns. It is a function of its own because its
-// closures capture the node: in writeRec, which reassigns v, that
-// capture would move v to the heap on every call, sequential ones
-// included.
+// counts as they return. When no slot was written (an update counts),
+// no child was replaced and nothing was inserted or removed below
+// (a leaf merge inserts), it returns v itself and drops the copy, so
+// a segment that writes nothing leaves a publishing tree's root in
+// place. Its position buffer is arena scratch held until the fan-out
+// returns. It is a function of its own because its closures capture
+// the node: in writeRec, which reassigns v, that capture would move v
+// to the heap on every call, sequential ones included.
 func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
 	pf := t.ar.i32s.Get(r - l)
 	defer t.ar.i32s.Put(pf)
@@ -219,8 +223,12 @@ func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
 	w := t.owned(v)
 	t.ownSlots(w)
 	var ins, rem atomic.Int64
+	var wrote atomic.Bool
 	parallel.ForRange(t.pool, r-l, 0, func(lo, hi int) {
-		_, di, dr := t.writeSlots(w, pf[lo:hi], l+lo)
+		_, di, dr, wr := t.writeSlots(w, pf[lo:hi], l+lo)
+		if wr {
+			wrote.Store(true)
+		}
 		ins.Add(int64(di))
 		rem.Add(int64(dr))
 	})
@@ -231,12 +239,19 @@ func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
 		children := w.children
 		t.forEachChildRun(pf, func(lo, hi int, child int) {
 			c, di, dr := t.writeRec(children[child], l+lo, l+hi, nil, 0)
-			children[child] = c
+			if c != children[child] {
+				children[child] = c
+				wrote.Store(true)
+			}
 			ins.Add(int64(di))
 			rem.Add(int64(dr))
 		})
 	}
-	return t.settle(w, int(ins.Load()), int(rem.Load()))
+	di, dr := int(ins.Load()), int(rem.Load())
+	if !wrote.Load() && di+dr == 0 {
+		return v, 0, 0
+	}
+	return t.settle(w, di, dr)
 }
 
 // writeSlots resolves the batch keys at positions l, l+1, … whose
@@ -246,14 +261,14 @@ func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
 // value, an insert revives a logically removed slot (§6, Fig. 13), a
 // remove marks the slot removed (§6, Fig. 12). A key a leaf's rep
 // lacks reports absent. It returns v, copied before its first write
-// if it was frozen, and the inserts and removes it applied. The value
+// if it was frozen, the inserts and removes it applied, and whether it
+// wrote any slot (an update writes one too). The value
 // slot of a removed key is reclaimed by the next rebuild (§7). The
 // parallel walk calls it per block on a v it already owns, so no call
 // copies anything there.
-func (t *Tree[K, V]) writeSlots(v *node[K, V], pf []int32, l int) (*node[K, V], int, int) {
+func (t *Tree[K, V]) writeSlots(v *node[K, V], pf []int32, l int) (_ *node[K, V], ins, rem int, wrote bool) {
 	b := &t.wb
 	leaf := v.isLeaf()
-	var ins, rem int
 	for i, p := range pf {
 		if p&1 == 0 {
 			if leaf {
@@ -269,6 +284,7 @@ func (t *Tree[K, V]) writeSlots(v *node[K, V], pf []int32, l int) (*node[K, V], 
 		}
 		v = t.owned(v)
 		t.ownSlots(v)
+		wrote = true
 		v.exists[s] = live
 		if live {
 			v.vals[s] = b.vals[l+i]
@@ -281,7 +297,7 @@ func (t *Tree[K, V]) writeSlots(v *node[K, V], pf []int32, l int) (*node[K, V], 
 			rem++
 		}
 	}
-	return v, ins, rem
+	return v, ins, rem, wrote
 }
 
 // buildLive is writeRec at an empty child: every key routed there is

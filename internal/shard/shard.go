@@ -1,7 +1,7 @@
 // Package shard implements the partitioning machinery behind the
-// sharded super-tree frontend (pbist.Sharded): partition policies that
-// assign every key to one of N independent trees, and the scatter step
-// that splits a batch into per-shard sub-batches.
+// sharded super-tree frontend (pbist.Sharded): the range partition
+// that assigns every key to one of N independent trees, and the
+// scatter step that splits a batch into per-shard sub-batches.
 //
 // The design follows the N-independent-trees-behind-one-facade recipe
 // of parallel B+-tree frontends: instead of scaling one tree's
@@ -11,17 +11,11 @@
 // it only knows keys, positions, and shard indexes; the facade in
 // pbist wires the partitions to core trees and combiners.
 //
-// Two policies are provided:
-//
-//   - Ranges partitions by key interval: shard i owns the keys between
-//     two boundary values (fence keys). Partition order then equals key
-//     order (Ordered reports true), so cross-shard ordered reads —
-//     Range, Ascend, Keys, Items — concatenate per-shard results
-//     without a merge, and whole-tree set algebra can run per shard.
-//   - Hashed partitions by a mixed 64-bit hash of the key, trading the
-//     ordering property for balance that is immune to key-space skew:
-//     any workload spreads uniformly, but ordered reads must merge N
-//     sorted sequences.
+// Ranges partitions by key interval: shard i owns the keys between two
+// boundary values (fence keys), the order-preserving split by splitter
+// keys of bulk operations on search trees. Shard order then equals key
+// order, so cross-shard ordered reads — Range, Ascend, Keys, Items —
+// concatenate per-shard results without a merge.
 //
 // Split and SplitPairs keep input order within every sub-batch, so
 // duplicate keys of one write batch reach their shard in the order the
@@ -29,36 +23,14 @@
 // unsharded engine promises.
 package shard
 
-import (
-	"math"
-	"math/bits"
-)
-
 // Key is the numeric key constraint, mirroring pbist.Key: ordered
 // types with an order-preserving conversion to float64 (the same
 // property interpolation search relies on, reused here for uniform
-// range splitting and hashing).
+// range splitting).
 type Key interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr |
 		~float32 | ~float64
-}
-
-// Partitioner assigns every key to exactly one of N shards. Shard
-// must be deterministic and total: the same key always maps to the
-// same shard, whatever the tree contents. Implementations must be
-// safe for concurrent use (both policies here are stateless after
-// construction).
-type Partitioner[K Key] interface {
-	// N reports the shard count.
-	N() int
-	// Shard returns the owning shard of key, in [0, N()).
-	Shard(key K) int
-	// Ordered reports whether shard order refines key order: every
-	// key of shard i sorts at or before every key of shard i+1. When
-	// true, concatenating per-shard sorted sequences in shard order
-	// yields a globally sorted sequence.
-	Ordered() bool
 }
 
 // Ranges is the range partitioner: shard i owns the keys k with
@@ -149,63 +121,11 @@ func (r *Ranges[K]) Shard(key K) int {
 	return lo
 }
 
-// Ordered reports true: range partitioning refines key order.
-func (r *Ranges[K]) Ordered() bool { return true }
-
-// Hashed is the hash partitioner: shard = mix(key) mapped onto [0, n)
-// by multiply-shift. Balance is distribution-independent, but shard
-// order says nothing about key order (Ordered reports false), so
-// ordered cross-shard reads pay an N-way merge.
-type Hashed[K Key] struct {
-	n int
-}
-
-// NewHashed returns a hash partitioner over n shards.
-func NewHashed[K Key](n int) *Hashed[K] {
-	if n < 1 {
-		panic("shard: NewHashed needs n >= 1")
-	}
-	return &Hashed[K]{n: n}
-}
-
-// N reports the shard count.
-func (h *Hashed[K]) N() int { return h.n }
-
-// Shard returns the owning shard of key.
-func (h *Hashed[K]) Shard(key K) int {
-	// Multiply-shift of the mixed hash: hi bits of mix * n, an unbiased
-	// map onto [0, n) that needs no modulo.
-	hi, _ := bits.Mul64(HashKey(key), uint64(h.n))
-	return int(hi)
-}
-
-// Ordered reports false: hashing scrambles key order.
-func (h *Hashed[K]) Ordered() bool { return false }
-
-// HashKey mixes a key into a 64-bit hash (splitmix64 finalizer over
-// the key's float64 image — deterministic, stateless, and identical
-// for equal keys, which is all partitioning needs).
-// The float zeros compare equal but differ in their sign bit, so -0
-// hashes as +0.
-func HashKey[K Key](key K) uint64 {
-	f := float64(key)
-	if f == 0 {
-		f = 0
-	}
-	x := math.Float64bits(f)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Split scatters keys into per-shard sub-batches: parts[s] holds the
 // keys owned by shard s, in input order. The sub-batches are carved
 // from one backing array of len(keys), so a Split costs O(keys) work
 // and a constant number of allocations however many shards there are.
-func Split[K Key](p Partitioner[K], keys []K) [][]K {
+func Split[K Key](p *Ranges[K], keys []K) [][]K {
 	// Zero-size values: the value array and its appends cost nothing.
 	parts, _ := SplitPairs(p, keys, make([]struct{}, len(keys)))
 	return parts
@@ -213,7 +133,7 @@ func Split[K Key](p Partitioner[K], keys []K) [][]K {
 
 // SplitPairs is Split for (key, value) pairs: vparts[s][j] is the
 // value of parts[s][j].
-func SplitPairs[K Key, V any](p Partitioner[K], keys []K, vals []V) (parts [][]K, vparts [][]V) {
+func SplitPairs[K Key, V any](p *Ranges[K], keys []K, vals []V) (parts [][]K, vparts [][]V) {
 	n := p.N()
 	counts := make([]int, n)
 	owner := make([]int8, len(keys))

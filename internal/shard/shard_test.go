@@ -14,9 +14,6 @@ func TestRangesShardAssignment(t *testing.T) {
 	if r.N() != 4 {
 		t.Fatalf("N = %d, want 4", r.N())
 	}
-	if !r.Ordered() {
-		t.Fatal("range partitioner must report Ordered")
-	}
 	cases := []struct {
 		key  int64
 		want int
@@ -145,40 +142,14 @@ func TestNewRangeUniform(t *testing.T) {
 	}
 }
 
-func TestHashedBalanceAndDeterminism(t *testing.T) {
-	const n = 8
-	p := NewHashed[int64](n)
-	if p.Ordered() {
-		t.Fatal("hash partitioner must not report Ordered")
-	}
-	rng := dist.NewRNG(3)
-	// Clustered keys — the adversarial case for range partitioning —
-	// must still spread evenly under hashing.
-	keys := dist.Clustered(rng, 40_000, 4, 0, 1<<30)
-	counts := make([]int, n)
-	for _, k := range keys {
-		s := p.Shard(k)
-		if s != p.Shard(k) {
-			t.Fatalf("Shard(%d) not deterministic", k)
-		}
-		counts[s]++
-	}
-	fair := len(keys) / n
-	for s, c := range counts {
-		if c < fair/2 || c > 2*fair {
-			t.Errorf("shard %d holds %d keys, fair share %d", s, c, fair)
-		}
-	}
-}
-
 // TestSplitKeepsOwnerAndOrder checks the scatter directly: every key
 // lands on its owning shard, each sub-batch keeps input order, and the
 // sub-batches together hold exactly the input multiset.
 func TestSplitKeepsOwnerAndOrder(t *testing.T) {
 	rng := dist.NewRNG(11)
-	for _, p := range []Partitioner[int64]{
-		NewHashed[int64](5),
+	for _, p := range []*Ranges[int64]{
 		NewRangeUniform(5, int64(0), int64(1000)),
+		NewRanges([]int64{500, 500, 990}), // an empty shard between equal bounds
 	} {
 		// Unsorted, duplicated input.
 		keys := make([]int64, 777)
@@ -217,7 +188,7 @@ func TestSplitKeepsOwnerAndOrder(t *testing.T) {
 }
 
 func TestSplitPairsAlignment(t *testing.T) {
-	p := NewHashed[int64](3)
+	p := NewRanges([]int64{3, 6})
 	keys := []int64{5, 1, 5, 9, 2, 2, 7}
 	vals := []uint64{50, 10, 51, 90, 20, 21, 70}
 	parts, vparts := SplitPairs(p, keys, vals)
@@ -239,14 +210,15 @@ func TestSplitPairsAlignment(t *testing.T) {
 	}
 }
 
-// TestHashKeySignedZero checks that the two float zeros, which every
-// tree compares equal, hash alike and so land in one shard.
-func TestHashKeySignedZero(t *testing.T) {
-	if a, b := HashKey(0.0), HashKey(math.Copysign(0, -1)); a != b {
-		t.Fatalf("HashKey(0) = %#x, HashKey(-0) = %#x, want equal", a, b)
-	}
-	p := NewHashed[float64](8)
-	if a, b := p.Shard(0.0), p.Shard(math.Copysign(0, -1)); a != b {
-		t.Fatalf("0 in shard %d, -0 in shard %d", a, b)
+// TestRangesSignedZero checks that the two float zeros, which every
+// tree compares equal, land in one shard: neither sorts below a bound
+// at 0, whichever zero the bound is, so both open the shard above it.
+func TestRangesSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, bound := range []float64{0, negZero} {
+		p := NewRanges([]float64{bound, 1})
+		if a, b := p.Shard(0.0), p.Shard(negZero); a != 1 || b != 1 {
+			t.Fatalf("bound %v: 0 in shard %d, -0 in shard %d, want 1 and 1", bound, a, b)
+		}
 	}
 }

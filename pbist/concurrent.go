@@ -1,9 +1,8 @@
 package pbist
 
 import (
-	"time"
-
 	"repro/internal/combine"
+	"repro/internal/shard"
 )
 
 // ConcurrentOptions configures one combiner of a Sharded frontend:
@@ -44,7 +43,7 @@ type Concurrent[K Key, V any] = Sharded[K, V]
 // NewConcurrent returns an empty one-shard frontend and starts its
 // combiner goroutine.
 func NewConcurrent[K Key, V any](opts ConcurrentOptions) *Concurrent[K, V] {
-	return NewSharded[K, V](oneShard(opts))
+	return newSharded[K, V](oneShard(opts), shard.NewRanges[K](nil), nil, nil)
 }
 
 // NewConcurrentFromItems returns a one-shard frontend bulk-loaded
@@ -60,19 +59,6 @@ func oneShard(opts ConcurrentOptions) ShardedOptions {
 
 // ConcurrentStats is a snapshot of combining behavior since
 // construction: how well a combiner, or a whole shard group, is
-// turning concurrent single-key writes into batches. Reads never
-// enter a combiner and are not counted.
-type ConcurrentStats struct {
-	// Epochs is the number of combined batches executed.
-	Epochs int64
-	// Ops is the number of client writes and Flush fences served; Keys
-	// the number of keys they carried (mini-batches carry several).
-	Ops  int64
-	Keys int64
-	// MeanOps and MeanKeys are the mean combined batch size per epoch.
-	MeanOps  float64
-	MeanKeys float64
-	// MeanWait is the mean time an operation spent queued before its
-	// epoch began executing.
-	MeanWait time.Duration
-}
+// turning concurrent single-key writes into batches. See combine.Stats
+// for the fields.
+type ConcurrentStats = combine.Stats

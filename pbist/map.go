@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 )
 
 // Map is the map view: a parallel-batched interpolation search tree
@@ -130,24 +129,7 @@ func (m *Map[K, V]) Delete(key K) bool { return m.t.Remove(key) }
 // input order, and duplicate inputs each receive their (identical)
 // answer. Absent keys report the zero value and found[i] == false.
 func (m *Map[K, V]) GetBatch(keys []K) (vals []V, found []bool) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	if m.assumeSorted || isSortedUnique(keys) {
-		return m.t.GetBatched(keys)
-	}
-	// Query the sorted unique view, then scatter answers back to the
-	// caller's positions.
-	sorted := parallel.SortedDedup(m.pool, slices.Clone(keys))
-	svals, sfound := m.t.GetBatched(sorted)
-	vals = make([]V, len(keys))
-	found = make([]bool, len(keys))
-	parallel.For(m.pool, len(keys), 0, func(i int) {
-		j, _ := slices.BinarySearch(sorted, keys[i])
-		vals[i] = svals[j]
-		found[i] = sfound[j]
-	})
-	return vals, found
+	return m.readBatch(keys, true)
 }
 
 // PutBatch upserts every (keys[i], vals[i]) pair in one batched

@@ -406,12 +406,12 @@ func cutConsistency(t *testing.T, keyA, keyB int64) {
 // that actually existed, so the sequence of observations from one
 // reader is non-decreasing.
 func TestShardedLenMonotone(t *testing.T) {
-	s := pbist.NewSharded[int64, uint64](pbist.ShardedOptions{Shards: 4})
-	defer s.Close()
 	n := 6000
 	if testing.Short() {
 		n = 1500
 	}
+	s := pbist.NewShardedRange[int64, uint64](pbist.ShardedOptions{Shards: 4}, 0, int64(2*n))
+	defer s.Close()
 	const chunk = 100 // distinct keys per PutBatch: inserts only
 	var wg sync.WaitGroup
 	var stop atomic.Bool

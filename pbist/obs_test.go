@@ -202,7 +202,7 @@ func TestTraceDisabledWithoutMetrics(t *testing.T) {
 	}
 	c.Close()
 
-	s := NewSharded[int64, uint64](ShardedOptions{Shards: 2})
+	s := NewShardedRange[int64, uint64](ShardedOptions{Shards: 2}, 0, 2)
 	s.Put(1, 1)
 	s.Flush()
 	if tr := s.Trace(0); tr != nil {

@@ -19,12 +19,12 @@
 //     to arbitrarily many goroutines, writes through combining queues
 //     and reads from published versions, for workloads where
 //     operations arrive one key at a time from concurrent clients
-//     rather than pre-assembled into batches. The key space is
-//     partitioned across N independent engines, each behind its own
-//     combiner, all sharing one worker pool — per-key linearizable,
-//     per-shard atomic. Concurrent[K, V] is the one-shard case
-//     (NewConcurrent): the paper's single tree behind one combiner,
-//     where every batch is atomic.
+//     rather than pre-assembled into batches. The key space is split
+//     into N key ranges, each served by an independent engine behind
+//     its own combiner, all sharing one worker pool — per-key
+//     linearizable, per-shard atomic. Concurrent[K, V] is the
+//     one-shard case (NewConcurrent): the paper's single tree behind
+//     one combiner, where every batch is atomic.
 //
 // All views run every batch through the same parallel-batched traversal:
 //
@@ -250,22 +250,42 @@ func (vw *view[K, V]) Keys() []K { return vw.t.Keys() }
 // result[i] corresponds to keys[i], whatever the input order, and
 // duplicate inputs each receive their (identical) answer.
 func (vw *view[K, V]) ContainsBatch(keys []K) []bool {
+	_, found := vw.readBatch(keys, false)
+	return found
+}
+
+// readBatch answers every element of keys positionally: found[i], and
+// vals[i] when withVals is set, answer keys[i]; without withVals only
+// membership is read and vals is nil. A sorted duplicate-free batch is
+// queried as it is. Any other is queried as its sorted unique copy,
+// and the answers are scattered back to the caller's positions.
+func (vw *view[K, V]) readBatch(keys []K, withVals bool) (vals []V, found []bool) {
 	if len(keys) == 0 {
-		return nil
+		return nil, nil
+	}
+	read := func(ks []K) ([]V, []bool) {
+		if withVals {
+			return vw.t.GetBatched(ks)
+		}
+		return nil, vw.t.ContainsBatched(ks)
 	}
 	if vw.assumeSorted || isSortedUnique(keys) {
-		return vw.t.ContainsBatched(keys)
+		return read(keys)
 	}
-	// Query the sorted unique view, then scatter answers back to the
-	// caller's positions.
 	sorted := parallel.SortedDedup(vw.pool, slices.Clone(keys))
-	hits := vw.t.ContainsBatched(sorted)
-	out := make([]bool, len(keys))
+	svals, sfound := read(sorted)
+	if withVals {
+		vals = make([]V, len(keys))
+	}
+	found = make([]bool, len(keys))
 	parallel.For(vw.pool, len(keys), 0, func(i int) {
 		j, _ := slices.BinarySearch(sorted, keys[i])
-		out[i] = hits[j]
+		if vals != nil {
+			vals[i] = svals[j]
+		}
+		found[i] = sfound[j]
 	})
-	return out
+	return vals, found
 }
 
 // CountRange reports how many keys lie in [lo, hi] without
@@ -292,24 +312,7 @@ func (vw *view[K, V]) SetWorkers(n int) {
 // Stats reports structural statistics (shape, balance, and memory of
 // the interpolation indexes) together with the arena counters of the
 // memory subsystem.
-func (vw *view[K, V]) Stats() Stats {
-	s := vw.t.Stats()
-	return Stats{
-		LiveKeys:      s.LiveKeys,
-		DeadKeys:      s.DeadKeys,
-		Nodes:         s.Nodes,
-		Leaves:        s.Leaves,
-		Height:        s.Height,
-		RootRepLen:    s.RootRepLen,
-		MaxLeafLen:    s.MaxLeafLen,
-		IndexBytes:    s.IndexBytes,
-		ScratchGets:   s.ScratchGets,
-		ScratchReuses: s.ScratchReuses,
-		ChunkBuilds:   s.ChunkBuilds,
-		ChunkKeys:     s.ChunkKeys,
-		LeafGrows:     s.LeafGrows,
-	}
-}
+func (vw *view[K, V]) Stats() Stats { return vw.t.Stats() }
 
 // Height reports the number of nodes on the longest root-to-leaf
 // path. For an ideally balanced tree of n keys this is O(log log n).
@@ -487,28 +490,5 @@ func (tr *Tree[K]) Ascend(lo, hi K) iter.Seq[K] {
 }
 
 // Stats summarizes the structure of a Tree or Map, plus the counters
-// of its scratch arena (see Options).
-type Stats struct {
-	LiveKeys   int // keys logically stored
-	DeadKeys   int // logically removed keys awaiting a rebuild
-	Nodes      int // total nodes, leaves included
-	Leaves     int // leaf nodes
-	Height     int // nodes on the longest root-to-leaf path; 0 when empty
-	RootRepLen int // length of the root's Rep array (Θ(√n) when balanced)
-	MaxLeafLen int // longest leaf array
-	IndexBytes int // memory held by interpolation indexes
-
-	// ScratchGets counts internal scratch-buffer requests since
-	// construction and ScratchReuses how many were served by a
-	// recycled buffer; their ratio is the arena hit rate. ChunkBuilds
-	// counts chunked subtree (re)builds and ChunkKeys the key slots
-	// those builds laid out contiguously.
-	ScratchGets   int64
-	ScratchReuses int64
-	ChunkBuilds   int64
-	ChunkKeys     int64
-
-	// LeafGrows counts leaf merges that outgrew their arrays and
-	// reallocated, each with 1.5 times its key count in capacity.
-	LeafGrows int64
-}
+// of its scratch arena (see Options). See core.Stats for the fields.
+type Stats = core.Stats

@@ -15,9 +15,9 @@ import (
 
 // ShardedOptions configures a Sharded frontend: the per-shard engine
 // and combiner settings (ConcurrentOptions) plus the shard count. The
-// zero value gives sensible defaults. The constructor picks the
-// partitioning: NewSharded hashes keys, NewShardedRange splits an
-// explicit span, and NewShardedFromItems fits range boundaries to the
+// zero value gives sensible defaults. Every frontend partitions keys
+// by range: NewShardedRange splits an explicit span into equal-width
+// intervals, and NewShardedFromItems fits the boundaries to the
 // quantiles of the loaded keys.
 type ShardedOptions struct {
 	ConcurrentOptions
@@ -53,8 +53,8 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 // way down (full intra-batch parallelism), and the per-operation
 // results are routed back to the blocked callers. Under many clients this
 // recovers the batched O(m·log log n) economics for writes that arrive
-// one key at a time. The partitioner routes every key to exactly one
-// shard, so point writes go straight to the owning shard's
+// one key at a time. The range partition routes every key to exactly
+// one shard, so point writes go straight to the owning shard's
 // combiner, and batched writes are split into per-shard sub-batches
 // that execute as concurrent epochs — up to N in flight at once.
 //
@@ -80,14 +80,13 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 // they reflect. Stats and Trace read the combiners' counters without a
 // fence.
 //
-// Create one with NewSharded, NewShardedRange, NewShardedFromItems,
-// NewConcurrent, or NewConcurrentFromItems; call Close when done to
-// stop the combiner goroutines. Writes and Flush on a closed frontend
-// panic; the reads (Get, Contains, GetBatch, ContainsBatch, Len, Keys,
-// Items, Range, Ascend, Snapshot) keep serving the final published
-// state.
+// Create one with NewShardedRange, NewShardedFromItems, NewConcurrent,
+// or NewConcurrentFromItems; call Close when done to stop the combiner
+// goroutines. Writes and Flush on a closed frontend panic; the reads
+// (Get, Contains, GetBatch, ContainsBatch, Len, Keys, Items, Range,
+// Ascend, Snapshot) keep serving the final published state.
 type Sharded[K Key, V any] struct {
-	part shard.Partitioner[K]
+	part *shard.Ranges[K]
 	cbs  []*combine.Combiner[K, V]
 	// trees[i] is the engine behind cbs[i], retained for the version
 	// read paths: per-shard wait-free point reads (Get) and the
@@ -99,21 +98,11 @@ type Sharded[K Key, V any] struct {
 	obs   *shard.Obs // nil unless Options.Metrics was set
 }
 
-// NewSharded returns an empty sharded frontend that partitions keys by
-// a mixed 64-bit hash: with no data and no span to fit range
-// boundaries to, balance that is immune to key-space skew, at the
-// price of an N-way merge in the ordered reads (Range, Ascend, Keys,
-// Items, Snapshot).
-func NewSharded[K Key, V any](opts ShardedOptions) *Sharded[K, V] {
-	opts = opts.withDefaults()
-	return newSharded[K, V](opts, shard.NewHashed[K](opts.Shards), nil, nil)
-}
-
 // NewShardedRange returns an empty sharded frontend that partitions
 // [lo, hi] into equal-width key intervals — the right construction
 // when keys are roughly uniform over a known span. Keys outside the
-// span are owned by the edge shards. Shard order refines key order, so
-// the ordered reads concatenate per-shard results instead of merging.
+// span are owned by the edge shards, so balance is only as good as the
+// span: a skewed or drifting key set piles onto a few shards.
 func NewShardedRange[K Key, V any](opts ShardedOptions, lo, hi K) *Sharded[K, V] {
 	opts = opts.withDefaults()
 	return newSharded[K, V](opts, shard.NewRangeUniform(opts.Shards, lo, hi), nil, nil)
@@ -123,9 +112,8 @@ func NewShardedRange[K Key, V any](opts ShardedOptions, lo, hi K) *Sharded[K, V]
 // (keys[i], vals[i]) pairs (last occurrence of a duplicated key wins,
 // as in NewMapFromItems; neither slice is retained). The shards
 // partition the key range at the quantiles of the loaded keys, so
-// every shard starts with an equal share whatever the distribution,
-// and the ordered reads concatenate as under NewShardedRange. Inserts
-// outside the loaded span pile onto the edge shards.
+// every shard starts with an equal share whatever the distribution.
+// Inserts outside the loaded span pile onto the edge shards.
 func NewShardedFromItems[K Key, V any](opts ShardedOptions, keys []K, vals []V) *Sharded[K, V] {
 	if len(keys) != len(vals) {
 		panic("pbist: NewShardedFromItems keys/vals length mismatch")
@@ -142,7 +130,7 @@ func NewShardedFromItems[K Key, V any](opts ShardedOptions, keys []K, vals []V) 
 // with its slice of the (optional) initial items, one combiner per
 // tree, and one pool for everything. Each tree owns its scratch arena
 // and each combiner its per-epoch arrays.
-func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys []K, vals []V) *Sharded[K, V] {
+func newSharded[K Key, V any](opts ShardedOptions, p *shard.Ranges[K], keys []K, vals []V) *Sharded[K, V] {
 	pool := opts.pool()
 	s := &Sharded[K, V]{
 		part:  p,
@@ -213,7 +201,7 @@ func (f *firstError) check() {
 }
 
 // shardOf returns the index of the shard owning key. A one-shard
-// group skips the partitioner, so its point operations cost what the
+// group skips the bound search, so its point operations cost what the
 // bare tree and combiner cost.
 func (s *Sharded[K, V]) shardOf(key K) int {
 	if len(s.cbs) == 1 {
@@ -504,42 +492,15 @@ func pairs[K Key, V any](ks []K, vs []V) iter.Seq2[K, V] {
 	}
 }
 
-// mergeShardKV combines per-shard sorted sequences into one globally
-// sorted sequence: a concatenation under an order-preserving
-// partitioner, an N-way merge (folded pairwise on the shared pool)
-// under hashing. Shard key sets are disjoint, so the union never has to
-// pick a winner. A single part is returned as it is: the version
-// readers hand back fresh slices, so nothing is aliased.
-func (s *Sharded[K, V]) mergeShardKV(ks [][]K, vs [][]V) ([]K, []V) {
+// concatShardKV joins per-shard sorted sequences, read in shard
+// order, into one globally sorted sequence: shard order is key order.
+// A single part is returned as it is: the version readers hand back
+// fresh slices, so nothing is aliased.
+func concatShardKV[K Key, V any](ks [][]K, vs [][]V) ([]K, []V) {
 	if len(ks) == 1 {
 		return ks[0], vs[0]
 	}
-	if s.part.Ordered() {
-		total := 0
-		for _, k := range ks {
-			total += len(k)
-		}
-		outK := make([]K, 0, total)
-		outV := make([]V, 0, total)
-		for i := range ks {
-			outK = append(outK, ks[i]...)
-			outV = append(outV, vs[i]...)
-		}
-		return outK, outV
-	}
-	var outK []K
-	var outV []V
-	for i := range ks {
-		if len(ks[i]) == 0 {
-			continue
-		}
-		if outK == nil {
-			outK, outV = ks[i], vs[i]
-			continue
-		}
-		outK, outV = parallel.UnionKVInto(s.pool, outK, outV, ks[i], vs[i], nil, nil)
-	}
-	return outK, outV
+	return slices.Concat(ks...), slices.Concat(vs...)
 }
 
 // Len reports the number of keys stored: the sum of the per-shard
@@ -579,7 +540,7 @@ func (s *Sharded[K, V]) Flush() {
 // readCut captures one atomic cut of trees and answers read from each
 // tree's version while the reader pins hold the shared chunk storage
 // stable. The per-tree arrays come back in the order of trees, sorted
-// and duplicate-free, ready for mergeShardKV. Large flattens already
+// and duplicate-free, ready for concatShardKV. Large flattens already
 // run in parallel on the pool inside each tree.
 func readCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs, read func(*core.Tree[K, V], *core.Version[K, V]) ([]K, []V)) ([][]K, [][]V) {
 	var pinBuf [cutShards]core.ReaderPin
@@ -602,7 +563,7 @@ func readCut[K Key, V any](trees []*core.Tree[K, V], o *shard.Obs, read func(*co
 // operation that completed before the call; operations still queued in
 // a combiner appear only once their epoch publishes.
 func (s *Sharded[K, V]) Items() ([]K, []V) {
-	return s.mergeShardKV(readCut(s.trees, s.obs, (*core.Tree[K, V]).VersionItems))
+	return concatShardKV(readCut(s.trees, s.obs, (*core.Tree[K, V]).VersionItems))
 }
 
 // Keys returns the keys in ascending order, from the same mutually
@@ -614,18 +575,14 @@ func (s *Sharded[K, V]) Keys() []K {
 
 // Range returns the (key, value) pairs with keys in [lo, hi], keys
 // ascending, from one mutually atomic cut of the shards it reads, like
-// Items. Under range partitioning only the shards whose intervals
-// overlap [lo, hi] are read and their answers concatenate; under
-// hashing every shard answers and the results merge.
+// Items. Only the shards whose intervals overlap [lo, hi] are read,
+// and their answers concatenate.
 func (s *Sharded[K, V]) Range(lo, hi K) ([]K, []V) {
 	if hi < lo {
 		return nil, nil
 	}
-	trees := s.trees
-	if s.part.Ordered() {
-		trees = trees[s.part.Shard(lo) : s.part.Shard(hi)+1]
-	}
-	return s.mergeShardKV(readCut(trees, s.obs, func(t *core.Tree[K, V], v *core.Version[K, V]) ([]K, []V) {
+	trees := s.trees[s.part.Shard(lo) : s.part.Shard(hi)+1]
+	return concatShardKV(readCut(trees, s.obs, func(t *core.Tree[K, V], v *core.Version[K, V]) ([]K, []V) {
 		return t.VersionRange(v, lo, hi)
 	}))
 }
@@ -703,10 +660,8 @@ type ShardedStats struct {
 	// per-shard waits weighted by each shard's op count. With one
 	// shard it equals PerShard[0].
 	ConcurrentStats
-	// Shards is the shard count; Ordered whether the partitioner
-	// preserves key order across shards (range partitioning).
-	Shards  int
-	Ordered bool
+	// Shards is the shard count.
+	Shards int
 	// PerShard holds each shard's combining statistics — epochs,
 	// ops, keys, mean batch size, mean combine wait — in shard order.
 	PerShard []ConcurrentStats
@@ -738,12 +693,11 @@ func (s *Sharded[K, V]) Trace(n int) []EpochTrace {
 func (s *Sharded[K, V]) Stats() ShardedStats {
 	st := ShardedStats{
 		Shards:   len(s.cbs),
-		Ordered:  s.part.Ordered(),
 		PerShard: make([]ConcurrentStats, len(s.cbs)),
 	}
 	var wait time.Duration
 	for i, cb := range s.cbs {
-		cs := ConcurrentStats(cb.Stats())
+		cs := cb.Stats()
 		st.PerShard[i] = cs
 		st.Epochs += cs.Epochs
 		st.Ops += cs.Ops

@@ -12,35 +12,35 @@ import (
 )
 
 // shardedConfig is one Sharded configuration of the differential
-// tests: a shard count and the constructor that picks the
-// partitioning.
+// tests: a shard count and the constructor that picks the range
+// boundaries.
 type shardedConfig struct {
 	shards int
-	hash   bool // NewSharded (hash partitioning), not NewShardedFromItems (fitted ranges)
+	empty  bool // NewShardedRange over the seed span, not NewShardedFromItems (fitted quantiles)
 }
 
 // shardedConfigs enumerates the Sharded configurations the
-// differential tests sweep: both partitionings, at shard counts around
-// and past GOMAXPROCS.
+// differential tests sweep: bulk-loaded and initially empty frontends,
+// at shard counts around and past GOMAXPROCS.
 func shardedConfigs() map[string]shardedConfig {
 	return map[string]shardedConfig{
 		"range4": {shards: 4},
-		"hash4":  {shards: 4, hash: true},
+		"empty4": {shards: 4, empty: true},
 		"range3": {shards: 3},
-		"hash7":  {shards: 7, hash: true},
+		"empty7": {shards: 7, empty: true},
 	}
 }
 
 // newShardedForTest builds a Sharded under cfg holding the seed items.
-// A range configuration bulk-loads them, so its boundaries are fitted
-// rather than degenerate; a hash configuration starts empty and takes
+// A bulk-loaded configuration fits its boundaries to the seed keys; an
+// empty one splits the seed keys' span evenly, starts empty and takes
 // them through one PutBatch.
 func newShardedForTest(cfg shardedConfig, keys []int64, vals []uint64) *pbist.Sharded[int64, uint64] {
 	opts := pbist.ShardedOptions{Shards: cfg.shards}
-	if !cfg.hash {
+	if !cfg.empty {
 		return pbist.NewShardedFromItems(opts, keys, vals)
 	}
-	s := pbist.NewSharded[int64, uint64](opts)
+	s := pbist.NewShardedRange[int64, uint64](opts, slices.Min(keys), slices.Max(keys))
 	s.PutBatch(keys, vals)
 	return s
 }
@@ -199,7 +199,7 @@ func TestShardedDifferentialStress(t *testing.T) {
 // TestShardedGroupedBatchReads compares GetBatch and ContainsBatch
 // with Get key by key on a quiescent frontend, at batch sizes around
 // one walk group (8 keys) and around the inline limit (256 keys),
-// under both partitionings and on one shard. Batches mix live keys,
+// on every shard configuration and on one shard. Batches mix live keys,
 // deleted keys and keys never inserted, with repeats.
 func TestShardedGroupedBatchReads(t *testing.T) {
 	cfgs := shardedConfigs()
@@ -243,9 +243,9 @@ func TestShardedGroupedBatchReads(t *testing.T) {
 }
 
 // TestShardedRangeOrdering checks the cross-shard ordered reads —
-// Range, Ascend, Keys, Items — against a Map oracle, under both the
-// concatenating (range) and merging (hash) partitionings, with query
-// windows chosen to straddle shard boundaries.
+// Range, Ascend, Keys, Items — against a Map oracle, on every shard
+// configuration, with query windows chosen to straddle shard
+// boundaries.
 func TestShardedRangeOrdering(t *testing.T) {
 	r := dist.NewRNG(0xbeef)
 	const n = 20_000
@@ -317,10 +317,10 @@ func TestShardedRetentionBounded(t *testing.T) {
 	churn := func(shards int) (buffers, elems int64) {
 		r := dist.NewRNG(uint64(shards))
 		reg := pbist.NewMetrics()
-		s := pbist.NewSharded[int64, uint64](pbist.ShardedOptions{
+		s := pbist.NewShardedRange[int64, uint64](pbist.ShardedOptions{
 			ConcurrentOptions: pbist.ConcurrentOptions{Options: pbist.Options{Metrics: reg}},
 			Shards:            shards,
-		})
+		}, 0, 1<<20)
 		defer s.Close()
 		const batch = 4096
 		keys := make([]int64, batch)
@@ -455,12 +455,12 @@ func TestShardedBatchSoak(t *testing.T) {
 	t.Logf("%d keys after soak (%d base)", len(ks), baseN)
 }
 
-// TestShardedSignedZero checks that hash partitioning treats 0 and -0,
-// which the trees compare equal, as one key: the Put/Get/Len sequence
-// answers as it does on a Map.
+// TestShardedSignedZero checks that range partitioning over a span
+// that holds 0 treats 0 and -0, which the trees compare equal, as one
+// key: the Put/Get/Len sequence answers as it does on a Map.
 func TestShardedSignedZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	s := pbist.NewSharded[float64, int](pbist.ShardedOptions{Shards: 8})
+	s := pbist.NewShardedRange[float64, int](pbist.ShardedOptions{Shards: 8}, -4, 4)
 	defer s.Close()
 	m := pbist.NewMap[float64, int](pbist.Options{})
 	for _, step := range []struct {
@@ -484,19 +484,9 @@ func TestShardedSignedZero(t *testing.T) {
 }
 
 // TestShardedConstructorsAndStats covers the remaining surface:
-// the partitioning each constructor picks, per-shard epoch stats,
-// Snapshot, DeleteBatch/ContainsBatch counts, Close semantics.
+// per-shard epoch stats, Snapshot, DeleteBatch/ContainsBatch counts,
+// Close semantics.
 func TestShardedConstructorsAndStats(t *testing.T) {
-	// Only the boundless NewSharded hashes; NewShardedFromItems fits
-	// ranges (NewShardedRange's are checked through Stats below).
-	h := pbist.NewSharded[int64, uint64](pbist.ShardedOptions{Shards: 4})
-	q := pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 4}, []int64{1, 2, 3}, []uint64{1, 2, 3})
-	if h.Stats().Ordered || !q.Stats().Ordered {
-		t.Fatalf("Ordered: NewSharded %v, NewShardedFromItems %v; want false, true", h.Stats().Ordered, q.Stats().Ordered)
-	}
-	h.Close()
-	q.Close()
-
 	s := pbist.NewShardedRange[int64, uint64](pbist.ShardedOptions{Shards: 4}, 0, 1<<20)
 	if s.Shards() != 4 {
 		t.Fatalf("Shards = %d, want 4", s.Shards())
@@ -519,7 +509,7 @@ func TestShardedConstructorsAndStats(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Shards != 4 || !st.Ordered || len(st.PerShard) != 4 {
+	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("Stats shape wrong: %+v", st)
 	}
 	if st.Epochs == 0 || st.Ops == 0 || st.Keys == 0 {
@@ -585,7 +575,7 @@ func TestShardedConstructorsAndStats(t *testing.T) {
 // TestShardedEmptyAndDegenerate covers empty batches, one shard, and
 // empty-structure reads.
 func TestShardedEmptyAndDegenerate(t *testing.T) {
-	s := pbist.NewSharded[int64, uint64](pbist.ShardedOptions{Shards: 1})
+	s := pbist.NewConcurrent[int64, uint64](pbist.ConcurrentOptions{})
 	defer s.Close()
 	if vals, found := s.GetBatch(nil); vals != nil || found != nil {
 		t.Fatal("GetBatch(nil) not nil")
