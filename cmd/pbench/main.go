@@ -225,7 +225,7 @@ func runMap(w bench.Workload, workers []int, reps int) ([]string, [][]string) {
 func runConcurrent(w bench.Workload, clients []int, reps int) ([]string, [][]string) {
 	rows := bench.RunConcurrentWorkload(w, clients, reps)
 	header := []string{"clients", "combine_mops", "rwmutex_map_mops", "sync_map_mops", "epoch_ops",
-		"epoch_keys", "mean_wait_us"}
+		"epoch_keys"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -235,7 +235,6 @@ func runConcurrent(w bench.Workload, clients []int, reps int) ([]string, [][]str
 			fmt.Sprintf("%.3f", r.SyncMapMops),
 			fmt.Sprintf("%.1f", r.EpochOps),
 			fmt.Sprintf("%.1f", r.EpochKeys),
-			fmt.Sprintf("%.1f", r.MeanWaitUS),
 		})
 	}
 	return header, cells
@@ -317,7 +316,7 @@ func runLeafSlack(w bench.Workload, workers, rounds int) ([]string, [][]string) 
 func runSharded(w bench.Workload, clients int, shards []int, batchKeys, reps int) ([]string, [][]string) {
 	rows := bench.RunShardedWorkload(w, clients, shards, batchKeys, reps)
 	header := []string{"shards", "mkeys_s", "speedup", "epochs", "epoch_keys",
-		"min_shard_keys", "max_shard_keys", "mean_wait_us"}
+		"min_shard_keys", "max_shard_keys"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		shardCell := strconv.Itoa(r.Shards)
@@ -332,7 +331,6 @@ func runSharded(w bench.Workload, clients int, shards []int, batchKeys, reps int
 			fmt.Sprintf("%.1f", r.EpochKeys),
 			strconv.FormatInt(r.MinShardKeys, 10),
 			strconv.FormatInt(r.MaxShardKeys, 10),
-			fmt.Sprintf("%.1f", r.MeanWaitUS),
 		})
 	}
 	return header, cells

@@ -31,8 +31,11 @@ func main() {
 	for i, k := range base {
 		vals[i] = uint64(k)
 	}
+	// The frontend is observed (Metrics set) so that Stats measures
+	// how long writes wait for their epoch; an unobserved frontend
+	// reads no clock and reports a MeanWait of 0.
 	c := pbist.NewConcurrentFromItems(
-		pbist.ConcurrentOptions{Options: pbist.Options{AssumeSorted: true}},
+		pbist.ConcurrentOptions{Options: pbist.Options{AssumeSorted: true, Metrics: pbist.NewMetrics()}},
 		base, vals)
 	defer c.Close()
 

@@ -19,7 +19,6 @@ type ConcurrentRow struct {
 	SyncMapMops float64 // sync.Map
 	EpochOps    float64 // mean writes combined per epoch (frontend only; reads never queue)
 	EpochKeys   float64 // mean keys combined per epoch
-	MeanWaitUS  float64 // mean µs a write queued before its epoch began
 }
 
 // script op kinds; the per-client scripts are generated once per
@@ -172,7 +171,6 @@ func RunConcurrentWorkload(w Workload, clients []int, reps int) []ConcurrentRow 
 			st := c.Stats()
 			row.EpochOps = st.MeanOps
 			row.EpochKeys = st.MeanKeys
-			row.MeanWaitUS = float64(st.MeanWait.Nanoseconds()) / 1e3
 			c.Close()
 		}
 

@@ -22,7 +22,6 @@ type ShardedRow struct {
 	EpochKeys    float64 // mean keys per epoch (combining quality)
 	MinShardKeys int64   // lightest shard's key count (balance floor)
 	MaxShardKeys int64   // heaviest shard's key count (balance ceiling)
-	MeanWaitUS   float64 // ops-weighted mean µs an op queued before its epoch
 }
 
 // shardedScript is one client's replayable mini-batch sequence: the
@@ -171,7 +170,6 @@ func RunShardedWorkload(w Workload, clients int, shards []int, batchKeys, reps i
 			Epochs:       st.Epochs,
 			EpochKeys:    st.MeanKeys,
 			MinShardKeys: st.PerShard[0].Keys,
-			MeanWaitUS:   float64(st.MeanWait.Nanoseconds()) / 1e3,
 		}
 		for _, ps := range st.PerShard {
 			row.MinShardKeys = min(row.MinShardKeys, ps.Keys)

@@ -81,9 +81,15 @@ func trimmed[T any](s []T, maxCap int) []T {
 //
 //pbist:combiner
 func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
-	start := time.Now()
 	pr := c.probe
 	buf := &c.buf
+	// The clock is read only on an observed combiner: the stamps feed
+	// the trace, the histograms and MeanWait, which record nothing
+	// otherwise.
+	var start time.Time
+	if pr != nil {
+		start = time.Now()
+	}
 
 	// Flatten the epoch into events. Fences carry no keys, so they
 	// complete with the rest of the epoch. The event list and every
@@ -138,9 +144,8 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 	buf.keys, buf.live, buf.winVal, buf.runs = keys, live, winVal, runStart
 	nruns := len(keys)
 
-	// The phase stamps below are taken only when the combiner is
-	// observed; together with start and end they tile the epoch into
-	// the sort/write/replay/publish spans of its trace.
+	// Together with start and end, the phase stamps below tile the
+	// epoch into the sort/write/replay/publish spans of its trace.
 	var tSort, tWrite, tReplay time.Time
 	if pr != nil {
 		tSort = time.Now()
@@ -194,8 +199,10 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 	// only after receiving from done, so the sends publish the scatter
 	// writes above.
 	var waitSum time.Duration
-	for _, o := range ops {
-		waitSum += start.Sub(o.enq)
+	if pr != nil {
+		for _, o := range ops {
+			waitSum += start.Sub(o.enq)
+		}
 	}
 	c.smu.Lock()
 	c.st.epochs++
@@ -213,25 +220,41 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 	}
 }
 
+// replayGrain is the most distinct keys an epoch replays inline;
+// larger epochs replay in blocks of this many keys on the pool.
+const replayGrain = 256
+
 // replayRuns is the replay stage of runEpoch, extracted so the
 // observed path can run it under a pprof label without forcing a
 // closure allocation on the unobserved path. It touches no
 // combiner-confined state — everything it needs arrives as arguments.
 // Run r holds the events runStart[r]:runStart[r+1] of one key, whose
-// pre-epoch presence is found[r].
+// pre-epoch presence is found[r]. An epoch of at most replayGrain keys
+// loops inline, so a serving epoch allocates no closure here.
 func (c *Combiner[K, V]) replayRuns(ops []*op[K, V], events []event[K], runStart []int32, found []bool) {
-	parallel.For(c.pool, len(found), 256, func(r int) {
-		present := found[r]
-		for i := runStart[r]; i < runStart[r+1]; i++ {
-			e := events[i]
-			o := ops[e.op]
-			if o.kind == kindPut {
-				o.rfound[e.sub] = !present
-				present = true
-			} else {
-				o.rfound[e.sub] = present
-				present = false
-			}
+	if len(found) <= replayGrain {
+		for r, present := range found {
+			replayRun(ops, events[runStart[r]:runStart[r+1]], present)
 		}
+		return
+	}
+	parallel.For(c.pool, len(found), replayGrain, func(r int) {
+		replayRun(ops, events[runStart[r]:runStart[r+1]], found[r])
 	})
+}
+
+// replayRun answers the events of one key's run in linearization
+// order, starting from the key's pre-epoch presence: each event
+// writes its op's answer at its own position.
+func replayRun[K cmp.Ordered, V any](ops []*op[K, V], run []event[K], present bool) {
+	for _, e := range run {
+		o := ops[e.op]
+		if o.kind == kindPut {
+			o.rfound[e.sub] = !present
+			present = true
+		} else {
+			o.rfound[e.sub] = present
+			present = false
+		}
+	}
 }

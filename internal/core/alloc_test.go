@@ -241,13 +241,18 @@ func TestCloneEmpty(t *testing.T) {
 // TestPublishedEpochAllocs pins the path-copy cost of one publishing
 // epoch: a single-key update, insert or remove on a 2^17-key
 // publishing tree, one of each in a single ApplyResolved (mixed), or
-// a Delete of an absent key (miss), followed by PublishVersion. Each epoch copies one
-// children array per inner level below the root on the key's path,
-// the vals/exists slots only at the node whose slot it writes, and
-// the leaf arrays with merge headroom, so the insert merges in place.
-// In steady state the root allocates nothing: its copy reuses a
-// graced spare root. Every ceiling is its measured count at the
-// default H, which 50 runs in a row read unchanged.
+// a Delete of an absent key (miss), followed by PublishVersion. The
+// keys are spread over the whole tree, so most epochs copy nodes no
+// earlier epoch copied: one children array per inner level below the
+// root on the key's path, the vals/exists slots only at the node
+// whose slot it writes, and the leaf arrays with merge headroom, so
+// the insert merges in place. A node an earlier epoch did copy is
+// copied again from the free stacks of graced path copies, which the
+// middle level, hit again and again, mostly is. In steady state the
+// root allocates nothing: its copy reuses a graced spare root.
+// TestHotWindowEpochAllocs pins the all-recycled case. Every ceiling
+// is its measured count at the default H; the sequence of epochs is
+// deterministic.
 func TestPublishedEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings are checked in the non-race run")
@@ -311,9 +316,9 @@ func TestPublishedEpochAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"update", update, 6},
-		{"insert", insert, 7},
-		{"remove", remove, 6},
-		{"mixed", mixed, 13},
+		{"insert", insert, 6},
+		{"remove", remove, 5},
+		{"mixed", mixed, 5},
 		{"miss", miss, 0},
 	} {
 		for i := 0; i < 8; i++ {
@@ -323,6 +328,69 @@ func TestPublishedEpochAllocs(t *testing.T) {
 		t.Logf("%s epoch: %.2f allocs", c.name, got)
 		if got > c.ceiling {
 			t.Errorf("%s epoch allocates %.2f, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// TestHotWindowEpochAllocs pins what a serving write epoch allocates
+// once path recycling has warmed up: single-key update, insert and
+// remove epochs, each followed by PublishVersion, all within a window
+// of 512 neighbouring keys of a 2^17-key publishing tree. After
+// warm-up every node on the window's paths is a path copy, so each
+// copy the epoch makes replaces one that goes back to the free stacks
+// once graced, and the next copies are served from there; the root
+// copy reuses a graced spare root, synced from the root log. What is
+// left is the Version header, plus the slot arrays of the rare epoch
+// whose key sits in an inner rep.
+func TestHotWindowEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceilings are checked in the non-race run")
+	}
+	const (
+		n      = 1 << 17
+		window = 512
+	)
+	base := seqKeys(n, 0, 2) // even keys; odd keys are fresh
+	tr := NewFromSortedKV(Config{}, nil, base, make([]int64, n))
+	tr.EnablePublish()
+	hot := base[n/3 : n/3+window]
+	next := 0
+	key := [1]int64{}
+	val := [1]int64{}
+	epoch := func(op func()) func() {
+		return func() {
+			next++
+			key[0] = hot[next*97%window] // odd stride: the window's keys in turn
+			val[0]++
+			op()
+			tr.PublishVersion()
+		}
+	}
+	update := epoch(func() { tr.PutBatched(key[:], val[:]) })
+	insert := epoch(func() {
+		key[0]++ // odd: absent until now
+		tr.PutBatched(key[:], val[:])
+	})
+	remove := epoch(func() {
+		key[0]++ // the key insert put in
+		tr.RemoveBatched(key[:])
+	})
+	for i := 0; i < 4*window; i++ {
+		update() // every node on the window's paths becomes a path copy
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"update", update},
+		{"insert", insert},
+		{"remove", remove},
+	} {
+		next = 0
+		got := testing.AllocsPerRun(window-1, c.run)
+		t.Logf("%s epoch: %.2f allocs", c.name, got)
+		if got > 1 {
+			t.Errorf("%s epoch allocates %.2f, ceiling 1 (the Version)", c.name, got)
 		}
 	}
 }

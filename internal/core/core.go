@@ -155,6 +155,11 @@ type Tree[K iindex.Numeric, V any] struct {
 	mv       *mvccState[K, V]
 	writeGen uint64
 	dirty    bool // mutations since the last publish
+	// recycle is set for the length of a write walk that runs
+	// sequentially from the root on a publishing tree: only such a
+	// walk lets owned() queue replaced nodes and reuse graced ones,
+	// which keeps the free stacks confined to the walking goroutine.
+	recycle bool
 
 	// rebuiltKeys counts the keys every §7.1 rebuild of this tree has
 	// laid down (recordRebuild). Rebuilds fire inside the parallel
@@ -195,6 +200,11 @@ type node[K iindex.Numeric, V any] struct {
 	// alias the frozen node it was copied from; ownSlots copies them
 	// before the first slot write (mvcc.go).
 	sharedSlots bool
+	// own marks a node whose header and children array (inner) or
+	// rep/vals/exists arrays (leaf) owned() allocated for it alone, so
+	// once no reader can reach it the whole node can serve a later
+	// path copy (mvcc.go). Chunk- and slab-built nodes never own.
+	own bool
 	// chunk, set only on the root node of a chunked build, ties the
 	// subtree back to its contiguous storage so a rebuild of an
 	// enclosing subtree can retire it for reclamation (mvcc.go).

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +17,7 @@ import (
 // publication of immutable roots, wait-free point reads against the
 // published version, O(changed) durable snapshots that share chunk
 // storage with the live tree, and epoch-based reclamation of retired
-// chunks.
+// chunks and replaced path copies.
 //
 // The design follows the non-blocking C-IST line (Prokopec, Brown,
 // Alistarh; see PAPERS.md): reads interpolate against a published
@@ -27,14 +29,17 @@ import (
 //     created in. Every mutation calls owned() on each node of its
 //     path: a node from an older generation is copied (path copying),
 //     so nodes reachable from a published Version are never written
-//     again. One epoch copies one children array per inner level
-//     below the root on the path, the vals/exists slots at a node
-//     whose slot it writes or where the recursion forks
-//     (ownSlots), and the leaf arrays with room for the merge. The
-//     √n-wide root is the exception: its copy is a graced spare root
-//     (see Reclamation) synced to the frozen root by diff, so a
-//     steady-state epoch allocates nothing for it and rewrites only
-//     the child pointers that changed since the spare was live.
+//     again. One epoch copies one node per level on the path: below
+//     the root an inner copy owns a children array and shares the
+//     rest until its first slot write (ownSlots), and a leaf copy
+//     owns rep/vals/exists with room for the merge. In a walk that
+//     runs sequentially from the root, which every serving epoch
+//     does, each copy is a graced node reused whole, header and
+//     arrays (see Reclamation), so such an epoch allocates only its
+//     Version once the nodes on its paths are path copies themselves.
+//     The √n-wide root is reused the same way from a graced spare
+//     root, synced to the frozen root by rewriting only the child
+//     slots the root log says were written since the spare was live.
 //     Publishing bumps writeGen, freezing everything published. Trees
 //     that never call EnablePublish keep writeGen at zero forever,
 //     every node matches, and owned() is an equality test — the direct
@@ -58,14 +63,19 @@ import (
 //     could possibly have seen it has unpinned. Chunks that might be
 //     referenced by a durable snapshot (born at or before the latest
 //     Snapshot cut) and ring overflow are dropped to the GC instead:
-//     reclamation degrades, never breaks. Superseded inner roots take
-//     the same route on a smaller scale: PublishVersion pushes the
-//     root a new version replaced into a FIFO of spareRoots entries
-//     stamped with the era, and the next root copy reuses the oldest
-//     one once it is graced by the same two-advance rule, was born
-//     after the Snapshot cut, and has the frozen root's width. Spares
-//     that fail a check go to the GC. Version headers are never
-//     recycled: cut collection relies on their pointer identity.
+//     reclamation degrades, never breaks. Path copies take the same
+//     route node by node. A node owned() allocated for itself alone
+//     (the own bit) is queued when a later copy replaces it; the next
+//     publish stamps the queue with the era; and once graced by the
+//     same two-advance rule and born after the Snapshot cut, the node
+//     goes onto a bounded free stack per kind and capacity class,
+//     from which a later copy takes it. Superseded inner roots go
+//     into a FIFO of spareRoots entries instead, stamped the same
+//     way, and the next root copy reuses the oldest one that is
+//     graced, born after the Snapshot cut and as wide as the frozen
+//     root. Nodes that fail a check, or find their queue or stack
+//     full, go to the GC. Version headers are never recycled: cut
+//     collection relies on their pointer identity.
 const (
 	// retireRingCap bounds the grace ring: retired chunks beyond this
 	// many pending entries are dropped to the GC instead of recycled,
@@ -81,6 +91,22 @@ const (
 	// graced two era advances after its push, so a few entries cover
 	// the steady state.
 	spareRoots = 4
+	// pathQueueCap bounds the replaced path copies waiting out their
+	// grace period, queued and stamped together: past it, owned drops
+	// a replaced node to the GC.
+	pathQueueCap = 256
+	// freeNodesCap bounds each free stack of graced path copies, and
+	// nodeClasses is the number of capacity classes per node kind
+	// (sizeClass; capacities from 131072 up are not recycled). A
+	// serving epoch copies a few nodes and the grace period lasts a few
+	// publishes, so a few nodes per class cover it; every node a stack
+	// holds is heap the GC would otherwise free.
+	freeNodesCap = 8
+	nodeClasses  = 64
+	// rootLogCap bounds the log of root child slots written, from
+	// which a spare root is synced (spareRootCopy). A serving epoch
+	// writes a slot or two and a spare is a few epochs old.
+	rootLogCap = 64
 )
 
 // Version is one published immutable tree state. Pointer identity is
@@ -92,7 +118,7 @@ type Version[K iindex.Numeric, V any] struct {
 	size int
 	gen  uint64 // writeGen the version was built under
 	seq  uint64 // publish sequence number (1, 2, ...)
-	at   int64  // publish wall time, unix nanoseconds
+	at   int64  // publish wall time, unix nanoseconds; 0 on an unobserved tree
 }
 
 // Len reports the number of live keys in the version. Nil-safe: a tree
@@ -146,6 +172,20 @@ type spareRoot[K iindex.Numeric, V any] struct {
 	stamp uint64 // era when a newer version replaced it
 }
 
+// retiredNode is a replaced path copy waiting out its grace period
+// before it serves another copy (see drainPaths).
+type retiredNode[K iindex.Numeric, V any] struct {
+	n     *node[K, V]
+	stamp uint64 // era at the publish that superseded it
+}
+
+// rootSlot is one root log entry: generation gen wrote root child
+// slot.
+type rootSlot struct {
+	gen  uint64
+	slot int32
+}
+
 // chunkHandle ties the root node of a chunked build back to its chunk
 // so a later rebuild of an enclosing subtree can retire the storage.
 // COW copies share the handle with their original; that is safe
@@ -172,16 +212,40 @@ type mvccState[K iindex.Numeric, V any] struct {
 	ringMu sync.Mutex
 	ring   []retiredChunk[K, V] // grace ring
 	spares []spareRoot[K, V]    // superseded roots, oldest first; combiner-confined
-	// graceDepth mirrors len(ring)+len(spares) at the end of each
-	// PublishVersion for the grace_depth gauge, which is read off the
-	// combiner.
+	took   spareRoot[K, V]      // the spare the last root copy reused (returnSpare)
+
+	// Path recycling, combiner-confined like spares and touched only
+	// by recycling walks and PublishVersion. queued holds the own
+	// nodes this write generation's path copies replaced; the next
+	// publish stamps them into grace, oldest first; graced nodes move
+	// to free, one stack per kind (inner, leaf) and capacity class,
+	// nfree nodes in all.
+	queued []*node[K, V]
+	grace  []retiredNode[K, V]
+	free   [2][nodeClasses][]*node[K, V]
+	nfree  int
+
+	// The root log, a ring of the last logLen root slots written
+	// (logRootSlot). It holds every slot written in a generation above
+	// logFloor, so a spare born at or after logFloor syncs from it.
+	rootLog  [rootLogCap]rootSlot
+	logNext  int
+	logLen   int
+	logFloor uint64
+
+	// graceDepth mirrors the chunks, spare roots and path copies in
+	// grace, and freeDepth the nodes on the free stacks, at the end of
+	// each PublishVersion for the grace_depth and free_nodes gauges,
+	// which are read off the combiner.
 	graceDepth atomic.Int64
+	freeDepth  atomic.Int64
 
 	published     *obs.Counter // versions published
 	retired       *obs.Counter // chunks entering the grace ring
 	recycled      *obs.Counter // graced chunks recycled into the arena
 	dropped       *obs.Counter // graced chunks dropped to the GC
 	rootsRecycled *obs.Counter // root copies served by a spare root
+	pathsRecycled *obs.Counter // path copies served by a graced node
 }
 
 // EnablePublish switches the tree into publishing mode and publishes
@@ -202,11 +266,13 @@ func (t *Tree[K, V]) EnablePublish() {
 		m.recycled = r.Counter("core.mvcc.chunks_recycled")
 		m.dropped = r.Counter("core.mvcc.chunks_dropped")
 		m.rootsRecycled = r.Counter("core.mvcc.roots_recycled")
+		m.pathsRecycled = r.Counter("core.mvcc.paths_recycled")
 		if o := t.obs; o != nil {
 			o.nodeCopies = r.Counter("core.mvcc.node_copies")
 			o.slotCopies = r.Counter("core.mvcc.slot_copies")
 		}
 		r.Func("core.mvcc.grace_depth", m.graceDepth.Load)
+		r.Func("core.mvcc.free_nodes", m.freeDepth.Load)
 		r.Func("core.mvcc.snapshot_age_ns", func() int64 {
 			v := m.pub.Load()
 			if v == nil {
@@ -223,10 +289,12 @@ func (t *Tree[K, V]) EnablePublish() {
 // PublishVersion publishes the current tree state as a new immutable
 // Version (when anything changed since the last publish) and runs one
 // round of reclamation bookkeeping: queue the inner root the new
-// version superseded as a spare, advance the era if the stale reader
-// band has drained, then recycle or drop graced chunks.
-// Combiner-confined, like every mutating method of the tree; no-op on
-// a non-publishing tree.
+// version superseded as a spare and stamp the path copies it
+// superseded, advance the era if the stale reader band has drained,
+// then recycle or drop graced chunks and path copies. The version's
+// publish time is stamped only on an observed tree, for the
+// snapshot_age_ns gauge that reads it. Combiner-confined, like every
+// mutating method of the tree; no-op on a non-publishing tree.
 func (t *Tree[K, V]) PublishVersion() {
 	m := t.mv
 	if m == nil {
@@ -234,28 +302,37 @@ func (t *Tree[K, V]) PublishVersion() {
 	}
 	if t.dirty {
 		m.seq++
-		prev := m.pub.Swap(&Version[K, V]{
+		ver := &Version[K, V]{
 			root: t.root,
 			size: t.Len(),
 			gen:  t.writeGen,
 			seq:  m.seq,
-			at:   time.Now().UnixNano(),
-		})
-		t.writeGen++ // freeze everything just published
-		t.dirty = false
+		}
 		if m.published != nil {
+			ver.at = time.Now().UnixNano()
 			m.published.Add(1)
 		}
+		prev := m.pub.Swap(ver)
+		t.writeGen++ // freeze everything just published
+		t.dirty = false
 		// The era is loaded after the swap: every reader that can
-		// still reach prev's root pinned before it, so two advances
-		// past this stamp prove the root unreachable.
+		// still reach prev's root, or a path copy this version
+		// replaced, pinned before it, so two advances past this stamp
+		// prove the node unreachable.
+		stamp := m.era.Load()
 		if prev != nil && prev.root != t.root && prev.root != nil && prev.root.children != nil {
 			if len(m.spares) == spareRoots {
 				m.spares = dropOldest(m.spares)
 			}
-			m.spares = append(m.spares, spareRoot[K, V]{n: prev.root, stamp: m.era.Load()})
+			m.spares = append(m.spares, spareRoot[K, V]{n: prev.root, stamp: stamp})
 		}
+		for _, n := range m.queued {
+			m.grace = append(m.grace, retiredNode[K, V]{n: n, stamp: stamp})
+		}
+		clear(m.queued)
+		m.queued = m.queued[:0]
 	}
+	m.took = spareRoot[K, V]{}
 	// Era advance: the band of the parity we are about to hand to new
 	// readers must be empty, which proves every reader pinned two eras
 	// ago is gone. Only the combiner stores era, so load+store is fine.
@@ -264,7 +341,9 @@ func (t *Tree[K, V]) PublishVersion() {
 		m.era.Store(e + 1)
 	}
 	t.drainRetired()
-	m.graceDepth.Store(int64(len(m.ring) + len(m.spares)))
+	m.drainPaths()
+	m.graceDepth.Store(int64(len(m.ring) + len(m.spares) + len(m.queued) + len(m.grace)))
+	m.freeDepth.Store(int64(m.nfree))
 }
 
 // pin registers the caller as an active reader of the current era and
@@ -496,17 +575,17 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 // when it was created in this generation, otherwise a copy (path
 // copying). What one copy costs is what the epoch writes next:
 //
-//   - An inner copy allocates only its children array, the one array
-//     every write below it touches; a copy of the live root takes a
-//     graced spare root instead when one fits (spareRootCopy), so it
-//     allocates nothing and writes only the children that differ. It
-//     aliases the frozen original's rep and interpolation index
-//     (immutable between rebuilds) and its vals/exists slots, and
-//     sets sharedSlots; ownSlots copies the slots just before the
-//     first slot write at this node. The recursions' sequential form
-//     calls it only when a batch key writes a slot of the node's rep,
-//     so a small epoch whose keys live deeper never copies them; where
-//     they fork (more than seqSegCutoff keys at the node, which almost
+//   - An inner copy owns only its children array, the one array every
+//     write below it touches; a copy of the live root takes a graced
+//     spare root instead when one fits (spareRootCopy), so it writes
+//     only the children written since the spare was live. It aliases
+//     the frozen original's rep and interpolation index (immutable
+//     between rebuilds) and its vals/exists slots, and sets
+//     sharedSlots; ownSlots copies the slots just before the first
+//     slot write at this node. The recursions' sequential form calls
+//     it only when a batch key writes a slot of the node's rep, so a
+//     small epoch whose keys live deeper never copies them; where they
+//     fork (more than seqSegCutoff keys at the node, which almost
 //     always include one in its rep) they call it before the parallel
 //     loop. The write's sequential form also copies a node only once a
 //     write reaches it or its subtree, so keys that write nothing (a
@@ -516,7 +595,14 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 //     headroom, so the insert that triggered the copy merges in place
 //     (mergeLeaf) instead of allocating a second time.
 //
-// The chunk handle rides along (see chunkHandle). On a tree that never
+// Every copy is marked own. In a recycling walk (t.recycle: the walk
+// runs sequentially from the root) an own v other than the root is
+// queued for reuse once graced (see PublishVersion), and the copy
+// itself is a graced node of the size a fresh copy would have, within
+// a capacity class, popped from a free stack when one is there. Other
+// walks leave the stacks alone, so the stacks stay confined to one
+// goroutine. The
+// chunk handle rides along (see chunkHandle). On a tree that never
 // published, writeGen and every node generation are zero and this is
 // one predictable branch.
 func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
@@ -531,35 +617,170 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 			return cp
 		}
 	}
-	cp := &node[K, V]{
+	leaf := v.children == nil
+	need, c := len(v.children), len(v.children)
+	if leaf {
+		need = len(v.rep) + 1
+		c = leafGrowCap(need, t.cfg.LeafSlack)
+	}
+	var cp *node[K, V]
+	if t.recycle {
+		m := t.mv
+		if v.own && v != t.root {
+			m.queue(v)
+		}
+		cp = m.pop(leaf, c, need)
+	}
+	if cp == nil {
+		cp = new(node[K, V])
+		if leaf {
+			cp.rep, cp.vals, cp.exists = make([]K, 0, c), make([]V, 0, c), make([]bool, 0, c)
+		} else {
+			cp.children = make([]*node[K, V], 0, c)
+		}
+	}
+	rep, vals, exists, children := cp.rep, cp.vals, cp.exists, cp.children
+	*cp = node[K, V]{
 		idx:      v.idx,
 		size:     v.size,
 		initSize: v.initSize,
 		modCnt:   v.modCnt,
 		gen:      t.writeGen,
+		own:      true,
 		chunk:    v.chunk,
 	}
-	if v.children == nil {
-		c := leafGrowCap(len(v.rep)+1, t.cfg.LeafSlack)
-		cp.rep = append(make([]K, 0, c), v.rep...)
-		cp.vals = append(make([]V, 0, c), v.vals...)
-		cp.exists = append(make([]bool, 0, c), v.exists...)
+	if leaf {
+		cp.rep = append(rep[:0], v.rep...)
+		cp.vals = append(vals[:0], v.vals...)
+		cp.exists = append(exists[:0], v.exists...)
 	} else {
 		cp.rep, cp.vals, cp.exists = v.rep, v.vals, v.exists
 		cp.sharedSlots = true
-		cp.children = append(make([]*node[K, V], 0, len(v.children)), v.children...)
+		cp.children = append(children[:0], v.children...)
 	}
 	return cp
+}
+
+// queue holds v, an own node a path copy of this write generation
+// just replaced, until the next publish stamps it (PublishVersion).
+// Past pathQueueCap nodes waiting out their grace, v goes to the GC.
+func (m *mvccState[K, V]) queue(v *node[K, V]) {
+	if len(m.queued)+len(m.grace) < pathQueueCap {
+		m.queued = append(m.queued, v)
+	}
+}
+
+// kind indexes the free stacks: inner nodes and leaves recycle
+// different arrays.
+func kind(leaf bool) int {
+	if leaf {
+		return 1
+	}
+	return 0
+}
+
+// sizeClass returns the index of the capacity class of c ≥ 1
+// elements. Class capacities have the form m·2^e with 4 < m ≤ 8, four
+// per power of two, so the capacities within one class differ by less
+// than a quarter; up to 8 every capacity is a class of its own.
+func sizeClass(c int) int {
+	if c < 8 {
+		return c
+	}
+	e := bits.Len(uint(c)) - 3
+	return 4*e + c>>e
+}
+
+// pop takes a graced node of its kind from the free stack of the class
+// of capacity c, if the node on top holds at least need elements;
+// nil otherwise.
+func (m *mvccState[K, V]) pop(leaf bool, c, need int) *node[K, V] {
+	k := sizeClass(c)
+	if k >= nodeClasses {
+		return nil
+	}
+	s := &m.free[kind(leaf)][k]
+	top := len(*s) - 1
+	if top < 0 || nodeCap((*s)[top]) < need {
+		return nil
+	}
+	n := (*s)[top]
+	(*s)[top] = nil
+	*s = (*s)[:top]
+	m.nfree--
+	if m.pathsRecycled != nil {
+		m.pathsRecycled.Add(1)
+	}
+	return n
+}
+
+// nodeCap is the element capacity of the arrays a node owns: its
+// children array, or the smallest of a leaf's three.
+func nodeCap[K iindex.Numeric, V any](n *node[K, V]) int {
+	if n.children != nil {
+		return cap(n.children)
+	}
+	return min(cap(n.rep), cap(n.vals), cap(n.exists))
+}
+
+// push puts a graced own node on the free stack of its kind and the
+// class of its capacity. A full stack drops the node to the GC. The
+// node is cleared down to its arrays, and its child pointers and
+// values are zeroed, so a free node keeps nothing else alive.
+func (m *mvccState[K, V]) push(n *node[K, V]) {
+	leaf := n.children == nil
+	k := sizeClass(nodeCap(n))
+	if k >= nodeClasses {
+		return
+	}
+	s := &m.free[kind(leaf)][k]
+	if len(*s) == freeNodesCap {
+		return
+	}
+	if leaf {
+		clear(n.vals[:cap(n.vals)])
+		*n = node[K, V]{rep: n.rep[:0], vals: n.vals[:0], exists: n.exists[:0]}
+	} else {
+		clear(n.children[:cap(n.children)])
+		*n = node[K, V]{children: n.children[:0]}
+	}
+	*s = append(*s, n)
+	m.nfree++
+}
+
+// drainPaths moves every graced path copy to the free stacks: two era
+// advances past its stamp prove no reader can still reach it, and a
+// generation later than the durable-snapshot cutoff proves no
+// Snapshot can. A node that fails the cutoff goes to the GC.
+// Combiner-confined.
+func (m *mvccState[K, V]) drainPaths() {
+	era := m.era.Load()
+	cutoff := m.snapCutoff.Load()
+	i := 0
+	for ; i < len(m.grace) && m.grace[i].stamp+2 <= era; i++ {
+		if n := m.grace[i].n; n.gen > cutoff {
+			m.push(n)
+		}
+	}
+	if i > 0 {
+		k := copy(m.grace, m.grace[i:])
+		clear(m.grace[k:])
+		m.grace = m.grace[:k]
+	}
 }
 
 // spareRootCopy is owned's copy of the inner root v made from the
 // oldest spare root that passes three checks: graced (two era
 // advances past its stamp, so no pinned reader can reach it), born
 // after the durable-snapshot cutoff (so no Snapshot can), and as wide
-// as v. The spare is synced to v by diff, writing children[i] only
-// where it differs (a spare is a few epochs old, so a handful of
-// pointers), and its header is reset from v exactly as owned resets a
-// fresh copy's. Spares that fail the cutoff or width check, which
+// as v. The spare is synced to v by rewriting the root slots written
+// since it was live: the root log names them (logRootSlot), so the
+// sync costs the slots written, not the root's width. When the log
+// cannot cover the spare — it was born below logFloor, or the root
+// was replaced since by a build rather than a path copy (a different
+// chunk handle) — the sync falls back to a diff of every child
+// pointer. The spare's header is reset from v exactly as owned resets
+// a fresh copy's. Spares that fail the cutoff or width check, which
 // follows a root rebuild, are dropped to the GC. nil when no spare is
 // usable. Combiner-confined, like the root copy that calls it.
 func (t *Tree[K, V]) spareRootCopy(v *node[K, V]) *node[K, V] {
@@ -580,9 +801,13 @@ func (t *Tree[K, V]) spareRootCopy(v *node[K, V]) *node[K, V] {
 			continue
 		}
 		ch := cp.children[:len(v.children)]
-		for i, c := range v.children {
-			if ch[i] != c {
-				ch[i] = c
+		if cp.gen >= m.logFloor && cp.chunk == v.chunk {
+			m.syncLogged(ch, v.children, cp.gen)
+		} else {
+			for i, c := range v.children {
+				if ch[i] != c {
+					ch[i] = c
+				}
 			}
 		}
 		*cp = node[K, V]{
@@ -598,12 +823,62 @@ func (t *Tree[K, V]) spareRootCopy(v *node[K, V]) *node[K, V] {
 			sharedSlots: true,
 			chunk:       v.chunk,
 		}
+		m.took = spareRoot[K, V]{n: cp, stamp: sp.stamp}
 		if m.rootsRecycled != nil {
 			m.rootsRecycled.Add(1)
 		}
 		return cp
 	}
 	return nil
+}
+
+// logRootSlot records that the current generation gen wrote root
+// child slot. The ring keeps the last rootLogCap entries; an evicted
+// entry raises logFloor to its generation, since a spare born before
+// it can no longer be synced from the log.
+func (m *mvccState[K, V]) logRootSlot(gen uint64, slot int32) {
+	if m.logLen == rootLogCap {
+		m.logFloor = max(m.logFloor, m.rootLog[m.logNext].gen)
+	} else {
+		m.logLen++
+	}
+	m.rootLog[m.logNext] = rootSlot{gen: gen, slot: slot}
+	m.logNext = (m.logNext + 1) % rootLogCap
+}
+
+// syncLogged rewrites the children ch of a spare root born in
+// generation gen from the frozen root's children at every slot logged
+// in a later generation, newest first. Entries are appended in
+// generation order, so the scan stops at the first one at or below
+// gen.
+func (m *mvccState[K, V]) syncLogged(ch, from []*node[K, V], gen uint64) {
+	j := m.logNext
+	for range m.logLen {
+		if j == 0 {
+			j = rootLogCap
+		}
+		j--
+		e := m.rootLog[j]
+		if e.gen <= gen {
+			return
+		}
+		ch[e.slot] = from[e.slot]
+	}
+}
+
+// returnSpare undoes owned's use of a graced spare root when writePar
+// drops its copy w of the root v unwritten: w re-enters at the head
+// of spares with its stamp. Its contents are now v's, so it carries
+// v's generation, and the log syncs it from there. A copy that did
+// not come from a spare goes to the GC.
+func (t *Tree[K, V]) returnSpare(v, w *node[K, V]) {
+	m := t.mv
+	if m == nil || m.took.n != w || w == v {
+		return
+	}
+	w.gen = v.gen
+	m.spares = slices.Insert(m.spares, 0, m.took)
+	m.took = spareRoot[K, V]{}
 }
 
 // dropOldest removes the oldest spare root, clearing the vacated slot

@@ -70,8 +70,10 @@ func TestPublishGating(t *testing.T) {
 // TestAllMissBatchPublishesNothing: a batch in which no key writes
 // leaves the root in place, so the next PublishVersion publishes
 // nothing, at the sizes walked sequentially (512 keys) and in parallel
-// (513 and 4096 keys on 2 workers). A batch of the same size that
-// only updates values writes, and must publish.
+// (513 and 4096 keys on 2 workers). The parallel walk copies the root
+// before it knows, from a graced spare root, and must hand the spare
+// back when it drops the copy. A batch of the same size that only
+// updates values writes, and must publish.
 func TestAllMissBatchPublishesNothing(t *testing.T) {
 	const n = 1 << 16
 	keys := make([]int64, n) // the even keys; odd keys are absent
@@ -80,14 +82,25 @@ func TestAllMissBatchPublishesNothing(t *testing.T) {
 	}
 	tr := NewFromSortedKV(Config{}, parallel.NewPool(2), keys, make([]int64, n))
 	tr.EnablePublish()
+	for i := range 2 * spareRoots {
+		tr.PutBatched(keys[i:i+1], []int64{1}) // fill the spare FIFO
+		tr.PublishVersion()
+	}
 	for _, m := range []int{512, 513, 4096} {
 		absent := make([]int64, m)
 		for i := range absent {
 			absent[i] = keys[i*(n/m)] + 1
 		}
 		seq := tr.CurrentVersion().Seq()
+		spares := len(tr.mv.spares)
+		if spares == 0 || tr.mv.spares[0].stamp+2 > tr.mv.era.Load() {
+			t.Fatalf("%d keys: no graced spare root before the batch", m)
+		}
 		if got := tr.RemoveBatched(absent); got != 0 {
 			t.Fatalf("%d keys: removing absent keys removed %d", m, got)
+		}
+		if got := len(tr.mv.spares); got != spares {
+			t.Fatalf("%d keys: a batch of absent keys left %d spare roots of %d", m, got, spares)
 		}
 		tr.PublishVersion()
 		if got := tr.CurrentVersion().Seq(); got != seq {

@@ -53,7 +53,9 @@ func (t *Tree[K, V]) ApplyResolved(keys []K, vals []V, live, found []bool) (rebu
 
 // applyWrites runs the one §5–§6 traversal over b and returns the
 // inserts and removes it applied and the keys the rebuilds it
-// triggered laid down. t.wb holds b only for the traversal. On a
+// triggered laid down. t.wb holds b only for the traversal, and
+// t.recycle is set for a traversal that runs sequentially from the
+// root on a publishing tree (see owned). On a
 // publishing tree the first write after a publish copies the root, so
 // a call that leaves the root in place either wrote nothing or follows
 // one that already marked the tree dirty.
@@ -63,11 +65,12 @@ func (t *Tree[K, V]) applyWrites(b writeBatch[K, V]) (ins, rem, rebuildKeys int)
 	}
 	before := t.rebuiltKeys.Load()
 	t.wb = b
+	t.recycle = t.mv != nil && t.sequential(len(b.keys))
 	root, ins, rem := t.writeRec(t.root, 0, len(b.keys), nil, 0)
 	if root != t.root {
 		t.root, t.dirty = root, true
 	}
-	t.wb = writeBatch[K, V]{}
+	t.wb, t.recycle = writeBatch[K, V]{}, false
 	return ins, rem, int(t.rebuiltKeys.Load() - before)
 }
 
@@ -167,9 +170,10 @@ func (t *Tree[K, V]) trues(n int) []bool {
 // §7.1 rebuild check there (settle). A frozen node is copied only
 // when a write reaches it or its subtree, so keys that write nothing
 // copy nothing; a segment walked in parallel copies v up front and
-// drops the copy if no key wrote. sc is
-// the walker of the sequential segment the call belongs to, nil while
-// the segment is walked in parallel; see getRec.
+// drops the copy if no key wrote. At a publishing tree's root each
+// child slot replaced is logged for the spare-root sync
+// (logRootSlot). sc is the walker of the sequential segment the call
+// belongs to, nil while the segment is walked in parallel; see getRec.
 func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (*node[K, V], int, int) {
 	if v == nil {
 		return t.buildLive(l, r)
@@ -182,6 +186,7 @@ func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (
 		sc = t.newScratch()
 		defer sc.release()
 	}
+	atRoot := v == t.root && t.mv != nil
 	pf := sc.buf(depth, seg)
 	t.findPositions(v, t.wb.keys[l:r], pf, sc)
 	v, ins, rem, _ := t.writeSlots(v, pf, l)
@@ -199,6 +204,9 @@ func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (
 		if child != v.children[c] {
 			v = t.owned(v)
 			v.children[c] = child
+			if atRoot {
+				t.mv.logRootSlot(t.writeGen, c)
+			}
 		}
 		ins, rem = ins+ci, rem+cr
 	}
@@ -212,8 +220,11 @@ func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (
 // no child was replaced and nothing was inserted or removed below
 // (a leaf merge inserts), it returns v itself and drops the copy, so
 // a segment that writes nothing leaves a publishing tree's root in
-// place. Its position buffer is arena scratch held until the fan-out
-// returns. It is a function of its own because its closures capture
+// place, and a graced spare root the copy took goes back to the
+// spares (returnSpare). A root it does write was written past the
+// root log, so it raises the log's floor. Its position buffer is
+// arena scratch held until the fan-out returns. It is a function of
+// its own because its closures capture
 // the node: in writeRec, which reassigns v, that capture would move v
 // to the heap on every call, sequential ones included.
 func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
@@ -249,7 +260,11 @@ func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
 	}
 	di, dr := int(ins.Load()), int(rem.Load())
 	if !wrote.Load() && di+dr == 0 {
+		t.returnSpare(v, w)
 		return v, 0, 0
+	}
+	if v == t.root && t.mv != nil {
+		t.mv.logFloor = t.writeGen
 	}
 	return t.settle(w, di, dr)
 }

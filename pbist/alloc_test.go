@@ -10,12 +10,13 @@ import (
 // warmed one-shard frontend of 2^17 keys: a single-key Put that
 // overwrites a live key, one that inserts a fresh key, and a Delete.
 // Each call is one epoch: it resolves presence, writes, publishes a
-// version and wakes its client. Most of the count is the publish's
-// path copy, which TestPublishedEpochAllocs in internal/core pins on
-// its own; in steady state the root adds nothing to it, because its
-// copy reuses a graced spare root. The rest is the combiner's, whose
-// per-epoch arrays are reused, so a warmed epoch allocates none of
-// them. The ceilings are the measured counts.
+// version and wakes its client. The whole count is the publish's: its
+// Version and the path copy, which TestPublishedEpochAllocs in
+// internal/core pins on its own; in steady state the root adds
+// nothing to it, because its copy reuses a graced spare root. The
+// combiner adds nothing either: its per-epoch arrays and its queue
+// are reused, and a small epoch replays inline. The ceilings are the
+// measured counts.
 func TestCombinedEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings are checked in the non-race run")
@@ -39,9 +40,9 @@ func TestCombinedEpochAllocs(t *testing.T) {
 		run     func()
 		ceiling float64
 	}{
-		{"update", func() { s.Put(pick(), 1) }, 9},
-		{"insert", func() { s.Put(pick()+1, 1) }, 10},
-		{"delete", func() { s.Delete(pick()) }, 9},
+		{"update", func() { s.Put(pick(), 1) }, 6},
+		{"insert", func() { s.Put(pick()+1, 1) }, 6},
+		{"delete", func() { s.Delete(pick()) }, 5},
 	} {
 		for i := 0; i < 8; i++ {
 			c.run() // warm the combiner's arrays and the tree's arena
