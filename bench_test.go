@@ -501,6 +501,33 @@ func BenchmarkShardedPut(b *testing.B) {
 	})
 }
 
+// A lone writer: one goroutine Puts random existing (even) keys into a
+// one-shard frontend of 2^17 keys, so every Put is an epoch of one key
+// that the writer runs itself. The time is the combining frontend's
+// fixed cost per epoch on top of the publishing write; the bench-alloc
+// CI job gates its allocs/op and B/op at 300000x.
+func BenchmarkLonePut(b *testing.B) {
+	const n = 1 << 17
+	keys := make([]int64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i] = 2 * int64(i)
+		vals[i] = uint64(i)
+	}
+	c := pbist.NewConcurrentFromItems(pbist.ConcurrentOptions{}, keys, vals)
+	defer c.Close()
+	r := rand.New(rand.NewPCG(5, 7))
+	probes := make([]int64, 1<<16)
+	for i := range probes {
+		probes[i] = 2 * r.Int64N(n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(probes[i%len(probes)], uint64(i))
+	}
+}
+
 // Paper-sized sharded batches: one PutBatch of M = N/10 fresh keys,
 // sorted, into a frontend of N = 2^20 even keys, on 1 and 8 shards.
 // Each shard's part is one large combining epoch, the batch size the

@@ -16,9 +16,9 @@
 //	//pbist:noalloc        — this function's body must contain no
 //	                         allocating constructs; enforced by the
 //	                         noalloc analyzer.
-//	//pbist:combiner       — this function runs on the combiner
-//	                         goroutine; it may touch combiner-confined
-//	                         fields.
+//	//pbist:combiner       — this function runs while its goroutine
+//	                         holds the combiner role; it may touch
+//	                         combiner-confined fields.
 //	//pbist:guardedby combiner — this struct field is combiner-confined:
 //	                         only //pbist:combiner functions may access
 //	                         it (combinerguard).

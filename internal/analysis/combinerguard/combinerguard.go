@@ -1,8 +1,8 @@
-// Package combinerguard defines an analyzer enforcing goroutine
-// confinement of flat-combining state: a struct field annotated
+// Package combinerguard defines an analyzer enforcing the confinement
+// of flat-combining state: a struct field annotated
 // //pbist:guardedby combiner may only be accessed from functions
-// annotated //pbist:combiner — the functions the combiner goroutine
-// alone executes between epoch barriers.
+// annotated //pbist:combiner — the functions that run while their
+// goroutine holds the combiner role, which one client at a time does.
 //
 // The rules are deliberately strict:
 //

@@ -15,7 +15,7 @@ type combiner struct {
 	scr []int
 }
 
-// runEpoch executes on the combiner goroutine between barriers.
+// runEpoch executes while its goroutine holds the combiner role.
 //
 //pbist:combiner
 func (c *combiner) runEpoch() {

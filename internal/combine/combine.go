@@ -1,17 +1,18 @@
-// Package combine implements a flat-combining-style concurrent
-// frontend for the parallel-batched engine: arbitrarily many client
-// goroutines submit single-key and mini-batch operations, a single
-// combiner goroutine coalesces everything queued into an epoch —
-// whatever arrives while one epoch runs forms the next — and each
-// epoch executes as one batched write traversal that applies the
-// epoch's updates, inserts and removes together and finds each key's
-// presence on the way down, with full intra-batch parallelism.
+// Package combine implements a flat-combining concurrent frontend for
+// the parallel-batched engine: arbitrarily many client goroutines
+// submit single-key and mini-batch operations, and the client that
+// finds no combiner running runs one epoch of everything queued, then
+// hands the role to the oldest waiting client. Each epoch executes as
+// one batched write traversal that applies the epoch's updates,
+// inserts and removes together and finds each key's presence on the
+// way down, with full intra-batch parallelism.
 //
 // This inverts the usual lock-based recipe: instead of serializing
 // clients around a structure that handles one key at a time, clients
 // are serialized only for the nanoseconds it takes to enqueue, and the
 // per-key work runs through the engine's O(m·log log n) batched
-// traversals. The pattern follows the combining frontends of
+// traversals. The pattern is flat combining (Hendler, Incze, Shavit
+// and Tzafrir, SPAA 2010) applied to the combining frontends of
 // Akhremtsev & Sanders ("Fast Parallel Operations on Search Trees",
 // arXiv:1510.05433), which bridge exactly this gap between a
 // batched-sequential-at-the-top engine and a concurrent-clients
@@ -110,6 +111,7 @@ type op[K cmp.Ordered, V any] struct {
 
 	enq  time.Time // for the combine-wait statistic; set only when observed
 	done chan struct{}
+	lead bool // set before a send on done that hands over the combiner role
 
 	k1  [1]K
 	v1  [1]V
@@ -125,19 +127,21 @@ type Combiner[K cmp.Ordered, V any] struct {
 
 	mu      sync.Mutex
 	pending []*op[K, V] // enqueue order is the epoch linearization order
+	leading bool        // a client holds the combiner role
 	closed  bool
-
-	wake     chan struct{} // capacity 1; nudges the combiner loop
-	loopDone chan struct{}
+	idle    sync.Cond // on mu; broadcast when a leader drops the role
 
 	opPool sync.Pool
 
-	// Per-epoch arrays, owned by the combiner goroutine: each epoch
-	// regrows them to its size and the next epoch reuses them. No
-	// client ever sees one, and only the combiner goroutine touches
-	// them, so they need no lock and no free list (epoch.go).
+	// Per-epoch arrays and the drained queue slice, owned by whichever
+	// client holds the combiner role: each epoch regrows them to its
+	// size and the next epoch reuses them. No other client ever sees
+	// one, and the role passes under mu or through the next leader's
+	// done channel, so they need no lock and no free list (epoch.go).
 	//pbist:guardedby combiner
 	buf epochBufs[K, V]
+	//pbist:guardedby combiner
+	spare []*op[K, V]
 
 	// retBufs and retElems are what buf held at the end of the last
 	// observed epoch, stored by the combiner for the
@@ -184,24 +188,23 @@ type Stats struct {
 	MeanWait time.Duration
 }
 
-// New starts a Combiner serving eng. pool bounds the parallelism of
-// epoch execution (batched traversals and result routing); a nil pool
-// means sequential. The caller must not touch eng afterwards except
-// through the Combiner, and should Close the Combiner to stop its
-// goroutine. The Combiner owns the per-epoch arrays its epochs reuse.
+// New returns a Combiner serving eng. It starts no goroutine: epochs
+// run on the submitting clients. pool bounds the parallelism of epoch
+// execution (batched traversals and result routing); a nil pool means
+// sequential. The caller must not touch eng afterwards except through
+// the Combiner, and should Close the Combiner to drain it. The
+// Combiner owns the per-epoch arrays its epochs reuse.
 func New[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options) *Combiner[K, V] {
 	c := &Combiner[K, V]{
-		eng:      eng,
-		pool:     pool,
-		wake:     make(chan struct{}, 1),
-		loopDone: make(chan struct{}),
-		probe:    newProbe(opts.Metrics, opts.TraceDepth, opts.ID),
+		eng:   eng,
+		pool:  pool,
+		probe: newProbe(opts.Metrics, opts.TraceDepth, opts.ID),
 	}
+	c.idle.L = &c.mu
 	c.observeRetained(opts.Metrics)
 	c.opPool.New = func() any {
 		return &op[K, V]{done: make(chan struct{}, 1)}
 	}
-	go c.loop()
 	return c
 }
 
@@ -224,7 +227,9 @@ func (c *Combiner[K, V]) putOp(o *op[K, V]) {
 
 // submit enqueues o and blocks until its epoch has executed. The
 // caller's keys/vals slices are read by the combiner while the caller
-// is blocked, never retained past completion.
+// is blocked, never retained past completion. A client that finds no
+// leader leads; the others wait on done, which completes them or
+// hands them the role (o.lead).
 func (c *Combiner[K, V]) submit(o *op[K, V]) error {
 	c.mu.Lock()
 	if c.closed {
@@ -235,88 +240,83 @@ func (c *Combiner[K, V]) submit(o *op[K, V]) error {
 		o.enq = time.Now()
 	}
 	c.pending = append(c.pending, o)
-	nudge := len(c.pending) == 1
+	lead := !c.leading
+	c.leading = true
 	c.mu.Unlock()
-	// Only the empty→non-empty transition can find the loop blocked on
-	// wake; while the queue is non-empty the loop is yielding or
-	// executing and takes the queue itself.
-	if nudge {
-		select {
-		case c.wake <- struct{}{}:
-		default:
+	if !lead {
+		<-o.done
+		if !o.lead {
+			return nil
 		}
+		o.lead = false
 	}
-	<-o.done
+	c.lead(o)
 	return nil
 }
 
-// loop is the combiner goroutine: it takes queued operations as
-// epochs and executes them.
+// lead runs one epoch on the goroutine that holds the combiner role,
+// whose own op o is still queued. Flush rule: the leader yields the
+// processor once and then takes everything queued, so whatever
+// arrives while one epoch runs forms the next, and the clients the
+// last epoch woke re-enqueue first. A lone client pays one yield.
+// Taking the queue without it raised serve-churn's p99 about 5× (1.1
+// ms against 0.19–0.25 ms): epochs shrank from about 2.4 keys to 1.0,
+// and each key paid a whole epoch's fixed cost.
 //
-// Flush rule: once the queue is non-empty, the combiner yields the
-// processor once and then takes everything queued. Epoch execution
-// does the batching — whatever arrives while one epoch runs forms the
-// next — and the yield lets the clients the last epoch woke re-enqueue
-// before the queue is taken. A lone client pays one yield. The yield
-// stays because taking the queue without it raised serve-churn's p99
-// about 5× (1.1 ms against 0.19–0.25 ms) and lowered its throughput,
-// though its p50 fell to about 6 µs: epochs shrank from about 2.4
-// keys to 1.0, and each key paid a whole epoch's fixed cost.
+// A leader serves exactly one epoch, then hands the role to the oldest
+// op queued meanwhile, or drops it: serving up to 8 epochs per leader
+// raised serve-churn's p99 2.2×. The queue is double-buffered: the
+// slice an epoch drained, cleared, becomes the next queue unless it
+// grew past retainElems.
 //
-// The queue is double-buffered: the slice an epoch drained, cleared of
-// its ops, becomes the queue clients append to while the next epoch
-// runs, unless it grew past retainElems.
-func (c *Combiner[K, V]) loop() {
-	defer close(c.loopDone)
-	var spare []*op[K, V]
-	for {
-		c.mu.Lock()
-		for len(c.pending) == 0 {
-			if c.closed {
-				c.mu.Unlock()
-				return
-			}
-			c.mu.Unlock()
-			<-c.wake
-			c.mu.Lock()
-		}
-		c.mu.Unlock()
-		runtime.Gosched()
-		c.mu.Lock()
-		batch := c.pending
-		c.pending = spare
-		c.mu.Unlock()
+//pbist:combiner
+func (c *Combiner[K, V]) lead(o *op[K, V]) {
+	runtime.Gosched()
+	c.mu.Lock()
+	batch := c.pending
+	c.pending = c.spare
+	c.mu.Unlock()
 
-		if c.probe != nil {
-			// Tag the epoch (and every pool goroutine it forks — pprof
-			// labels inherit) so CPU profiles attribute combining work.
-			// The branch keeps the unobserved path free of the closure
-			// allocation.
-			parallel.WithLabel(true, "combine-epoch", func() {
-				c.runEpoch(batch)
-			})
-		} else {
+	if c.probe != nil {
+		// Tag the epoch (and every pool goroutine it forks — pprof
+		// labels inherit) so CPU profiles attribute combining work.
+		// The branch keeps the unobserved path free of the closure
+		// allocation.
+		parallel.WithLabel(true, "combine-epoch", func() {
 			c.runEpoch(batch)
-		}
-		clear(batch)
-		spare = trimmed(batch[:0], retainElems)
+		})
+	} else {
+		c.runEpoch(batch)
 	}
+	<-o.done // runEpoch completed every op of batch, o among them
+	clear(batch)
+	c.spare = trimmed(batch[:0], retainElems)
+
+	c.mu.Lock()
+	if len(c.pending) == 0 {
+		c.leading = false
+		c.idle.Broadcast()
+		c.mu.Unlock()
+		return
+	}
+	next := c.pending[0]
+	c.mu.Unlock()
+	next.lead = true
+	next.done <- struct{}{}
 }
 
-// Close stops accepting operations, waits until every already
-// submitted operation has completed (the drain), and stops the
-// combiner goroutine. It is idempotent and safe to call concurrently
-// with in-flight operations: each concurrent operation either
-// completes normally or reports ErrClosed.
+// Close stops accepting operations and waits until every already
+// submitted operation has completed (the drain): the leaders pass the
+// role along until the queue is empty. It is idempotent and safe to
+// call concurrently with in-flight operations: each concurrent
+// operation either completes normally or reports ErrClosed.
 func (c *Combiner[K, V]) Close() {
 	c.mu.Lock()
 	c.closed = true
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
+	for c.leading {
+		c.idle.Wait()
 	}
-	<-c.loopDone
+	c.mu.Unlock()
 }
 
 // Closed reports whether Close has been called.

@@ -2,6 +2,7 @@ package combine
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -34,8 +35,8 @@ func queued(c *Combiner[int64, uint64]) int {
 
 // gatedEngine is a map-backed Engine whose write traversal blocks on
 // a rendezvous, so tests can hold an epoch open while submissions
-// queue behind it. Only the combiner goroutine calls it, so the plain
-// map is safe.
+// queue behind it. Only the goroutine holding the combiner role calls
+// it, so the plain map is safe.
 type gatedEngine struct {
 	m       map[int64]uint64
 	entered chan struct{} // receives one token when a write traversal starts
@@ -56,8 +57,8 @@ func (e *gatedEngine) gate() {
 }
 
 // ApplyResolved writes each key's presence before the epoch into found,
-// as a core tree does, and panics the combiner goroutine, which fails
-// the test binary loudly, when a found it writes would disagree with
+// as a core tree does, and panics the leading client, which fails the
+// test binary loudly, when a found it writes would disagree with
 // the map before the epoch: a key repeated in the batch would read
 // the write of its first occurrence. So would an unsorted batch, which
 // the core engine's contract forbids as well.
@@ -491,6 +492,125 @@ func TestCloseRacesSubmitters(t *testing.T) {
 	st := c.Stats()
 	if st.Ops == 0 {
 		t.Fatal("no operations completed before Close")
+	}
+}
+
+// TestNewStartsNoGoroutine checks that epochs run on the submitting
+// clients: once a burst of concurrent writers has returned, the
+// goroutine count is back where it was before New, with the combiner
+// still open.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := core.New[int64, uint64](core.Config{}, nil)
+	c := New[int64, uint64](eng, nil, Options{})
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(id int64) {
+			defer wg.Done()
+			for k := int64(0); k < 50; k++ {
+				if _, err := c.Put(id*100+k, uint64(k)); err != nil {
+					t.Errorf("Put: %v", err)
+				}
+			}
+		}(int64(i))
+	}
+	wg.Wait()
+	// The writers' goroutines may still be exiting after Done.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after New and a burst of writes, want %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := c.Stats(); st.Ops != 16*50 {
+		t.Fatalf("served %d ops, want %d", st.Ops, 16*50)
+	}
+}
+
+// TestHandoffDrainsQueue holds a leader's epoch open while ops queue
+// behind it: the leader returns after its one epoch, the oldest queued
+// op runs the next, and a Close issued meanwhile waits until the
+// handoff chain has served every queued op.
+func TestHandoffDrainsQueue(t *testing.T) {
+	eng := newGatedEngine()
+	c := New[int64, uint64](eng, nil, Options{})
+
+	leader := make(chan struct{})
+	go func() {
+		defer close(leader)
+		if _, err := c.Put(1, 1); err != nil {
+			t.Errorf("leader Put: %v", err)
+		}
+	}()
+	<-eng.entered
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	put := func(k int64) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.Put(k, uint64(k))
+			errs <- err
+		}()
+	}
+	waitQueued := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for queued(c) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d/%d ops queued behind the open epoch", queued(c), n)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	put(10)
+	put(11)
+	waitQueued(2)
+
+	eng.release <- struct{}{} // the first leader's epoch ends
+	<-leader                  // and it returns: one epoch per leader
+	<-eng.entered             // a queued op leads the second epoch
+	put(20)
+	put(21)
+	waitQueued(2)
+
+	closeDone := make(chan struct{})
+	go func() {
+		defer close(closeDone)
+		c.Close()
+	}()
+	for !c.Closed() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	eng.release <- struct{}{}
+	<-eng.entered // the third epoch serves the ops queued before Close
+	select {
+	case <-closeDone:
+		t.Fatal("Close returned while queued ops were still running")
+	default:
+	}
+	eng.release <- struct{}{}
+	wg.Wait()
+	<-closeDone
+
+	for i := 0; i < 4; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued op failed: %v", err)
+		}
+	}
+	if st := c.Stats(); st.Epochs != 3 || st.Ops != 5 {
+		t.Fatalf("stats = %d epochs / %d ops, want 3 / 5", st.Epochs, st.Ops)
+	}
+	if len(eng.m) != 5 {
+		t.Fatalf("engine has %d keys after drain, want 5", len(eng.m))
+	}
+	if _, err := c.Put(2, 2); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-Close Put error = %v, want ErrClosed", err)
 	}
 }
 

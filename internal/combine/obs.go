@@ -57,8 +57,8 @@ func newProbe(r *obs.Registry, traceDepth, id int) *probe {
 }
 
 // record stores one finished epoch: the trace goes to the ring, the
-// phase spans and sizes to the histograms. Called by the combiner
-// goroutine only.
+// phase spans and sizes to the histograms. Called only by the client
+// holding the combiner role.
 func (p *probe) record(tr *obs.EpochTrace) {
 	p.ring.Push(tr)
 	p.epochs.Add(1)

@@ -11,9 +11,9 @@ import (
 // ShardedOptions and applies it to every shard. The zero value gives
 // sensible defaults.
 //
-// Once writes are queued, a combiner yields the processor once and
-// takes everything queued as one epoch, so whatever arrives while one
-// epoch runs forms the next. A lone client is not delayed, and n
+// Once writes are queued, the writer that runs the next epoch yields
+// the processor once and takes everything queued as one epoch, so
+// whatever arrives while one epoch runs forms the next. A lone client is not delayed, and n
 // active clients coalesce into epochs of up to n writes.
 type ConcurrentOptions struct {
 	Options
@@ -40,8 +40,8 @@ func (o ConcurrentOptions) combineOptions() combine.Options {
 // See Sharded for the method set and its consistency guarantees.
 type Concurrent[K Key, V any] = Sharded[K, V]
 
-// NewConcurrent returns an empty one-shard frontend and starts its
-// combiner goroutine.
+// NewConcurrent returns an empty one-shard frontend. It starts no
+// goroutine: its writers run the combining epochs themselves.
 func NewConcurrent[K Key, V any](opts ConcurrentOptions) *Concurrent[K, V] {
 	return newSharded[K, V](oneShard(opts), shard.NewRanges[K](nil), nil, nil)
 }

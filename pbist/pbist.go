@@ -64,14 +64,14 @@
 //
 // Sharded is the view for the opposite shape: many goroutines each
 // issuing individual operations. Every method is safe for concurrent
-// use, and every single-key operation is linearizable. Each shard's
-// combiner goroutine coalesces every write submitted concurrently into
-// an epoch, executes the epoch as one batched write traversal that
-// finds each key's presence on the way down (with full intra-batch
-// parallelism), and routes each result back to its caller. The more writing clients, the
-// bigger the epochs, so throughput grows where a lock around a Map
-// would collapse — while a single isolated writer pays queue latency
-// for no batching benefit. Reads never queue (see below). Rule of
+// use, and every single-key operation is linearizable. On each shard,
+// one of the waiting writers coalesces every write submitted
+// concurrently into an epoch, executes the epoch as one batched write
+// traversal that finds each key's presence on the way down (with full
+// intra-batch parallelism), and routes each result back to its caller.
+// The more writing clients, the bigger the epochs, so throughput grows
+// where a lock around a Map would collapse — while a single isolated
+// writer runs an epoch of one for no batching benefit. Reads never queue (see below). Rule of
 // thumb: own the batch, use Tree/Map; share the structure, use one
 // shard (Concurrent); outgrow one combiner's one epoch at a time, add
 // shards.

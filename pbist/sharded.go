@@ -22,7 +22,7 @@ import (
 type ShardedOptions struct {
 	ConcurrentOptions
 	// Shards is the number of independent trees (each with its own
-	// combiner goroutine). Default 8.
+	// combining queue). Default 8.
 	Shards int
 	// PrivateArenas is ignored: every shard tree always owns its
 	// scratch arena, and every combiner its per-epoch arrays.
@@ -46,9 +46,10 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 // method of Sharded is safe for concurrent use. Concurrent is the
 // one-shard case: the paper's single batched tree.
 //
-// The combining queues serve writes only. Each shard's combiner
-// goroutine drains its queue in epochs: everything submitted while the
-// previous epoch executed is coalesced, applied with one batched write
+// The combining queues serve writes only. Each shard's queue drains in
+// epochs, each run by one of the shard's waiting writers (flat
+// combining): everything submitted while the previous epoch executed
+// is coalesced, applied with one batched write
 // traversal on the shard's tree that finds each key's presence on the
 // way down (full intra-batch parallelism), and the per-operation
 // results are routed back to the blocked callers. Under many clients this
@@ -81,8 +82,8 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 // fence.
 //
 // Create one with NewShardedRange, NewShardedFromItems, NewConcurrent,
-// or NewConcurrentFromItems; call Close when done to stop the combiner
-// goroutines. Writes and Flush on a closed frontend panic; the reads
+// or NewConcurrentFromItems; call Close when done to drain the
+// combining queues. Writes and Flush on a closed frontend panic; the reads
 // (Get, Contains, GetBatch, ContainsBatch, Len, Keys, Items, Range,
 // Ascend, Snapshot) keep serving the final published state.
 type Sharded[K Key, V any] struct {
@@ -622,22 +623,16 @@ func (s *Sharded[K, V]) Snapshot() *Map[K, V] {
 	return m
 }
 
-// Close stops every shard's combiner: it stops accepting writes, waits
-// for everything already submitted, and stops the combiner goroutines.
-// Idempotent; safe to call concurrently with in-flight writes: each
-// completes normally or panics with the closed-frontend message.
-// Writes and Flush submitted after Close panic; reads keep answering
-// from the final published versions.
+// Close closes every shard's combiner: it stops accepting writes and
+// waits for everything already submitted. Idempotent; safe to call
+// concurrently with in-flight writes: each completes normally or
+// panics with the closed-frontend message. Writes and Flush submitted
+// after Close panic; reads keep answering from the final published
+// versions.
 func (s *Sharded[K, V]) Close() {
-	var wg sync.WaitGroup
 	for _, cb := range s.cbs {
-		wg.Add(1)
-		go func(cb *combine.Combiner[K, V]) {
-			defer wg.Done()
-			cb.Close()
-		}(cb)
+		cb.Close()
 	}
-	wg.Wait()
 }
 
 // Closed reports whether Close has been called.
