@@ -177,7 +177,9 @@ type Tree[K iindex.Numeric, V any] struct {
 // have nil children; inner nodes have len(rep)+1 children, any of which
 // may be nil (empty key range). Inner Rep arrays are immutable between
 // rebuilds, so their interpolation index stays valid; leaf Rep arrays
-// mutate on insertion and are searched with on-the-fly interpolation.
+// mutate on insertion, carry no index, and are searched with one
+// interpolated probe between the separators the parent bounds them by
+// (iindex.SearchLeaf), refined by the same walk as an inner node's.
 // vals runs parallel to rep: vals[i] is the value of key rep[i]
 // (invariant: len(vals) == len(rep)); unlike rep, vals slots of inner
 // nodes may be overwritten between rebuilds (value upserts do not

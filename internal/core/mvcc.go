@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -481,15 +482,19 @@ const GroupSize = 8
 // writing found[i], and vals[i] unless vals is nil (the zero value for
 // a missing key). Both destinations must have len(keys) entries; a nil
 // version reads as empty. The walks run level-synchronously: every
-// round moves each unfinished key one level down, so the cache misses
-// of independent walks (node header, index bucket, rep slot, child
-// pointer) are in flight together instead of one after another. Each
-// step is lookup's step, so every answer is VersionGet's. The pin
-// contract is VersionItems'.
+// round moves each unfinished key one level down, and it first takes
+// every live key's probe into its node (the index estimate, or the
+// leaf probe between the separators the key carries down) before it
+// walks any key, so the cache misses of independent walks (node
+// header, index bucket, rep slot, child pointer) are in flight
+// together instead of one after another. Each step is lookup's step,
+// so every answer is VersionGet's. The pin contract is VersionItems'.
 //
 //pbist:noalloc
 func VersionGetGroup[K iindex.Numeric, V any](vers []*Version[K, V], keys []K, vals []V, found []bool) {
 	var cur [GroupSize]*node[K, V]
+	var lo, hi [GroupSize]float64
+	var probe [GroupSize]int
 	n := len(keys)
 	if n > GroupSize {
 		panic("core: VersionGetGroup group larger than GroupSize")
@@ -502,23 +507,26 @@ func VersionGetGroup[K iindex.Numeric, V any](vers []*Version[K, V], keys []K, v
 	for i, v := range vers[:n] {
 		if v != nil && v.root != nil {
 			cur[i] = v.root
+			lo[i], hi[i] = math.Inf(-1), math.Inf(1)
 			live++
 		}
 	}
 	for live > 0 {
-		for i := range n {
-			v := cur[i]
+		for i, v := range cur[:n] {
 			if v == nil {
 				continue
 			}
-			var pos int
-			var hit bool
-			leaf := v.isLeaf()
-			if leaf {
-				pos, hit = iindex.InterpolationSearch(v.rep, keys[i])
+			if v.isLeaf() {
+				probe[i] = iindex.LeafProbe(v.rep, lo[i], hi[i], keys[i])
 			} else {
-				pos, hit = iindex.Find(v.rep, &v.idx, keys[i])
+				probe[i] = min(v.idx.Approx(float64(keys[i])), len(v.rep))
 			}
+		}
+		for i, v := range cur[:n] {
+			if v == nil {
+				continue
+			}
+			pos, hit := iindex.Walk(v.rep, probe[i], keys[i])
 			var next *node[K, V]
 			if hit {
 				if v.exists[pos] {
@@ -527,7 +535,8 @@ func VersionGetGroup[K iindex.Numeric, V any](vers []*Version[K, V], keys []K, v
 						vals[i] = v.vals[pos]
 					}
 				}
-			} else if !leaf {
+			} else if !v.isLeaf() {
+				lo[i], hi[i] = childBounds(v.rep, pos, lo[i], hi[i])
 				next = v.children[pos]
 			}
 			cur[i] = next

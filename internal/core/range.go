@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/iindex"
+import (
+	"math"
+
+	"repro/internal/iindex"
+)
 
 // Ordered queries beyond membership: extrema, range extraction,
 // counting, and order statistics. These are standard sorted-map API
@@ -207,7 +211,7 @@ func (t *Tree[K, V]) RankOf(key K) int {
 		var pos int
 		var found bool
 		if v.isLeaf() {
-			pos, found = iindex.InterpolationSearch(v.rep, key)
+			pos, found = iindex.SearchLeaf(v.rep, math.Inf(-1), math.Inf(1), key)
 		} else {
 			pos, found = iindex.Find(v.rep, &v.idx, key)
 		}

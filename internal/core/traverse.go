@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/iindex"
 	"repro/internal/parallel"
 )
@@ -38,16 +40,21 @@ func (t *Tree[K, V]) GetBatched(keys []K) (vals []V, found []bool) {
 // one key: the single-key form of the §4.2 traversal, with no batch
 // machinery and no scratch. A key found in a rep array resolves there
 // (live or logically removed — §6 guarantees a key occupies at most
-// one slot); an absent key descends the lower-bound child. The live
-// tree's Contains/Get and every published-version point read use it.
+// one slot); an absent key descends the lower-bound child, taking
+// down the separators that bound it (childBounds), and the leaf it
+// reaches is searched with one probe between them (iindex.SearchLeaf).
+// The live tree's Contains/Get and every published-version point read
+// use it.
 //
 //pbist:noalloc
 func lookup[K iindex.Numeric, V any](v *node[K, V], key K) (val V, ok bool) {
+	lo, hi := math.Inf(-1), math.Inf(1)
 	for v != nil {
 		var pos int
 		var found bool
-		if v.isLeaf() {
-			pos, found = iindex.InterpolationSearch(v.rep, key)
+		leaf := v.isLeaf()
+		if leaf {
+			pos, found = iindex.SearchLeaf(v.rep, lo, hi, key)
 		} else {
 			pos, found = iindex.Find(v.rep, &v.idx, key)
 		}
@@ -57,12 +64,28 @@ func lookup[K iindex.Numeric, V any](v *node[K, V], key K) (val V, ok bool) {
 			}
 			return val, false
 		}
-		if v.isLeaf() {
+		if leaf {
 			return val, false
 		}
+		lo, hi = childBounds(v.rep, pos, lo, hi)
 		v = v.children[pos]
 	}
 	return val, false
+}
+
+// childBounds narrows lo and hi, the float images of the separators
+// bounding a node's keys, to those bounding its child pos: rep[pos-1]
+// and rep[pos] where they exist. A first or last child keeps the
+// bound its parent inherited on that side (±Inf on the tree's outer
+// spines).
+func childBounds[K iindex.Numeric](rep []K, pos int, lo, hi float64) (float64, float64) {
+	if pos > 0 {
+		lo = float64(rep[pos-1])
+	}
+	if pos < len(rep) {
+		hi = float64(rep[pos])
+	}
+	return lo, hi
 }
 
 // getRec is BatchedTraverse (§4.1, §4.2): it resolves the keys[l:r)
@@ -170,13 +193,15 @@ func rankPos[K iindex.Numeric](rep []K, key K, ub int) int32 {
 }
 
 // searchInto is the §4.2 per-key search of keys against v.rep. Inner
-// nodes use the prebuilt index; leaf reps mutate, so they interpolate
-// on the fly.
+// nodes use the prebuilt index (Find); leaf reps mutate, so they are
+// searched with one interpolated probe between their own end keys
+// (SearchLeaf with ±Inf separators). Both refine with iindex.Walk.
 func searchInto[K iindex.Numeric, V any](v *node[K, V], keys []K, pf []int32) {
 	rep := v.rep
 	if v.isLeaf() {
+		lo, hi := math.Inf(-1), math.Inf(1)
 		for i, k := range keys {
-			pf[i] = pack(iindex.InterpolationSearch(rep, k))
+			pf[i] = pack(iindex.SearchLeaf(rep, lo, hi, k))
 		}
 		return
 	}

@@ -9,13 +9,21 @@
 // estimate whose error is the occupancy of one bucket — expected O(1)
 // when keys come from a smooth distribution (§3.5).
 //
-// Find refines the estimate with the paper's linear walk (Fig. 5), but
-// caps the walk at a constant number of steps and falls back to binary
-// search on the remaining range. The cap only strengthens the worst
-// case (O(log k) per node instead of O(k)) and leaves the smooth-input
-// expected cost at O(1), matching the O(log² n) worst-case search bound
-// quoted in §3.5.
+// Every tree search is one position estimate refined by one walk.
+// Find is Approx plus Walk: Walk is the paper's linear walk (Fig. 5),
+// capped at a constant number of steps and finished by binary search
+// on the remaining range. The cap only strengthens the worst case
+// (O(log k) per node instead of O(k)) and leaves the smooth-input
+// expected cost at O(1), matching the O(log² n) worst-case search
+// bound quoted in §3.5. Leaf reps mutate between rebuilds and carry no
+// index, so SearchLeaf estimates with one interpolated probe between
+// the separators the parent node already read (LeafProbe) and refines
+// with the same Walk. InterpolationSearch, the §3.2 strategy of
+// interpolating inside a shrinking window, is kept as the comparison
+// point of examples/indexlab; no tree walk uses it.
 package iindex
+
+import "math"
 
 // Numeric is the constraint for interpolatable keys: types with a
 // total order and an order-preserving conversion to float64. The
@@ -27,7 +35,7 @@ type Numeric interface {
 		~float32 | ~float64
 }
 
-// maxWalk bounds the linear refinement walk before Find falls back to
+// maxWalk bounds the linear refinement walk before Walk falls back to
 // binary search. 16 covers several buckets of estimate error while
 // keeping the worst case logarithmic.
 const maxWalk = 16
@@ -118,16 +126,24 @@ func (ix *Index) Bytes() int {
 // Find locates x in the sorted slice rep using the index: it returns
 // the lower-bound position of x (the first index with rep[pos] >= x,
 // which is also x's insertion position) and whether rep[pos] == x.
-// Expected O(1) on smooth input, O(log len(rep)) worst case.
+// It is Approx plus Walk. Expected O(1) on smooth input,
+// O(log len(rep)) worst case.
 func Find[K Numeric](rep []K, ix *Index, x K) (pos int, found bool) {
-	n := len(rep)
-	if n == 0 {
-		return 0, false
-	}
 	h := ix.Approx(float64(x))
-	if h > n {
-		h = n
+	if h > len(rep) {
+		h = len(rep)
 	}
+	return Walk(rep, h, x)
+}
+
+// Walk refines the position estimate h, 0 <= h <= len(rep), of x in
+// the sorted duplicate-free slice rep into x's lower-bound position
+// and whether rep[pos] == x, with the linear walk of Fig. 5: at most
+// maxWalk steps towards x, then binary search on the rest of the
+// range. An estimate that lands on x costs two comparisons, one off by
+// d positions O(min(d, log len(rep))).
+func Walk[K Numeric](rep []K, h int, x K) (pos int, found bool) {
+	n := len(rep)
 	if h < n && rep[h] < x {
 		// Walk right (paper Fig. 5a) towards the first element >= x.
 		lo := h + 1
@@ -160,40 +176,82 @@ func Find[K Numeric](rep []K, ix *Index, x K) (pos int, found bool) {
 	return pos, pos < n && rep[pos] == x
 }
 
+// LeafProbe estimates the lower-bound position of x in the sorted
+// duplicate-free slice rep, all of whose elements lie between the
+// separators lo and hi (the float images of the parent's rep[pos-1]
+// and rep[pos]): one interpolated probe at ⌊(x−lo)/(hi−lo)·len(rep)⌋,
+// clamped to [0, len(rep)]. A side passed as -Inf or +Inf (no
+// separator on that side) stands in as rep's own first or last
+// element. The clamp is NaN-safe, so equal or collapsed float images
+// yield a valid estimate.
+func LeafProbe[K Numeric](rep []K, lo, hi float64, x K) int {
+	n := len(rep)
+	if n == 0 {
+		return 0
+	}
+	if math.IsInf(lo, -1) {
+		lo = float64(rep[0])
+	}
+	if math.IsInf(hi, 1) {
+		hi = float64(rep[n-1])
+	}
+	f := (float64(x) - lo) / (hi - lo) * float64(n)
+	if !(f > 0) {
+		return 0 // also NaN
+	}
+	if f >= float64(n) {
+		return n
+	}
+	return int(f)
+}
+
+// SearchLeaf locates x in the sorted duplicate-free slice rep whose
+// elements lie between the separators lo and hi: LeafProbe plus Walk,
+// with Find's (lower-bound position, found) contract. Pass -Inf and
+// +Inf for a rep without separators. Expected O(1) probes when rep's
+// keys are spread smoothly between the separators, O(log len(rep))
+// worst case.
+func SearchLeaf[K Numeric](rep []K, lo, hi float64, x K) (pos int, found bool) {
+	return Walk(rep, LeafProbe(rep, lo, hi, x), x)
+}
+
 // InterpolationSearch locates x in the sorted duplicate-free slice rep
 // without a prebuilt index, by interpolating on the fly inside a
-// shrinking window. It returns the same (lower-bound position, found)
-// contract as Find. A probe budget guards against adversarial inputs,
-// after which the search finishes with binary search.
+// shrinking window (§3.2) and returning as soon as a probe lands on x.
+// It returns the same (lower-bound position, found) contract as Find.
+// A probe budget guards against adversarial inputs, after which the
+// search finishes with binary search. The tree walks use SearchLeaf;
+// this is the strategy examples/indexlab compares against it.
 func InterpolationSearch[K Numeric](rep []K, x K) (pos int, found bool) {
-	lo, hi := 0, len(rep) // window [lo, hi)
+	lo, hi := 0, len(rep) // x's lower-bound position lies in [lo, hi]
 	for probes := 0; hi-lo > 8 && probes < maxWalk; probes++ {
-		lov, hiv := float64(rep[lo]), float64(rep[hi-1])
-		xf := float64(x)
-		if xf <= lov {
-			hi = lo + 1
+		// The window's ends are compared as keys: float images of
+		// distinct large integers may be equal.
+		if x <= rep[lo] {
+			hi = lo
 			break
 		}
-		if xf > hiv {
+		if x > rep[hi-1] {
 			lo = hi
 			break
 		}
+		lov, hiv := float64(rep[lo]), float64(rep[hi-1])
 		if !(hiv > lov) {
 			break
 		}
-		probe := lo + int((xf-lov)/(hiv-lov)*float64(hi-lo-1))
+		probe := lo + int((float64(x)-lov)/(hiv-lov)*float64(hi-lo-1))
 		if probe < lo {
 			probe = lo
 		} else if probe >= hi {
 			probe = hi - 1
 		}
-		if rep[probe] < x {
+		switch {
+		case rep[probe] < x:
 			lo = probe + 1
-		} else {
-			hi = probe + 1 // rep[probe] >= x stays inside the window
-		}
-		if lo >= hi {
-			break
+		case rep[probe] == x:
+			return probe, true
+		default:
+			hi = probe
 		}
 	}
 	if lo < hi {

@@ -59,8 +59,10 @@ type Tree[K iindex.Numeric] struct {
 // have len(rep)+1 children, any of which may be nil (empty subtree).
 // Rep contents of inner nodes are immutable between rebuilds — only the
 // exists flags change — so the interpolation index stays valid. Leaf rep
-// arrays mutate in place and are searched with on-the-fly interpolation
-// instead of a stored index.
+// arrays mutate in place and carry no stored index: they are searched
+// with core's leaf kernel (iindex.SearchLeaf, one interpolated probe
+// between the leaf's end keys plus Find's walk), so the sequential
+// baseline is compared on the same leaf search as the PB-IST.
 type node[K iindex.Numeric] struct {
 	rep      []K
 	exists   []bool
@@ -117,7 +119,7 @@ func (t *Tree[K]) Contains(key K) bool {
 // pos holds exactly the keys between rep[pos-1] and rep[pos].
 func (v *node[K]) find(key K) (int, bool) {
 	if v.isLeaf() {
-		return iindex.InterpolationSearch(v.rep, key)
+		return iindex.SearchLeaf(v.rep, math.Inf(-1), math.Inf(1), key)
 	}
 	return iindex.Find(v.rep, &v.idx, key)
 }
