@@ -501,6 +501,27 @@ func BenchmarkShardedPut(b *testing.B) {
 	})
 }
 
+// Sharded bulk load: NewShardedFromItems of 2^20 sorted even keys on 8
+// shards, the load perfbench times as setup_s. Run with -benchmem: the
+// input is cut at the shard bounds and each part copied once, into its
+// tree's chunk storage, so B/op is that storage (the bench-alloc CI job
+// gates it); a per-key scatter copy of the input adds about 18 MB.
+func BenchmarkShardedLoad(b *testing.B) {
+	const n = 1 << 20
+	keys := make([]int64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i] = 2 * int64(i)
+		vals[i] = uint64(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pbist.NewShardedFromItems(pbist.ShardedOptions{Shards: 8}, keys, vals).Close()
+	}
+	reportKeysPerSec(b, n)
+}
+
 // A lone writer: one goroutine Puts random existing (even) keys into a
 // one-shard frontend of 2^17 keys, so every Put is an epoch of one key
 // that the writer runs itself. The time is the combining frontend's

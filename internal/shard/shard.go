@@ -1,7 +1,8 @@
 // Package shard implements the partitioning machinery behind the
 // sharded super-tree frontend (pbist.Sharded): the range partition
-// that assigns every key to one of N independent trees, and the
-// scatter step that splits a batch into per-shard sub-batches.
+// that assigns every key to one of N independent trees, the cut that
+// splits a sorted bulk load at the shard bounds, and the scatter step
+// that splits a write batch into per-shard sub-batches.
 //
 // The design follows the N-independent-trees-behind-one-facade recipe
 // of parallel B+-tree frontends: instead of scaling one tree's
@@ -17,10 +18,14 @@
 // order, so cross-shard ordered reads — Range, Ascend, Keys, Items —
 // concatenate per-shard results without a merge.
 //
-// Split and SplitPairs keep input order within every sub-batch, so
-// duplicate keys of one write batch reach their shard in the order the
-// caller gave them and resolve last-wins there, exactly as the
-// unsharded engine promises.
+// Loads cut, and write batches scatter. A bulk load is sorted and
+// duplicate-free before it is split, so Cut splits it with one binary
+// search per bound and no copy, the splitter-based bulk split of
+// parallel search trees. A write batch may come in any order, so
+// Split and SplitPairs route it key by key and keep input order within
+// every sub-batch: duplicate keys of one write batch reach their shard
+// in the order the caller gave them and resolve last-wins there,
+// exactly as the unsharded engine promises.
 package shard
 
 // Key is the numeric key constraint, mirroring pbist.Key: ordered
@@ -121,6 +126,34 @@ func (r *Ranges[K]) Shard(key K) int {
 	return lo
 }
 
+// Cut returns the N+1 offsets at which the ascending duplicate-free
+// slice sorted crosses the bounds: shard s owns sorted[off[s]:off[s+1]],
+// off[0] = 0 and off[N] = len(sorted). Each inner offset is a
+// lower-bound search with Shard's own key < bound comparison, so
+// signed zeros, infinities and the empty shards between equal bounds
+// come out exactly as Shard routes them key by key. It costs
+// O(N·log n) comparisons and copies nothing: bulk loads, whose input
+// is already sorted, split at these offsets instead of scattering.
+// sorted must hold no NaN, and the bounds neither.
+func (r *Ranges[K]) Cut(sorted []K) []int {
+	off := make([]int, len(r.bounds)+2)
+	lo := 0
+	for i, b := range r.bounds {
+		hi := len(sorted)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if sorted[mid] < b {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		off[i+1] = lo
+	}
+	off[len(off)-1] = len(sorted)
+	return off
+}
+
 // Split scatters keys into per-shard sub-batches: parts[s] holds the
 // keys owned by shard s, in input order. The sub-batches are carved
 // from one backing array of len(keys), so a Split costs O(keys) work
@@ -132,7 +165,9 @@ func Split[K Key](p *Ranges[K], keys []K) [][]K {
 }
 
 // SplitPairs is Split for (key, value) pairs: vparts[s][j] is the
-// value of parts[s][j].
+// value of parts[s][j]. It is the scatter of write batches, whose
+// input may be unsorted; a sorted bulk load is split with Cut instead,
+// which neither routes every key nor copies the input.
 func SplitPairs[K Key, V any](p *Ranges[K], keys []K, vals []V) (parts [][]K, vparts [][]V) {
 	n := p.N()
 	counts := make([]int, n)

@@ -222,3 +222,90 @@ func TestRangesSignedZero(t *testing.T) {
 		}
 	}
 }
+
+// TestCutMatchesSplitPairs checks the bulk split against the scatter:
+// on sorted duplicate-free input, the parts Cut marks are the parts
+// SplitPairs routes key by key. The inputs are int64 keys, uint64 keys
+// above 2^63 and float64 keys with infinities and a signed zero, cut
+// by explicit bounds (with equal neighbours, so empty shards), uniform
+// bounds and quantile bounds, at n = 0, n below the shard count and
+// larger n.
+func TestCutMatchesSplitPairs(t *testing.T) {
+	rng := dist.NewRNG(29)
+	for _, n := range []int{0, 1, 3, 7, 100, 2000} {
+		ints := sortedUnique(n, func() int64 { return rng.InRange(-5000, 5000) })
+		for _, p := range []*Ranges[int64]{
+			NewRanges[int64](nil),
+			NewRanges([]int64{-100, -100, 0, 0, 0, 2500}),
+			NewRanges([]int64{math.MinInt64, math.MaxInt64}),
+			NewRangeUniform(8, int64(-5000), int64(5000)),
+			NewRangeQuantiles(8, ints),
+			NewRangeQuantiles(5, ints[:len(ints)/2]),
+		} {
+			checkCut(t, p, ints)
+		}
+
+		const top = uint64(1) << 63
+		uints := sortedUnique(n, func() uint64 { return top + rng.Uint64n(1<<40) })
+		for _, p := range []*Ranges[uint64]{
+			NewRanges([]uint64{top, top + 1<<39, top + 1<<39, math.MaxUint64}),
+			NewRangeUniform(6, top, top+1<<40),
+			NewRangeQuantiles(8, uints),
+		} {
+			checkCut(t, p, uints)
+		}
+
+		inf := math.Inf(1)
+		specials := []float64{-inf, inf, math.Copysign(0, -1), 0, -1e300, 1e300}
+		floats := sortedUnique(n, func() float64 {
+			if rng.Int63n(8) == 0 {
+				return specials[rng.Int63n(int64(len(specials)))]
+			}
+			return rng.Float64()*2000 - 1000
+		})
+		for _, p := range []*Ranges[float64]{
+			NewRanges([]float64{-inf, math.Copysign(0, -1), 0, 0, inf}),
+			NewRanges([]float64{0, math.Copysign(0, -1), 1e300}),
+			NewRanges([]float64{-inf, -inf, inf, inf}),
+			NewRangeUniform(7, -1000.0, 1000.0),
+			NewRangeQuantiles(8, floats),
+		} {
+			checkCut(t, p, floats)
+		}
+	}
+}
+
+// checkCut compares p.Cut(sorted) with SplitPairs(p, sorted, ·).
+func checkCut[K Key](t *testing.T, p *Ranges[K], sorted []K) {
+	t.Helper()
+	off := p.Cut(sorted)
+	if len(off) != p.N()+1 || off[0] != 0 || off[p.N()] != len(sorted) {
+		t.Fatalf("Cut over %d keys, %d shards: offsets %v", len(sorted), p.N(), off)
+	}
+	idx := make([]int, len(sorted))
+	for i := range idx {
+		idx[i] = i
+	}
+	parts, vparts := SplitPairs(p, sorted, idx)
+	for s := range parts {
+		if !slices.Equal(sorted[off[s]:off[s+1]], parts[s]) {
+			t.Fatalf("bounds %v, shard %d: Cut gives %v, SplitPairs %v", p.bounds, s, sorted[off[s]:off[s+1]], parts[s])
+		}
+		for j, i := range vparts[s] {
+			if i != off[s]+j {
+				t.Fatalf("bounds %v, shard %d: value %d of the part came from input position %d", p.bounds, s, j, i)
+			}
+		}
+	}
+}
+
+// sortedUnique draws n keys from gen and returns them sorted, with
+// keys equal under == (the two float zeros too) dropped.
+func sortedUnique[K Key](n int, gen func() K) []K {
+	keys := make([]K, n)
+	for i := range keys {
+		keys[i] = gen()
+	}
+	slices.Sort(keys)
+	return slices.CompactFunc(keys, func(a, b K) bool { return a == b })
+}

@@ -167,7 +167,7 @@ func FuzzMapUnionPolicy(f *testing.F) {
 			t.Fatalf("Union(%v) Len = %d, want %d", policy, got.Len(), len(want))
 		}
 		gk, gv := got.Items()
-		if !isSortedUnique(gk) {
+		if !isSortedUnique(nil, gk) {
 			t.Fatalf("Union(%v) keys not sorted unique: %v", policy, gk)
 		}
 		for i, k := range gk {

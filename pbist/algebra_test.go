@@ -13,7 +13,7 @@ import (
 // checkInvariants; this is its public-surface counterpart.)
 func checkViewInvariants[K Key](t *testing.T, name string, keys []K, length int, stats Stats, height int) {
 	t.Helper()
-	if !isSortedUnique(keys) {
+	if !isSortedUnique(nil, keys) {
 		t.Fatalf("%s: keys not sorted duplicate-free", name)
 	}
 	if length != len(keys) {

@@ -43,7 +43,7 @@ type Concurrent[K Key, V any] = Sharded[K, V]
 // NewConcurrent returns an empty one-shard frontend. It starts no
 // goroutine: its writers run the combining epochs themselves.
 func NewConcurrent[K Key, V any](opts ConcurrentOptions) *Concurrent[K, V] {
-	return newSharded[K, V](oneShard(opts), shard.NewRanges[K](nil), nil, nil)
+	return newSharded[K, V](oneShard(opts), opts.pool(), shard.NewRanges[K](nil), nil, nil)
 }
 
 // NewConcurrentFromItems returns a one-shard frontend bulk-loaded

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 )
 
 // Map is the map view: a parallel-batched interpolation search tree
@@ -45,24 +46,25 @@ func NewMapFromItems[K Key, V any](opts Options, keys []K, vals []V) *Map[K, V] 
 	m := &Map[K, V]{}
 	m.pool = p
 	m.assumeSorted = opts.AssumeSorted
-	nk, nv := m.normalizePairs(keys, vals)
+	nk, nv := normalizePairs(p, opts.AssumeSorted, keys, vals)
 	m.t = core.NewFromSortedKV(opts.coreConfig(), p, nk, nv)
 	return m
 }
 
 // normalizePairs returns the batch as sorted duplicate-free key/value
 // slices with last-wins semantics for duplicated keys, copying only
-// when the input is not already in contract form. Like normalize,
-// passing pre-sorted input through unaliased is safe because the core
-// never retains a batch slice.
+// when the input is not already in contract form (assumeSorted
+// promises it is). Like normalize, passing pre-sorted input through
+// unaliased is safe because the core never retains a batch slice. It
+// panics on a NaN key (see Key).
 //
 // Unlike the set view's key-only normalization, the pair sort is a
 // sequential index sort (a parallel stable pair sort is not worth its
 // complexity here): hot paths feeding large unsorted upsert batches
 // should pre-sort and set Options.AssumeSorted, which skips this
 // entirely.
-func (m *Map[K, V]) normalizePairs(keys []K, vals []V) ([]K, []V) {
-	if m.assumeSorted || isSortedUnique(keys) {
+func normalizePairs[K Key, V any](pool *parallel.Pool, assumeSorted bool, keys []K, vals []V) ([]K, []V) {
+	if assumeSorted || isSortedUnique(pool, keys) {
 		return keys, vals
 	}
 	// Stable-sort a permutation by key: within a run of equal keys the
@@ -145,7 +147,7 @@ func (m *Map[K, V]) PutBatch(keys []K, vals []V) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	nk, nv := m.normalizePairs(keys, vals)
+	nk, nv := normalizePairs(m.pool, m.assumeSorted, keys, vals)
 	return m.t.PutBatched(nk, nv)
 }
 

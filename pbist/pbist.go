@@ -142,6 +142,7 @@ import (
 	"iter"
 	"runtime"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -150,6 +151,14 @@ import (
 // Key is the constraint on tree keys: ordered types with an
 // order-preserving conversion to float64, which interpolation search
 // needs to estimate positions numerically.
+//
+// NaN is not a key: every comparison with it is false, so no order
+// places it. The operations that normalize their input panic on a NaN
+// key: the batched operations of Tree and Map, and the bulk loads
+// NewFromKeys, NewMapFromItems and NewShardedFromItems, unless
+// Options.AssumeSorted waives normalization and the check with it.
+// Other writes do not check, and a NaN they store leaves the order of
+// the tree undefined.
 type Key interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr |
@@ -269,7 +278,7 @@ func (vw *view[K, V]) readBatch(keys []K, withVals bool) (vals []V, found []bool
 		}
 		return nil, vw.t.ContainsBatched(ks)
 	}
-	if vw.assumeSorted || isSortedUnique(keys) {
+	if vw.assumeSorted || isSortedUnique(vw.pool, keys) {
 		return read(keys)
 	}
 	sorted := parallel.SortedDedup(vw.pool, slices.Clone(keys))
@@ -326,7 +335,7 @@ func (vw *view[K, V]) Height() int { return vw.t.Height() }
 // storage at construction, and batched updates merge into leaf arrays
 // the tree already owns (or fresh chunk storage on rebuild).
 func (vw *view[K, V]) normalize(keys []K) []K {
-	if vw.assumeSorted || isSortedUnique(keys) {
+	if vw.assumeSorted || isSortedUnique(vw.pool, keys) {
 		return keys
 	}
 	cp := slices.Clone(keys)
@@ -344,14 +353,56 @@ func (vw *view[K, V]) removeBatch(keys []K) int {
 	return vw.t.RemoveBatched(vw.normalize(keys))
 }
 
-func isSortedUnique[K Key](keys []K) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			return false
+// sortGrain is the block size of the sortedness check: a batch of up
+// to sortGrain keys is checked inline, a larger one in blocks of
+// sortGrain keys on the pool, so the check of a bulk load does not
+// make its span O(n).
+const sortGrain = 1 << 15
+
+// nanKeyPanic is the panic of a batch that holds a NaN key (see Key).
+const nanKeyPanic = "pbist: NaN key in a batch or bulk load (NaN is not a Key: no order places it)"
+
+// isSortedUnique reports whether keys is strictly ascending, the form
+// the core takes batches in. It panics on a NaN key: a batch holding
+// one would otherwise pass as sorted, since every comparison with NaN
+// is false, and the unsorted path must not sort it either.
+func isSortedUnique[K Key](pool *parallel.Pool, keys []K) bool {
+	var sorted, nan bool
+	if len(keys) <= sortGrain {
+		sorted, nan = scanSorted(keys, 0, len(keys))
+	} else {
+		var unsorted, sawNaN atomic.Bool
+		parallel.ForRange(pool, len(keys), sortGrain, func(lo, hi int) {
+			s, n := scanSorted(keys, lo, hi)
+			if !s {
+				unsorted.Store(true)
+			}
+			if n {
+				sawNaN.Store(true)
+			}
+		})
+		sorted, nan = !unsorted.Load(), sawNaN.Load()
+	}
+	if nan {
+		panic(nanKeyPanic)
+	}
+	return sorted
+}
+
+// scanSorted reports whether keys[lo:hi] ascends strictly from
+// keys[lo-1] (from keys[lo] when lo is 0), and whether keys[lo:hi]
+// holds a NaN. A pair in order holds no NaN, so only a block with a
+// pair out of order, or a lone key, is searched for one.
+func scanSorted[K Key](keys []K, lo, hi int) (sorted, nan bool) {
+	for i := max(lo, 1); i < hi; i++ {
+		if !(keys[i-1] < keys[i]) {
+			return false, slices.ContainsFunc(keys[lo:hi], isNaN[K])
 		}
 	}
-	return true
+	return true, hi-lo == 1 && isNaN(keys[lo])
 }
+
+func isNaN[K Key](k K) bool { return k != k }
 
 // Tree is the set view: a parallel-batched interpolation search tree
 // over keys of type K, without values. Create one with New or

@@ -106,33 +106,38 @@ type Sharded[K Key, V any] struct {
 // span: a skewed or drifting key set piles onto a few shards.
 func NewShardedRange[K Key, V any](opts ShardedOptions, lo, hi K) *Sharded[K, V] {
 	opts = opts.withDefaults()
-	return newSharded[K, V](opts, shard.NewRangeUniform(opts.Shards, lo, hi), nil, nil)
+	return newSharded[K, V](opts, opts.pool(), shard.NewRangeUniform(opts.Shards, lo, hi), nil, nil)
 }
 
 // NewShardedFromItems returns a sharded frontend bulk-loaded with the
 // (keys[i], vals[i]) pairs (last occurrence of a duplicated key wins,
-// as in NewMapFromItems; neither slice is retained). The shards
-// partition the key range at the quantiles of the loaded keys, so
-// every shard starts with an equal share whatever the distribution.
-// Inserts outside the loaded span pile onto the edge shards.
+// as in NewMapFromItems). The shards partition the key range at the
+// quantiles of the loaded keys, so every shard starts with an equal
+// share whatever the distribution. Inserts outside the loaded span
+// pile onto the edge shards.
+//
+// For sorted duplicate-free input the load costs an O(n) check and an
+// O(n) copy into the shard trees' chunk storage, plus O(shards·log n)
+// to split the input at the shard bounds; unsorted input is sorted
+// first. Neither slice is retained.
 func NewShardedFromItems[K Key, V any](opts ShardedOptions, keys []K, vals []V) *Sharded[K, V] {
 	if len(keys) != len(vals) {
 		panic("pbist: NewShardedFromItems keys/vals length mismatch")
 	}
 	opts = opts.withDefaults()
-	m := &Map[K, V]{}
-	m.pool = opts.pool()
-	m.assumeSorted = opts.AssumeSorted
-	nk, nv := m.normalizePairs(keys, vals)
-	return newSharded(opts, shard.NewRangeQuantiles(opts.Shards, nk), nk, nv)
+	pool := opts.pool()
+	nk, nv := normalizePairs(pool, opts.AssumeSorted, keys, vals)
+	return newSharded(opts, pool, shard.NewRangeQuantiles(opts.Shards, nk), nk, nv)
 }
 
 // newSharded builds the shard group: one core tree per shard loaded
-// with its slice of the (optional) initial items, one combiner per
-// tree, and one pool for everything. Each tree owns its scratch arena
-// and each combiner its per-epoch arrays.
-func newSharded[K Key, V any](opts ShardedOptions, p *shard.Ranges[K], keys []K, vals []V) *Sharded[K, V] {
-	pool := opts.pool()
+// with its part of the sorted duplicate-free initial items (none when
+// keys is empty), one combiner per tree, and pool for everything. The
+// items are cut at the shard bounds, and the trees are built in
+// parallel on the pool, each from its part as a subslice, which the
+// bulk load copies into chunk storage. Each tree owns its scratch
+// arena and each combiner its per-epoch arrays.
+func newSharded[K Key, V any](opts ShardedOptions, pool *parallel.Pool, p *shard.Ranges[K], keys []K, vals []V) *Sharded[K, V] {
 	s := &Sharded[K, V]{
 		part:  p,
 		cbs:   make([]*combine.Combiner[K, V], p.N()),
@@ -141,29 +146,18 @@ func newSharded[K Key, V any](opts ShardedOptions, p *shard.Ranges[K], keys []K,
 		opts:  opts,
 		obs:   shard.NewObs(opts.Metrics),
 	}
-	var parts [][]K
-	var vparts [][]V
-	switch {
-	case keys == nil:
-	case p.N() == 1: // the one shard loads everything: no split copy
-		parts, vparts = [][]K{keys}, [][]V{vals}
-	default:
-		parts, vparts = shard.SplitPairs(p, keys, vals)
-	}
+	off := p.Cut(keys)
 	cfg := opts.coreConfig()
+	parallel.For(pool, len(s.trees), 1, func(i int) {
+		lo, hi := off[i], off[i+1]
+		s.trees[i] = core.NewFromSortedKV(cfg, pool, keys[lo:hi], vals[lo:hi])
+	})
 	copts := opts.combineOptions()
-	for i := range s.cbs {
-		var pk []K
-		var pv []V
-		if parts != nil {
-			pk, pv = parts[i], vparts[i]
-		}
-		t := core.NewFromSortedKV(cfg, pool, pk, pv)
+	for i, t := range s.trees {
 		// Publishing must be on before the combiner exists: from the
 		// first epoch, every epoch ends with a version publish the read
 		// paths below depend on.
 		t.EnablePublish()
-		s.trees[i] = t
 		// Each shard's combiner tags its epoch traces with the shard
 		// index, so a merged Trace attributes epochs to shards.
 		shOpts := copts
