@@ -28,11 +28,25 @@
 // every epoch ends by publishing an immutable version of the engine,
 // and readers walk those versions without entering the queue. The
 // queue serves only single-key or mini-batch writes and Flush fences.
+//
+// Waiting: a queued client polls its operation's state for at most
+// spinWait (20 µs) and then parks on a channel; the epoch that
+// completes it, or the leader that hands it the role, sends on that
+// channel only when it has parked. Most serving epochs end within the
+// bound, so most writes never pass through the Go scheduler, which
+// would queue a parked writer behind goroutines that never block. A
+// combiner built at GOMAXPROCS=1 never spins.
+//
+// Failure: an epoch that panics poisons its combiner. Its operations,
+// those queued behind it and every later submission fail with an
+// error wrapping ErrPoisoned, and Close returns; the engine, which
+// may be half written, runs no further epoch.
 package combine
 
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -70,6 +84,13 @@ type Engine[K cmp.Ordered, V any] interface {
 // ErrClosed is returned by operations submitted after Close.
 var ErrClosed = errors.New("combine: combiner is closed")
 
+// ErrPoisoned is wrapped by the error a combiner returns once an epoch
+// has panicked: to every operation of that epoch, every operation
+// queued behind it and every later submission. The error's message
+// carries the panic value. The engine may be half written, so a
+// poisoned combiner runs no further epoch; Close still returns.
+var ErrPoisoned = errors.New("combine: combiner poisoned by a panicking epoch")
+
 // Options configures a Combiner's observability. The zero value
 // records nothing.
 type Options struct {
@@ -98,6 +119,27 @@ const (
 	kindFence // carries no keys; completes after all earlier ops
 )
 
+// The states of an op's wait handshake (Combiner.wait, signal).
+const (
+	opPending  uint32 = iota // queued; its waiter polls or has not looked yet
+	opParked                 // its waiter blocks on done
+	opSignaled               // completed, failed or handed the combiner role
+)
+
+// spinWait bounds how long a queued writer polls its op's state
+// before it parks on the op's done channel. An epoch of a few keys
+// ends well within it, so most writers return without a trip through
+// the scheduler. Parked waiters queue for a processor behind
+// goroutines that never block, which a serving load always has; a
+// bound much shorter than an epoch parks nearly every writer, and one
+// much longer takes the processors the leader's epoch needs.
+// BENCH_spinwait.json holds the sweep that set it.
+const spinWait = 20 * time.Microsecond
+
+// spinCheck is how many polls a spinning waiter makes between two
+// reads of the clock.
+const spinCheck = 64
+
 // op is one client submission: a mini-batch of keys (length 1 for
 // single-key operations) plus result storage filled by the combiner.
 // Single-key ops use the inline arrays to stay allocation-free under
@@ -109,9 +151,11 @@ type op[K cmp.Ordered, V any] struct {
 
 	rfound []bool // put: inserted; delete: removed
 
-	enq  time.Time // for the combine-wait statistic; set only when observed
-	done chan struct{}
-	lead bool // set before a send on done that hands over the combiner role
+	enq   time.Time     // for the combine-wait statistic; set only when observed
+	state atomic.Uint32 // opPending, opParked or opSignaled
+	done  chan struct{} // sent on by signal only once the waiter parked
+	lead  bool          // set before a signal that hands over the combiner role
+	err   error         // set before a signal that fails the op (ErrPoisoned)
 
 	k1  [1]K
 	v1  [1]V
@@ -129,7 +173,14 @@ type Combiner[K cmp.Ordered, V any] struct {
 	pending []*op[K, V] // enqueue order is the epoch linearization order
 	leading bool        // a client holds the combiner role
 	closed  bool
+	err     error     // set, wrapping ErrPoisoned, when an epoch panicked
 	idle    sync.Cond // on mu; broadcast when a leader drops the role
+
+	// spin is how long a waiter polls before it parks: spinWait, or 0
+	// when New found GOMAXPROCS at 1, where a spinning waiter would
+	// only hold the processor its epoch's leader needs. It is read
+	// once because runtime.GOMAXPROCS takes the scheduler lock.
+	spin time.Duration
 
 	opPool sync.Pool
 
@@ -200,6 +251,9 @@ func New[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Optio
 		pool:  pool,
 		probe: newProbe(opts.Metrics, opts.TraceDepth, opts.ID),
 	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		c.spin = spinWait
+	}
 	c.idle.L = &c.mu
 	c.observeRetained(opts.Metrics)
 	c.opPool.New = func() any {
@@ -216,9 +270,14 @@ func (c *Combiner[K, V]) getOp(kind Kind) *op[K, V] {
 }
 
 // putOp recycles an op. Results must have been copied out already;
-// references to caller slices are dropped so nothing is retained.
+// references to caller slices are dropped so nothing is retained. Its
+// signaler no longer touches it: signal reads nothing of o after the
+// state swap unless the waiter parked, and then the waiter returned
+// only after the send.
 func (c *Combiner[K, V]) putOp(o *op[K, V]) {
 	o.keys, o.vals, o.rfound = nil, nil, nil
+	o.state.Store(opPending)
+	o.lead, o.err = false, nil
 	var zk K
 	var zv V
 	o.k1[0], o.v1[0], o.rf1[0] = zk, zv, false
@@ -228,10 +287,15 @@ func (c *Combiner[K, V]) putOp(o *op[K, V]) {
 // submit enqueues o and blocks until its epoch has executed. The
 // caller's keys/vals slices are read by the combiner while the caller
 // is blocked, never retained past completion. A client that finds no
-// leader leads; the others wait on done, which completes them or
-// hands them the role (o.lead).
+// leader leads; the others wait for a signal, which completes them,
+// fails them or hands them the role (o.lead).
 func (c *Combiner[K, V]) submit(o *op[K, V]) error {
 	c.mu.Lock()
+	if c.err != nil {
+		err := c.err
+		c.mu.Unlock()
+		return err
+	}
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClosed
@@ -244,24 +308,55 @@ func (c *Combiner[K, V]) submit(o *op[K, V]) error {
 	c.leading = true
 	c.mu.Unlock()
 	if !lead {
-		<-o.done
+		c.wait(o)
 		if !o.lead {
-			return nil
+			return o.err
 		}
-		o.lead = false
 	}
-	c.lead(o)
-	return nil
+	c.lead()
+	return o.err
+}
+
+// wait blocks until o is signaled. The waiter polls o's state for up
+// to c.spin, so a writer whose epoch ends within that bound returns
+// without a trip through the scheduler, and then parks on done. The
+// compare-and-swap decides the race with signal: either the waiter
+// parks first and signal sends on done, or the signal lands first and
+// the swap fails.
+func (c *Combiner[K, V]) wait(o *op[K, V]) {
+	if c.spin > 0 {
+		start := time.Now()
+		for i := 1; o.state.Load() != opSignaled; i++ {
+			if i%spinCheck == 0 && time.Since(start) > c.spin {
+				break
+			}
+		}
+	}
+	if o.state.CompareAndSwap(opPending, opParked) {
+		<-o.done
+	}
+}
+
+// signal completes o, fails it or hands it the role: the waiter reads
+// what was written to o before the signal (results, err, lead) once
+// it sees the state. Nothing may touch o after signal, since its
+// waiter may already have recycled it; the send happens only when the
+// waiter parked, and then the waiter blocks until it arrives.
+func signal[K cmp.Ordered, V any](o *op[K, V]) {
+	if o.state.Swap(opSignaled) == opParked {
+		o.done <- struct{}{}
+	}
 }
 
 // lead runs one epoch on the goroutine that holds the combiner role,
-// whose own op o is still queued. Flush rule: the leader yields the
-// processor once and then takes everything queued, so whatever
-// arrives while one epoch runs forms the next, and the clients the
-// last epoch woke re-enqueue first. A lone client pays one yield.
-// Taking the queue without it raised serve-churn's p99 about 5× (1.1
-// ms against 0.19–0.25 ms): epochs shrank from about 2.4 keys to 1.0,
-// and each key paid a whole epoch's fixed cost.
+// whose own op is queued. Flush rule: the leader takes everything
+// queued, so whatever arrives while one epoch runs forms the next.
+// The clients of the last epoch spin briefly (wait) rather than park,
+// so they are running, and re-enqueue, while the next leader starts;
+// a lone client is not delayed. The leader once yielded before the
+// take to let parked clients re-enqueue; with clients that spin, that
+// yield costs each epoch a trip through the scheduler and cut
+// serve-churn's throughput about 5× (BENCH_spinwait.json).
 //
 // A leader serves exactly one epoch, then hands the role to the oldest
 // op queued meanwhile, or drops it: serving up to 8 epochs per leader
@@ -270,25 +365,15 @@ func (c *Combiner[K, V]) submit(o *op[K, V]) error {
 // grew past retainElems.
 //
 //pbist:combiner
-func (c *Combiner[K, V]) lead(o *op[K, V]) {
-	runtime.Gosched()
+func (c *Combiner[K, V]) lead() {
 	c.mu.Lock()
 	batch := c.pending
 	c.pending = c.spare
 	c.mu.Unlock()
 
-	if c.probe != nil {
-		// Tag the epoch (and every pool goroutine it forks — pprof
-		// labels inherit) so CPU profiles attribute combining work.
-		// The branch keeps the unobserved path free of the closure
-		// allocation.
-		parallel.WithLabel(true, "combine-epoch", func() {
-			c.runEpoch(batch)
-		})
-	} else {
-		c.runEpoch(batch)
+	if !c.execute(batch) {
+		return
 	}
-	<-o.done // runEpoch completed every op of batch, o among them
 	clear(batch)
 	c.spare = trimmed(batch[:0], retainElems)
 
@@ -302,14 +387,64 @@ func (c *Combiner[K, V]) lead(o *op[K, V]) {
 	next := c.pending[0]
 	c.mu.Unlock()
 	next.lead = true
-	next.done <- struct{}{}
+	signal(next)
+}
+
+// execute runs the epoch of batch and reports whether it completed.
+// If it panics, the deferred failEpoch poisons the combiner and
+// execute reports false.
+//
+//pbist:combiner
+func (c *Combiner[K, V]) execute(batch []*op[K, V]) (ok bool) {
+	defer c.failEpoch(batch)
+	if c.probe != nil {
+		// Tag the epoch (and every pool goroutine it forks — pprof
+		// labels inherit) so CPU profiles attribute combining work.
+		// The branch keeps the unobserved path free of the closure
+		// allocation.
+		parallel.WithLabel(true, "combine-epoch", func() {
+			c.runEpoch(batch)
+		})
+	} else {
+		c.runEpoch(batch)
+	}
+	return true
+}
+
+// failEpoch is execute's deferred step. After a panic in the epoch
+// of batch, which signals its ops only as its last step, it poisons
+// the combiner: it releases the role without handing it on, wakes
+// Close, and fails every op of batch and every op still queued with
+// an error that wraps ErrPoisoned and carries the panic value. Later
+// submissions get the same error.
+func (c *Combiner[K, V]) failEpoch(batch []*op[K, V]) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	err := fmt.Errorf("%w: %v", ErrPoisoned, r)
+	c.mu.Lock()
+	c.err = err
+	queued := c.pending
+	c.pending = nil
+	c.leading = false
+	c.idle.Broadcast()
+	c.mu.Unlock()
+	for _, ops := range [...][]*op[K, V]{batch, queued} {
+		for _, o := range ops {
+			o.err = err
+			signal(o)
+		}
+	}
 }
 
 // Close stops accepting operations and waits until every already
 // submitted operation has completed (the drain): the leaders pass the
 // role along until the queue is empty. It is idempotent and safe to
 // call concurrently with in-flight operations: each concurrent
-// operation either completes normally or reports ErrClosed.
+// operation either completes normally or reports ErrClosed. It
+// returns on a poisoned combiner too: the poisoning fails everything
+// queued and drops the role.
 func (c *Combiner[K, V]) Close() {
 	c.mu.Lock()
 	c.closed = true

@@ -57,11 +57,11 @@ func (e *gatedEngine) gate() {
 }
 
 // ApplyResolved writes each key's presence before the epoch into found,
-// as a core tree does, and panics the leading client, which fails the
-// test binary loudly, when a found it writes would disagree with
-// the map before the epoch: a key repeated in the batch would read
-// the write of its first occurrence. So would an unsorted batch, which
-// the core engine's contract forbids as well.
+// as a core tree does, and panics, which poisons the combiner and
+// fails every op of the epoch with ErrPoisoned, when a found it writes
+// would disagree with the map before the epoch: a key repeated in the
+// batch would read the write of its first occurrence. So would an
+// unsorted batch, which the core engine's contract forbids as well.
 func (e *gatedEngine) ApplyResolved(keys []int64, vals []uint64, live, found []bool) int {
 	e.gate()
 	for i, k := range keys {

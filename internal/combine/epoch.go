@@ -195,9 +195,9 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 		c.retElems.Store(elems)
 	}
 
-	// Statistics, then wake every client. Waiters read their results
-	// only after receiving from done, so the sends publish the scatter
-	// writes above.
+	// Statistics, then signal every client. Waiters read their results
+	// only after they see their op signaled, so the signals publish
+	// the scatter writes above.
 	var waitSum time.Duration
 	if pr != nil {
 		for _, o := range ops {
@@ -216,7 +216,7 @@ func (c *Combiner[K, V]) runEpoch(ops []*op[K, V]) {
 	}
 
 	for _, o := range ops {
-		o.done <- struct{}{}
+		signal(o)
 	}
 }
 

@@ -11,10 +11,15 @@ import (
 // ShardedOptions and applies it to every shard. The zero value gives
 // sensible defaults.
 //
-// Once writes are queued, the writer that runs the next epoch yields
-// the processor once and takes everything queued as one epoch, so
-// whatever arrives while one epoch runs forms the next. A lone client is not delayed, and n
-// active clients coalesce into epochs of up to n writes.
+// Once writes are queued, the writer that runs the next epoch takes
+// everything queued as one epoch, so whatever arrives while one epoch
+// runs forms the next. A lone client is not delayed, and n active
+// clients coalesce into epochs of up to n writes. A queued writer
+// polls for its answer for a few microseconds before it blocks, so
+// most writes return without a trip through the Go scheduler; with
+// GOMAXPROCS at 1 it blocks at once. If an epoch panics, its shard
+// fails closed: that write and every later write to the shard panic
+// with the first panic's value.
 type ConcurrentOptions struct {
 	Options
 	// TraceDepth bounds the per-combiner ring of recent epoch traces

@@ -2,8 +2,15 @@ package pbist
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/combine"
+	"repro/internal/core"
 )
 
 // TestFirstErrorKeepsFirst pins the CompareAndSwap contract: once an
@@ -121,5 +128,59 @@ func TestShardedTwoShardsFailing(t *testing.T) {
 	// (ks[200] sits in the second quantile, owned by closed shard 1).
 	if v, ok := s.Get(ks[200]); !ok || v != vs[200] {
 		t.Fatalf("closed shard's Get = %d,%v after failed batches", v, ok)
+	}
+}
+
+// panicOnKey is a shard tree whose epochs panic when they write bad.
+type panicOnKey struct {
+	*core.Tree[int64, uint64]
+	bad int64
+}
+
+func (e panicOnKey) ApplyResolved(keys []int64, vals []uint64, live, found []bool) int {
+	if slices.Contains(keys, e.bad) {
+		panic(fmt.Sprintf("bad key %d", e.bad))
+	}
+	return e.Tree.ApplyResolved(keys, vals, live, found)
+}
+
+// TestShardedPoisonedEpoch checks that a panicking epoch fails its
+// shard closed: the write that ran it and every later write to the
+// shard panic with the poisoned message and the epoch's panic value,
+// not the closed-frontend one, the other shards keep serving, and
+// Close returns.
+func TestShardedPoisonedEpoch(t *testing.T) {
+	s := NewShardedRange[int64, uint64](ShardedOptions{Shards: 2}, 0, 1000)
+	s.cbs[0] = combine.New[int64, uint64](panicOnKey{s.trees[0], 13}, s.pool, combine.Options{})
+	s.Put(1, 1)
+	for _, f := range []func(){
+		func() { s.Put(13, 13) },
+		func() { s.Put(2, 2) },
+		func() { s.Delete(1) },
+		func() { s.PutBatch([]int64{3, 900}, []uint64{3, 900}) },
+		func() { s.Flush() },
+	} {
+		msg := panicOf(f)
+		if !strings.HasPrefix(msg, poisonedPanic) || !strings.Contains(msg, "bad key 13") {
+			t.Errorf("panic %q, want %q and the panic value", msg, poisonedPanic)
+		}
+	}
+	if !s.Put(901, 901) {
+		t.Error("the shard with no panicking epoch stopped serving")
+	}
+	for _, k := range []int64{1, 900, 901} {
+		if _, ok := s.Get(k); !ok {
+			t.Errorf("Get(%d) missed", k)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on the poisoned shard")
 	}
 }

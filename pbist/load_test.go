@@ -39,13 +39,14 @@ func TestShardedLoadCut(t *testing.T) {
 	}
 }
 
-// TestNaNKeyPanics checks that normalization rejects a NaN key. Every
-// comparison with NaN is false, so a batch holding one used to pass
-// as sorted: NewMapFromItems of [3, NaN, 1, 2] then missed Get(1), and
-// PutBatch([NaN, 5, 1]) on an empty map left neither 5 nor 1
-// readable. The NaN sits first, in the middle, last and alone, in
-// batches checked inline and in blocks on the pool, sorted around it
-// and not.
+// TestNaNKeyPanics checks that every write rejects a NaN key:
+// normalization where the operation normalizes, a scan or a check of
+// the one key where it does not. Every comparison with NaN is false,
+// so a batch holding one used to pass as sorted: NewMapFromItems of
+// [3, NaN, 1, 2] then missed Get(1), and PutBatch([NaN, 5, 1]) on an
+// empty map left neither 5 nor 1 readable. The NaN sits first, in the
+// middle, last and alone, in batches checked inline and in blocks on
+// the pool, sorted around it and not.
 func TestNaNKeyPanics(t *testing.T) {
 	nan := math.NaN()
 	batches := [][]float64{
@@ -72,10 +73,55 @@ func TestNaNKeyPanics(t *testing.T) {
 			"Tree.InsertBatch":    func() { New[float64](Options{}).InsertBatch(keys) },
 			"Tree.RemoveBatch":    func() { New[float64](Options{}).RemoveBatch(keys) },
 			"NewShardedFromItems": func() { NewShardedFromItems(ShardedOptions{Shards: 3}, keys, vals).Close() },
+			"Sharded.PutBatch": func() {
+				s := NewShardedRange[float64, int](ShardedOptions{Shards: 1}, 0, 100)
+				defer s.Close()
+				s.PutBatch(keys, vals)
+			},
+			"Sharded.DeleteBatch": func() {
+				s := NewShardedRange[float64, int](ShardedOptions{Shards: 2}, 0, 100)
+				defer s.Close()
+				s.DeleteBatch(keys)
+			},
 		} {
 			if msg := panicOf(f); !strings.Contains(msg, nanKeyPanic) {
 				t.Errorf("%s of %d keys: panic %q, want %q", name, len(keys), msg, nanKeyPanic)
 			}
+		}
+	}
+
+	// The single-key writes reject a NaN too, and leave the structure
+	// whole: a NaN stored by Map.Put used to hide the keys put after it.
+	m := NewMap[float64, int](Options{})
+	tr := New[float64](Options{})
+	s := NewShardedRange[float64, int](ShardedOptions{Shards: 2}, 0, 100)
+	defer s.Close()
+	for name, f := range map[string]func(){
+		"Map.Put":        func() { m.Put(nan, 1) },
+		"Map.Delete":     func() { m.Delete(nan) },
+		"Tree.Insert":    func() { tr.Insert(nan) },
+		"Tree.Remove":    func() { tr.Remove(nan) },
+		"Sharded.Put":    func() { s.Put(nan, 1) },
+		"Sharded.Delete": func() { s.Delete(nan) },
+	} {
+		if msg := panicOf(f); !strings.Contains(msg, nanKeyPanic) {
+			t.Errorf("%s(NaN): panic %q, want %q", name, msg, nanKeyPanic)
+		}
+	}
+	for _, k := range []float64{1, 2} {
+		m.Put(k, 1)
+		tr.Insert(k)
+		s.Put(k, 1)
+	}
+	for _, k := range []float64{1, 2} {
+		if _, ok := m.Get(k); !ok {
+			t.Errorf("Map.Get(%v) missed after a rejected NaN", k)
+		}
+		if !tr.Contains(k) {
+			t.Errorf("Tree.Contains(%v) missed after a rejected NaN", k)
+		}
+		if _, ok := s.Get(k); !ok {
+			t.Errorf("Sharded.Get(%v) missed after a rejected NaN", k)
 		}
 	}
 }

@@ -120,11 +120,18 @@ func (m *Map[K, V]) Clone() *Map[K, V] {
 func (m *Map[K, V]) Get(key K) (val V, ok bool) { return m.t.Get(key) }
 
 // Put stores val under key, inserting or overwriting; it reports
-// whether the key was absent.
-func (m *Map[K, V]) Put(key K, val V) bool { return m.t.Put(key, val) }
+// whether the key was absent. It panics on a NaN key (see Key).
+func (m *Map[K, V]) Put(key K, val V) bool {
+	checkKey(key)
+	return m.t.Put(key, val)
+}
 
-// Delete removes key, reporting whether it was present.
-func (m *Map[K, V]) Delete(key K) bool { return m.t.Remove(key) }
+// Delete removes key, reporting whether it was present. It panics on
+// a NaN key (see Key).
+func (m *Map[K, V]) Delete(key K) bool {
+	checkKey(key)
+	return m.t.Remove(key)
+}
 
 // GetBatch fetches the value for every element of keys in one batched
 // traversal: vals[i] and found[i] correspond to keys[i], whatever the

@@ -153,12 +153,12 @@ import (
 // needs to estimate positions numerically.
 //
 // NaN is not a key: every comparison with it is false, so no order
-// places it. The operations that normalize their input panic on a NaN
-// key: the batched operations of Tree and Map, and the bulk loads
-// NewFromKeys, NewMapFromItems and NewShardedFromItems, unless
-// Options.AssumeSorted waives normalization and the check with it.
-// Other writes do not check, and a NaN they store leaves the order of
-// the tree undefined.
+// places it. Every write panics on a NaN key: the single-key writes of
+// Tree, Map and Sharded, the batched writes of Sharded, and the
+// operations that normalize their input (the batched operations of
+// Tree and Map, and the bulk loads NewFromKeys, NewMapFromItems and
+// NewShardedFromItems) unless Options.AssumeSorted waives
+// normalization and the check with it.
 type Key interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr |
@@ -359,8 +359,24 @@ func (vw *view[K, V]) removeBatch(keys []K) int {
 // make its span O(n).
 const sortGrain = 1 << 15
 
-// nanKeyPanic is the panic of a batch that holds a NaN key (see Key).
-const nanKeyPanic = "pbist: NaN key in a batch or bulk load (NaN is not a Key: no order places it)"
+// nanKeyPanic is the panic of a write or batch given a NaN key (see
+// Key).
+const nanKeyPanic = "pbist: NaN key (NaN is not a Key: no order places it)"
+
+// checkKey panics on a NaN key. The writes that do not normalize call
+// it, since nothing else on their path would notice one.
+func checkKey[K Key](k K) {
+	if isNaN(k) {
+		panic(nanKeyPanic)
+	}
+}
+
+// checkKeys is checkKey on every key of a batch.
+func checkKeys[K Key](keys []K) {
+	if slices.ContainsFunc(keys, isNaN[K]) {
+		panic(nanKeyPanic)
+	}
+}
 
 // isSortedUnique reports whether keys is strictly ascending, the form
 // the core takes batches in. It panics on a NaN key: a batch holding
@@ -451,11 +467,19 @@ func (tr *Tree[K]) Clone() *Tree[K] {
 	return cp
 }
 
-// Insert adds key, reporting whether it was absent.
-func (tr *Tree[K]) Insert(key K) bool { return tr.t.Insert(key) }
+// Insert adds key, reporting whether it was absent. It panics on a NaN
+// key (see Key).
+func (tr *Tree[K]) Insert(key K) bool {
+	checkKey(key)
+	return tr.t.Insert(key)
+}
 
-// Remove deletes key, reporting whether it was present.
-func (tr *Tree[K]) Remove(key K) bool { return tr.t.Remove(key) }
+// Remove deletes key, reporting whether it was present. It panics on
+// a NaN key (see Key).
+func (tr *Tree[K]) Remove(key K) bool {
+	checkKey(key)
+	return tr.t.Remove(key)
+}
 
 // InsertBatch adds every element of keys, returning how many were
 // actually new. It computes the set union A ← A ∪ keys.

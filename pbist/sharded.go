@@ -1,6 +1,7 @@
 package pbist
 
 import (
+	"errors"
 	"iter"
 	"slices"
 	"sync"
@@ -83,7 +84,8 @@ func (o ShardedOptions) withDefaults() ShardedOptions {
 //
 // Create one with NewShardedRange, NewShardedFromItems, NewConcurrent,
 // or NewConcurrentFromItems; call Close when done to drain the
-// combining queues. Writes and Flush on a closed frontend panic; the reads
+// combining queues. Writes and Flush on a closed frontend panic, as do
+// writes to a shard after one of its epochs panicked; the reads
 // (Get, Contains, GetBatch, ContainsBatch, Len, Keys, Items, Range,
 // Ascend, Snapshot) keep serving the final published state.
 type Sharded[K Key, V any] struct {
@@ -167,12 +169,22 @@ func newSharded[K Key, V any](opts ShardedOptions, pool *parallel.Pool, p *shard
 	return s
 }
 
-// check panics when an operation hits a closed frontend.
+// check panics when an operation hits a closed frontend, or a shard
+// whose combiner an earlier panicking epoch poisoned.
 func check(err error) {
-	if err != nil {
-		panic("pbist: operation on closed frontend")
+	if err == nil {
+		return
 	}
+	if errors.Is(err, combine.ErrPoisoned) {
+		panic(poisonedPanic + err.Error())
+	}
+	panic("pbist: operation on closed frontend")
 }
+
+// poisonedPanic prefixes the panic of a write to a shard whose epoch
+// panicked; the combiner's error, which carries the epoch's panic
+// value, follows it.
+const poisonedPanic = "pbist: frontend failed: "
 
 // firstError retains the first error reported by a group of concurrent
 // shard goroutines. set installs with CompareAndSwap, so the winner is
@@ -187,8 +199,8 @@ func (f *firstError) set(err error) {
 	f.p.CompareAndSwap(nil, &err)
 }
 
-// check panics with the closed-frontend message when any goroutine
-// reported an error. Call it only after the group has been joined.
+// check panics with check's message when any goroutine reported an
+// error. Call it only after the group has been joined.
 func (f *firstError) check() {
 	if e := f.p.Load(); e != nil {
 		check(*e)
@@ -233,14 +245,18 @@ func (s *Sharded[K, V]) GetFast(key K) (V, bool) { return s.Get(key) }
 
 // Put stores val under key, inserting or overwriting; it reports
 // whether the key was absent at the operation's linearization point.
+// It panics on a NaN key (see Key).
 func (s *Sharded[K, V]) Put(key K, val V) bool {
+	checkKey(key)
 	inserted, err := s.cbs[s.shardOf(key)].Put(key, val)
 	check(err)
 	return inserted
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. It panics on
+// a NaN key (see Key).
 func (s *Sharded[K, V]) Delete(key K) bool {
+	checkKey(key)
 	removed, err := s.cbs[s.shardOf(key)].Delete(key)
 	check(err)
 	return removed
@@ -362,7 +378,7 @@ func (s *Sharded[K, V]) getGroups(vers []*core.Version[K, V], keys []K, vals []V
 // keys were newly inserted. Duplicate keys resolve to the last
 // occurrence, as in Map.PutBatch (duplicates land on one shard, whose
 // combiner replays them in position order). Atomic per shard, not
-// across shards.
+// across shards. It panics on a NaN key (see Key).
 func (s *Sharded[K, V]) PutBatch(keys []K, vals []V) int {
 	if len(keys) != len(vals) {
 		panic("pbist: PutBatch keys/vals length mismatch")
@@ -370,6 +386,7 @@ func (s *Sharded[K, V]) PutBatch(keys []K, vals []V) int {
 	if len(keys) == 0 {
 		return 0
 	}
+	checkKeys(keys)
 	var t0 time.Time
 	if s.obs != nil {
 		t0 = time.Now()
@@ -393,11 +410,13 @@ func (s *Sharded[K, V]) PutBatch(keys []K, vals []V) int {
 }
 
 // DeleteBatch removes every element of keys, returning how many were
-// present. Atomic per shard, not across shards.
+// present. Atomic per shard, not across shards. It panics on a NaN
+// key (see Key).
 func (s *Sharded[K, V]) DeleteBatch(keys []K) int {
 	if len(keys) == 0 {
 		return 0
 	}
+	checkKeys(keys)
 	var t0 time.Time
 	if s.obs != nil {
 		t0 = time.Now()
