@@ -1,20 +1,27 @@
-// Indexlab: a side-by-side comparison of the array-search machinery of
-// §3.2 — the ID-array interpolation index with linear refinement
-// (Find), exponential (galloping) refinement, a learned linear-model
-// index (the §3.2 nod to Kraska et al.), on-the-fly interpolation, and
-// plain binary search — on a smooth array, a clustered array, and an
-// adversarial exponentially spaced array built to defeat
-// interpolation (its keys are maximally far from linear).
+// Indexlab: a side-by-side comparison of the search kernels an
+// interpolation search tree runs (§3.2) against plain binary search,
+// on a smooth array, a clustered array, and an adversarial
+// exponentially spaced array built to defeat interpolation (its keys
+// are maximally far from linear). Find is an inner node's search: the
+// ID-array estimate refined by the linear walk of Fig. 5. SearchLeaf
+// is a leaf's: one interpolated probe refined by the same walk, here
+// without separators (±Inf), as for a root leaf. Every kernel's answer
+// to every probe is checked against slices.BinarySearch before it is
+// timed; a mismatch exits with status 1.
 //
 //	go run ./examples/indexlab
 package main
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"slices"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/iindex"
+	"repro/internal/parallel"
 )
 
 const (
@@ -22,64 +29,73 @@ const (
 	numProbes = 1 << 20
 )
 
+type kernel struct {
+	name string
+	fn   func(int64) (int, bool)
+}
+
 func main() {
 	r := dist.NewRNG(1234)
-	smooth := dist.UniformSet(r, arraySize, 0, 1<<40)
-	clustered := dist.Clustered(r, arraySize, 256, 0, 1<<40)
-	adversarial := dist.ExpSpaced(r, arraySize, 0, 1<<40)
-	probes := dist.UniformSet(r, numProbes, 0, 1<<40)
-
 	for _, data := range []struct {
 		name string
 		rep  []int64
 	}{
-		{"smooth (uniform)", smooth},
-		{"clustered (non-smooth)", clustered},
-		{"adversarial (exp-spaced)", adversarial},
+		{"uniform (smooth)", dist.UniformSet(r, arraySize, 0, 1<<40)},
+		{"clustered (non-smooth)", dist.Clustered(r, arraySize, 256, 0, 1<<40)},
+		{"expspaced (adversarial)", dist.ExpSpaced(r, arraySize, 0, 1<<40)},
 	} {
 		rep := data.rep
 		ix := iindex.Build(rep, 0)
-		lm := iindex.BuildLinear(rep)
-		fmt.Printf("\n%s, %d keys (learned-model max error: %d positions)\n",
-			data.name, len(rep), lm.MaxErr())
-
-		measure("ID index + linear walk ", probes, func(x int64) (int, bool) {
-			return iindex.Find(rep, &ix, x)
-		})
-		measure("ID index + exponential ", probes, func(x int64) (int, bool) {
-			return iindex.FindExponential(rep, &ix, x)
-		})
-		measure("learned linear model   ", probes, func(x int64) (int, bool) {
-			return iindex.FindLinear(rep, &lm, x)
-		})
-		measure("on-the-fly interpolation", probes, func(x int64) (int, bool) {
-			return iindex.InterpolationSearch(rep, x)
-		})
-		measure("binary search           ", probes, func(x int64) (int, bool) {
-			lo, hi := 0, len(rep)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if rep[mid] < x {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
+		probes := mixedProbes(r, rep)
+		fmt.Printf("\n%s, %d keys, %d probes (half hits)\n", data.name, len(rep), len(probes))
+		for _, k := range []kernel{
+			{"Find (ID index + walk)", func(x int64) (int, bool) { return iindex.Find(rep, &ix, x) }},
+			{"SearchLeaf (probe + walk)", func(x int64) (int, bool) { return iindex.SearchLeaf(rep, math.Inf(-1), math.Inf(1), x) }},
+			{"binary search", func(x int64) (int, bool) {
+				pos := parallel.LowerBound(rep, x)
+				return pos, pos < len(rep) && rep[pos] == x
+			}},
+		} {
+			if err := check(rep, probes, k.fn); err != nil {
+				fmt.Fprintf(os.Stderr, "indexlab: %s on %s: %v\n", k.name, data.name, err)
+				os.Exit(1)
 			}
-			return lo, lo < len(rep) && rep[lo] == x
-		})
+			fmt.Printf("  %-25s %7.1f ns/probe\n", k.name, measure(probes, k.fn))
+		}
 	}
 }
 
-// measure times fn over all probes and cross-checks a sampled subset
-// against binary-search ground truth.
-func measure(name string, probes []int64, fn func(int64) (int, bool)) {
-	var sink int
+// mixedProbes returns numProbes keys in random order: half drawn
+// uniformly from the key range (almost all misses), half from rep.
+func mixedProbes(r *dist.RNG, rep []int64) []int64 {
+	probes := dist.UniformSet(r, numProbes/2, 0, 1<<40)
+	for range numProbes / 2 {
+		probes = append(probes, rep[r.Int63n(int64(len(rep)))])
+	}
+	for i := len(probes) - 1; i > 0; i-- {
+		j := r.Int63n(int64(i + 1))
+		probes[i], probes[j] = probes[j], probes[i]
+	}
+	return probes
+}
+
+// check compares fn's (lower-bound position, found) answer for every
+// probe with slices.BinarySearch's.
+func check(rep, probes []int64, fn func(int64) (int, bool)) error {
+	for _, x := range probes {
+		pos, found := fn(x)
+		if wantPos, wantFound := slices.BinarySearch(rep, x); pos != wantPos || found != wantFound {
+			return fmt.Errorf("probe %d = (%d, %v), binary search (%d, %v)", x, pos, found, wantPos, wantFound)
+		}
+	}
+	return nil
+}
+
+// measure returns fn's mean time per probe over all probes.
+func measure(probes []int64, fn func(int64) (int, bool)) float64 {
 	start := time.Now()
 	for _, x := range probes {
-		pos, _ := fn(x)
-		sink += pos
+		fn(x)
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("  %s %7.1f ns/probe  (checksum %d)\n",
-		name, float64(elapsed.Nanoseconds())/float64(len(probes)), sink%1000)
+	return float64(time.Since(start).Nanoseconds()) / float64(len(probes))
 }

@@ -4,6 +4,7 @@ import (
 	"iter"
 
 	"repro/internal/iindex"
+	"repro/internal/parallel"
 )
 
 // In-order iteration (Go 1.23 range-over-func). Iterators walk the
@@ -59,10 +60,10 @@ func ascendNode[K iindex.Numeric, V any](v *node[K, V], lo, hi *K, yield func(K,
 	k := len(v.rep)
 	start, end := 0, k
 	if lo != nil {
-		start = lowerBoundKeys(v.rep, *lo)
+		start = parallel.LowerBound(v.rep, *lo)
 	}
 	if hi != nil {
-		end = upperBoundKeys(v.rep, *hi)
+		end = parallel.UpperBound(v.rep, *hi)
 	}
 	for i := start; i <= end; i++ {
 		clo, chi := lo, hi

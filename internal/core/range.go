@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/iindex"
+	"repro/internal/parallel"
 )
 
 // Ordered queries beyond membership: extrema, range extraction,
@@ -139,10 +140,10 @@ func countRange[K iindex.Numeric, V any](v *node[K, V], lo, hi *K) int {
 	k := len(v.rep)
 	start, end := 0, k
 	if lo != nil {
-		start = lowerBoundKeys(v.rep, *lo)
+		start = parallel.LowerBound(v.rep, *lo)
 	}
 	if hi != nil {
-		end = upperBoundKeys(v.rep, *hi)
+		end = parallel.UpperBound(v.rep, *hi)
 	}
 	for i := start; i <= end; i++ {
 		clo, chi := lo, hi
@@ -237,30 +238,4 @@ func (t *Tree[K, V]) RankOf(key K) int {
 		v = v.children[pos]
 	}
 	return rank
-}
-
-func lowerBoundKeys[K iindex.Numeric](s []K, x K) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func upperBoundKeys[K iindex.Numeric](s []K, x K) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -1,6 +1,6 @@
 // Package iindex implements the lightweight interpolation index of an
 // interpolation search tree node (paper §3.2, following Mehlhorn &
-// Tsakalidis) and the array searches built on top of it.
+// Tsakalidis) and the one search kernel every tree node runs on it.
 //
 // An Index over a sorted array Rep with value range [a, b] is the ID
 // array: ID[i] counts the elements of Rep that are at most
@@ -18,9 +18,7 @@
 // bound quoted in §3.5. Leaf reps mutate between rebuilds and carry no
 // index, so SearchLeaf estimates with one interpolated probe between
 // the separators the parent node already read (LeafProbe) and refines
-// with the same Walk. InterpolationSearch, the §3.2 strategy of
-// interpolating inside a shrinking window, is kept as the comparison
-// point of examples/indexlab; no tree walk uses it.
+// with the same Walk.
 package iindex
 
 import "math"
@@ -94,19 +92,20 @@ func Build[K Numeric](rep []K, sizeFactor float64) Index {
 
 // Approx returns an estimated position of x in the indexed array: an
 // index p such that rep[p] is expected to be near the true lower-bound
-// position of x. For the zero Index it returns 0.
+// position of x. For the zero Index, and for a NaN key, it returns 0.
 func (ix *Index) Approx(xf float64) int {
-	if len(ix.id) == 0 {
+	m := len(ix.id) - 1
+	if m < 0 {
 		return 0
 	}
-	if xf <= ix.a {
-		return 0
+	f := (xf - ix.a) * ix.scale
+	if !(f > 0) {
+		return 0 // x at or below a, also NaN
 	}
-	bucket := int((xf - ix.a) * ix.scale)
-	if bucket >= len(ix.id) {
-		bucket = len(ix.id) - 1
+	if f >= float64(m) {
+		return int(ix.id[m])
 	}
-	return int(ix.id[bucket])
+	return int(ix.id[int(f)])
 }
 
 // Buckets reports the number of buckets (m) of the index; 0 for the
@@ -213,51 +212,6 @@ func LeafProbe[K Numeric](rep []K, lo, hi float64, x K) int {
 // worst case.
 func SearchLeaf[K Numeric](rep []K, lo, hi float64, x K) (pos int, found bool) {
 	return Walk(rep, LeafProbe(rep, lo, hi, x), x)
-}
-
-// InterpolationSearch locates x in the sorted duplicate-free slice rep
-// without a prebuilt index, by interpolating on the fly inside a
-// shrinking window (§3.2) and returning as soon as a probe lands on x.
-// It returns the same (lower-bound position, found) contract as Find.
-// A probe budget guards against adversarial inputs, after which the
-// search finishes with binary search. The tree walks use SearchLeaf;
-// this is the strategy examples/indexlab compares against it.
-func InterpolationSearch[K Numeric](rep []K, x K) (pos int, found bool) {
-	lo, hi := 0, len(rep) // x's lower-bound position lies in [lo, hi]
-	for probes := 0; hi-lo > 8 && probes < maxWalk; probes++ {
-		// The window's ends are compared as keys: float images of
-		// distinct large integers may be equal.
-		if x <= rep[lo] {
-			hi = lo
-			break
-		}
-		if x > rep[hi-1] {
-			lo = hi
-			break
-		}
-		lov, hiv := float64(rep[lo]), float64(rep[hi-1])
-		if !(hiv > lov) {
-			break
-		}
-		probe := lo + int((float64(x)-lov)/(hiv-lov)*float64(hi-lo-1))
-		if probe < lo {
-			probe = lo
-		} else if probe >= hi {
-			probe = hi - 1
-		}
-		switch {
-		case rep[probe] < x:
-			lo = probe + 1
-		case rep[probe] == x:
-			return probe, true
-		default:
-			hi = probe
-		}
-	}
-	if lo < hi {
-		lo += lowerBound(rep[lo:hi], x)
-	}
-	return lo, lo < len(rep) && rep[lo] == x
 }
 
 // lowerBound returns the first index of sorted rep whose element is not

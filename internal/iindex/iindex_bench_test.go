@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks comparing the three array-search strategies of
-// §3.2: indexed interpolation (Find), on-the-fly interpolation, and
-// plain binary search. On uniform data Find should sit well under the
-// log₂(n) probes of binary search.
+// Micro-benchmarks of the search kernels a tree runs, against plain
+// binary search: Find over a Build index (inner nodes) and SearchLeaf
+// (leaves). On uniform data Find should sit well under the log₂(n)
+// probes of binary search.
 
 func benchRep(n int) ([]int64, Index) {
 	rep := sortedUniqueInt64(1, n, 1<<40)
@@ -31,15 +31,6 @@ func BenchmarkFindIndexed(b *testing.B) {
 	}
 }
 
-func BenchmarkInterpolationSearch(b *testing.B) {
-	rep, _ := benchRep(1 << 16)
-	ps := probes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		InterpolationSearch(rep, ps[i%len(ps)])
-	}
-}
-
 func BenchmarkBinarySearch(b *testing.B) {
 	rep, _ := benchRep(1 << 16)
 	ps := probes(4096)
@@ -47,34 +38,6 @@ func BenchmarkBinarySearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lowerBound(rep, ps[i%len(ps)])
 	}
-}
-
-func BenchmarkFindExponential(b *testing.B) {
-	rep, ix := benchRep(1 << 16)
-	ps := probes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FindExponential(rep, &ix, ps[i%len(ps)])
-	}
-}
-
-func BenchmarkFindLearnedLinear(b *testing.B) {
-	rep, _ := benchRep(1 << 16)
-	m := BuildLinear(rep)
-	ps := probes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FindLinear(rep, &m, ps[i%len(ps)])
-	}
-}
-
-func BenchmarkBuildLinearModel(b *testing.B) {
-	rep, _ := benchRep(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildLinear(rep)
-	}
-	b.SetBytes(int64(len(rep) * 8))
 }
 
 func BenchmarkBuildIndex(b *testing.B) {
@@ -124,9 +87,9 @@ func BenchmarkLeafSearch(b *testing.B) {
 				probes []int64
 			}{{"hit", hits}, {"miss", misses}} {
 				prefix := fmt.Sprintf("%s/n_%d/%s/", shape, n, c.name)
-				b.Run(prefix+"InterpolationSearch", func(b *testing.B) {
+				b.Run(prefix+"BinarySearch", func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						InterpolationSearch(rep, c.probes[i%len(c.probes)])
+						lowerBound(rep, c.probes[i%len(c.probes)])
 					}
 				})
 				b.Run(prefix+"SearchLeaf", func(b *testing.B) {

@@ -8,11 +8,14 @@ import (
 	"testing"
 )
 
-// checkLeafSearch checks every leaf kernel against lowerBound. The
-// leaf is rep, the elements of the sorted duplicate-free keys[a:b]
-// that keep selects; keys[a-1] and keys[b], where they exist, are the
-// parent's separators. Every element of keys is probed, so probes hit
-// rep, miss inside it and fall on or beyond both separators.
+// checkLeafSearch checks every search kernel a tree runs (SearchLeaf,
+// Walk from every estimate, and Find over the leaf's Build index)
+// against slices.BinarySearch, an oracle that shares no code with
+// Walk's binary fallback. The leaf is rep, the elements of the sorted
+// duplicate-free keys[a:b] that keep selects; keys[a-1] and keys[b],
+// where they exist, are the parent's separators. Every element of keys
+// is probed, so probes hit rep, miss inside it and fall on or beyond
+// both separators.
 func checkLeafSearch[K Numeric](t *testing.T, keys []K, a, b int, keep func(i int) bool) {
 	t.Helper()
 	var rep []K
@@ -34,13 +37,13 @@ func checkLeafSearch[K Numeric](t *testing.T, keys []K, a, b int, keep func(i in
 		first, last := float64(rep[0]), float64(rep[n-1])
 		bounds = append(bounds, [2]float64{first, last}, [2]float64{first, hi}, [2]float64{lo, last})
 	}
+	ix := Build(rep, 0)
 	for _, x := range keys {
-		want := lowerBound(rep, x)
-		wantFound := want < n && rep[want] == x
+		want, wantFound := slices.BinarySearch(rep, x)
 		check := func(kernel string, pos int, found bool) {
 			t.Helper()
 			if pos != want || found != wantFound {
-				t.Fatalf("%s(x=%v) over %d keys %v … %v = (%d, %v), lowerBound (%d, %v)",
+				t.Fatalf("%s(x=%v) over %d keys %v … %v = (%d, %v), BinarySearch (%d, %v)",
 					kernel, x, n, rep[:min(n, 4)], rep[max(0, n-4):], pos, found, want, wantFound)
 			}
 		}
@@ -52,8 +55,8 @@ func checkLeafSearch[K Numeric](t *testing.T, keys []K, a, b int, keep func(i in
 			pos, found := Walk(rep, h, x)
 			check("Walk", pos, found)
 		}
-		pos, found := InterpolationSearch(rep, x)
-		check("InterpolationSearch", pos, found)
+		pos, found := Find(rep, &ix, x)
+		check("Find", pos, found)
 	}
 }
 
@@ -129,7 +132,7 @@ func TestSearchLeafMatchesLowerBound(t *testing.T) {
 
 // FuzzSearchLeaf decodes a sorted key set of one of four key types from
 // raw bytes, cuts a leaf out of it at fuzzed bounds and checks every
-// leaf kernel against lowerBound (checkLeafSearch). Run `go test
+// search kernel against slices.BinarySearch (checkLeafSearch). Run `go test
 // -fuzz=FuzzSearchLeaf ./internal/iindex` for open-ended exploration.
 func FuzzSearchLeaf(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint16(2), uint16(9), uint8(0))

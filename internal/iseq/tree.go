@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/iindex"
+	"repro/internal/parallel"
 )
 
 // Config carries the tuning constants of the tree. The zero value
@@ -147,7 +148,7 @@ func (t *Tree[K]) insert(v *node[K], key K) *node[K] {
 	}
 	if t.rebuildDue(v, 1) {
 		keys := appendLive(v, make([]K, 0, v.size+1))
-		pos := lowerBound(keys, key)
+		pos := parallel.LowerBound(keys, key)
 		keys = append(keys, key)
 		copy(keys[pos+1:], keys[pos:])
 		keys[pos] = key
@@ -186,7 +187,7 @@ func (t *Tree[K]) Remove(key K) bool {
 func (t *Tree[K]) remove(v *node[K], key K) *node[K] {
 	if t.rebuildDue(v, 1) {
 		keys := appendLive(v, make([]K, 0, v.size))
-		pos := lowerBound(keys, key)
+		pos := parallel.LowerBound(keys, key)
 		copy(keys[pos:], keys[pos+1:])
 		keys = keys[:len(keys)-1]
 		return t.buildIdeal(keys)
@@ -227,21 +228,6 @@ func insertAt[T any](s []T, pos int, x T) []T {
 	copy(s[pos+1:], s[pos:])
 	s[pos] = x
 	return s
-}
-
-// lowerBound returns the first index of sorted s whose element is not
-// less than x.
-func lowerBound[K iindex.Numeric](s []K, x K) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // appendLive appends the live keys of subtree v to out in ascending

@@ -1,6 +1,7 @@
 package pbist
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -310,5 +311,24 @@ func TestUintAndFloatKeys(t *testing.T) {
 	tf.InsertBatch([]float64{2.5, -1.25, 0})
 	if !slices.Equal(tf.Keys(), []float64{-1.25, 0, 2.5}) {
 		t.Fatalf("float keys: %v", tf.Keys())
+	}
+
+	// Inner nodes whose reps span ±MaxFloat64 or ±Inf, and +Inf and
+	// NaN probes, once read a negative index-array bucket and panicked.
+	keys := []float64{math.Inf(-1), -math.MaxFloat64, math.MaxFloat64, math.Inf(1)}
+	for i := range 1000 {
+		keys = append(keys, float64(i))
+	}
+	tf = NewFromKeys(Options{}, keys)
+	for _, k := range keys {
+		if !tf.Contains(k) {
+			t.Fatalf("float keys: Contains(%v) missed", k)
+		}
+	}
+	tf = NewFromKeys(Options{}, keys[4:])
+	for _, k := range []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0.5} {
+		if tf.Contains(k) {
+			t.Fatalf("float keys: Contains(%v) hit", k)
+		}
 	}
 }
