@@ -12,7 +12,6 @@
 //	pbench -experiment concurrent -clients 1,4,16,64
 //	pbench -latency -rate 200 -json
 //	pbench -experiment rebuildsched -rate 150 -json
-//	pbench -experiment leafslack -rounds 6
 //	pbench -experiment setalgebra -workers 8
 //	pbench -experiment seqcmp -reps 5
 //	pbench -experiment traverse
@@ -40,7 +39,7 @@ import (
 // this table before any setup work happens.
 var experimentOrder = []string{
 	"fig17", "map", "concurrent", "readscale", "sharded", "latency", "rebuildsched", "setalgebra", "seqcmp", "traverse",
-	"rebuildc", "leafslack", "treap", "leafcap", "indexfactor", "batchsize",
+	"rebuildc", "treap", "leafcap", "indexfactor", "batchsize",
 }
 
 func main() {
@@ -57,7 +56,7 @@ func main() {
 		latency    = flag.Bool("latency", false, "shorthand for -experiment latency: open-loop latency percentiles for the concurrent and sharded frontends")
 		rate       = flag.Float64("rate", 200, "offered load of the latency and rebuildsched experiments in thousand ops/s across all clients (must be positive)")
 		reps       = flag.Int("reps", 3, "repetitions per measurement (paper: 10)")
-		rounds     = flag.Int("rounds", 4, "churn rounds for the rebuildc and leafslack ablations")
+		rounds     = flag.Int("rounds", 4, "churn rounds for the rebuildc ablation")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut    = flag.Bool("json", false, "emit one machine-readable JSON array with every experiment's series")
 		distName   = flag.String("dist", "",
@@ -140,8 +139,6 @@ func main() {
 			return runTraverse(w, workers[len(workers)-1], *reps)
 		case "rebuildc":
 			return runRebuildC(w, workers[len(workers)-1], *rounds)
-		case "leafslack":
-			return runLeafSlack(w, workers[len(workers)-1], *rounds)
 		case "treap":
 			return runTreap(w, workers[len(workers)-1], *reps)
 		case "leafcap":
@@ -297,20 +294,6 @@ func runRebuildSched(w bench.Workload, clients int, rateKops float64, reps int) 
 		fmt.Sprintf("%.1f", r.MaxUS),
 		strconv.Itoa(r.MaxEpochRebuildKeys),
 	}}
-}
-
-func runLeafSlack(w bench.Workload, workers, rounds int) ([]string, [][]string) {
-	rows := bench.RunLeafSlack(w, workers, rounds, nil, nil)
-	header := []string{"slack", "C", "churn_ms", "leaf_grows", "chunk_builds", "dead_per_live", "final_height"}
-	cells := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%.2f", r.Slack), strconv.Itoa(r.C), bench.MS(r.ChurnMS),
-			strconv.FormatInt(r.LeafGrows, 10), strconv.FormatInt(r.ChunkBuilds, 10),
-			fmt.Sprintf("%.2f", r.DeadRatio), strconv.Itoa(r.FinalHgt),
-		})
-	}
-	return header, cells
 }
 
 func runSharded(w bench.Workload, clients int, shards []int, batchKeys, reps int) ([]string, [][]string) {

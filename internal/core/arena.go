@@ -40,7 +40,7 @@ type treeArena[K iindex.Numeric, V any] struct {
 
 	chunkBuilds atomic.Int64 // chunked subtree (re)builds
 	chunkKeys   atomic.Int64 // key slots laid into chunks
-	leafGrows   atomic.Int64 // leaf merges that reallocated (LeafSlack)
+	leafGrows   atomic.Int64 // leaf merges that reallocated (leafSlack)
 }
 
 func newTreeArena[K iindex.Numeric, V any](disabled bool) *treeArena[K, V] {

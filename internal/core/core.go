@@ -99,13 +99,6 @@ type Config struct {
 	// Traverse selects the batched traversal mode. Default
 	// TraverseInterpolation.
 	Traverse TraverseMode
-	// LeafSlack is the capacity headroom factor of reallocated leaf
-	// arrays: a leaf merge that outgrows its storage allocates
-	// ceil(LeafSlack·n) slots for its n keys, so the next few merges
-	// into the same leaf run in place. 1.0 means exact-size (every
-	// merge reallocates), larger trades dead space for fewer
-	// reallocations. Default 1.5.
-	LeafSlack float64
 	// DisableBufferReuse turns off the tree-owned scratch arena:
 	// every internal temporary is then allocated fresh and dropped,
 	// as if the arena did not exist. The default (false) recycles
@@ -132,9 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.IndexSizeFactor <= 0 {
 		c.IndexSizeFactor = iindex.DefaultSizeFactor
 	}
-	if c.LeafSlack < 1 {
-		c.LeafSlack = 1.5
-	}
 	return c
 }
 
@@ -157,8 +147,9 @@ type Tree[K iindex.Numeric, V any] struct {
 	dirty    bool // mutations since the last publish
 	// recycle is set for the length of a write walk that runs
 	// sequentially from the root on a publishing tree: only such a
-	// walk lets owned() queue replaced nodes and reuse graced ones,
-	// which keeps the free stacks confined to the walking goroutine.
+	// walk lets owned() retire replaced nodes into grace and reuse
+	// graced ones, which keeps the spares and free stacks confined to
+	// the walking goroutine.
 	recycle bool
 
 	// rebuiltKeys counts the keys every §7.1 rebuild of this tree has

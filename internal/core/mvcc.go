@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,32 +50,30 @@ import (
 //     atomic.Pointer. Readers load the pointer and walk — no locks, no
 //     queues, no retries: wait-free.
 //
-//   - Reclamation. A rebuild disconnects the replaced subtree, whose
-//     chunk-backed arrays may still be visible to a reader that loaded
-//     an older Version moments ago. Retired chunks therefore enter a
-//     bounded grace ring stamped with the current reclamation era;
-//     readers pin a striped counter band keyed by era parity around
-//     each walk. The era only advances (at publish time) when the band
-//     about to be reused has drained, and a chunk recycles into the
-//     tree arena's scratch free lists — composing with the scratch
-//     recycling the write paths already do — only once the era has
-//     advanced twice past its stamp, i.e. after every reader that
-//     could possibly have seen it has unpinned. Chunks that might be
-//     referenced by a durable snapshot (born at or before the latest
-//     Snapshot cut) and ring overflow are dropped to the GC instead:
-//     reclamation degrades, never breaks. Path copies take the same
-//     route node by node. A node owned() allocated for itself alone
-//     (the own bit) is queued when a later copy replaces it; the next
-//     publish stamps the queue with the era; and once graced by the
-//     same two-advance rule and born after the Snapshot cut, the node
-//     goes onto a bounded free stack per kind and capacity class,
-//     from which a later copy takes it. Superseded inner roots go
-//     into a FIFO of spareRoots entries instead, stamped the same
-//     way, and the next root copy reuses the oldest one that is
-//     graced, born after the Snapshot cut and as wide as the frozen
-//     root. Nodes that fail a check, or find their queue or stack
-//     full, go to the GC. Version headers are never recycled: cut
-//     collection relies on their pointer identity.
+//   - Reclamation. One rule covers every kind of graced storage: it
+//     is stamped with the reclamation era when it is retired, and it
+//     is reused once graced, two era advances past its stamp, and
+//     born after the latest durable Snapshot cut. Readers pin a
+//     striped counter band keyed by era parity around each walk, and
+//     the era only advances (at publish time) when the band about to
+//     be reused has drained, so two advances mean every reader that
+//     could have seen the storage has unpinned. A rebuild disconnects
+//     the replaced subtree, whose chunks enter a bounded grace ring
+//     and, once graced, recycle into the tree arena's scratch free
+//     lists — composing with the scratch recycling the write paths
+//     already do. Path copies take the same route node by node, and
+//     only in a recycling walk (see owned), which runs on one
+//     goroutine: a node owned() allocated for itself alone (the own
+//     bit) enters grace when a later copy replaces it, and once
+//     graced goes onto a bounded free stack per kind and capacity
+//     class, from which a later copy takes it. A superseded inner
+//     root enters a FIFO of spareRoots entries at the publish that
+//     supersedes it, and the next root copy reuses the oldest one
+//     that is graced and as wide as the frozen root. Storage that
+//     fails a check, or finds its ring, FIFO or stack full, goes to
+//     the GC: reclamation degrades, never breaks. Version headers are
+//     never recycled: cut collection relies on their pointer
+//     identity.
 const (
 	// retireRingCap bounds the grace ring: retired chunks beyond this
 	// many pending entries are dropped to the GC instead of recycled,
@@ -92,10 +89,9 @@ const (
 	// graced two era advances after its push, so a few entries cover
 	// the steady state.
 	spareRoots = 4
-	// pathQueueCap bounds the replaced path copies waiting out their
-	// grace period, queued and stamped together: past it, owned drops
-	// a replaced node to the GC.
-	pathQueueCap = 256
+	// pathGraceCap bounds the replaced path copies waiting out their
+	// grace period: past it, owned drops a replaced node to the GC.
+	pathGraceCap = 256
 	// freeNodesCap bounds each free stack of graced path copies, and
 	// nodeClasses is the number of capacity classes per node kind
 	// (sizeClass; capacities from 131072 up are not recycled). A
@@ -158,6 +154,13 @@ func (b *band) sum() int64 {
 	return s
 }
 
+// graced reports whether storage retired at era stamp is out of every
+// reader's reach at era: two advances past the stamp prove that every
+// reader that pinned before the retirement has unpinned (see pin).
+func graced(stamp, era uint64) bool {
+	return stamp+2 <= era
+}
+
 // retiredChunk is one grace-ring entry: chunk storage disconnected
 // from the live tree, waiting out its grace period.
 type retiredChunk[K iindex.Numeric, V any] struct {
@@ -166,18 +169,12 @@ type retiredChunk[K iindex.Numeric, V any] struct {
 	stamp uint64 // era at retirement
 }
 
-// spareRoot is one superseded inner root waiting to be reused as a
-// root copy once graced (see spareRootCopy).
-type spareRoot[K iindex.Numeric, V any] struct {
-	n     *node[K, V]
-	stamp uint64 // era when a newer version replaced it
-}
-
-// retiredNode is a replaced path copy waiting out its grace period
-// before it serves another copy (see drainPaths).
+// retiredNode is a node waiting out its grace period before it serves
+// another copy: a superseded inner root (spares, see spareRootCopy) or
+// a replaced path copy (grace, see drainPaths).
 type retiredNode[K iindex.Numeric, V any] struct {
 	n     *node[K, V]
-	stamp uint64 // era at the publish that superseded it
+	stamp uint64 // era at retirement
 }
 
 // rootSlot is one root log entry: generation gen wrote root child
@@ -212,19 +209,16 @@ type mvccState[K iindex.Numeric, V any] struct {
 	seq    uint64 // publish counter
 	ringMu sync.Mutex
 	ring   []retiredChunk[K, V] // grace ring
-	spares []spareRoot[K, V]    // superseded roots, oldest first; combiner-confined
-	took   spareRoot[K, V]      // the spare the last root copy reused (returnSpare)
+	spares []retiredNode[K, V]  // superseded roots, oldest first; combiner-confined
 
 	// Path recycling, combiner-confined like spares and touched only
-	// by recycling walks and PublishVersion. queued holds the own
-	// nodes this write generation's path copies replaced; the next
-	// publish stamps them into grace, oldest first; graced nodes move
-	// to free, one stack per kind (inner, leaf) and capacity class,
-	// nfree nodes in all.
-	queued []*node[K, V]
-	grace  []retiredNode[K, V]
-	free   [2][nodeClasses][]*node[K, V]
-	nfree  int
+	// by recycling walks and PublishVersion. grace holds the own nodes
+	// path copies replaced, oldest first, each stamped when replaced;
+	// graced nodes move to free, one stack per kind (inner, leaf) and
+	// capacity class, nfree nodes in all.
+	grace []retiredNode[K, V]
+	free  [2][nodeClasses][]*node[K, V]
+	nfree int
 
 	// The root log, a ring of the last logLen root slots written
 	// (logRootSlot). It holds every slot written in a generation above
@@ -289,13 +283,13 @@ func (t *Tree[K, V]) EnablePublish() {
 
 // PublishVersion publishes the current tree state as a new immutable
 // Version (when anything changed since the last publish) and runs one
-// round of reclamation bookkeeping: queue the inner root the new
-// version superseded as a spare and stamp the path copies it
-// superseded, advance the era if the stale reader band has drained,
-// then recycle or drop graced chunks and path copies. The version's
-// publish time is stamped only on an observed tree, for the
-// snapshot_age_ns gauge that reads it. Combiner-confined, like every
-// mutating method of the tree; no-op on a non-publishing tree.
+// round of reclamation bookkeeping: retire the inner root the new
+// version superseded as a spare, advance the era if the stale reader
+// band has drained, then recycle or drop graced chunks and path
+// copies. The version's publish time is stamped only on an observed
+// tree, for the snapshot_age_ns gauge that reads it. Combiner-confined,
+// like every mutating method of the tree; no-op on a non-publishing
+// tree.
 func (t *Tree[K, V]) PublishVersion() {
 	m := t.mv
 	if m == nil {
@@ -317,23 +311,15 @@ func (t *Tree[K, V]) PublishVersion() {
 		t.writeGen++ // freeze everything just published
 		t.dirty = false
 		// The era is loaded after the swap: every reader that can
-		// still reach prev's root, or a path copy this version
-		// replaced, pinned before it, so two advances past this stamp
-		// prove the node unreachable.
-		stamp := m.era.Load()
+		// still reach prev's root pinned before it, so two advances
+		// past this stamp prove the root unreachable.
 		if prev != nil && prev.root != t.root && prev.root != nil && prev.root.children != nil {
 			if len(m.spares) == spareRoots {
 				m.spares = dropOldest(m.spares)
 			}
-			m.spares = append(m.spares, spareRoot[K, V]{n: prev.root, stamp: stamp})
+			m.spares = append(m.spares, retiredNode[K, V]{n: prev.root, stamp: m.era.Load()})
 		}
-		for _, n := range m.queued {
-			m.grace = append(m.grace, retiredNode[K, V]{n: n, stamp: stamp})
-		}
-		clear(m.queued)
-		m.queued = m.queued[:0]
 	}
-	m.took = spareRoot[K, V]{}
 	// Era advance: the band of the parity we are about to hand to new
 	// readers must be empty, which proves every reader pinned two eras
 	// ago is gone. Only the combiner stores era, so load+store is fine.
@@ -343,7 +329,7 @@ func (t *Tree[K, V]) PublishVersion() {
 	}
 	t.drainRetired()
 	m.drainPaths()
-	m.graceDepth.Store(int64(len(m.ring) + len(m.spares) + len(m.queued) + len(m.grace)))
+	m.graceDepth.Store(int64(len(m.ring) + len(m.spares) + len(m.grace)))
 	m.freeDepth.Store(int64(m.nfree))
 }
 
@@ -428,10 +414,11 @@ func lookupVersion[K iindex.Numeric, V any](ver *Version[K, V], key K) (val V, o
 // SnapshotNow returns a new Tree handle over the latest published
 // Version in O(1): the snapshot shares every unrebuilt chunk with the
 // live tree instead of flattening and rebuilding. The handle is a
-// fully independent single-goroutine tree — mutations copy shared
-// nodes on write (its generation starts past everything it shares),
-// and its own rebuilds drop replaced storage to the GC, never into the
-// live tree's reclamation ring.
+// fully independent single-goroutine tree with its own arena, so its
+// Stats count only its own operations — mutations copy shared nodes on
+// write (its generation starts past everything it shares), and its own
+// rebuilds drop replaced storage to the GC, never into the live tree's
+// reclamation ring.
 //
 // Durability: the cut generation is recorded (snapCutoff) under a
 // reader pin before the handle escapes, so chunk storage reachable
@@ -455,21 +442,11 @@ func (t *Tree[K, V]) SnapshotNow() *Tree[K, V] {
 	nt := &Tree[K, V]{
 		cfg:  t.cfg,
 		pool: t.pool,
-		ar:   t.ar, // scratch free lists are concurrency-safe (arena.Scratch)
+		ar:   newTreeArena[K, V](t.cfg.DisableBufferReuse),
 	}
 	nt.root = v.root
 	nt.writeGen = v.gen + 1 // strictly newer than anything shared
 	return nt
-}
-
-// VersionGet fetches key's value from a pinned Version: the walk
-// SnapshotGet runs over the latest version, over v instead. The pin
-// contract is VersionItems'; the sharded frontend uses it to answer a
-// batched read from one consistent cut across all shards.
-//
-//pbist:noalloc
-func (t *Tree[K, V]) VersionGet(v *Version[K, V], key K) (V, bool) {
-	return lookupVersion(v, key)
 }
 
 // GroupSize is the most keys one VersionGetGroup call walks together.
@@ -477,8 +454,8 @@ func (t *Tree[K, V]) VersionGet(v *Version[K, V], key K) (V, bool) {
 // small batches.
 const GroupSize = 8
 
-// VersionGetGroup is VersionGet for up to GroupSize keys at once, each
-// against its own pinned Version: keys[i] is looked up in vers[i],
+// VersionGetGroup fetches up to GroupSize keys at once from pinned
+// Versions, each against its own: keys[i] is looked up in vers[i],
 // writing found[i], and vals[i] unless vals is nil (the zero value for
 // a missing key). Both destinations must have len(keys) entries; a nil
 // version reads as empty. The walks run level-synchronously: every
@@ -488,7 +465,9 @@ const GroupSize = 8
 // walks any key, so the cache misses of independent walks (node
 // header, index bucket, rep slot, child pointer) are in flight
 // together instead of one after another. Each step is lookup's step,
-// so every answer is VersionGet's. The pin contract is VersionItems'.
+// so every answer is lookupVersion's. The pin contract is
+// VersionItems'; the sharded frontend uses it to answer a batched read
+// from one consistent cut across all shards.
 //
 //pbist:noalloc
 func VersionGetGroup[K iindex.Numeric, V any](vers []*Version[K, V], keys []K, vals []V, found []bool) {
@@ -585,12 +564,9 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 // copying). What one copy costs is what the epoch writes next:
 //
 //   - An inner copy owns only its children array, the one array every
-//     write below it touches; a copy of the live root takes a graced
-//     spare root instead when one fits (spareRootCopy), so it writes
-//     only the children written since the spare was live. It aliases
-//     the frozen original's rep and interpolation index (immutable
-//     between rebuilds) and its vals/exists slots, and sets
-//     sharedSlots; ownSlots copies the slots just before the first
+//     write below it touches. It aliases the frozen original's rep and
+//     interpolation index (immutable between rebuilds) and its
+//     vals/exists slots, and sets sharedSlots; ownSlots copies the slots just before the first
 //     slot write at this node. The recursions' sequential form calls
 //     it only when a batch key writes a slot of the node's rep, so a
 //     small epoch whose keys live deeper never copies them; where they
@@ -600,18 +576,22 @@ func (t *Tree[K, V]) VersionRange(v *Version[K, V], lo, hi K) ([]K, []V) {
 //     write reaches it or its subtree, so keys that write nothing (a
 //     Delete of an absent key) copy no node at all.
 //   - A leaf copy duplicates rep/vals/exists, because leaf reps mutate
-//     on insertion, with capacity for one more key plus LeafSlack
+//     on insertion, with capacity for one more key plus leafSlack
 //     headroom, so the insert that triggered the copy merges in place
 //     (mergeLeaf) instead of allocating a second time.
 //
-// Every copy is marked own. In a recycling walk (t.recycle: the walk
-// runs sequentially from the root) an own v other than the root is
-// queued for reuse once graced (see PublishVersion), and the copy
-// itself is a graced node of the size a fresh copy would have, within
-// a capacity class, popped from a free stack when one is there. Other
-// walks leave the stacks alone, so the stacks stay confined to one
-// goroutine. The
-// chunk handle rides along (see chunkHandle). On a tree that never
+// Every copy is marked own. Only a recycling walk (t.recycle: the walk
+// runs sequentially from the root, so the spares and free stacks stay
+// confined to one goroutine) retires or reuses graced storage. There,
+// an own v other than the root enters grace stamped with the current
+// era: only PublishVersion advances the era, after its swap, so this
+// is the stamp the publish that supersedes v gives its spare root. A
+// copy of the inner root is a graced spare root when one fits
+// (spareRootCopy), which writes only the children written since the
+// spare was live, and any other copy is a graced node of the size a
+// fresh copy would have, within a capacity class, popped from a free
+// stack when one is there. Other walks copy into fresh nodes and
+// retire nothing. The chunk handle rides along (see chunkHandle). On a tree that never
 // published, writeGen and every node generation are zero and this is
 // one predictable branch.
 func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
@@ -621,22 +601,23 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 	if o := t.obs; o != nil {
 		o.nodeCopies.Add(1)
 	}
-	if v == t.root && v.children != nil {
-		if cp := t.spareRootCopy(v); cp != nil {
-			return cp
-		}
-	}
 	leaf := v.children == nil
 	need, c := len(v.children), len(v.children)
 	if leaf {
 		need = len(v.rep) + 1
-		c = leafGrowCap(need, t.cfg.LeafSlack)
+		c = leafGrowCap(need)
 	}
 	var cp *node[K, V]
 	if t.recycle {
 		m := t.mv
-		if v.own && v != t.root {
-			m.queue(v)
+		if v != t.root {
+			if v.own && len(m.grace) < pathGraceCap {
+				m.grace = append(m.grace, retiredNode[K, V]{n: v, stamp: m.era.Load()})
+			}
+		} else if !leaf {
+			if cp = t.spareRootCopy(v); cp != nil {
+				return cp
+			}
 		}
 		cp = m.pop(leaf, c, need)
 	}
@@ -668,15 +649,6 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 		cp.children = append(children[:0], v.children...)
 	}
 	return cp
-}
-
-// queue holds v, an own node a path copy of this write generation
-// just replaced, until the next publish stamps it (PublishVersion).
-// Past pathQueueCap nodes waiting out their grace, v goes to the GC.
-func (m *mvccState[K, V]) queue(v *node[K, V]) {
-	if len(m.queued)+len(m.grace) < pathQueueCap {
-		m.queued = append(m.queued, v)
-	}
 }
 
 // kind indexes the free stacks: inner nodes and leaves recycle
@@ -757,16 +729,15 @@ func (m *mvccState[K, V]) push(n *node[K, V]) {
 	m.nfree++
 }
 
-// drainPaths moves every graced path copy to the free stacks: two era
-// advances past its stamp prove no reader can still reach it, and a
-// generation later than the durable-snapshot cutoff proves no
-// Snapshot can. A node that fails the cutoff goes to the GC.
-// Combiner-confined.
+// drainPaths moves every graced path copy to the free stacks: graced
+// proves no reader can still reach it, and a generation later than the
+// durable-snapshot cutoff proves no Snapshot can. A node that fails
+// the cutoff goes to the GC. Combiner-confined.
 func (m *mvccState[K, V]) drainPaths() {
 	era := m.era.Load()
 	cutoff := m.snapCutoff.Load()
 	i := 0
-	for ; i < len(m.grace) && m.grace[i].stamp+2 <= era; i++ {
+	for ; i < len(m.grace) && graced(m.grace[i].stamp, era); i++ {
 		if n := m.grace[i].n; n.gen > cutoff {
 			m.push(n)
 		}
@@ -779,10 +750,9 @@ func (m *mvccState[K, V]) drainPaths() {
 }
 
 // spareRootCopy is owned's copy of the inner root v made from the
-// oldest spare root that passes three checks: graced (two era
-// advances past its stamp, so no pinned reader can reach it), born
-// after the durable-snapshot cutoff (so no Snapshot can), and as wide
-// as v. The spare is synced to v by rewriting the root slots written
+// oldest spare root that passes three checks: graced (so no pinned
+// reader can reach it), born after the durable-snapshot cutoff (so no
+// Snapshot can), and as wide as v. The spare is synced to v by rewriting the root slots written
 // since it was live: the root log names them (logRootSlot), so the
 // sync costs the slots written, not the root's width. When the log
 // cannot cover the spare — it was born below logFloor, or the root
@@ -791,17 +761,14 @@ func (m *mvccState[K, V]) drainPaths() {
 // pointer. The spare's header is reset from v exactly as owned resets
 // a fresh copy's. Spares that fail the cutoff or width check, which
 // follows a root rebuild, are dropped to the GC. nil when no spare is
-// usable. Combiner-confined, like the root copy that calls it.
+// usable. Only recycling walks call it (see owned).
 func (t *Tree[K, V]) spareRootCopy(v *node[K, V]) *node[K, V] {
 	m := t.mv
-	if m == nil {
-		return nil
-	}
 	era := m.era.Load()
 	cutoff := m.snapCutoff.Load()
 	for len(m.spares) > 0 {
 		sp := m.spares[0]
-		if sp.stamp+2 > era {
+		if !graced(sp.stamp, era) {
 			return nil // stamps only grow: no younger spare is graced
 		}
 		m.spares = dropOldest(m.spares)
@@ -832,7 +799,6 @@ func (t *Tree[K, V]) spareRootCopy(v *node[K, V]) *node[K, V] {
 			sharedSlots: true,
 			chunk:       v.chunk,
 		}
-		m.took = spareRoot[K, V]{n: cp, stamp: sp.stamp}
 		if m.rootsRecycled != nil {
 			m.rootsRecycled.Add(1)
 		}
@@ -875,26 +841,11 @@ func (m *mvccState[K, V]) syncLogged(ch, from []*node[K, V], gen uint64) {
 	}
 }
 
-// returnSpare undoes owned's use of a graced spare root when writePar
-// drops its copy w of the root v unwritten: w re-enters at the head
-// of spares with its stamp. Its contents are now v's, so it carries
-// v's generation, and the log syncs it from there. A copy that did
-// not come from a spare goes to the GC.
-func (t *Tree[K, V]) returnSpare(v, w *node[K, V]) {
-	m := t.mv
-	if m == nil || m.took.n != w || w == v {
-		return
-	}
-	w.gen = v.gen
-	m.spares = slices.Insert(m.spares, 0, m.took)
-	m.took = spareRoot[K, V]{}
-}
-
 // dropOldest removes the oldest spare root, clearing the vacated slot
 // so the FIFO keeps no dropped node alive.
-func dropOldest[K iindex.Numeric, V any](s []spareRoot[K, V]) []spareRoot[K, V] {
+func dropOldest[K iindex.Numeric, V any](s []retiredNode[K, V]) []retiredNode[K, V] {
 	copy(s, s[1:])
-	s[len(s)-1] = spareRoot[K, V]{}
+	s[len(s)-1] = retiredNode[K, V]{}
 	return s[:len(s)-1]
 }
 
@@ -951,9 +902,8 @@ func (t *Tree[K, V]) collectRetired(v *node[K, V], era uint64) {
 	}
 }
 
-// drainRetired recycles every graced ring entry: two era advances past
-// the retirement stamp prove no reader can still reach the chunk, and
-// a born generation later than the durable-snapshot cutoff proves no
+// drainRetired recycles every graced ring entry: graced proves no
+// reader can still reach the chunk, and a born generation later than the durable-snapshot cutoff proves no
 // Snapshot can either. Recycled arrays re-enter the tree arena's
 // scratch free lists — the same pools the flatten/merge buffers cycle
 // through — and chunks a snapshot may still reference are dropped to
@@ -967,7 +917,7 @@ func (t *Tree[K, V]) drainRetired() {
 	cutoff := m.snapCutoff.Load()
 	w := 0
 	for _, rc := range m.ring {
-		if rc.stamp+2 > era {
+		if !graced(rc.stamp, era) {
 			m.ring[w] = rc
 			w++
 			continue

@@ -71,9 +71,9 @@ func TestPublishGating(t *testing.T) {
 // leaves the root in place, so the next PublishVersion publishes
 // nothing, at the sizes walked sequentially (512 keys) and in parallel
 // (513 and 4096 keys on 2 workers). The parallel walk copies the root
-// before it knows, from a graced spare root, and must hand the spare
-// back when it drops the copy. A batch of the same size that only
-// updates values writes, and must publish.
+// before it knows, into a fresh node, and leaves the graced spare
+// roots alone. A batch of the same size that only updates values
+// writes, and must publish.
 func TestAllMissBatchPublishesNothing(t *testing.T) {
 	const n = 1 << 16
 	keys := make([]int64, n) // the even keys; odd keys are absent
@@ -135,7 +135,7 @@ func TestAllMissBatchPublishesNothing(t *testing.T) {
 // churn — including the rebuilds and chunk retirements that churn
 // triggers. Both handle kinds are checked: a durable SnapshotNow tree
 // and a pinned Version read through VersionItems/VersionRange/
-// VersionGet.
+// lookupVersion.
 func TestVersionImmutability(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	pool := parallel.NewPool(4)
@@ -195,19 +195,19 @@ func TestVersionImmutability(t *testing.T) {
 		t.Fatalf("VersionRange over an inverted interval returned %d keys", len(rk))
 	}
 	for x, k := range oracleK {
-		if v, ok := tr.VersionGet(ver, k); !ok || v != k*3 {
-			t.Fatalf("VersionGet(%d) = %d,%v, want %d", k, v, ok, k*3)
+		if v, ok := lookupVersion(ver, k); !ok || v != k*3 {
+			t.Fatalf("lookupVersion(%d) = %d,%v, want %d", k, v, ok, k*3)
 		}
 		// A key in the gap below a loaded key was never in this
 		// version, whatever the churn inserted since.
 		if x > 0 && k-oracleK[x-1] > 1 {
-			if _, ok := tr.VersionGet(ver, k-1); ok {
-				t.Fatalf("VersionGet(%d) found a key the version never held", k-1)
+			if _, ok := lookupVersion(ver, k-1); ok {
+				t.Fatalf("lookupVersion(%d) found a key the version never held", k-1)
 			}
 		}
 	}
-	if _, ok := tr.VersionGet(nil, oracleK[0]); ok {
-		t.Fatal("VersionGet on a nil version found a key")
+	if _, ok := lookupVersion[int64, int64](nil, oracleK[0]); ok {
+		t.Fatal("lookupVersion on a nil version found a key")
 	}
 }
 
@@ -238,6 +238,37 @@ func TestSnapshotDetached(t *testing.T) {
 	}
 	if snap.Contains(3) {
 		t.Fatal("live insert visible in snapshot")
+	}
+}
+
+// TestSnapshotOwnsArena: a durable snapshot draws its scratch from an
+// arena of its own, so its counters start at zero and its writes never
+// show in the live tree's.
+func TestSnapshotOwnsArena(t *testing.T) {
+	base := seqKeys(1<<12, 0, 2)
+	tr := NewFromSortedKV(Config{}, nil, base, slices.Clone(base))
+	tr.EnablePublish()
+	tr.PutBatched(base[:1], []int64{-1})
+	tr.PublishVersion()
+	live := tr.Stats()
+	if live.ScratchGets == 0 {
+		t.Fatal("the live tree drew no scratch")
+	}
+	snap := tr.SnapshotNow()
+	if s := snap.Stats(); s.ScratchGets != 0 || s.ChunkBuilds != 0 || s.LeafGrows != 0 {
+		t.Fatalf("a new snapshot's counters read %d scratch gets, %d chunk builds, %d leaf grows",
+			s.ScratchGets, s.ChunkBuilds, s.LeafGrows)
+	}
+	for i := range int64(50) {
+		snap.PutBatched([]int64{2*i + 1}, []int64{i})
+	}
+	if snap.Stats().ScratchGets == 0 {
+		t.Fatal("50 snapshot writes drew no scratch")
+	}
+	after := tr.Stats()
+	if after.ScratchGets != live.ScratchGets || after.ScratchReuses != live.ScratchReuses ||
+		after.ChunkBuilds != live.ChunkBuilds || after.LeafGrows != live.LeafGrows {
+		t.Fatalf("snapshot writes moved the live tree's counters: %+v, then %+v", live, after)
 	}
 }
 
@@ -411,7 +442,7 @@ func TestMVCCDifferential(t *testing.T) {
 }
 
 // TestVersionGetGroupDifferential: a grouped walk answers every key as
-// VersionGet does, for groups of 0 to GroupSize keys whose versions
+// lookupVersion does, for groups of 0 to GroupSize keys whose versions
 // mix an empty tree, a nil version, and several rounds of two churned
 // publishing trees (one with tiny leaves, so paths are deep), and
 // whose keys mix live, logically removed and never-inserted keys.
@@ -467,9 +498,9 @@ func TestVersionGetGroupDifferential(t *testing.T) {
 		VersionGetGroup(gv[:n], gk[:n], vals[:n], found[:n])
 		VersionGetGroup(gv[:n], gk[:n], nil, cont[:n])
 		for i := range n {
-			wantV, want := empty.VersionGet(gv[i], gk[i])
+			wantV, want := lookupVersion(gv[i], gk[i])
 			if found[i] != want || vals[i] != wantV || cont[i] != want {
-				t.Fatalf("trial %d key %d of %d (%d): group (%d, %v, contains %v), VersionGet (%d, %v)",
+				t.Fatalf("trial %d key %d of %d (%d): group (%d, %v, contains %v), lookupVersion (%d, %v)",
 					trial, i, n, gk[i], vals[i], found[i], cont[i], wantV, want)
 			}
 		}
@@ -680,8 +711,8 @@ func TestInnerSlotCopyOnWrite(t *testing.T) {
 		}
 		for _, k := range probe {
 			w, wok := kv.want[k]
-			if v, ok := tr.VersionGet(kv.ver, k); ok != wok || v != w {
-				t.Fatalf("version %d: VersionGet(%d) = %d,%v, published with %d,%v", x, k, v, ok, w, wok)
+			if v, ok := lookupVersion(kv.ver, k); ok != wok || v != w {
+				t.Fatalf("version %d: lookupVersion(%d) = %d,%v, published with %d,%v", x, k, v, ok, w, wok)
 			}
 		}
 	}

@@ -112,8 +112,8 @@ func TestPathRecycleImmutability(t *testing.T) {
 	if free <= 0 || free > 2*nodeClasses*freeNodesCap {
 		t.Errorf("free_nodes = %d, want within (0, %d]", free, 2*nodeClasses*freeNodesCap)
 	}
-	if grace > retireRingCap+spareRoots+pathQueueCap {
-		t.Errorf("grace_depth = %d, above its bound %d", grace, retireRingCap+spareRoots+pathQueueCap)
+	if grace > retireRingCap+spareRoots+pathGraceCap {
+		t.Errorf("grace_depth = %d, above its bound %d", grace, retireRingCap+spareRoots+pathGraceCap)
 	}
 }
 
@@ -230,6 +230,128 @@ func TestRootLogSync(t *testing.T) {
 		}
 		checkInvariants(t, tr)
 	})
+}
+
+// TestParallelBatchLeavesSpares: a write walk that runs in parallel
+// reuses no graced storage. With a graced spare root waiting, a
+// 1000-key batch on 2 workers (above seqSegCutoff: writePar at the
+// root) leaves the spare FIFO and roots_recycled as they were, and the
+// point epochs after it still reuse a spare.
+func TestParallelBatchLeavesSpares(t *testing.T) {
+	reg := obs.NewRegistry()
+	const n = 1 << 14
+	base := seqKeys(n, 0, 2)
+	tr := NewFromSortedKV(Config{Metrics: reg}, parallel.NewPool(2), base, slices.Clone(base))
+	tr.EnablePublish()
+	h := newHotChurn(tr, base, 23)
+	h.epochs(20)
+	m := tr.mv
+	if len(m.spares) == 0 || !graced(m.spares[0].stamp, m.era.Load()) {
+		t.Fatal("no graced spare root before the batch")
+	}
+	recycled := reg.Counter("core.mvcc.roots_recycled")
+	spares, before := len(m.spares), recycled.Load()
+	keys := sortedBatch(h.r, 1000, 2*n)
+	vals := make([]int64, len(keys))
+	for i, k := range keys {
+		vals[i] = -k - 1
+		h.oracle[k] = vals[i]
+	}
+	root := tr.root
+	tr.PutBatched(keys, vals)
+	if tr.root == root {
+		t.Fatal("the batch left the root in place")
+	}
+	if got := len(m.spares); got != spares {
+		t.Fatalf("a parallel batch left %d spare roots of %d", got, spares)
+	}
+	if got := recycled.Load(); got != before {
+		t.Fatalf("a parallel batch reused %d spare roots", got-before)
+	}
+	tr.PublishVersion()
+	before = recycled.Load()
+	h.epochs(2 * spareRoots)
+	if recycled.Load() == before {
+		t.Fatal("no root copy reused a spare after the batch")
+	}
+	gotK, gotV := tr.Items()
+	matches(t, gotK, gotV, h.oracle, "the live tree")
+	checkInvariants(t, tr)
+}
+
+// TestPathGraceStamp: a path copy replaced in an epoch enters grace
+// stamped with that epoch's era, the era the epoch's publish stamps
+// the root it supersedes with, and reaches a free stack only two era
+// advances past it. A reader pinned before the epoch holds the era one
+// advance past the stamp for as long as it is held.
+func TestPathGraceStamp(t *testing.T) {
+	const n = 1 << 14
+	base := seqKeys(n, 0, 2)
+	tr := NewFromSortedKV(Config{}, nil, base, slices.Clone(base))
+	tr.EnablePublish()
+	h := newHotChurn(tr, base[n/2:n/2+1], 29)
+	h.epochs(8) // the hot path is own path copies now
+	m := tr.mv
+	onStack := func(v *node[int64, int64]) bool {
+		for _, kinds := range m.free {
+			for _, s := range kinds {
+				if slices.Contains(s, v) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	pin := tr.PinReader()
+	era, held := m.era.Load(), len(m.grace)
+	k := base[n/2]
+	tr.PutBatched([]int64{k}, []int64{-1})
+	h.oracle[k] = -1
+	var retired []*node[int64, int64]
+	for _, r := range m.grace[held:] {
+		if r.stamp != era {
+			t.Fatalf("a path copy replaced at era %d carries stamp %d", era, r.stamp)
+		}
+		retired = append(retired, r.n)
+	}
+	if len(retired) == 0 {
+		t.Fatal("the epoch retired no path copy")
+	}
+	tr.PublishVersion()
+	if sp := m.spares[len(m.spares)-1]; sp.stamp != era {
+		t.Fatalf("the publish stamped the superseded root %d, the path copies %d", sp.stamp, era)
+	}
+	for e := range 4 {
+		if got := m.era.Load(); got != era+1 {
+			t.Fatalf("publish %d under the pin: era %d, want %d", e, got, era+1)
+		}
+		for _, v := range retired {
+			if onStack(v) {
+				t.Fatalf("publish %d: a path copy stamped %d reached a free stack at era %d", e, era, era+1)
+			}
+		}
+		tr.PublishVersion()
+	}
+	pin.Release()
+	tr.PublishVersion()
+	if got := m.era.Load(); got != era+2 {
+		t.Fatalf("era %d after the pin was released, want %d", got, era+2)
+	}
+	pushed := 0
+	for _, v := range retired {
+		if slices.ContainsFunc(m.grace, func(r retiredNode[int64, int64]) bool { return r.n == v }) {
+			t.Fatal("a path copy two era advances past its stamp is still in grace")
+		}
+		if onStack(v) {
+			pushed++
+		}
+	}
+	if pushed == 0 {
+		t.Fatal("no graced path copy reached a free stack")
+	}
+	gotK, gotV := tr.Items()
+	matches(t, gotK, gotV, h.oracle, "the live tree")
 }
 
 // TestSizeClass: the capacity classes of the free stacks are

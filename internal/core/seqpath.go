@@ -91,12 +91,12 @@ func runEnd(pf []int32, i int) int {
 //
 // The merge runs in place, backward, so sources are consumed before
 // being overwritten. When the leaf's arrays lack the capacity, the
-// leaf is first copied into fresh arrays with slack·n capacity
-// (Config.LeafSlack), so the next few merges into the same leaf cost
-// nothing — that reallocation feeds the leaf-growth counter the
-// leafslack experiment sweeps. Chunk-carved arrays are
-// capacity-clamped and therefore always reallocate on their first
-// merge, which is what keeps leaf growth out of shared chunk storage.
+// leaf is first copied into fresh arrays with leafSlack·n capacity,
+// so the next few merges into the same leaf cost nothing; that
+// reallocation feeds the leaf-growth counter (Stats.LeafGrows).
+// Chunk-carved arrays are capacity-clamped and therefore always
+// reallocate on their first merge, which is what keeps leaf growth
+// out of shared chunk storage.
 // On a publishing tree the leaf is a path copy of this epoch (owned),
 // whose private arrays already hold one more key plus the same slack,
 // so a single-key insert merges without reallocating; a frozen leaf's
@@ -119,7 +119,7 @@ func (t *Tree[K, V]) mergeLeaf(v *node[K, V], l int, pf []int32) (*node[K, V], i
 	n := len(rep) + fresh
 	if cap(rep) < n || cap(vals) < n || cap(exists) < n {
 		t.ar.leafGrows.Add(1)
-		c := leafGrowCap(n, t.cfg.LeafSlack) // headroom for in-place follow-up merges
+		c := leafGrowCap(n) // headroom for in-place follow-up merges
 		rep = append(make([]K, 0, c), rep...)
 		vals = append(make([]V, 0, c), vals...)
 		exists = append(make([]bool, 0, c), exists...)
@@ -147,9 +147,15 @@ func (t *Tree[K, V]) mergeLeaf(v *node[K, V], l int, pf []int32) (*node[K, V], i
 	return v, fresh
 }
 
+// leafSlack is the capacity headroom factor of reallocated leaf
+// arrays. 1.0 would reallocate on every merge; the slack sweep over
+// 1.25, 1.5 and 2.0 (BENCH_leafslack.json) showed no tradeoff worth
+// an option.
+const leafSlack = 1.5
+
 // leafGrowCap is the capacity of freshly allocated leaf arrays for n
-// keys: n plus the Config.LeafSlack headroom that lets the next few
-// merges into the leaf run in place.
-func leafGrowCap(n int, slack float64) int {
-	return n + int(float64(n)*(slack-1))
+// keys: n plus the leafSlack headroom that lets the next few merges
+// into the leaf run in place.
+func leafGrowCap(n int) int {
+	return n + int(float64(n)*(leafSlack-1))
 }

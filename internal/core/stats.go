@@ -29,9 +29,7 @@ type Stats struct {
 	ChunkKeys     int64
 
 	// LeafGrows counts leaf merges that outgrew their arrays and
-	// reallocated, each with Config.LeafSlack (default 1.5) times its
-	// key count in capacity: the realloc-rate axis of pbench's
-	// leafslack experiment.
+	// reallocated, each with 1.5 times its key count in capacity.
 	LeafGrows int64
 }
 

@@ -220,13 +220,13 @@ func (t *Tree[K, V]) writeRec(v *node[K, V], l, r int, sc *scratch, depth int) (
 // no child was replaced and nothing was inserted or removed below
 // (a leaf merge inserts), it returns v itself and drops the copy, so
 // a segment that writes nothing leaves a publishing tree's root in
-// place, and a graced spare root the copy took goes back to the
-// spares (returnSpare). A root it does write was written past the
-// root log, so it raises the log's floor. Its position buffer is
-// arena scratch held until the fan-out returns. It is a function of
-// its own because its closures capture
-// the node: in writeRec, which reassigns v, that capture would move v
-// to the heap on every call, sequential ones included.
+// place; the dropped copy is a fresh node, since a parallel walk never
+// reuses graced storage (see owned). A root it does write was written
+// past the root log, so it raises the log's floor. Its position buffer
+// is arena scratch held until the fan-out returns. It is a function of
+// its own because its closures capture the node: in writeRec, which
+// reassigns v, that capture would move v to the heap on every call,
+// sequential ones included.
 func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
 	pf := t.ar.i32s.Get(r - l)
 	defer t.ar.i32s.Put(pf)
@@ -260,7 +260,6 @@ func (t *Tree[K, V]) writePar(v *node[K, V], l, r int) (*node[K, V], int, int) {
 	}
 	di, dr := int(ins.Load()), int(rem.Load())
 	if !wrote.Load() && di+dr == 0 {
-		t.returnSpare(v, w)
 		return v, 0, 0
 	}
 	if v == t.root && t.mv != nil {

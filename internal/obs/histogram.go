@@ -134,32 +134,17 @@ func (h *Histogram) RecordCorrected(v, expectedInterval int64) {
 	}
 }
 
-// Quantile returns the value at quantile q in [0, 1] using the
-// nearest-rank convention, or 0 for an empty histogram. The result is
-// the holding bucket's upper bound (see the type comment for bounds).
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
+// nearestRank returns the value at quantile q in [0, 1] of captured
+// bucket counts that sum to total > 0, by the nearest-rank convention:
+// the upper bound of the bucket holding the rank (see the type comment
+// for bounds).
+func nearestRank(counts *[numBuckets]int64, total int64, q float64) int64 {
+	rank := min(max(int64(math.Ceil(q*float64(total))), 1), total)
+	b := 0
+	for seen := counts[0]; seen < rank; seen += counts[b] {
+		b++
 	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var seen int64
-	for b := range h.counts {
-		seen += h.counts[b].Load()
-		if seen >= rank {
-			return bucketBound(b)
-		}
-	}
-	return h.max.Load()
+	return bucketBound(b)
 }
 
 // Count returns the number of recorded samples.
@@ -214,24 +199,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.Min = h.min.Load()
 	s.Max = h.max.Load()
 	s.Mean = float64(s.Sum) / float64(s.Count)
-	quantile := func(q float64) int64 {
-		rank := int64(math.Ceil(q * float64(s.Count)))
-		if rank < 1 {
-			rank = 1
-		}
-		var seen int64
-		for b := range counts {
-			seen += counts[b]
-			if seen >= rank {
-				return bucketBound(b)
-			}
-		}
-		return s.Max
-	}
-	s.P50 = quantile(0.50)
-	s.P90 = quantile(0.90)
-	s.P99 = quantile(0.99)
-	s.P999 = quantile(0.999)
+	s.P50 = nearestRank(&counts, s.Count, 0.50)
+	s.P90 = nearestRank(&counts, s.Count, 0.90)
+	s.P99 = nearestRank(&counts, s.Count, 0.99)
+	s.P999 = nearestRank(&counts, s.Count, 0.999)
 	for b := range counts {
 		if counts[b] > 0 {
 			s.Buckets = append(s.Buckets, HistBucket{Le: bucketBound(b), Count: counts[b]})

@@ -1,50 +1,15 @@
 package parallel
 
-// Scan computes the exclusive prefix sums of arr (§2.4):
+// ScanInPlace overwrites arr with its exclusive prefix sums (§2.4),
 //
-//	out[i] = arr[0] + arr[1] + ... + arr[i-1],  out[0] = 0.
+//	arr[i] = arr[0] + arr[1] + ... + arr[i-1],  arr[0] = 0,
 //
-// It returns a freshly allocated slice of the same length plus the total
-// sum of arr. The classic two-pass blocked algorithm gives O(n) work and
-// O(log n) span: block sums are reduced in parallel, block offsets are
-// scanned, and each block is then swept independently.
-func Scan(p *Pool, arr []int) (out []int, total int) {
-	n := len(arr)
-	out = make([]int, n)
-	if n == 0 {
-		return out, 0
-	}
-	blocks := scanBlocks(p, n)
-	bs := (n + blocks - 1) / blocks
-
-	sums := make([]int, blocks)
-	For(p, blocks, 1, func(b int) {
-		lo, hi := b*bs, min((b+1)*bs, n)
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += arr[i]
-		}
-		sums[b] = s
-	})
-	// Scan of the (small) per-block sums is sequential.
-	running := 0
-	for b := range sums {
-		sums[b], running = running, running+sums[b]
-	}
-	For(p, blocks, 1, func(b int) {
-		lo, hi := b*bs, min((b+1)*bs, n)
-		s := sums[b]
-		for i := lo; i < hi; i++ {
-			out[i] = s
-			s += arr[i]
-		}
-	})
-	return out, running
-}
-
-// ScanInPlace is Scan but overwrites arr with its exclusive prefix sums,
-// returning the total. It avoids the output allocation for callers that
-// no longer need the original values (e.g. the flatten step of §7.2).
+// and returns the total sum of the original values. The classic
+// two-pass blocked algorithm gives O(n) work and O(log n) span: block
+// sums are reduced in parallel, block offsets are scanned, and each
+// block is then swept independently. Writing in place avoids an output
+// allocation for callers that no longer need the original values
+// (e.g. the flatten step of §7.2).
 func ScanInPlace(p *Pool, arr []int) (total int) {
 	n := len(arr)
 	if n == 0 {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -21,28 +22,17 @@ func TestScanMatchesReference(t *testing.T) {
 			for _, n := range []int{0, 1, 2, 3, 511, 512, 513, 4096, 100000} {
 				arr := randInts(int64(n), n, 1000)
 				wantOut, wantTot := scanRef(arr)
-				gotOut, gotTot := Scan(p, arr)
+				gotTot := ScanInPlace(p, arr)
 				if gotTot != wantTot {
 					t.Fatalf("n=%d: total=%d want %d", n, gotTot, wantTot)
 				}
 				for i := range wantOut {
-					if gotOut[i] != wantOut[i] {
-						t.Fatalf("n=%d: out[%d]=%d want %d", n, i, gotOut[i], wantOut[i])
+					if arr[i] != wantOut[i] {
+						t.Fatalf("n=%d: arr[%d]=%d want %d", n, i, arr[i], wantOut[i])
 					}
 				}
 			}
 		})
-	}
-}
-
-func TestScanDoesNotModifyInput(t *testing.T) {
-	arr := []int{5, 3, 8, 1}
-	Scan(NewPool(4), arr)
-	want := []int{5, 3, 8, 1}
-	for i := range want {
-		if arr[i] != want[i] {
-			t.Fatalf("Scan modified its input: %v", arr)
-		}
 	}
 }
 
@@ -68,15 +58,13 @@ func TestScanInPlaceMatchesReference(t *testing.T) {
 
 func TestScanNegativeValues(t *testing.T) {
 	arr := []int{-3, 5, -2, 0, 7}
-	out, tot := Scan(NewPool(2), arr)
+	tot := ScanInPlace(NewPool(2), arr)
 	want := []int{0, -3, 2, 0, 0}
 	if tot != 7 {
 		t.Fatalf("total=%d want 7", tot)
 	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out=%v want %v", out, want)
-		}
+	if !slices.Equal(arr, want) {
+		t.Fatalf("arr=%v want %v", arr, want)
 	}
 }
 
@@ -88,16 +76,7 @@ func TestScanQuickProperty(t *testing.T) {
 			ints[i] = int(v)
 		}
 		wantOut, wantTot := scanRef(ints)
-		gotOut, gotTot := Scan(p, ints)
-		if gotTot != wantTot {
-			return false
-		}
-		for i := range wantOut {
-			if gotOut[i] != wantOut[i] {
-				return false
-			}
-		}
-		return true
+		return ScanInPlace(p, ints) == wantTot && slices.Equal(ints, wantOut)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
